@@ -259,16 +259,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             return _fatal(
                 f"live backend needs an API key; set {CREDENTIAL_ENV_VAR} or pass --api-key"
             )
-        gateway = HttpBackend(args.base_url)
-        label = "live"
-    else:
-        if args.fixtures is None:
-            return _fatal("replay backend needs --fixtures")
-        if not Path(args.fixtures).is_dir():
-            return _fatal(f"fixture directory {args.fixtures} does not exist")
-        gateway = ReplayBackend(args.fixtures)
-        label = "replay"
-    return _execute_run(args, gateway, label, credential)
+        live = HttpBackend(args.base_url)
+        try:
+            return _execute_run(args, live, "live", credential)
+        finally:
+            live.close()
+    if args.fixtures is None:
+        return _fatal("replay backend needs --fixtures")
+    if not Path(args.fixtures).is_dir():
+        return _fatal(f"fixture directory {args.fixtures} does not exist")
+    return _execute_run(args, ReplayBackend(args.fixtures), "replay", credential)
 
 
 def cmd_record_fixtures(args: argparse.Namespace) -> int:
@@ -278,8 +278,12 @@ def cmd_record_fixtures(args: argparse.Namespace) -> int:
             f"recording runs live and needs an API key; set {CREDENTIAL_ENV_VAR} or pass --api-key"
         )
     Path(args.fixtures).mkdir(parents=True, exist_ok=True)
-    gateway = RecordingBackend(HttpBackend(args.base_url), args.fixtures)
-    code = _execute_run(args, gateway, "record", credential)
+    live = HttpBackend(args.base_url)
+    gateway = RecordingBackend(live, args.fixtures)
+    try:
+        code = _execute_run(args, gateway, "record", credential)
+    finally:
+        live.close()
     print(f"recorded {gateway.calls} fixture responses into {args.fixtures}")
     return code
 

@@ -12,21 +12,26 @@ Responsibilities:
 
 The live backend speaks the common chat-completions JSON dialect: a single
 POST with system/user messages and bearer auth, which both OpenAI-style and
-Gemini-style endpoints accept.
+Gemini-style endpoints accept. It posts through ``KeepAliveSession``, a
+stdlib HTTP/1.1 client that pools keep-alive connections per origin.
 """
 
 from __future__ import annotations
 
+import base64
 import enum
 import hashlib
+import http.client
 import json
+import select
+import ssl
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Protocol, TypeVar, runtime_checkable
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 from .errors import (
     AuthFailedError,
@@ -190,8 +195,170 @@ class _CallCounter:
             return self._calls
 
 
-def _default_session() -> requests.Session:
-    return requests.Session()
+class _Response:
+    """Status and body of one exchange, read the way ``HttpBackend`` reads
+    them: ``status_code`` and ``json()``."""
+
+    __slots__ = ("status_code", "content")
+
+    def __init__(self, status_code: int, content: bytes):
+        self.status_code = status_code
+        self.content = content
+
+    def json(self) -> Any:
+        return json.loads(self.content)
+
+
+def _json_body(payload: Any) -> bytes:
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
+
+
+def _is_dropped(conn: http.client.HTTPConnection) -> bool:
+    """True when an idle connection can no longer carry a request: an idle
+    keep-alive socket has nothing to read, so a readable one was closed by
+    the server."""
+    if conn.sock is None:
+        return True
+    readable, _, _ = select.select([conn.sock], [], [], 0)
+    return bool(readable)
+
+
+class _Origin:
+    """How to reach one ``scheme://host:port``, and its idle connections.
+
+    The proxy environment is read once, here, rather than on every request.
+    Idle connections form a LIFO list under a lock shared by all threads, so
+    the most recently used socket, the one least likely to have timed out on
+    the server, is reused first.
+    """
+
+    def __init__(self, scheme: str, netloc: str):
+        self.scheme = scheme
+        self.netloc = netloc
+        self._tls = ssl.create_default_context() if scheme == "https" else None
+        self._proxy: str | None = None
+        self._proxy_auth: dict[str, str] = {}
+        # A plain-HTTP proxy takes the absolute-form target and the proxy
+        # credentials with each request; HTTPS sends them once, in CONNECT.
+        self.target_prefix = ""
+        self.request_headers: dict[str, str] = {}
+        proxy = urllib.request.getproxies().get(scheme)
+        if proxy and not urllib.request.proxy_bypass(netloc):
+            parsed = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if parsed.scheme != "http" or not parsed.hostname:
+                raise http.client.InvalidURL(f"unsupported {scheme} proxy {parsed.scheme}://{parsed.hostname}")
+            self._proxy = parsed.netloc.rpartition("@")[2]
+            if parsed.username is not None:
+                token = f"{unquote(parsed.username)}:{unquote(parsed.password or '')}".encode()
+                self._proxy_auth["Proxy-Authorization"] = "Basic " + base64.b64encode(token).decode()
+            if scheme == "http":
+                self.target_prefix = f"http://{netloc}"
+                self.request_headers = self._proxy_auth
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def connect(self, timeout: float | None) -> http.client.HTTPConnection:
+        """A new connection; it connects on its first request."""
+        if self.scheme == "http":
+            return http.client.HTTPConnection(self._proxy or self.netloc, timeout=timeout)
+        if self._proxy is None:
+            return http.client.HTTPSConnection(self.netloc, timeout=timeout, context=self._tls)
+        conn = http.client.HTTPSConnection(self._proxy, timeout=timeout, context=self._tls)
+        conn.set_tunnel(self.netloc, headers=self._proxy_auth)
+        return conn
+
+    def checkout(self) -> http.client.HTTPConnection | None:
+        """An idle connection still open at the server, or None."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    return None
+                conn = self._idle.pop()
+            if not _is_dropped(conn):
+                return conn
+            conn.close()
+
+    def checkin(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            self._idle.append(conn)
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
+class KeepAliveSession:
+    """Stdlib HTTP/1.1 client for the one call ``HttpBackend`` makes:
+    ``post(url, json=, headers=, timeout=)``, answering ``status_code`` and
+    ``json()``.
+
+    Connections are pooled per origin and shared by all threads; each is
+    checked out for exactly one request and response. A request is never
+    sent twice: a pooled connection the server closed while idle is
+    discarded before use, and an ``OSError`` or ``http.client.HTTPException``
+    closes the connection and propagates. ``HTTP(S)_PROXY`` and ``NO_PROXY``
+    are read once per origin; TLS verifies against OpenSSL's default CA
+    store (``SSL_CERT_FILE``, ``SSL_CERT_DIR``).
+    """
+
+    def __init__(self) -> None:
+        from . import __version__  # deferred: the package imports this module
+
+        self._user_agent = f"reviewlens/{__version__}"
+        self._origins: dict[tuple[str, str], _Origin] = {}
+        self._lock = threading.Lock()
+
+    def _origin(self, scheme: str, netloc: str) -> _Origin:
+        with self._lock:
+            origin = self._origins.get((scheme, netloc))
+            if origin is None:
+                origin = self._origins[(scheme, netloc)] = _Origin(scheme, netloc)
+        return origin
+
+    def post(
+        self,
+        url: str,
+        json: Any = None,  # noqa: A002 - the keyword HttpBackend passes
+        headers: dict[str, str] | None = None,
+        timeout: float | None = None,
+    ) -> _Response:
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise http.client.InvalidURL(f"unsupported URL {url!r}")
+        origin = self._origin(parts.scheme, parts.netloc.rpartition("@")[2])
+        target = origin.target_prefix + (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        all_headers = {"User-Agent": self._user_agent, **origin.request_headers, **(headers or {})}
+        body = _json_body(json)
+        conn = origin.checkout()
+        if conn is None:
+            conn = origin.connect(timeout)
+        else:
+            conn.sock.settimeout(timeout)
+        try:
+            conn.request("POST", target, body=body, headers=all_headers)
+            response = conn.getresponse()
+            content = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            origin.checkin(conn)
+        return _Response(response.status, content)
+
+    def close(self) -> None:
+        """Close every idle connection. The session stays usable."""
+        with self._lock:
+            origins = list(self._origins.values())
+        for origin in origins:
+            origin.close()
+
+
+def _default_session() -> KeepAliveSession:
+    return KeepAliveSession()
 
 
 class HttpBackend:
@@ -212,6 +379,10 @@ class HttpBackend:
     @property
     def calls(self) -> int:
         return self._counter.calls
+
+    def close(self) -> None:
+        """Close the session's pooled connections."""
+        self._session.close()
 
     def complete(self, request: ChatRequest, credential: ApiCredential | None = None) -> ChatResponse:
         if credential is None:
@@ -239,7 +410,7 @@ class HttpBackend:
                 headers=headers,
                 timeout=self.timeout_s,
             )
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"request failed: {exc}") from exc
         if response.status_code == 429:
             raise RateLimitedError("provider throttled the request (HTTP 429)")

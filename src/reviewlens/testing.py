@@ -380,7 +380,8 @@ class _FakeHttpResponse:
 
 
 class FakeChatSession:
-    """requests.Session stand-in for exercising the HTTP backend offline.
+    """Offline stand-in for the session under ``HttpBackend``
+    (``gateway.KeepAliveSession``): the same ``post`` and ``close`` calls.
 
     Two modes: wrap a ChatBackend (requests are rebuilt from the posted
     payload and answered through it, with bearer-token checking), or play a
@@ -400,11 +401,15 @@ class FakeChatSession:
         self._expected_key = expected_key
         self._script = list(script) if script is not None else None
         self.requests: list[dict[str, Any]] = []
+        self.closed = False
+
+    def close(self) -> None:
+        self.closed = True
 
     def post(
         self,
         url: str,
-        json: Any = None,  # noqa: A002 - mirrors the requests.Session signature
+        json: Any = None,  # noqa: A002 - mirrors the KeepAliveSession signature
         headers: Mapping[str, str] | None = None,
         timeout: float | None = None,
     ) -> _FakeHttpResponse:

@@ -181,6 +181,7 @@ class TestRecordFixtures:
         assert code == 0
         assert "recorded" in capsys.readouterr().out
         assert list(fixtures.glob("*.json"))
+        assert session.closed
 
         out = tmp_path / "out"
         code = run_cli(

@@ -4,10 +4,10 @@ record/replay, caching, and parse-directed resampling."""
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 
 import pytest
-import requests
 
 from reviewlens.cache import DiskResponseCache
 from reviewlens.errors import (
@@ -154,8 +154,17 @@ class TestHttpBackend:
         with pytest.raises(error):
             backend.complete(REQ, ApiCredential(key="k"))
 
-    def test_network_error_wrapped(self):
-        backend = self._backend([requests.ConnectionError("refused")])
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ConnectionRefusedError("refused"),
+            http.client.RemoteDisconnected("closed without response"),
+            TimeoutError("timed out"),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_network_error_wrapped(self, error):
+        backend = self._backend([error])
         with pytest.raises(TransportError):
             backend.complete(REQ, ApiCredential(key="k"))
 
