@@ -10,136 +10,4 @@ content-addressed caching, and record/replay fixtures, so the entire test
 suite runs offline.
 """
 
-from .cache import DiskResponseCache
-from .comparison import build_comparison_prompt, compare_review, parse_comparison_response
-from .domain import (
-    CallStats,
-    CategoryAssignment,
-    ComparedAttribute,
-    ComparisonStatus,
-    ExtractedAttribute,
-    Insight,
-    ProductRecord,
-    Review,
-    StructuredReport,
-    canonical_json,
-    load_product_records,
-    normalize_key,
-    parse_status,
-    render_status,
-)
-from .errors import (
-    DataFormatError,
-    EmptyKeyError,
-    ExhaustedRetriesError,
-    FailedUnit,
-    GatewayError,
-    MalformedOutputError,
-    OutOfRangeError,
-    ProductMismatchError,
-    UnknownStatusError,
-)
-from .evaluation import (
-    CategoryMetrics,
-    ErrorAnnotation,
-    GoldAttributeSet,
-    aggregate_errors,
-    compare_modes,
-    f1,
-    selection_metrics,
-)
-from .extraction import build_extraction_prompt, extract_attributes, parse_extraction_response
-from .gateway import (
-    ApiCredential,
-    ChatRequest,
-    ChatResponse,
-    HttpBackend,
-    RecordingBackend,
-    ReplayBackend,
-    ResponseFormat,
-    RetryPolicy,
-    fingerprint,
-)
-from .grouping import build_grouping_prompt, parse_grouping_response
-from .pipeline import (
-    PipelineConfig,
-    PipelineMode,
-    PipelineResult,
-    run_ablated,
-    run_baseline,
-    run_full,
-    run_product,
-)
-from .structuring import (
-    ReportFormat,
-    build_report,
-    merge_insights,
-    parse_report_sections,
-    render_report,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "ApiCredential",
-    "CallStats",
-    "CategoryAssignment",
-    "CategoryMetrics",
-    "ChatRequest",
-    "ChatResponse",
-    "ComparedAttribute",
-    "ComparisonStatus",
-    "DataFormatError",
-    "DiskResponseCache",
-    "EmptyKeyError",
-    "ErrorAnnotation",
-    "ExhaustedRetriesError",
-    "ExtractedAttribute",
-    "FailedUnit",
-    "GatewayError",
-    "GoldAttributeSet",
-    "HttpBackend",
-    "Insight",
-    "MalformedOutputError",
-    "OutOfRangeError",
-    "PipelineConfig",
-    "PipelineMode",
-    "PipelineResult",
-    "ProductMismatchError",
-    "ProductRecord",
-    "RecordingBackend",
-    "ReplayBackend",
-    "ReportFormat",
-    "ResponseFormat",
-    "RetryPolicy",
-    "Review",
-    "StructuredReport",
-    "UnknownStatusError",
-    "aggregate_errors",
-    "build_comparison_prompt",
-    "build_extraction_prompt",
-    "build_grouping_prompt",
-    "build_report",
-    "canonical_json",
-    "compare_modes",
-    "compare_review",
-    "extract_attributes",
-    "f1",
-    "fingerprint",
-    "load_product_records",
-    "merge_insights",
-    "normalize_key",
-    "parse_comparison_response",
-    "parse_extraction_response",
-    "parse_grouping_response",
-    "parse_report_sections",
-    "parse_status",
-    "render_report",
-    "render_status",
-    "run_ablated",
-    "run_baseline",
-    "run_full",
-    "run_product",
-    "selection_metrics",
-]

@@ -400,11 +400,11 @@ def _mode_comparison(
     elif product_id not in shared:
         raise DataFormatError(f"product {product_id!r} is not present in every run dir")
 
-    def result_for(mode: str) -> PipelineResult:
+    def report_for(mode: str) -> StructuredReport:
         entry = by_mode[mode][product_id]
         if "report" not in entry:
             raise DataFormatError(f"{mode} run for {product_id} lacks report.json")
-        return PipelineResult(report=StructuredReport.from_dict(entry["report"]))
+        return StructuredReport.from_dict(entry["report"])
 
     annotations = [
         annotation
@@ -412,7 +412,7 @@ def _mode_comparison(
         if annotation.product_id == product_id
     ]
     table = compare_modes(
-        result_for("full"), result_for("baseline"), result_for("ablated"), annotations
+        report_for("full"), report_for("baseline"), report_for("ablated"), annotations
     )
     return f"Mode comparison for {product_id}:\n" + render_mode_table(table)
 

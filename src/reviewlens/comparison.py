@@ -18,14 +18,8 @@ from .domain import (
     normalize_key,
     parse_status,
 )
-from .errors import (
-    EmptyKeyError,
-    ExhaustedRetriesError,
-    FailedUnit,
-    GatewayError,
-    MalformedOutputError,
-)
-from .gateway import ChatBackend, ChatRequest, ResponseFormat, RetryPolicy, complete_parsed
+from .errors import EmptyKeyError, MalformedOutputError
+from .gateway import ChatRequest, ResponseFormat
 from .llm_json import coerce_scalar, load_json_object, require_array
 from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
 
@@ -138,38 +132,3 @@ def parse_comparison_response(
         )
 
     return [matched[index] for index in range(len(attributes))]
-
-
-def compare_review(
-    attributes: list[ExtractedAttribute],
-    seller_description: str,
-    *,
-    gateway: ChatBackend,
-    policy: RetryPolicy,
-    model: str,
-    credential=None,
-    temperature: float = 0.0,
-    prompt_version: str = DEFAULT_PROMPT_VERSION,
-    diagnostics: list[str] | None = None,
-) -> list[ComparedAttribute] | FailedUnit:
-    """Compare one review's attribute batch; empty input means no call."""
-    if not attributes:
-        return []
-    request = build_comparison_prompt(
-        attributes,
-        seller_description,
-        model=model,
-        temperature=temperature,
-        prompt_version=prompt_version,
-    )
-    try:
-        return complete_parsed(
-            request,
-            lambda text, notes: parse_comparison_response(text, attributes, diagnostics=notes),
-            gateway=gateway,
-            credential=credential,
-            policy=policy,
-            diagnostics=diagnostics,
-        )
-    except (ExhaustedRetriesError, GatewayError, MalformedOutputError) as exc:
-        return FailedUnit(unit_id=attributes[0].review_id, stage="comparison", reason=str(exc))

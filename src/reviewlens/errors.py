@@ -1,8 +1,6 @@
 """Failure domain for the review-insight pipeline.
 
-Every exception that callers are expected to branch on lives here, together
-with the ``FailedUnit`` marker that lets one bad review degrade gracefully
-instead of aborting a whole product run.
+Every exception that callers are expected to branch on lives here.
 
 Retry classification works through the ``kind`` attribute: policies hold a
 set of retryable kind strings and test errors against it without needing
@@ -10,8 +8,6 @@ set of retryable kind strings and test errors against it without needing
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class EmptyKeyError(ValueError):
@@ -83,16 +79,3 @@ class ExhaustedRetriesError(Exception):
         super().__init__(f"gave up after {attempts} attempt(s): {last_error}")
         self.attempts = attempts
         self.last_error = last_error
-
-
-@dataclass(frozen=True, slots=True)
-class FailedUnit:
-    """Marker for one unit of work that failed permanently.
-
-    ``unit_id`` is a review id for per-review stages and keeps product runs
-    alive: downstream steps simply skip the unit.
-    """
-
-    unit_id: str
-    stage: str
-    reason: str

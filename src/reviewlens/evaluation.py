@@ -15,9 +15,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .domain import ExtractedAttribute, normalize_key
+from .domain import ExtractedAttribute, StructuredReport, normalize_key
 from .errors import DataFormatError, OutOfRangeError, ProductMismatchError
-from .pipeline import PipelineResult
 
 __all__ = [
     "Step",
@@ -271,21 +270,21 @@ def aggregate_errors(
 
 
 def compare_modes(
-    full: PipelineResult,
-    baseline: PipelineResult,
-    ablated: PipelineResult,
+    full: StructuredReport,
+    baseline: StructuredReport,
+    ablated: StructuredReport,
     annotations: Iterable[CriterionAnnotation],
 ) -> dict[str, dict[str, int]]:
     """Per-criterion lapse counts for each mode, as criterion -> mode -> count.
 
-    All three results and every annotation must cover one product. Every
+    All three reports and every annotation must cover one product. Every
     criterion/mode cell is present even when zero, so tables stay rectangular.
     """
-    product_id = full.report.product_id
-    for label, result in (("baseline", baseline), ("ablated", ablated)):
-        if result.report.product_id != product_id:
+    product_id = full.product_id
+    for label, report in (("baseline", baseline), ("ablated", ablated)):
+        if report.product_id != product_id:
             raise ProductMismatchError(
-                f"{label} result covers {result.report.product_id!r}, "
+                f"{label} report covers {report.product_id!r}, "
                 f"expected {product_id!r}"
             )
     table: dict[str, dict[str, int]] = {

@@ -9,14 +9,8 @@ and an empty result is a valid outcome for opinion-only reviews.
 from __future__ import annotations
 
 from .domain import ExtractedAttribute, Review, normalize_key
-from .errors import (
-    EmptyKeyError,
-    ExhaustedRetriesError,
-    FailedUnit,
-    GatewayError,
-    MalformedOutputError,
-)
-from .gateway import ChatBackend, ChatRequest, ResponseFormat, RetryPolicy, complete_parsed
+from .errors import EmptyKeyError, MalformedOutputError
+from .gateway import ChatRequest, ResponseFormat
 from .llm_json import coerce_scalar, load_json_object, require_array
 from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
 
@@ -74,31 +68,3 @@ def parse_extraction_response(text: str, review_id: str) -> list[ExtractedAttrib
             ExtractedAttribute(key=key, value=value.strip(), review_id=review_id, raw_key=raw_key)
         )
     return extracted
-
-
-def extract_attributes(
-    review: Review,
-    title: str,
-    *,
-    gateway: ChatBackend,
-    policy: RetryPolicy,
-    model: str,
-    credential=None,
-    temperature: float = 0.0,
-    prompt_version: str = DEFAULT_PROMPT_VERSION,
-) -> list[ExtractedAttribute] | FailedUnit:
-    """Extract attributes for one review; a permanent failure yields a
-    FailedUnit marker so the product run can continue."""
-    request = build_extraction_prompt(
-        review, title, model=model, temperature=temperature, prompt_version=prompt_version
-    )
-    try:
-        return complete_parsed(
-            request,
-            lambda text, _notes: parse_extraction_response(text, review.review_id),
-            gateway=gateway,
-            credential=credential,
-            policy=policy,
-        )
-    except (ExhaustedRetriesError, GatewayError, MalformedOutputError) as exc:
-        return FailedUnit(unit_id=review.review_id, stage="extraction", reason=str(exc))

@@ -6,9 +6,13 @@ Responsibilities:
     deliberately outside the identity)
   * interchangeable backends: live HTTP, replay-from-fixtures, and a
     recording wrapper that captures live traffic for later replay
-  * retry with exponential backoff driven by a declarative policy
-  * ``lookup_or_call`` / ``complete_parsed``: the cache-aware composition
-    used by every pipeline stage
+  * the request path every pipeline stage uses, one function per job:
+    ``complete_parsed`` fingerprints the request once and builds one
+    attempt; ``lookup_or_call`` is that attempt's cache-or-call;
+    ``complete_with_retry`` is the only retry loop, with exponential
+    backoff driven by a declarative policy. Transport errors, throttling
+    and malformed output share one budget of ``max_attempts`` per request,
+    and a malformed answer is evicted from the cache before the retry.
 
 The live backend speaks the common chat-completions JSON dialect: a single
 POST with system/user messages and bearer auth, which both OpenAI-style and
@@ -33,6 +37,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Protocol, TypeVar, runtime_checkable
 from urllib.parse import unquote, urlsplit
 
+from . import __version__
 from .errors import (
     AuthFailedError,
     ExhaustedRetriesError,
@@ -304,8 +309,6 @@ class KeepAliveSession:
     """
 
     def __init__(self) -> None:
-        from . import __version__  # deferred: the package imports this module
-
         self._user_agent = f"reviewlens/{__version__}"
         self._origins: dict[tuple[str, str], _Origin] = {}
         self._lock = threading.Lock()
@@ -473,63 +476,59 @@ class RecordingBackend:
 
 
 def complete_with_retry(
-    request: ChatRequest,
-    credential: ApiCredential | None,
+    attempt: Callable[[], T],
     policy: RetryPolicy,
     *,
-    gateway: ChatBackend,
     stats: Any | None = None,
-) -> ChatResponse:
-    """Call the backend, retrying retryable failures with exponential backoff.
+) -> T:
+    """Run ``attempt`` until it returns, with exponential backoff between tries.
 
-    Raises ExhaustedRetriesError wrapping the last error once the attempt
-    budget is spent; non-retryable errors propagate immediately. Each
-    re-attempt is recorded on ``stats`` when one is provided.
+    The request path's only retry loop: transport errors, throttling and
+    malformed output share one budget of ``policy.max_attempts``. Raises
+    ExhaustedRetriesError wrapping the last error once the budget is spent;
+    non-retryable errors propagate immediately. Each re-attempt is recorded
+    on ``stats`` when one is provided.
     """
     last_error: BaseException | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        if attempt > 1:
-            delay = policy.delay_ms(attempt - 1) / 1000.0
+    for retry in range(policy.max_attempts):
+        if retry:
+            delay = policy.delay_ms(retry) / 1000.0
             if delay > 0:
                 time.sleep(delay)
             if stats is not None:
-                stats.record_retry()
+                stats.record("retries")
         try:
-            return gateway.complete(request, credential)
-        except GatewayError as exc:
+            return attempt()
+        except (GatewayError, MalformedOutputError) as exc:
             if not policy.is_retryable(exc):
                 raise
             last_error = exc
-    assert last_error is not None
     raise ExhaustedRetriesError(policy.max_attempts, last_error)
 
 
 def lookup_or_call(
     request: ChatRequest,
+    digest: str,
     gateway: ChatBackend,
     cache: Any | None = None,
     *,
     credential: ApiCredential | None = None,
-    policy: RetryPolicy | None = None,
     stats: Any | None = None,
     diagnostics: list[str] | None = None,
 ) -> ChatResponse:
-    """Serve a request from the cache when possible, else call and store.
+    """One attempt: serve ``request`` (fingerprinted as ``digest``) from the
+    cache when possible, else call the backend once and store the answer.
 
-    A cache hit performs zero gateway calls and bumps the cache-hit counter.
-    A corrupt cache entry degrades to a miss with a diagnostic note.
+    A cache hit performs zero gateway calls and records a cache hit. A
+    corrupt cache entry degrades to a miss with a diagnostic note.
     """
-    digest = fingerprint(request)
     if cache is not None:
         cached = cache.get(digest, diagnostics=diagnostics)
         if cached is not None:
             if stats is not None:
-                stats.record_cache_hit()
+                stats.record("cache_hits")
             return cached
-    if policy is not None:
-        response = complete_with_retry(request, credential, policy, gateway=gateway, stats=stats)
-    else:
-        response = gateway.complete(request, credential)
+    response = gateway.complete(request, credential)
     if cache is not None:
         cache.put(digest, response)
     return response
@@ -546,7 +545,8 @@ def complete_parsed(
     stats: Any | None = None,
     diagnostics: list[str] | None = None,
 ) -> T:
-    """Resolve a request into parsed output, retrying malformed generations.
+    """Resolve a request into parsed output: fingerprint once, then retry
+    one attempt of cache-or-call plus parse under ``complete_with_retry``.
 
     ``parser`` receives the response text plus a scratch diagnostics list
     that is merged into ``diagnostics`` only when parsing succeeds, so notes
@@ -554,36 +554,21 @@ def complete_parsed(
     evicts the cached response first: re-sampling is the remedy, and a bad
     answer must not be pinned by the cache.
     """
-    policy = policy or RetryPolicy()
-    last_error: BaseException | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        if attempt > 1:
-            delay = policy.delay_ms(attempt - 1) / 1000.0
-            if delay > 0:
-                time.sleep(delay)
-            if stats is not None:
-                stats.record_retry()
+    digest = fingerprint(request)
+
+    def attempt() -> T:
         response = lookup_or_call(
-            request,
-            gateway,
-            cache,
-            credential=credential,
-            policy=policy,
-            stats=stats,
-            diagnostics=diagnostics,
+            request, digest, gateway, cache, credential=credential, stats=stats, diagnostics=diagnostics
         )
         scratch: list[str] = []
         try:
             parsed = parser(response.text, scratch)
-        except MalformedOutputError as exc:
-            last_error = exc
+        except MalformedOutputError:
             if cache is not None:
-                cache.evict(fingerprint(request))
-            if not policy.is_retryable(exc):
-                raise
-            continue
+                cache.evict(digest)
+            raise
         if diagnostics is not None:
             diagnostics.extend(scratch)
         return parsed
-    assert last_error is not None
-    raise ExhaustedRetriesError(policy.max_attempts, last_error)
+
+    return complete_with_retry(attempt, policy or RetryPolicy(), stats=stats)

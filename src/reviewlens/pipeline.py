@@ -5,7 +5,9 @@ worker pool, joins once for the single grouping call, then assembles the
 report deterministically. With R productive reviews and a cold cache that
 is R extraction calls, R comparison calls, and one grouping call: 2R + 1.
 The baseline mode spends exactly one call on the whole product; the ablated
-mode spends R extraction calls plus one direct report call.
+mode spends R extraction calls plus one direct report call. Every one of
+those requests goes through ``_Runtime.call``, which counts it once, when
+it is issued, and resolves it through the gateway's single retry loop.
 
 Scheduling never leaks into results: per-review outcomes are collected in
 dataset order regardless of completion order, so report bytes are identical
@@ -21,7 +23,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 from .cache import DiskResponseCache
 from .comparison import build_comparison_prompt, parse_comparison_response
@@ -48,11 +50,12 @@ from .gateway import (
     ResponseFormat,
     RetryPolicy,
     complete_parsed,
-    lookup_or_call,
 )
 from .grouping import build_grouping_prompt, collect_unique_keys, parse_grouping_response
 from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
 from .structuring import build_report, merge_insights, parse_report_sections
+
+T = TypeVar("T")
 
 __all__ = [
     "PipelineMode",
@@ -66,7 +69,6 @@ __all__ = [
     "build_baseline_prompt",
     "build_ablated_prompt",
     "build_run_manifest",
-    "lookup_or_call",
 ]
 
 REPORT_SCHEMA = (
@@ -143,45 +145,20 @@ class PipelineConfig:
 
 
 class StatsRecorder:
-    """Thread-safe accumulator behind the immutable CallStats snapshot."""
+    """Thread-safe tally behind the immutable CallStats snapshot, keyed by
+    CallStats field name."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._extraction = 0
-        self._comparison = 0
-        self._grouping = 0
-        self._cache_hits = 0
-        self._retries = 0
+        self._counts: dict[str, int] = {}
 
-    def record_extraction(self) -> None:
+    def record(self, name: str) -> None:
         with self._lock:
-            self._extraction += 1
-
-    def record_comparison(self) -> None:
-        with self._lock:
-            self._comparison += 1
-
-    def record_grouping(self) -> None:
-        with self._lock:
-            self._grouping += 1
-
-    def record_cache_hit(self) -> None:
-        with self._lock:
-            self._cache_hits += 1
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self._retries += 1
+            self._counts[name] = self._counts.get(name, 0) + 1
 
     def snapshot(self) -> CallStats:
         with self._lock:
-            return CallStats(
-                extraction_calls=self._extraction,
-                comparison_calls=self._comparison,
-                grouping_calls=self._grouping,
-                cache_hits=self._cache_hits,
-                retries=self._retries,
-            )
+            return CallStats(**self._counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,23 +181,38 @@ class PipelineResult:
         )
 
 
+_STEP_FAILURES = (ExhaustedRetriesError, GatewayError, MalformedOutputError)
+
+
 @dataclass(slots=True)
 class _Runtime:
+    config: PipelineConfig
     gateway: ChatBackend
     credential: ApiCredential | None
-    policy: RetryPolicy
     cache: DiskResponseCache | None
-    stats: StatsRecorder
+    stats: StatsRecorder = field(default_factory=StatsRecorder)
 
-
-@dataclass(slots=True)
-class _ReviewOutcome:
-    review_id: str
-    attributes: tuple[ExtractedAttribute, ...] = ()
-    compared: tuple[ComparedAttribute, ...] = ()
-    diagnostics: tuple[str, ...] = ()
-    failed_stage: str | None = None
-    extracted_ok: bool = False
+    def call(
+        self,
+        counter: str,
+        request: ChatRequest,
+        parser: Callable[[str, list[str]], T],
+        notes: list[str],
+    ) -> T:
+        """Resolve one stage request into parsed output. The logical request
+        is counted under ``counter`` when it is issued, whatever its outcome,
+        so backend calls = requests - cache hits + retries on every path."""
+        self.stats.record(counter)
+        return complete_parsed(
+            request,
+            parser,
+            gateway=self.gateway,
+            credential=self.credential,
+            policy=self.config.retry,
+            cache=self.cache,
+            stats=self.stats,
+            diagnostics=notes,
+        )
 
 
 def _make_runtime(
@@ -231,90 +223,22 @@ def _make_runtime(
 ) -> _Runtime:
     if cache is None and config.cache_dir is not None:
         cache = DiskResponseCache(config.cache_dir)
-    return _Runtime(
-        gateway=gateway,
-        credential=credential,
-        policy=config.retry,
-        cache=cache,
-        stats=StatsRecorder(),
-    )
+    return _Runtime(config, gateway, credential, cache)
 
 
-_STEP_FAILURES = (ExhaustedRetriesError, GatewayError, MalformedOutputError)
+@dataclass(slots=True)
+class _ReviewOutcome:
+    review_id: str
+    diagnostics: list[str]
+    attributes: list[ExtractedAttribute] = field(default_factory=list)
+    compared: list[ComparedAttribute] = field(default_factory=list)
+    failed_stage: str | None = None
 
 
-def _extract_and_compare(
-    review: Review, product: ProductRecord, config: PipelineConfig, runtime: _Runtime
-) -> _ReviewOutcome:
-    """The chained per-review task: extraction feeds comparison directly."""
-    notes: list[str] = []
-    extraction_request = build_extraction_prompt(
-        review,
-        product.title,
-        model=config.extraction_model,
-        temperature=config.extraction_temperature,
-        prompt_version=config.prompt_version,
-    )
-    try:
-        attributes = complete_parsed(
-            extraction_request,
-            lambda text, _scratch: parse_extraction_response(text, review.review_id),
-            gateway=runtime.gateway,
-            credential=runtime.credential,
-            policy=runtime.policy,
-            cache=runtime.cache,
-            stats=runtime.stats,
-            diagnostics=notes,
-        )
-    except _STEP_FAILURES as exc:
-        notes.append(f"review {review.review_id}: extraction failed permanently: {exc}")
-        return _ReviewOutcome(review.review_id, diagnostics=tuple(notes), failed_stage="extraction")
-    runtime.stats.record_extraction()
-    if not attributes:
-        return _ReviewOutcome(
-            review.review_id, attributes=(), compared=(), diagnostics=tuple(notes), extracted_ok=True
-        )
-    comparison_request = build_comparison_prompt(
-        attributes,
-        product.seller_description,
-        model=config.comparison_model,
-        temperature=config.comparison_temperature,
-        prompt_version=config.prompt_version,
-    )
-    try:
-        compared = complete_parsed(
-            comparison_request,
-            lambda text, scratch: parse_comparison_response(text, attributes, diagnostics=scratch),
-            gateway=runtime.gateway,
-            credential=runtime.credential,
-            policy=runtime.policy,
-            cache=runtime.cache,
-            stats=runtime.stats,
-            diagnostics=notes,
-        )
-    except _STEP_FAILURES as exc:
-        notes.append(f"review {review.review_id}: comparison failed permanently: {exc}")
-        return _ReviewOutcome(
-            review.review_id,
-            attributes=tuple(attributes),
-            diagnostics=tuple(notes),
-            failed_stage="comparison",
-            extracted_ok=True,
-        )
-    runtime.stats.record_comparison()
-    return _ReviewOutcome(
-        review.review_id,
-        attributes=tuple(attributes),
-        compared=tuple(compared),
-        diagnostics=tuple(notes),
-        extracted_ok=True,
-    )
-
-
-def _extract_only(
-    review: Review, product: ProductRecord, config: PipelineConfig, runtime: _Runtime
-) -> _ReviewOutcome:
-    notes: list[str] = []
+def _extract(review: Review, product: ProductRecord, runtime: _Runtime) -> _ReviewOutcome:
+    """The per-review extraction task, shared by the full and ablated modes."""
+    config = runtime.config
+    outcome = _ReviewOutcome(review.review_id, diagnostics=[])
     request = build_extraction_prompt(
         review,
         product.title,
@@ -323,69 +247,103 @@ def _extract_only(
         prompt_version=config.prompt_version,
     )
     try:
-        attributes = complete_parsed(
+        outcome.attributes = runtime.call(
+            "extraction_calls",
             request,
             lambda text, _scratch: parse_extraction_response(text, review.review_id),
-            gateway=runtime.gateway,
-            credential=runtime.credential,
-            policy=runtime.policy,
-            cache=runtime.cache,
-            stats=runtime.stats,
-            diagnostics=notes,
+            outcome.diagnostics,
         )
     except _STEP_FAILURES as exc:
-        notes.append(f"review {review.review_id}: extraction failed permanently: {exc}")
-        return _ReviewOutcome(review.review_id, diagnostics=tuple(notes), failed_stage="extraction")
-    runtime.stats.record_extraction()
-    return _ReviewOutcome(
-        review.review_id, attributes=tuple(attributes), diagnostics=tuple(notes), extracted_ok=True
+        outcome.diagnostics.append(f"review {review.review_id}: extraction failed permanently: {exc}")
+        outcome.failed_stage = "extraction"
+    return outcome
+
+
+def _extract_and_compare(review: Review, product: ProductRecord, runtime: _Runtime) -> _ReviewOutcome:
+    """The chained per-review task: extraction feeds comparison directly."""
+    outcome = _extract(review, product, runtime)
+    attributes = outcome.attributes
+    if outcome.failed_stage is not None or not attributes:
+        return outcome
+    config = runtime.config
+    request = build_comparison_prompt(
+        attributes,
+        product.seller_description,
+        model=config.comparison_model,
+        temperature=config.comparison_temperature,
+        prompt_version=config.prompt_version,
+    )
+    try:
+        outcome.compared = runtime.call(
+            "comparison_calls",
+            request,
+            lambda text, scratch: parse_comparison_response(text, attributes, diagnostics=scratch),
+            outcome.diagnostics,
+        )
+    except _STEP_FAILURES as exc:
+        outcome.diagnostics.append(f"review {review.review_id}: comparison failed permanently: {exc}")
+        outcome.failed_stage = "comparison"
+    return outcome
+
+
+@dataclass(slots=True)
+class _Collected:
+    """Per-review outcomes folded in dataset order."""
+
+    succeeded: list[_ReviewOutcome]
+    failed: list[str]
+    diagnostics: list[str]
+    extractions: dict[str, list[ExtractedAttribute]]
+
+
+def _run_reviews(
+    product: ProductRecord,
+    runtime: _Runtime,
+    task: Callable[[Review, ProductRecord, _Runtime], _ReviewOutcome],
+) -> _Collected:
+    """Run the per-review task with at most ``workers`` in flight and collect
+    the outcomes in dataset order whatever the completion order."""
+    reviews = product.reviews
+    workers = min(runtime.config.workers, len(reviews))
+    if workers <= 1:
+        outcomes = [task(review, product, runtime) for review in reviews]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(task, review, product, runtime) for review in reviews]
+            outcomes = [future.result() for future in futures]
+    return _Collected(
+        succeeded=[o for o in outcomes if o.failed_stage is None],
+        failed=[o.review_id for o in outcomes if o.failed_stage is not None],
+        diagnostics=[note for o in outcomes for note in o.diagnostics],
+        extractions={o.review_id: o.attributes for o in outcomes if o.failed_stage != "extraction"},
     )
 
 
-def _map_reviews(product, config, runtime, task) -> list[_ReviewOutcome]:
-    """Run the per-review task with at most ``config.workers`` in flight,
-    collecting outcomes in dataset order whatever the completion order."""
-    reviews = product.reviews
-    if not reviews:
-        return []
-    if config.workers == 1 or len(reviews) == 1:
-        return [task(review, product, config, runtime) for review in reviews]
-    with ThreadPoolExecutor(max_workers=min(config.workers, len(reviews))) as pool:
-        futures = [pool.submit(task, review, product, config, runtime) for review in reviews]
-        return [future.result() for future in futures]
-
-
 def _assign_categories(
-    compared: list[ComparedAttribute], config: PipelineConfig, runtime: _Runtime
-) -> tuple[CategoryAssignment, list[str]]:
+    compared: list[ComparedAttribute], runtime: _Runtime, notes: list[str]
+) -> CategoryAssignment:
     keys = collect_unique_keys(compared)
     if not keys:
-        return CategoryAssignment(), []
-    notes: list[str] = []
+        return CategoryAssignment()
+    config = runtime.config
     request = build_grouping_prompt(
         keys,
         model=config.grouping_model,
         temperature=config.grouping_temperature,
         prompt_version=config.prompt_version,
     )
-    runtime.stats.record_grouping()
     try:
-        assignment = complete_parsed(
+        return runtime.call(
+            "grouping_calls",
             request,
             lambda text, scratch: parse_grouping_response(text, keys, diagnostics=scratch),
-            gateway=runtime.gateway,
-            credential=runtime.credential,
-            policy=runtime.policy,
-            cache=runtime.cache,
-            stats=runtime.stats,
-            diagnostics=notes,
+            notes,
         )
     except _STEP_FAILURES as exc:
         notes.append(
             f"grouping failed permanently; every attribute assigned {OTHER_CATEGORY!r}: {exc}"
         )
-        assignment = CategoryAssignment(mapping={key: OTHER_CATEGORY for key in keys})
-    return assignment, notes
+        return CategoryAssignment(mapping={key: OTHER_CATEGORY for key in keys})
 
 
 def _empty_report(product: ProductRecord, stats: CallStats) -> StructuredReport:
@@ -403,24 +361,9 @@ def run_full(
     """The multi-step pipeline: per-review extract and compare, one grouping
     call, deterministic structuring."""
     runtime = _make_runtime(config, gateway, credential, cache)
-    outcomes = _map_reviews(product, config, runtime, _extract_and_compare)
-
-    diagnostics: list[str] = []
-    failed: list[str] = []
-    compared: list[ComparedAttribute] = []
-    extractions: dict[str, tuple[ExtractedAttribute, ...]] = {}
-    for outcome in outcomes:
-        diagnostics.extend(outcome.diagnostics)
-        if outcome.extracted_ok:
-            extractions[outcome.review_id] = outcome.attributes
-        if outcome.failed_stage is not None:
-            failed.append(outcome.review_id)
-            continue
-        compared.extend(outcome.compared)
-
-    assignment, grouping_notes = _assign_categories(compared, config, runtime)
-    diagnostics.extend(grouping_notes)
-
+    reviews = _run_reviews(product, runtime, _extract_and_compare)
+    compared = [item for outcome in reviews.succeeded for item in outcome.compared]
+    assignment = _assign_categories(compared, runtime, reviews.diagnostics)
     report = build_report(
         merge_insights(compared),
         assignment,
@@ -429,9 +372,9 @@ def run_full(
     )
     return PipelineResult(
         report=report,
-        failed_units=tuple(failed),
-        diagnostics=tuple(diagnostics),
-        extractions=extractions,
+        failed_units=tuple(reviews.failed),
+        diagnostics=tuple(reviews.diagnostics),
+        extractions=reviews.extractions,
     )
 
 
@@ -503,26 +446,20 @@ def _direct_report(
     request: ChatRequest,
     product: ProductRecord,
     runtime: _Runtime,
-) -> tuple[StructuredReport | None, list[str], bool]:
-    """Resolve a whole-report request. Returns (report, notes, unit_failed).
+    notes: list[str],
+) -> tuple[StructuredReport, bool]:
+    """Resolve a whole-report request. Returns (report, unit_failed).
 
     Unparseable output after retries degrades to an empty report with a
     diagnostic; transport-level exhaustion marks the unit failed.
     """
-    notes: list[str] = []
-    runtime.stats.record_grouping()  # the direct report call is the run's "+1"
     try:
-        insights, assignment = complete_parsed(
+        # The direct report call is the run's "+1", counted as grouping.
+        insights, assignment = runtime.call(
+            "grouping_calls",
             request,
-            lambda text, scratch: parse_report_sections(
-                text, product.review_ids, diagnostics=scratch
-            ),
-            gateway=runtime.gateway,
-            credential=runtime.credential,
-            policy=runtime.policy,
-            cache=runtime.cache,
-            stats=runtime.stats,
-            diagnostics=notes,
+            lambda text, scratch: parse_report_sections(text, product.review_ids, diagnostics=scratch),
+            notes,
         )
     except _STEP_FAILURES as exc:
         malformed = isinstance(exc, MalformedOutputError) or (
@@ -531,13 +468,13 @@ def _direct_report(
         )
         if malformed:
             notes.append(f"report payload unusable after retries; emitting empty report: {exc}")
-            return None, notes, False
-        notes.append(f"direct report call failed permanently: {exc}")
-        return None, notes, True
+        else:
+            notes.append(f"direct report call failed permanently: {exc}")
+        return _empty_report(product, runtime.stats.snapshot()), not malformed
     report = build_report(
         insights, assignment, product_id=product.product_id, stats=runtime.stats.snapshot()
     )
-    return report, notes, False
+    return report, False
 
 
 def run_baseline(
@@ -558,11 +495,10 @@ def run_baseline(
         temperature=config.comparison_temperature,
         prompt_version=config.prompt_version,
     )
-    report, notes, unit_failed = _direct_report(request, product, runtime)
-    failed = tuple(product.review_ids) if unit_failed else ()
-    if report is None:
-        report = _empty_report(product, runtime.stats.snapshot())
-    return PipelineResult(report=report, failed_units=failed, diagnostics=tuple(notes))
+    notes: list[str] = []
+    report, unit_failed = _direct_report(request, product, runtime, notes)
+    failed = product.review_ids if unit_failed else ()
+    return PipelineResult(report=report, failed_units=failed, diagnostics=notes)
 
 
 def run_ablated(
@@ -576,47 +512,28 @@ def run_ablated(
     """Extraction plus one direct report call; no per-review comparison and
     no dedicated grouping call."""
     runtime = _make_runtime(config, gateway, credential, cache)
-    outcomes = _map_reviews(product, config, runtime, _extract_only)
-
-    diagnostics: list[str] = []
-    failed: list[str] = []
-    attributes: list[ExtractedAttribute] = []
-    extractions: dict[str, tuple[ExtractedAttribute, ...]] = {}
-    for outcome in outcomes:
-        diagnostics.extend(outcome.diagnostics)
-        if outcome.failed_stage is not None:
-            failed.append(outcome.review_id)
-            continue
-        extractions[outcome.review_id] = outcome.attributes
-        attributes.extend(outcome.attributes)
-
-    if not attributes:
-        return PipelineResult(
-            report=_empty_report(product, runtime.stats.snapshot()),
-            failed_units=tuple(failed),
-            diagnostics=tuple(diagnostics),
-            extractions=extractions,
+    reviews = _run_reviews(product, runtime, _extract)
+    attributes = [attr for outcome in reviews.succeeded for attr in outcome.attributes]
+    failed = reviews.failed
+    if attributes:
+        request = build_ablated_prompt(
+            product,
+            attributes,
+            model=config.comparison_model,
+            temperature=config.comparison_temperature,
+            prompt_version=config.prompt_version,
         )
-
-    request = build_ablated_prompt(
-        product,
-        attributes,
-        model=config.comparison_model,
-        temperature=config.comparison_temperature,
-        prompt_version=config.prompt_version,
-    )
-    report, notes, unit_failed = _direct_report(request, product, runtime)
-    diagnostics.extend(notes)
-    if unit_failed:
-        # The terminal call covered every review, so the whole product failed.
-        failed = list(product.review_ids)
-    if report is None:
+        report, unit_failed = _direct_report(request, product, runtime, reviews.diagnostics)
+        if unit_failed:
+            # The terminal call covered every review, so the whole product failed.
+            failed = list(product.review_ids)
+    else:
         report = _empty_report(product, runtime.stats.snapshot())
     return PipelineResult(
         report=report,
         failed_units=tuple(failed),
-        diagnostics=tuple(diagnostics),
-        extractions=extractions,
+        diagnostics=tuple(reviews.diagnostics),
+        extractions=reviews.extractions,
     )
 
 

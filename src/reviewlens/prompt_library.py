@@ -40,7 +40,3 @@ def render_prompt(name: str, **variables: str) -> tuple[str, str]:
         system_template.substitute(**variables),
         user_template.substitute(**variables),
     )
-
-
-def available_templates() -> list[str]:
-    return sorted(path.stem for path in _PROMPTS_DIR.glob("*.txt"))

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from reviewlens.comparison import (
     OMITTED_JUSTIFICATION,
     build_comparison_prompt,
-    compare_review,
     parse_comparison_response,
 )
-from reviewlens.domain import ComparisonStatus, ExtractedAttribute
-from reviewlens.errors import FailedUnit, MalformedOutputError, TransportError
+from reviewlens.domain import ComparisonStatus, ExtractedAttribute, ProductRecord, Review
+from reviewlens.errors import MalformedOutputError, TransportError
 from reviewlens.gateway import ResponseFormat
+from reviewlens.pipeline import PipelineConfig, run_full
 from reviewlens.testing import ScriptedBackend
 
 DESCRIPTION = "A 300 watt mixer with a 5-quart bowl."
@@ -168,28 +168,42 @@ def test_cardinality_invariant(keys, coverage):
 
 
 class TestCompareReview:
+    """Comparison as the pipeline runs it, in a one-review full run."""
+
+    @staticmethod
+    def _run(backend, fast_retry):
+        product = ProductRecord(
+            "p4", "Mixer", "Kitchen", DESCRIPTION, reviews=(Review("r4", "Red, and it weighs 2 kg."),)
+        )
+        return run_full(product, PipelineConfig(retry=fast_retry), backend)
+
+    @staticmethod
+    def _extracted(*pairs):
+        return json.dumps({"attributes": [{"attribute": k, "value": v} for k, v in pairs]})
+
     def test_empty_attrs_short_circuits(self, fast_retry):
-        backend = ScriptedBackend([])
-        result = compare_review([], DESCRIPTION, gateway=backend, policy=fast_retry, model="m")
-        assert result == []
-        assert backend.calls == 0
+        backend = ScriptedBackend([self._extracted()])
+        result = self._run(backend, fast_retry)
+        assert result.failed_units == ()
+        assert all(section.groups == () for section in result.report.sections)
+        assert backend.calls == 1
 
     def test_permanent_failure_becomes_failed_unit(self, fast_retry):
-        backend = ScriptedBackend([TransportError("down")] * 3)
-        result = compare_review(
-            [attr("color", "red", "r4")], DESCRIPTION, gateway=backend, policy=fast_retry, model="m"
-        )
-        assert isinstance(result, FailedUnit)
-        assert result.unit_id == "r4"
-        assert result.stage == "comparison"
+        backend = ScriptedBackend([self._extracted(("color", "red"))] + [TransportError("down")] * 3)
+        result = self._run(backend, fast_retry)
+        assert result.failed_units == ("r4",)
+        assert any("r4" in note and "comparison failed" in note for note in result.diagnostics)
 
     def test_success_routes_notes_to_diagnostics(self, fast_retry):
-        attrs = [attr("color", "red"), attr("weight", "2 kg")]
-        backend = ScriptedBackend([payload(row("color", "red", "Matching", "Seen."))])
-        notes: list[str] = []
-        result = compare_review(
-            attrs, DESCRIPTION, gateway=backend, policy=fast_retry, model="m", diagnostics=notes
-        )
-        assert not isinstance(result, FailedUnit)
-        assert len(result) == 2
-        assert len(notes) == 1
+        backend = ScriptedBackend([
+            self._extracted(("color", "red"), ("weight", "2 kg")),
+            payload(row("color", "red", "Matching", "Seen.")),
+            json.dumps({"groups": [
+                {"attribute": "color", "category": "Looks"},
+                {"attribute": "weight", "category": "Build"},
+            ]}),
+        ])
+        result = self._run(backend, fast_retry)
+        assert result.failed_units == ()
+        assert len(list(result.report.iter_insights())) == 2
+        assert len(result.diagnostics) == 1

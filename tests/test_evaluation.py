@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reviewlens.domain import CategoryAssignment, ExtractedAttribute, normalize_key
+from reviewlens.domain import CategoryAssignment, ExtractedAttribute, StructuredReport, normalize_key
 from reviewlens.errors import (
     DataFormatError,
     OutOfRangeError,
@@ -44,7 +44,6 @@ from reviewlens.evaluation import (
     selection_counts,
     selection_metrics,
 )
-from reviewlens.pipeline import PipelineResult
 from reviewlens.structuring import build_report
 
 from conftest import TESTDATA
@@ -54,10 +53,8 @@ def attr(key: str, value: str, review_id: str = "r1") -> ExtractedAttribute:
     return ExtractedAttribute(key=key, value=value, review_id=review_id)
 
 
-def result_for(product_id: str) -> PipelineResult:
-    return PipelineResult(
-        report=build_report([], CategoryAssignment(), product_id=product_id)
-    )
+def result_for(product_id: str) -> StructuredReport:
+    return build_report([], CategoryAssignment(), product_id=product_id)
 
 
 class TestF1:

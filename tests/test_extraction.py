@@ -6,15 +6,15 @@ import json
 
 import pytest
 
-from reviewlens.domain import Review
-from reviewlens.errors import FailedUnit, MalformedOutputError, TransportError
+from reviewlens.domain import ProductRecord, Review
+from reviewlens.errors import MalformedOutputError, TransportError
 from reviewlens.extraction import (
     EXTRACTION_SCHEMA,
     build_extraction_prompt,
-    extract_attributes,
     parse_extraction_response,
 )
 from reviewlens.gateway import ResponseFormat
+from reviewlens.pipeline import PipelineConfig, PipelineMode, run_ablated
 from reviewlens.testing import ScriptedBackend
 
 REVIEW = Review("r9", "The tray is bamboo and holds 2 liters.")
@@ -105,21 +105,30 @@ class TestParse:
 
 
 class TestExtractAttributes:
+    """Extraction as the pipeline runs it, in a one-review ablated run."""
+
+    @staticmethod
+    def _run(backend, fast_retry):
+        product = ProductRecord("p9", "T", "Misc", "A bamboo tray.", reviews=(REVIEW,))
+        return run_ablated(product, PipelineConfig(mode=PipelineMode.ABLATED, retry=fast_retry), backend)
+
     def test_success(self, fast_retry):
-        backend = ScriptedBackend([json.dumps({"attributes": [{"attribute": "Size", "value": "XL"}]})])
-        result = extract_attributes(REVIEW, "T", gateway=backend, policy=fast_retry, model="m")
-        assert not isinstance(result, FailedUnit)
-        assert [(a.key, a.value) for a in result] == [("size", "XL")]
+        backend = ScriptedBackend([
+            json.dumps({"attributes": [{"attribute": "Size", "value": "XL"}]}),
+            json.dumps({"sections": []}),
+        ])
+        result = self._run(backend, fast_retry)
+        assert result.failed_units == ()
+        assert [(a.key, a.value) for a in result.extractions["r9"]] == [("size", "XL")]
 
     def test_permanent_failure_becomes_failed_unit(self, fast_retry):
         backend = ScriptedBackend([TransportError("down")] * 3)
-        result = extract_attributes(REVIEW, "T", gateway=backend, policy=fast_retry, model="m")
-        assert isinstance(result, FailedUnit)
-        assert result.unit_id == "r9"
-        assert result.stage == "extraction"
+        result = self._run(backend, fast_retry)
+        assert result.failed_units == ("r9",)
+        assert any("r9" in note and "extraction failed" in note for note in result.diagnostics)
 
     def test_malformed_then_recovered(self, fast_retry):
         backend = ScriptedBackend(["garbage", json.dumps({"attributes": []})])
-        result = extract_attributes(REVIEW, "T", gateway=backend, policy=fast_retry, model="m")
-        assert result == []
+        result = self._run(backend, fast_retry)
+        assert result.extractions == {"r9": ()}
         assert backend.calls == 2

@@ -206,22 +206,26 @@ class TestRecordReplay:
 
 
 class _Stats:
+    """Counts what the gateway records, by CallStats field name."""
+
     def __init__(self):
         self.retries = 0
         self.cache_hits = 0
 
-    def record_retry(self):
-        self.retries += 1
+    def record(self, name):
+        setattr(self, name, getattr(self, name) + 1)
 
-    def record_cache_hit(self):
-        self.cache_hits += 1
+
+def _calling(backend):
+    """One attempt of the retry loop: a single backend call for REQ."""
+    return lambda: backend.complete(REQ, None)
 
 
 class TestCompleteWithRetry:
     def test_recovers_after_transient_failures(self, fast_retry):
         backend = ScriptedBackend([TransportError("a"), RateLimitedError("b"), "ok"])
         stats = _Stats()
-        response = complete_with_retry(REQ, None, fast_retry, gateway=backend, stats=stats)
+        response = complete_with_retry(_calling(backend), fast_retry, stats=stats)
         assert response.text == "ok"
         assert backend.calls == 3
         assert stats.retries == 2
@@ -229,14 +233,14 @@ class TestCompleteWithRetry:
     def test_exhaustion_wraps_last_error(self, fast_retry):
         backend = ScriptedBackend([TransportError("x")] * 3)
         with pytest.raises(ExhaustedRetriesError) as info:
-            complete_with_retry(REQ, None, fast_retry, gateway=backend)
+            complete_with_retry(_calling(backend), fast_retry)
         assert info.value.attempts == 3
         assert isinstance(info.value.last_error, TransportError)
 
     def test_non_retryable_raises_immediately(self, fast_retry):
         backend = ScriptedBackend([AuthFailedError("denied"), "never"])
         with pytest.raises(AuthFailedError):
-            complete_with_retry(REQ, None, fast_retry, gateway=backend)
+            complete_with_retry(_calling(backend), fast_retry)
         assert backend.calls == 1
 
     def test_backoff_delays(self, monkeypatch):
@@ -244,28 +248,28 @@ class TestCompleteWithRetry:
         monkeypatch.setattr("reviewlens.gateway.time.sleep", slept.append)
         policy = RetryPolicy(max_attempts=3, base_delay_ms=100, backoff_factor=3.0)
         backend = ScriptedBackend([TransportError("1"), TransportError("2"), "ok"])
-        complete_with_retry(REQ, None, policy, gateway=backend)
+        complete_with_retry(_calling(backend), policy)
         assert slept == [0.1, 0.3]
 
 
 class TestLookupOrCall:
-    def test_miss_then_hit(self, tmp_path, fast_retry):
+    def test_miss_then_hit(self, tmp_path):
         cache = DiskResponseCache(tmp_path)
         backend = ScriptedBackend(["resp"])
         stats = _Stats()
-        first = lookup_or_call(REQ, backend, cache, policy=fast_retry, stats=stats)
-        second = lookup_or_call(REQ, backend, cache, policy=fast_retry, stats=stats)
+        first = lookup_or_call(REQ, fingerprint(REQ), backend, cache, stats=stats)
+        second = lookup_or_call(REQ, fingerprint(REQ), backend, cache, stats=stats)
         assert first.text == second.text == "resp"
         assert backend.calls == 1
         assert stats.cache_hits == 1
 
-    def test_corrupt_entry_is_miss_with_diagnostic(self, tmp_path, fast_retry):
+    def test_corrupt_entry_is_miss_with_diagnostic(self, tmp_path):
         cache = DiskResponseCache(tmp_path)
         cache_path = tmp_path / f"{fingerprint(REQ)}.json"
         cache_path.write_text("not json at all", encoding="utf-8")
         backend = ScriptedBackend(["fresh"])
         notes: list[str] = []
-        response = lookup_or_call(REQ, backend, cache, policy=fast_retry, diagnostics=notes)
+        response = lookup_or_call(REQ, fingerprint(REQ), backend, cache, diagnostics=notes)
         assert response.text == "fresh"
         assert backend.calls == 1
         assert any("cache" in note for note in notes)
@@ -312,3 +316,31 @@ class TestCompleteParsed:
             complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry)
         assert isinstance(info.value.last_error, MalformedOutputError)
         assert backend.calls == 3
+
+    def test_fingerprints_once_per_request(self, tmp_path, fast_retry, monkeypatch):
+        digests = []
+
+        def counting(request):
+            digests.append(fingerprint(request))
+            return digests[-1]
+
+        monkeypatch.setattr("reviewlens.gateway.fingerprint", counting)
+        cache = DiskResponseCache(tmp_path)
+        backend = ScriptedBackend(['{"nope": 1}', '{"value": 7}'])
+        value = complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry, cache=cache)
+        assert value == 7
+        assert backend.calls == 2
+        assert len(digests) == 1
+
+    def test_one_budget_for_malformed_and_transport(self, fast_retry):
+        backend = ScriptedBackend(['{"no": 1}', '{"no": 2}'] + [TransportError("down")] * 3)
+        with pytest.raises(ExhaustedRetriesError):
+            complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry)
+        assert backend.calls == fast_retry.max_attempts
+
+    def test_exhaustion_reports_the_backend_calls_made(self, fast_retry):
+        backend = ScriptedBackend(['{"no": 1}'] + [TransportError("down")] * 5)
+        with pytest.raises(ExhaustedRetriesError) as info:
+            complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry)
+        assert info.value.attempts == backend.calls
+        assert isinstance(info.value.last_error, TransportError)

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
 from reviewlens.cache import DiskResponseCache
 from reviewlens.domain import ProductRecord, ComparisonStatus
 from reviewlens.errors import TransportError
-from reviewlens.gateway import ReplayBackend, RetryPolicy
+from reviewlens.gateway import ChatResponse, ReplayBackend, RetryPolicy, fingerprint
 from reviewlens.pipeline import (
     PipelineConfig,
     PipelineMode,
+    build_baseline_prompt,
     build_run_manifest,
     run_ablated,
     run_baseline,
@@ -41,6 +43,16 @@ def config_for(mode: PipelineMode, **overrides) -> PipelineConfig:
 
 def fresh_replay() -> ReplayBackend:
     return ReplayBackend(TESTDATA / "fixtures")
+
+
+def fail_mix_r3(request):
+    if MIX_R3_TEXT in request.user_prompt:
+        return TransportError("injected outage")
+    return None
+
+
+def assert_attempt_identity(backend, stats):
+    assert backend.calls == stats.total_calls - stats.cache_hits + stats.retries
 
 
 class TestCallAccounting:
@@ -88,6 +100,30 @@ class TestCallAccounting:
         assert (stats.extraction_calls, stats.comparison_calls, stats.grouping_calls) == (0, 0, 1)
         assert result.extractions == {}
 
+    def test_permanently_failed_request_is_counted(self, products_by_id):
+        backend = SelectiveFailureBackend(fresh_replay(), fail_with=fail_mix_r3)
+        result = run_full(products_by_id["app-mixer-001"], config_for(PipelineMode.FULL), backend)
+        assert result.failed_units == ("mix-r3",)
+        stats = result.report.call_stats
+        assert backend.calls == 18
+        assert (
+            stats.extraction_calls, stats.comparison_calls, stats.grouping_calls, stats.retries
+        ) == (8, 7, 1, 2)
+        assert_attempt_identity(backend, stats)
+
+    def test_malformed_cache_hit_is_retried_once(self, products_by_id, tmp_path):
+        product = products_by_id["app-mixer-001"]
+        config = config_for(PipelineMode.BASELINE)
+        cache = DiskResponseCache(tmp_path)
+        request = build_baseline_prompt(product, model=config.comparison_model)
+        cache.put(fingerprint(request), ChatResponse(text="not json", model="m"))
+        backend = ScriptedBackend([json.dumps({"sections": []})])
+        result = run_baseline(product, config, backend, cache=cache)
+        assert result.failed_units == ()
+        stats = result.report.call_stats
+        assert (stats.total_calls, stats.cache_hits, stats.retries, backend.calls) == (1, 1, 1, 1)
+        assert_attempt_identity(backend, stats)
+
 
 class TestCaching:
     def test_warm_rerun_issues_no_calls(self, products_by_id, tmp_path):
@@ -120,12 +156,6 @@ class TestCaching:
 class TestDegradedModes:
     def test_extraction_failure_isolates_one_review(self, products_by_id):
         product = products_by_id["app-mixer-001"]
-
-        def fail_mix_r3(request):
-            if MIX_R3_TEXT in request.user_prompt:
-                return TransportError("injected outage")
-            return None
-
         backend = SelectiveFailureBackend(fresh_replay(), fail_with=fail_mix_r3)
         result = run_full(product, config_for(PipelineMode.FULL), backend)
         assert result.failed_units == ("mix-r3",)
