@@ -18,7 +18,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from .cache import DiskResponseCache
 from .domain import (
@@ -60,8 +60,27 @@ EXIT_FATAL = 1
 EXIT_FAILED_UNITS = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit code 1, as every fatal input error
+    is; argparse's own 2 would read as "some reviews failed"."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FATAL, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reviewlens",
         description="Mine product reviews for listing gaps and contradictions.",
     )
@@ -96,7 +115,11 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, recording: bool = Fal
     parser.add_argument("--config", type=Path, help="pipeline config JSON")
     parser.add_argument("--mode", choices=[m.value for m in PipelineMode], help="pipeline mode")
     parser.add_argument("--out", type=Path, help="output directory for reports")
-    parser.add_argument("--workers", type=int, help="max concurrent per-review tasks")
+    parser.add_argument(
+        "--workers",
+        type=_positive_int,
+        help="max LLM calls in flight per product, one thread each (the caller's included)",
+    )
     parser.add_argument("--cache-dir", type=Path, help="response cache directory")
     parser.add_argument(
         "--format",
@@ -107,7 +130,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, recording: bool = Fal
     parser.add_argument("--base-url", default=DEFAULT_BASE_URL, help="chat API base URL")
     parser.add_argument("--api-key", help=f"API key; defaults to ${CREDENTIAL_ENV_VAR}")
     parser.add_argument(
-        "--parallel-products", type=int, default=1, help="products processed concurrently"
+        "--parallel-products", type=_positive_int, default=1, help="products processed concurrently"
     )
     if recording:
         parser.add_argument(
@@ -145,21 +168,18 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
             raise DataFormatError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise DataFormatError("config must be a JSON object")
-        config = PipelineConfig.from_dict(payload)
     else:
-        config = PipelineConfig()
-    overrides: dict[str, Any] = {}
+        payload = {}
     if args.mode:
-        overrides["mode"] = PipelineMode(args.mode)
+        payload["mode"] = args.mode
     if args.workers is not None:
-        overrides["workers"] = args.workers
+        payload["workers"] = args.workers
     if args.cache_dir is not None:
-        overrides["cache_dir"] = args.cache_dir
-    if overrides:
-        merged = config.to_dict()
-        merged.update({k: v.value if isinstance(v, PipelineMode) else v for k, v in overrides.items()})
-        config = PipelineConfig.from_dict(merged)
-    return config
+        payload["cache_dir"] = str(args.cache_dir)
+    try:
+        return PipelineConfig.from_dict(payload)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"invalid config: {exc}") from exc
 
 
 def _resolve_credential(args: argparse.Namespace) -> ApiCredential | None:

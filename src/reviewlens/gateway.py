@@ -480,6 +480,7 @@ def complete_with_retry(
     policy: RetryPolicy,
     *,
     stats: Any | None = None,
+    idle: Callable[[float], None] | None = None,
 ) -> T:
     """Run ``attempt`` until it returns, with exponential backoff between tries.
 
@@ -488,13 +489,21 @@ def complete_with_retry(
     ExhaustedRetriesError wrapping the last error once the budget is spent;
     non-retryable errors propagate immediately. Each re-attempt is recorded
     on ``stats`` when one is provided.
+
+    ``idle(seconds)``, when given, spends a backoff in place of
+    ``time.sleep`` (the pipeline runs other queued work in it) and must not
+    return before ``seconds`` have passed. A backoff after throttling always
+    sleeps, so a throttled provider sees the load drop.
     """
     last_error: BaseException | None = None
     for retry in range(policy.max_attempts):
         if retry:
             delay = policy.delay_ms(retry) / 1000.0
             if delay > 0:
-                time.sleep(delay)
+                if idle is None or getattr(last_error, "kind", None) == RateLimitedError.kind:
+                    time.sleep(delay)
+                else:
+                    idle(delay)
             if stats is not None:
                 stats.record("retries")
         try:
@@ -544,9 +553,11 @@ def complete_parsed(
     cache: Any | None = None,
     stats: Any | None = None,
     diagnostics: list[str] | None = None,
+    idle: Callable[[float], None] | None = None,
 ) -> T:
     """Resolve a request into parsed output: fingerprint once, then retry
-    one attempt of cache-or-call plus parse under ``complete_with_retry``.
+    one attempt of cache-or-call plus parse under ``complete_with_retry``,
+    which spends its backoffs in ``idle`` when one is given.
 
     ``parser`` receives the response text plus a scratch diagnostics list
     that is merged into ``diagnostics`` only when parsing succeeds, so notes
@@ -571,4 +582,4 @@ def complete_parsed(
             diagnostics.extend(scratch)
         return parsed
 
-    return complete_with_retry(attempt, policy or RetryPolicy(), stats=stats)
+    return complete_with_retry(attempt, policy or RetryPolicy(), stats=stats, idle=idle)

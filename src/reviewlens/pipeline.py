@@ -1,13 +1,20 @@
 """Orchestration: full, baseline, and ablated runs over one product.
 
-The full mode chains extraction into comparison per review inside a bounded
-worker pool, joins once for the single grouping call, then assembles the
-report deterministically. With R productive reviews and a cold cache that
-is R extraction calls, R comparison calls, and one grouping call: 2R + 1.
+The full mode chains extraction into comparison per review, joins once for
+the single grouping call, then assembles the report deterministically. With
+R productive reviews and a cold cache that is R extraction calls, R
+comparison calls, and one grouping call: 2R + 1.
 The baseline mode spends exactly one call on the whole product; the ablated
 mode spends R extraction calls plus one direct report call. Every one of
 those requests goes through ``_Runtime.call``, which counts it once, when
 it is issued, and resolves it through the gateway's single retry loop.
+
+Per-review tasks wait in one queue per product, drained by ``workers``
+threads at most, the caller's included, so ``workers`` also caps the calls
+in flight. A task whose request backs off after a transport error or
+malformed output runs the queue's next tasks on its own thread until the
+backoff has passed (a backoff after throttling just sleeps). Helping is one
+level deep: a task run inside a backoff sleeps through its own.
 
 Scheduling never leaks into results: per-review outcomes are collected in
 dataset order regardless of completion order, so report bytes are identical
@@ -17,10 +24,12 @@ unit; the rest of the product still reports.
 
 from __future__ import annotations
 
+import collections
 import enum
+import functools
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, TypeVar
@@ -191,6 +200,55 @@ class _Runtime:
     credential: ApiCredential | None
     cache: DiskResponseCache | None
     stats: StatsRecorder = field(default_factory=StatsRecorder)
+    # The product's queued per-review tasks, and which threads are running
+    # one inside a backoff.
+    _queue: collections.deque[Callable[[], None]] = field(default_factory=collections.deque)
+    _lock: threading.Lock = field(default_factory=threading.Lock)
+    _local: threading.local = field(default_factory=threading.local)
+
+    def run_queued(self, tasks: list[Callable[[], None]]) -> None:
+        """Run ``tasks`` on ``min(workers, len(tasks))`` threads, the caller's
+        included, and return once every task has finished. A task must not
+        raise."""
+        with self._lock:
+            self._queue.extend(tasks)
+        helpers = [
+            threading.Thread(target=self._drain)
+            for _ in range(min(self.config.workers, len(tasks)) - 1)
+        ]
+        for helper in helpers:
+            helper.start()
+        try:
+            self._drain()
+        finally:
+            with self._lock:
+                self._queue.clear()
+            for helper in helpers:
+                helper.join()
+
+    def _next_task(self) -> Callable[[], None] | None:
+        with self._lock:
+            return self._queue.popleft() if self._queue else None
+
+    def _drain(self) -> None:
+        while (task := self._next_task()) is not None:
+            task()
+
+    def idle(self, seconds: float) -> None:
+        """Spend a backoff of ``seconds``: run queued tasks until it has
+        passed, unless this thread is already inside one, then sleep what is
+        left. A task started here may end after the backoff has passed."""
+        deadline = time.monotonic() + seconds
+        if not getattr(self._local, "helping", False):
+            self._local.helping = True
+            try:
+                while time.monotonic() < deadline and (task := self._next_task()) is not None:
+                    task()
+            finally:
+                self._local.helping = False
+        remaining = deadline - time.monotonic()
+        if remaining > 0:
+            time.sleep(remaining)
 
     def call(
         self,
@@ -212,6 +270,7 @@ class _Runtime:
             cache=self.cache,
             stats=self.stats,
             diagnostics=notes,
+            idle=self.idle,
         )
 
 
@@ -301,16 +360,26 @@ def _run_reviews(
     runtime: _Runtime,
     task: Callable[[Review, ProductRecord, _Runtime], _ReviewOutcome],
 ) -> _Collected:
-    """Run the per-review task with at most ``workers`` in flight and collect
-    the outcomes in dataset order whatever the completion order."""
+    """Run the per-review task through the runtime's queue and collect the
+    outcomes in dataset order whatever the completion order. An exception
+    that is not a step failure is kept with its review, never raised inside
+    the request whose backoff ran it, and re-raised here, in dataset order,
+    once every review has run."""
     reviews = product.reviews
-    workers = min(runtime.config.workers, len(reviews))
-    if workers <= 1:
-        outcomes = [task(review, product, runtime) for review in reviews]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task, review, product, runtime) for review in reviews]
-            outcomes = [future.result() for future in futures]
+    results: list[_ReviewOutcome | Exception | None] = [None] * len(reviews)
+
+    def run(index: int) -> None:
+        try:
+            results[index] = task(reviews[index], product, runtime)
+        except Exception as exc:
+            results[index] = exc
+
+    runtime.run_queued([functools.partial(run, index) for index in range(len(reviews))])
+    outcomes: list[_ReviewOutcome] = []
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        outcomes.append(result)
     return _Collected(
         succeeded=[o for o in outcomes if o.failed_stage is None],
         failed=[o.review_id for o in outcomes if o.failed_stage is not None],

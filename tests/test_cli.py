@@ -125,6 +125,34 @@ class TestRunErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--workers", "--parallel-products"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_count_flags_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "--dataset", DATASET, "--fixtures", FIXTURES, flag, value)
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: expected a positive integer, got '{value}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"retry": {"max_attempts": 0}},
+            {"retry": {"max_attempts": None}},
+            {"workers": 0},
+            {"mode": "bogus"},
+        ],
+    )
+    def test_invalid_config_values_rejected(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = run_cli("run", "--dataset", DATASET, "--fixtures", FIXTURES, "--config", str(path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ")
+        assert "Traceback" not in err
+
     def test_live_requires_credential(self, monkeypatch, capsys):
         monkeypatch.delenv(CREDENTIAL_ENV_VAR, raising=False)
         code = run_cli("run", "--dataset", DATASET, "--backend", "live")

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewlens.cache import DiskResponseCache
+from reviewlens.comparison import build_comparison_prompt
 from reviewlens.domain import ProductRecord, ComparisonStatus
-from reviewlens.errors import TransportError
+from reviewlens.errors import RateLimitedError, TransportError
 from reviewlens.gateway import ChatResponse, ReplayBackend, RetryPolicy, fingerprint
 from reviewlens.pipeline import (
     PipelineConfig,
@@ -22,9 +27,14 @@ from reviewlens.pipeline import (
     run_product,
 )
 from reviewlens.structuring import ReportFormat, render_report
-from reviewlens.testing import JitterBackend, ScriptedBackend, SelectiveFailureBackend
+from reviewlens.testing import (
+    CannedReviewModel,
+    JitterBackend,
+    ScriptedBackend,
+    SelectiveFailureBackend,
+)
 
-from conftest import TESTDATA
+from conftest import TESTDATA, golden
 
 MIX_R3_TEXT = "Heavier than I expected at about 12 pounds"
 GROUPING_MARKER = "Attribute names (JSON):"
@@ -278,6 +288,254 @@ class TestDeterminism:
             if reference is None:
                 reference = rendered
             assert rendered == reference
+
+
+MIX_R1_TEXT = "The stainless steel bowl holds a full 5"
+MIX_R2_TEXT = "Mine arrived in red, which looks great"
+
+
+def request_labeller(product: ProductRecord):
+    """Names each request of a full run over ``product`` as
+    "<review id>/<stage>" or "grouping"."""
+    clean = run_full(product, config_for(PipelineMode.FULL), fresh_replay())
+    model = PipelineConfig().comparison_model
+    comparisons = {
+        build_comparison_prompt(list(attrs), product.seller_description, model=model).user_prompt: rid
+        for rid, attrs in clean.extractions.items()
+        if attrs
+    }
+
+    def label(request) -> str:
+        prompt = request.user_prompt
+        if GROUPING_MARKER in prompt:
+            return "grouping"
+        if prompt in comparisons:
+            return f"{comparisons[prompt]}/comparison"
+        return next(f"{r.review_id}/extraction" for r in product.reviews if r.text in prompt)
+
+    return label
+
+
+class RecordingBackend:
+    """Delegates, recording the label of every call in arrival order."""
+
+    def __init__(self, inner, label):
+        self.inner = inner
+        self._label = label
+        self._lock = threading.Lock()
+        self.calls: list[str] = []
+
+    def complete(self, request, credential=None):
+        with self._lock:
+            self.calls.append(self._label(request))
+        return self.inner.complete(request, credential)
+
+
+def fail_once(*faults):
+    """A failure predicate raising each (review text, error) once, on the
+    first extraction request for that review."""
+    pending = list(faults)
+    lock = threading.Lock()
+
+    def fail_with(request):
+        with lock:
+            for fault in pending:
+                if fault[0] in request.user_prompt:
+                    pending.remove(fault)
+                    return fault[1]
+        return None
+
+    return fail_with
+
+
+class TestBackoffScheduling:
+    """One worker, so the order of calls is set by the 200 ms backoff alone."""
+
+    def run(self, product, faults, *, base_delay_ms=200):
+        """Runs full mode with each (review text, error) fault raised once;
+        returns the result (or the exception raised) and the calls made."""
+        backend = RecordingBackend(
+            SelectiveFailureBackend(fresh_replay(), fail_with=fail_once(*faults)),
+            request_labeller(product),
+        )
+        config = config_for(
+            PipelineMode.FULL,
+            workers=1,
+            retry=RetryPolicy(max_attempts=3, base_delay_ms=base_delay_ms, backoff_factor=1.0),
+        )
+        try:
+            return run_full(product, config, backend), backend.calls
+        except RuntimeError as exc:
+            return exc, backend.calls
+
+    def assert_as_without_backoff(self, product, faults, result):
+        """A zero backoff never runs queued reviews, so it keeps the
+        sequential schedule; the results must not depend on the schedule."""
+        reference, _ = self.run(product, faults, base_delay_ms=0)
+        expected = golden("full", product.product_id, "report.json")
+        for run in (result, reference):
+            assert render_report(run.report, ReportFormat.JSON) == expected
+        assert render_report(result.report, ReportFormat.MARKDOWN) == render_report(
+            reference.report, ReportFormat.MARKDOWN
+        )
+        assert result.report.call_stats == reference.report.call_stats
+        assert (result.failed_units, result.diagnostics) == ((), reference.diagnostics)
+
+    def others(self, product, *skip):
+        return [
+            f"{review.review_id}/{stage}"
+            for review in product.reviews
+            if review.review_id not in skip
+            for stage in ("extraction", "comparison")
+        ]
+
+    def test_transport_backoff_runs_the_other_reviews(self, products_by_id):
+        product = products_by_id["app-mixer-001"]
+        faults = [(MIX_R1_TEXT, TransportError("blip"))]
+        result, calls = self.run(product, faults)
+        assert calls == (
+            ["mix-r1/extraction"]
+            + self.others(product, "mix-r1")
+            + ["mix-r1/extraction", "mix-r1/comparison", "grouping"]
+        )
+        stats = result.report.call_stats
+        assert (stats.extraction_calls, stats.comparison_calls, stats.grouping_calls) == (8, 8, 1)
+        assert stats.retries == 1
+        self.assert_as_without_backoff(product, faults, result)
+
+    def test_throttled_backoff_sleeps(self, products_by_id):
+        product = products_by_id["app-mixer-001"]
+        faults = [(MIX_R1_TEXT, RateLimitedError("slow down"))]
+        result, calls = self.run(product, faults)
+        assert calls == (
+            ["mix-r1/extraction", "mix-r1/extraction", "mix-r1/comparison"]
+            + self.others(product, "mix-r1")
+            + ["grouping"]
+        )
+        assert result.report.call_stats.retries == 1
+        self.assert_as_without_backoff(product, faults, result)
+
+    def test_helped_review_sleeps_through_its_own_backoff(self, products_by_id):
+        product = products_by_id["app-mixer-001"]
+        faults = [(MIX_R1_TEXT, TransportError("blip")), (MIX_R2_TEXT, TransportError("blip"))]
+        result, calls = self.run(product, faults)
+        assert calls == (
+            ["mix-r1/extraction", "mix-r2/extraction", "mix-r2/extraction", "mix-r2/comparison"]
+            + ["mix-r1/extraction", "mix-r1/comparison"]
+            + self.others(product, "mix-r1", "mix-r2")
+            + ["grouping"]
+        )
+        assert result.report.call_stats.retries == 2
+        self.assert_as_without_backoff(product, faults, result)
+
+    def test_bug_in_helped_review_surfaces_after_the_run(self, products_by_id):
+        product = products_by_id["app-mixer-001"]
+        error, calls = self.run(
+            product, [(MIX_R1_TEXT, TransportError("blip")), (MIX_R2_TEXT, RuntimeError("bug"))]
+        )
+        assert isinstance(error, RuntimeError) and str(error) == "bug"
+        # mix-r1's backoff ran mix-r2, yet mix-r1 retried and went on to its
+        # comparison: the error never reached the request it interrupted.
+        assert calls == (
+            ["mix-r1/extraction", "mix-r2/extraction"]
+            + self.others(product, "mix-r1", "mix-r2")
+            + ["mix-r1/extraction", "mix-r1/comparison"]
+        )
+
+
+class FaultyBackend:
+    """Fails each planned request once, by user prompt, with its planned
+    kind, and records the peak of calls in flight and of live threads."""
+
+    def __init__(self, inner, plan: dict[str, str]):
+        self.inner = inner
+        self._plan = dict(plan)
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.peak_in_flight = 0
+        self.peak_threads = 0
+
+    def complete(self, request, credential=None):
+        with self._lock:
+            self._in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
+            self.peak_threads = max(self.peak_threads, threading.active_count())
+            kind = self._plan.pop(request.user_prompt, None)
+        try:
+            if kind == "transport":
+                raise TransportError("injected")
+            if kind == "rate_limited":
+                raise RateLimitedError("injected")
+            if kind == "malformed":
+                return ChatResponse(text="not json", model=request.model)
+            return self.inner.complete(request, credential)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+
+class TestTransientFaultProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_transient_faults_keep_results_and_caps(self, products, canned_config, data):
+        product = data.draw(st.sampled_from(products), label="product")
+        clean_backend = RecordingBackend(
+            CannedReviewModel.from_config(products, canned_config), lambda r: r.user_prompt
+        )
+        clean = run_full(product, config_for(PipelineMode.FULL, workers=1), clean_backend)
+        plan = data.draw(
+            st.dictionaries(
+                st.sampled_from(clean_backend.calls),
+                st.sampled_from(["transport", "rate_limited", "malformed"]),
+                max_size=6,
+            ),
+            label="faults",
+        )
+        policy = RetryPolicy(
+            max_attempts=3,
+            base_delay_ms=data.draw(st.integers(1, 5), label="base_delay_ms"),
+            backoff_factor=2.0,
+        )
+        expected = render_report(clean.report, ReportFormat.JSON)
+        stats = set()
+        for workers in (1, 2, 8):
+            backend = FaultyBackend(CannedReviewModel.from_config(products, canned_config), plan)
+            threads_before = threading.active_count()
+            result = run_full(
+                product, config_for(PipelineMode.FULL, workers=workers, retry=policy), backend
+            )
+            assert render_report(result.report, ReportFormat.JSON) == expected
+            assert result.failed_units == ()
+            assert backend.peak_in_flight <= workers
+            assert backend.peak_threads <= threads_before + workers - 1
+            stats.add(result.report.call_stats)
+        assert len(stats) == 1
+        assert stats.pop().retries == len(plan)
+
+
+    def test_stress_more_workers_than_cores(self, products_by_id):
+        product = products_by_id["ele-buds-003"]
+        expected = golden("full", product.product_id, "report.json")
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(10):
+                faults = [(review.text, TransportError("blip")) for review in product.reviews[::3]]
+                backend = SelectiveFailureBackend(
+                    JitterBackend(fresh_replay(), seed=seed, max_delay_ms=2),
+                    fail_with=fail_once(*faults),
+                )
+                config = config_for(
+                    PipelineMode.FULL,
+                    workers=8,
+                    retry=RetryPolicy(max_attempts=3, base_delay_ms=1, backoff_factor=1.0),
+                )
+                result = run_full(product, config, backend)
+                assert render_report(result.report, ReportFormat.JSON) == expected
+                assert backend.calls == 19 + len(faults)
+                assert result.report.call_stats.retries == len(faults)
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestConfig:
