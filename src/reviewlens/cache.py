@@ -20,10 +20,6 @@ class DiskResponseCache:
     def __init__(self, cache_dir: Path | str):
         self._store = ResponseStore(cache_dir)
 
-    @property
-    def root(self) -> Path:
-        return self._store.root
-
     def get(self, digest: str, *, diagnostics: list[str] | None = None) -> ChatResponse | None:
         payload, problem = self._store.load(digest)
         if problem is not None:
@@ -41,6 +37,3 @@ class DiskResponseCache:
 
     def evict(self, digest: str) -> None:
         self._store.evict(digest)
-
-    def count(self) -> int:
-        return self._store.count()

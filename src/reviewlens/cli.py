@@ -120,7 +120,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, recording: bool = Fal
         type=_positive_int,
         help="max LLM calls in flight per product, one thread each (the caller's included)",
     )
-    parser.add_argument("--cache-dir", type=Path, help="response cache directory")
+    parser.add_argument("--cache-dir", help="response cache directory; empty for none")
     parser.add_argument(
         "--format",
         choices=["json", "markdown", "both"],
@@ -175,7 +175,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     if args.workers is not None:
         payload["workers"] = args.workers
     if args.cache_dir is not None:
-        payload["cache_dir"] = str(args.cache_dir)
+        payload["cache_dir"] = args.cache_dir
     try:
         return PipelineConfig.from_dict(payload)
     except (TypeError, ValueError) as exc:

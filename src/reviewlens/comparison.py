@@ -19,7 +19,7 @@ from .domain import (
     parse_status,
 )
 from .errors import EmptyKeyError, MalformedOutputError
-from .gateway import ChatRequest, ResponseFormat
+from .gateway import ChatRequest
 from .llm_json import coerce_scalar, load_json_object, require_array
 from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
 
@@ -48,19 +48,14 @@ def build_comparison_prompt(
         ensure_ascii=False,
         indent=2,
     )
-    system_prompt, user_prompt = render_prompt(
+    return render_prompt(
         "comparison",
+        model=model,
+        temperature=temperature,
         prompt_version=prompt_version,
         seller_description=seller_description,
         attributes_json=attributes_json,
         schema=COMPARISON_SCHEMA,
-    )
-    return ChatRequest(
-        model=model,
-        system_prompt=system_prompt,
-        user_prompt=user_prompt,
-        temperature=temperature,
-        response_format=ResponseFormat.JSON_OBJECT,
     )
 
 

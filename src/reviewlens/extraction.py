@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .domain import ExtractedAttribute, Review, normalize_key
 from .errors import EmptyKeyError, MalformedOutputError
-from .gateway import ChatRequest, ResponseFormat
+from .gateway import ChatRequest
 from .llm_json import coerce_scalar, load_json_object, require_array
 from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
 
@@ -26,19 +26,14 @@ def build_extraction_prompt(
     prompt_version: str = DEFAULT_PROMPT_VERSION,
 ) -> ChatRequest:
     """Build the JSON-mode extraction request for one review."""
-    system_prompt, user_prompt = render_prompt(
+    return render_prompt(
         "extraction",
+        model=model,
+        temperature=temperature,
         prompt_version=prompt_version,
         title=title,
         review_text=review.text,
         schema=EXTRACTION_SCHEMA,
-    )
-    return ChatRequest(
-        model=model,
-        system_prompt=system_prompt,
-        user_prompt=user_prompt,
-        temperature=temperature,
-        response_format=ResponseFormat.JSON_OBJECT,
     )
 
 

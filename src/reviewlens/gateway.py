@@ -2,6 +2,8 @@
 
 Responsibilities:
   * a provider-agnostic request/response pair for single-turn chat calls
+  * the declarative retry policy, and the type and range checks it
+    shares with ``PipelineConfig``
   * a stable content fingerprint identifying a request (the credential is
     deliberately outside the identity)
   * interchangeable backends: live HTTP, replay-from-fixtures, and a
@@ -27,14 +29,15 @@ import enum
 import hashlib
 import http.client
 import json
+import math
 import select
 import ssl
 import threading
 import time
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Optional, Protocol, TypeVar, runtime_checkable
+from typing import Any, Callable, Mapping, Optional, Protocol, TypeVar, runtime_checkable
 from urllib.parse import unquote, urlsplit
 
 from . import __version__
@@ -87,6 +90,35 @@ class ChatResponse:
             raise ValueError("latency_ms must be >= 0")
 
 
+def config_kwargs(cls: type, payload: Any, label: str) -> dict[str, Any]:
+    """``payload`` as keyword arguments for the config dataclass ``cls``: a
+    JSON object whose keys are all field names of ``cls``. Absent fields
+    keep the class defaults."""
+    if not isinstance(payload, Mapping):
+        raise TypeError(f"{label} must be an object, got {payload!r}")
+    unknown = set(payload) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {label} key(s): {', '.join(sorted(map(repr, unknown)))}")
+    return dict(payload)
+
+
+def check_int(name: str, value: Any, minimum: int) -> None:
+    """Reject anything but an integer (a bool or a float included) below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_number(name: str, value: Any, low: float, high: float = math.inf) -> float:
+    """``value`` as a float, if it is a finite number (not a bool) within [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and low <= value <= high):
+        raise ValueError(f"{name} must be a finite number within [{low}, {high}], got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
     """Declarative retry behaviour shared by all stages."""
@@ -97,13 +129,19 @@ class RetryPolicy:
     retryable_errors: frozenset[str] = RETRYABLE_ERROR_KINDS
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_ms < 0:
-            raise ValueError("base_delay_ms must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1.0")
-        object.__setattr__(self, "retryable_errors", frozenset(self.retryable_errors))
+        check_int("max_attempts", self.max_attempts, 1)
+        check_int("base_delay_ms", self.base_delay_ms, 0)
+        backoff_factor = check_number("backoff_factor", self.backoff_factor, 1.0)
+        object.__setattr__(self, "backoff_factor", backoff_factor)
+        kinds = self.retryable_errors
+        if not isinstance(kinds, (list, tuple, set, frozenset)) or not all(
+            isinstance(kind, str) and kind in RETRYABLE_ERROR_KINDS for kind in kinds
+        ):
+            raise ValueError(
+                f"retryable_errors must be a list drawn from {sorted(RETRYABLE_ERROR_KINDS)}, "
+                f"got {kinds!r}"
+            )
+        object.__setattr__(self, "retryable_errors", frozenset(kinds))
 
     def delay_ms(self, retry_index: int) -> float:
         """Delay before re-attempt number ``retry_index`` (1-based).
@@ -119,21 +157,11 @@ class RetryPolicy:
         return getattr(error, "kind", None) in self.retryable_errors
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "max_attempts": self.max_attempts,
-            "base_delay_ms": self.base_delay_ms,
-            "backoff_factor": self.backoff_factor,
-            "retryable_errors": sorted(self.retryable_errors),
-        }
+        return {**asdict(self), "retryable_errors": sorted(self.retryable_errors)}
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "RetryPolicy":
-        return cls(
-            max_attempts=int(payload.get("max_attempts", 3)),
-            base_delay_ms=int(payload.get("base_delay_ms", 250)),
-            backoff_factor=float(payload.get("backoff_factor", 2.0)),
-            retryable_errors=frozenset(payload.get("retryable_errors", RETRYABLE_ERROR_KINDS)),
-        )
+    def from_dict(cls, payload: Mapping[str, Any]) -> "RetryPolicy":
+        return cls(**config_kwargs(cls, payload, "retry"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +211,7 @@ class ChatBackend(Protocol):
         ...
 
 
-class _CallCounter:
+class CallCounter:
     """Thread-safe count of completed backend invocations."""
 
     def __init__(self) -> None:
@@ -377,7 +405,7 @@ class HttpBackend:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self._session = session if session is not None else _default_session()
-        self._counter = _CallCounter()
+        self._counter = CallCounter()
 
     @property
     def calls(self) -> int:
@@ -438,7 +466,7 @@ class ReplayBackend:
 
     def __init__(self, fixtures_dir: Path | str):
         self._store = ResponseStore(fixtures_dir)
-        self._counter = _CallCounter()
+        self._counter = CallCounter()
 
     @property
     def calls(self) -> int:
@@ -462,7 +490,7 @@ class RecordingBackend:
     def __init__(self, inner: ChatBackend, fixtures_dir: Path | str):
         self.inner = inner
         self._store = ResponseStore(fixtures_dir)
-        self._counter = _CallCounter()
+        self._counter = CallCounter()
 
     @property
     def calls(self) -> int:

@@ -13,7 +13,7 @@ import json
 from typing import Iterable, Sequence
 
 from .domain import OTHER_CATEGORY, AttributeKey, CategoryAssignment, ComparedAttribute
-from .gateway import ChatRequest, ResponseFormat
+from .gateway import ChatRequest
 from .llm_json import coerce_scalar, load_json_object, require_array
 from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
 
@@ -34,18 +34,13 @@ def build_grouping_prompt(
 ) -> ChatRequest:
     if not keys:
         raise ValueError("grouping prompt requires at least one key")
-    system_prompt, user_prompt = render_prompt(
+    return render_prompt(
         "grouping",
+        model=model,
+        temperature=temperature,
         prompt_version=prompt_version,
         keys_json=json.dumps(list(keys), ensure_ascii=False, indent=2),
         schema=GROUPING_SCHEMA,
-    )
-    return ChatRequest(
-        model=model,
-        system_prompt=system_prompt,
-        user_prompt=user_prompt,
-        temperature=temperature,
-        response_format=ResponseFormat.JSON_OBJECT,
     )
 
 

@@ -30,7 +30,7 @@ import functools
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, TypeVar
 
@@ -56,9 +56,11 @@ from .gateway import (
     ApiCredential,
     ChatBackend,
     ChatRequest,
-    ResponseFormat,
     RetryPolicy,
+    check_int,
+    check_number,
     complete_parsed,
+    config_kwargs,
 )
 from .grouping import build_grouping_prompt, collect_unique_keys, parse_grouping_response
 from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
@@ -111,46 +113,38 @@ class PipelineConfig:
     grouping_temperature: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.cache_dir is not None:
-            object.__setattr__(self, "cache_dir", Path(self.cache_dir))
-        if not isinstance(self.mode, PipelineMode):
-            object.__setattr__(self, "mode", PipelineMode(self.mode))
+        for name in ("extraction_model", "comparison_model", "grouping_model", "prompt_version"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise TypeError(f"{name} must be a non-empty string, got {value!r}")
+        check_int("workers", self.workers, 1)
+        if not isinstance(self.retry, RetryPolicy):
+            raise TypeError(f"retry must be a RetryPolicy, got {self.retry!r}")
+        for name in ("extraction_temperature", "comparison_temperature", "grouping_temperature"):
+            object.__setattr__(self, name, check_number(name, getattr(self, name), 0.0, 1.0))
+        if not isinstance(self.cache_dir, (str, Path, type(None))):
+            raise TypeError(f"cache_dir must be a path string or null, got {self.cache_dir!r}")
+        # An empty path means no cache, not the working directory.
+        cache_dir = None if self.cache_dir in (None, "") else Path(self.cache_dir)
+        object.__setattr__(self, "cache_dir", cache_dir)
+        object.__setattr__(self, "mode", PipelineMode(self.mode))
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "extraction_model": self.extraction_model,
-            "comparison_model": self.comparison_model,
-            "grouping_model": self.grouping_model,
-            "workers": self.workers,
+            **asdict(self),
             "retry": self.retry.to_dict(),
-            "cache_dir": str(self.cache_dir) if self.cache_dir else None,
-            "prompt_version": self.prompt_version,
+            "cache_dir": None if self.cache_dir is None else str(self.cache_dir),
             "mode": self.mode.value,
-            "extraction_temperature": self.extraction_temperature,
-            "comparison_temperature": self.comparison_temperature,
-            "grouping_temperature": self.grouping_temperature,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "PipelineConfig":
-        defaults = cls()
-        retry = payload.get("retry")
-        cache_dir = payload.get("cache_dir")
-        return cls(
-            extraction_model=str(payload.get("extraction_model", defaults.extraction_model)),
-            comparison_model=str(payload.get("comparison_model", defaults.comparison_model)),
-            grouping_model=str(payload.get("grouping_model", defaults.grouping_model)),
-            workers=int(payload.get("workers", defaults.workers)),
-            retry=RetryPolicy.from_dict(retry) if isinstance(retry, Mapping) else defaults.retry,
-            cache_dir=Path(cache_dir) if cache_dir else None,
-            prompt_version=str(payload.get("prompt_version", defaults.prompt_version)),
-            mode=PipelineMode(payload.get("mode", defaults.mode.value)),
-            extraction_temperature=float(payload.get("extraction_temperature", 0.0)),
-            comparison_temperature=float(payload.get("comparison_temperature", 0.0)),
-            grouping_temperature=float(payload.get("grouping_temperature", 0.0)),
-        )
+        """Build a config from a JSON object holding only field names;
+        ``retry``, if present, is such an object for ``RetryPolicy``."""
+        kwargs = config_kwargs(cls, payload, "config")
+        if "retry" in kwargs:
+            kwargs["retry"] = RetryPolicy.from_dict(kwargs["retry"])
+        return cls(**kwargs)
 
 
 class StatsRecorder:
@@ -459,20 +453,15 @@ def build_baseline_prompt(
     reviews_block = "\n".join(
         f"[{review.review_id}] {review.text}" for review in product.reviews
     )
-    system_prompt, user_prompt = render_prompt(
+    return render_prompt(
         "baseline_report",
+        model=model,
+        temperature=temperature,
         prompt_version=prompt_version,
         title=product.title,
         seller_description=product.seller_description,
         reviews_block=reviews_block,
         schema=REPORT_SCHEMA,
-    )
-    return ChatRequest(
-        model=model,
-        system_prompt=system_prompt,
-        user_prompt=user_prompt,
-        temperature=temperature,
-        response_format=ResponseFormat.JSON_OBJECT,
     )
 
 
@@ -494,20 +483,15 @@ def build_ablated_prompt(
         ensure_ascii=False,
         indent=2,
     )
-    system_prompt, user_prompt = render_prompt(
+    return render_prompt(
         "ablated_report",
+        model=model,
+        temperature=temperature,
         prompt_version=prompt_version,
         title=product.title,
         seller_description=product.seller_description,
         attributes_json=attributes_json,
         schema=REPORT_SCHEMA,
-    )
-    return ChatRequest(
-        model=model,
-        system_prompt=system_prompt,
-        user_prompt=user_prompt,
-        temperature=temperature,
-        response_format=ResponseFormat.JSON_OBJECT,
     )
 
 

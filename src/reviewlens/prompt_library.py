@@ -2,10 +2,12 @@
 
 Templates are plain text files under ``reviewlens/prompts/`` with a
 ``<<<system>>>`` / ``<<<user>>>`` split and ``$placeholder`` substitution
-(``string.Template`` keeps literal JSON braces safe). Every system template
-renders the configured ``prompt_version`` into its text, so editing a
-template or bumping the version changes request fingerprints and invalidates
-caches and fixtures.
+(``string.Template`` keeps literal JSON braces safe). ``render_prompt`` is
+the one place a stage request is built: it renders both halves of a
+template into a JSON-mode ``ChatRequest`` for the given model and
+temperature. Every system template renders the configured
+``prompt_version`` into its text, so editing a template or bumping the
+version changes request fingerprints and invalidates caches and fixtures.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from pathlib import Path
 from string import Template
+
+from .gateway import ChatRequest, ResponseFormat
 
 DEFAULT_PROMPT_VERSION = "v1"
 
@@ -33,10 +37,13 @@ def _load_template(name: str) -> tuple[Template, Template]:
     return Template(system_text.strip()), Template(user_text.strip())
 
 
-def render_prompt(name: str, **variables: str) -> tuple[str, str]:
-    """Render the named template into (system_prompt, user_prompt)."""
+def render_prompt(name: str, *, model: str, temperature: float, **variables: str) -> ChatRequest:
+    """Render the named template into the stage's JSON-mode request."""
     system_template, user_template = _load_template(name)
-    return (
-        system_template.substitute(**variables),
-        user_template.substitute(**variables),
+    return ChatRequest(
+        model=model,
+        system_prompt=system_template.substitute(**variables),
+        user_prompt=user_template.substitute(**variables),
+        temperature=temperature,
+        response_format=ResponseFormat.JSON_OBJECT,
     )

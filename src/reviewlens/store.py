@@ -65,11 +65,3 @@ class ResponseStore:
             self.path_for(fingerprint).unlink()
         except FileNotFoundError:
             pass
-
-    def fingerprints(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(path.stem for path in self.root.glob("*.json"))
-
-    def count(self) -> int:
-        return len(self.fingerprints())

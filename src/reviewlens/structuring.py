@@ -11,7 +11,8 @@ render to byte-reproducible JSON or Markdown.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping, Sequence
+from dataclasses import replace
+from typing import Iterable, Sequence
 
 from .domain import (
     OTHER_CATEGORY,
@@ -34,6 +35,10 @@ from .errors import EmptyKeyError, MalformedOutputError, UnknownStatusError
 from .llm_json import coerce_scalar, load_json_object, require_array
 
 
+# One (key, status, values, evidence, justifications) row to merge.
+_Row = tuple[AttributeKey, ComparisonStatus, Iterable[str], Iterable[str], Iterable[str]]
+
+
 class ReportFormat(enum.Enum):
     JSON = "json"
     MARKDOWN = "markdown"
@@ -47,33 +52,35 @@ def merge_insights(compared: Sequence[ComparedAttribute]) -> list[Insight]:
     in dataset order. Returned insights carry an empty category placeholder
     that build_report resolves.
     """
-    order: list[tuple[AttributeKey, ComparisonStatus]] = []
-    values: dict[tuple[AttributeKey, ComparisonStatus], list[str]] = {}
-    evidence: dict[tuple[AttributeKey, ComparisonStatus], list[str]] = {}
-    justifications: dict[tuple[AttributeKey, ComparisonStatus], list[str]] = {}
-    for item in compared:
-        identity = (item.attribute.key, item.status)
-        if identity not in values:
-            order.append(identity)
-            values[identity] = []
-            evidence[identity] = []
-            justifications[identity] = []
-        if item.attribute.value not in values[identity]:
-            values[identity].append(item.attribute.value)
-        if item.attribute.review_id not in evidence[identity]:
-            evidence[identity].append(item.attribute.review_id)
-        if item.justification.strip():
-            justifications[identity].append(item.justification)
+    return _merge_rows(
+        (c.attribute.key, c.status, [c.attribute.value], [c.attribute.review_id], [c.justification])
+        for c in compared
+    )
+
+
+def _merge_rows(rows: Iterable[_Row]) -> list[Insight]:
+    """Fold (key, status, values, evidence, justifications) rows into
+    uncategorized insights, one per (key, status) in first-seen order.
+    Values deduplicate in arrival order, evidence is unique and sorted, and
+    non-blank justifications are kept in order."""
+    merged: dict[tuple[AttributeKey, ComparisonStatus], tuple[dict[str, None], set[str], list[str]]] = {}
+    for key, status, values, evidence, justifications in rows:
+        kept_values, kept_evidence, kept_justifications = merged.setdefault(
+            (key, status), ({}, set(), [])
+        )
+        kept_values.update(dict.fromkeys(values))
+        kept_evidence.update(evidence)
+        kept_justifications.extend(j for j in justifications if j.strip())
     return [
         Insight(
             key=key,
-            values=tuple(values[(key, status)]),
+            values=tuple(values),
             status=status,
             category="",
-            evidence=tuple(sorted(evidence[(key, status)])),
-            justifications=tuple(justifications[(key, status)]),
+            evidence=sorted(evidence),
+            justifications=justifications,
         )
-        for key, status in order
+        for (key, status), (values, evidence, justifications) in merged.items()
     ]
 
 
@@ -94,16 +101,8 @@ def build_report(
         status: {} for status in REPORT_STATUS_ORDER
     }
     for insight in insights:
-        category = insight.category or categories.category_for(insight.key)
-        placed = Insight(
-            key=insight.key,
-            values=insight.values,
-            status=insight.status,
-            category=category,
-            evidence=insight.evidence,
-            justifications=insight.justifications,
-        )
-        by_status[insight.status].setdefault(category, {})[insight.key] = placed
+        placed = replace(insight, category=insight.category or categories.category_for(insight.key))
+        by_status[insight.status].setdefault(placed.category, {})[insight.key] = placed
     sections = tuple(
         ReportSection(
             status=status,
@@ -178,8 +177,7 @@ def parse_report_sections(
     sections = require_array(payload, "sections")
     known = set(valid_review_ids)
 
-    merged: dict[tuple[AttributeKey, ComparisonStatus], dict[str, list[str]]] = {}
-    merged_order: list[tuple[AttributeKey, ComparisonStatus]] = []
+    report_rows: list[_Row] = []
     category_by_key: dict[AttributeKey, str] = {}
 
     for section in sections:
@@ -206,44 +204,22 @@ def parse_report_sections(
                 notes.append(f"category {label!r} lacks an insights array; skipped")
                 continue
             for row in rows:
-                parsed = _parse_insight_row(row, known, notes)
+                parsed = _parse_insight_row(row, status, known, notes)
                 if parsed is None:
                     continue
-                key, values, evidence, row_justifications = parsed
-                identity = (key, status)
-                if identity not in merged:
-                    merged_order.append(identity)
-                    merged[identity] = {"values": [], "evidence": [], "justifications": []}
-                slot = merged[identity]
-                for value in values:
-                    if value not in slot["values"]:
-                        slot["values"].append(value)
-                for review_id in evidence:
-                    if review_id not in slot["evidence"]:
-                        slot["evidence"].append(review_id)
-                slot["justifications"].extend(row_justifications)
-                if label and key not in category_by_key:
-                    category_by_key[key] = label
+                report_rows.append(parsed)
+                if label:
+                    category_by_key.setdefault(parsed[0], label)
 
-    insights = [
-        Insight(
-            key=key,
-            values=tuple(merged[(key, status)]["values"]),
-            status=status,
-            category="",
-            evidence=tuple(sorted(set(merged[(key, status)]["evidence"]))),
-            justifications=tuple(merged[(key, status)]["justifications"]),
-        )
-        for key, status in merged_order
-    ]
-    return insights, CategoryAssignment(mapping=category_by_key)
+    return _merge_rows(report_rows), CategoryAssignment(mapping=category_by_key)
 
 
 def _parse_insight_row(
     row: object,
+    status: ComparisonStatus,
     known_review_ids: set[str],
     notes: list[str],
-) -> tuple[AttributeKey, list[str], list[str], list[str]] | None:
+) -> _Row | None:
     if not isinstance(row, dict):
         notes.append("insight row is not an object; skipped")
         return None
@@ -299,4 +275,4 @@ def _parse_insight_row(
         if single and single.strip():
             justifications.append(single)
 
-    return key, values, evidence, justifications
+    return key, status, values, evidence, justifications

@@ -27,7 +27,7 @@ from .domain import (
     normalize_key,
     parse_status,
 )
-from .gateway import ApiCredential, ChatBackend, ChatRequest, ChatResponse, ResponseFormat
+from .gateway import ApiCredential, CallCounter, ChatBackend, ChatRequest, ChatResponse, ResponseFormat
 from .structuring import build_report, merge_insights
 
 __all__ = [
@@ -47,21 +47,6 @@ _ABLATED_MARKER = "Extracted attributes (JSON, each with the review id it came f
 _EXTRACTION_MARKER = "Customer review:"
 
 _REVIEW_LINE = re.compile(r"^\[([^\]]+)\] ", re.MULTILINE)
-
-
-class _Counter:
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def bump(self) -> None:
-        with self._lock:
-            self._value += 1
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
 
 
 def _json_after(prompt: str, marker: str) -> Any:
@@ -109,7 +94,7 @@ class CannedReviewModel:
         self._invented = tuple((tuple(t), dict(row)) for t, row in invented_comparison_rows)
         self._omit_grouping = frozenset(omit_grouping_keys)
         self._default_category = default_category
-        self._counter = _Counter()
+        self._counter = CallCounter()
 
     @classmethod
     def from_config(
@@ -138,7 +123,7 @@ class CannedReviewModel:
 
     @property
     def calls(self) -> int:
-        return self._counter.value
+        return self._counter.calls
 
     def complete(
         self, request: ChatRequest, credential: ApiCredential | None = None
@@ -329,11 +314,11 @@ class SelectiveFailureBackend:
     def __init__(self, inner: ChatBackend, fail_with: Callable[[ChatRequest], Exception | None]):
         self.inner = inner
         self._fail_with = fail_with
-        self._counter = _Counter()
+        self._counter = CallCounter()
 
     @property
     def calls(self) -> int:
-        return self._counter.value
+        return self._counter.calls
 
     def complete(
         self, request: ChatRequest, credential: ApiCredential | None = None

@@ -142,6 +142,13 @@ class TestRunErrors:
             {"retry": {"max_attempts": None}},
             {"workers": 0},
             {"mode": "bogus"},
+            {"worker": 1},
+            {"retry": 3},
+            {"workers": 2.9},
+            {"retry": {"max_attempts": True}},
+            {"extraction_model": None},
+            {"extraction_temperature": 5},
+            {"retry": {"retryable_errors": "transport"}},
         ],
     )
     def test_invalid_config_values_rejected(self, tmp_path, capsys, config):
@@ -152,6 +159,15 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: ")
         assert "Traceback" not in err
+
+    def test_empty_cache_dir_flag_means_no_cache(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            "run", "--dataset", DATASET, "--fixtures", FIXTURES, "--product", "app-mixer-001",
+            "--cache-dir", "", "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["out"]
 
     def test_live_requires_credential(self, monkeypatch, capsys):
         monkeypatch.delenv(CREDENTIAL_ENV_VAR, raising=False)

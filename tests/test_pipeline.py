@@ -558,6 +558,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(workers=0)
 
+    @pytest.mark.parametrize("cache_dir", ["", None])
+    def test_empty_cache_dir_means_no_cache(self, cache_dir):
+        assert PipelineConfig.from_dict({"cache_dir": cache_dir}).cache_dir is None
+
+    def test_defaults_live_in_the_class(self):
+        assert PipelineConfig.from_dict({}) == PipelineConfig()
+        assert PipelineConfig.from_dict({"retry": {}}) == PipelineConfig()
+
+    def test_integral_numbers_load_as_floats(self):
+        # json.dumps renders 0 and 0.0 differently, and every temperature
+        # is part of its request's fingerprint.
+        config = PipelineConfig.from_dict({"grouping_temperature": 0, "retry": {"backoff_factor": 2}})
+        assert type(config.grouping_temperature) is float
+        assert type(config.retry.backoff_factor) is float
+
     def test_no_credential_fields(self):
         field_names = {f.name for f in dataclasses.fields(PipelineConfig)}
         assert not any("key" in name or "credential" in name for name in field_names)

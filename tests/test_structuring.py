@@ -11,6 +11,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewlens.domain import (
     OTHER_CATEGORY,
@@ -353,6 +355,53 @@ class TestParseReportSections:
     def test_unusable_payload_rejected(self, text):
         with pytest.raises(MalformedOutputError):
             parse_report_sections(text, ["r1"])
+
+
+compared_items = st.lists(
+    st.builds(
+        compared,
+        st.sampled_from(["color", "weight", "battery"]),
+        st.sampled_from(["red", "2 kg", "8 h"]),
+        st.sampled_from(["r1", "r2", "r3", "r4"]),
+        st.sampled_from(list(ComparisonStatus)),
+        st.sampled_from(["", "  ", "seen in text", "quoted from listing"]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(compared_items)
+def test_both_report_paths_merge_alike(items):
+    """A model report carrying one row per compared attribute merges into the
+    same insights as the full mode's merge of those attributes."""
+    payload = {
+        "sections": [
+            {
+                "status": render_status(item.status),
+                "categories": [
+                    {
+                        "category": "General",
+                        "insights": [
+                            {
+                                "attribute": item.attribute.key,
+                                "value": item.attribute.value,
+                                "evidence": [item.attribute.review_id],
+                                "justification": item.justification,
+                            }
+                        ],
+                    }
+                ],
+            }
+            for item in items
+        ]
+    }
+    parsed, _ = parse_report_sections(json.dumps(payload), ["r1", "r2", "r3", "r4"])
+
+    def rows(insights):
+        return [(i.key, i.status, i.values, i.evidence, i.justifications) for i in insights]
+
+    assert rows(parsed) == rows(merge_insights(items))
 
 
 def test_structured_report_round_trips_via_dict():
