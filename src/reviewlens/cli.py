@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Iterable, NoReturn, Sequence
 
@@ -48,8 +47,9 @@ from .pipeline import (
     PipelineMode,
     PipelineResult,
     build_run_manifest,
-    run_product,
+    run_products,
 )
+from .store import write_atomic
 from .structuring import ReportFormat, render_report
 
 CREDENTIAL_ENV_VAR = "REVIEWLENS_API_KEY"
@@ -118,7 +118,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, recording: bool = Fal
     parser.add_argument(
         "--workers",
         type=_positive_int,
-        help="max LLM calls in flight per product, one thread each (the caller's included)",
+        help="max LLM calls in flight for the whole run; at most two products are in progress",
     )
     parser.add_argument("--cache-dir", help="response cache directory; empty for none")
     parser.add_argument(
@@ -129,9 +129,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, recording: bool = Fal
     )
     parser.add_argument("--base-url", default=DEFAULT_BASE_URL, help="chat API base URL")
     parser.add_argument("--api-key", help=f"API key; defaults to ${CREDENTIAL_ENV_VAR}")
-    parser.add_argument(
-        "--parallel-products", type=_positive_int, default=1, help="products processed concurrently"
-    )
     if recording:
         parser.add_argument(
             "--fixtures", required=True, type=Path, help="directory to write fixtures into"
@@ -218,9 +215,9 @@ def _write_outputs(
     product_dir.mkdir(parents=True, exist_ok=True)
     for fmt in formats:
         suffix = "json" if fmt is ReportFormat.JSON else "md"
-        (product_dir / f"report.{suffix}").write_bytes(render_report(result.report, fmt))
+        write_atomic(product_dir / f"report.{suffix}", render_report(result.report, fmt))
     manifest = build_run_manifest(product, config, result, backend_label=backend_label)
-    (product_dir / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
+    write_atomic(product_dir / "manifest.json", canonical_json(manifest).encode("utf-8"))
     if config.mode is not PipelineMode.BASELINE:
         payload = {
             "product_id": product.product_id,
@@ -229,7 +226,7 @@ def _write_outputs(
                 for review_id, attrs in sorted(result.extractions.items())
             },
         }
-        (product_dir / "extractions.json").write_text(canonical_json(payload), encoding="utf-8")
+        write_atomic(product_dir / "extractions.json", canonical_json(payload).encode("utf-8"))
 
 
 def _execute_run(
@@ -242,17 +239,9 @@ def _execute_run(
     products = _select_products(args.dataset, args.product)
     cache = DiskResponseCache(config.cache_dir) if config.cache_dir else None
     formats = _report_formats(args.format)
-
-    def run_one(product: ProductRecord) -> PipelineResult:
-        return run_product(product, config, gateway, credential=credential, cache=cache)
-
-    if args.parallel_products > 1 and len(products) > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel_products) as pool:
-            results = list(pool.map(run_one, products))
-    else:
-        results = [run_one(product) for product in products]
-
+    results = run_products(products, config, gateway, credential=credential, cache=cache)
     any_failures = False
+    # Each product is written as soon as it and every earlier one are done.
     for product, result in zip(products, results):
         if args.out is not None:
             _write_outputs(args.out, product, config, result, formats, backend_label)

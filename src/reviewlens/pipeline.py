@@ -9,12 +9,26 @@ mode spends R extraction calls plus one direct report call. Every one of
 those requests goes through ``_Runtime.call``, which counts it once, when
 it is issued, and resolves it through the gateway's single retry loop.
 
-Per-review tasks wait in one queue per product, drained by ``workers``
-threads at most, the caller's included, so ``workers`` also caps the calls
-in flight. A task whose request backs off after a transport error or
-malformed output runs the queue's next tasks on its own thread until the
-backoff has passed (a backoff after throttling just sleeps). Helping is one
-level deep: a task run inside a backoff sleeps through its own.
+``workers`` caps the LLM calls in flight for a whole run: it is the number
+of permits in one ``_PermitPool``, and a thread holds a permit while it
+runs its product's work (the per-review drain loop, or the grouping or
+direct-report call). A product's per-review tasks wait in one queue,
+drained by ``workers`` threads at most, the caller's included. A task whose
+request backs off after a transport error or malformed output runs the
+queue's next tasks on its own thread until the backoff has passed. Helping
+is one level deep: a task run inside a backoff sleeps through its own.
+
+``run_products`` runs the products one after another on the caller's
+thread, except that two may be in progress at once: when the earliest
+unfinished one parks a request, the next one starts on a thread of its
+own, and it gets a permit only while the earlier one has a request parked.
+A request parks when it backs off after a transport error or malformed
+output with nothing left in its product's queue. Parking lends the permit
+for the rest of the wait; every other backoff, a throttled one included,
+sleeps holding it. The later product hands the permit back before its
+next request once the earlier one waits for it. A direct call of
+``run_product`` and the mode runners gets a private pool of ``workers``
+permits.
 
 Scheduling never leaks into results: per-review outcomes are collected in
 dataset order regardless of completion order, so report bytes are identical
@@ -25,14 +39,18 @@ unit; the rest of the product still reports.
 from __future__ import annotations
 
 import collections
+import contextlib
 import enum
 import functools
+import heapq
+import itertools
 import json
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .cache import DiskResponseCache
 from .comparison import build_comparison_prompt, parse_comparison_response
@@ -56,6 +74,7 @@ from .gateway import (
     ApiCredential,
     ChatBackend,
     ChatRequest,
+    ChatResponse,
     RetryPolicy,
     check_int,
     check_number,
@@ -77,6 +96,7 @@ __all__ = [
     "run_baseline",
     "run_ablated",
     "run_product",
+    "run_products",
     "build_baseline_prompt",
     "build_ablated_prompt",
     "build_run_manifest",
@@ -186,6 +206,97 @@ class PipelineResult:
 
 _STEP_FAILURES = (ExhaustedRetriesError, GatewayError, MalformedOutputError)
 
+# Products in progress at once in ``run_products``: a third could only get
+# a permit while both earlier ones are parked.
+_PRODUCTS_IN_PROGRESS = 2
+
+
+class _PermitPool:
+    """The permits of one run, one per LLM call in flight, shared by the
+    products that run at once. A product is known by its rank, its position
+    in the dataset.
+
+    A free permit goes to the earliest waiting rank, first come first
+    served within a rank, and to a rank only while every earlier unfinished
+    one has a request parked. As that rule holds for a rank whenever it
+    holds for a later one, the head of the wait queue is the only candidate.
+    """
+
+    def __init__(self, count: int, on_park: Callable[[], None] | None = None) -> None:
+        self._cond = threading.Condition()
+        self._on_park = on_park
+        self._free = count
+        self._waiting: list[tuple[int, int]] = []  # heap of (rank, ticket)
+        self._tickets = itertools.count()
+        self._parked: collections.Counter[int] = collections.Counter()
+        self._unfinished: set[int] = set()
+
+    def start(self, rank: int) -> None:
+        with self._cond:
+            self._unfinished.add(rank)
+
+    def finish(self, rank: int) -> None:
+        with self._cond:
+            self._unfinished.discard(rank)
+            self._cond.notify_all()
+
+    def lending(self) -> bool:
+        """Whether another product may start: fewer than
+        ``_PRODUCTS_IN_PROGRESS`` are unfinished, and each has a request
+        parked."""
+        with self._cond:
+            return 0 < len(self._unfinished) < _PRODUCTS_IN_PROGRESS and all(
+                self._parked[r] for r in self._unfinished
+            )
+
+    @contextlib.contextmanager
+    def holding(self, rank: int) -> Iterator[None]:
+        with self._cond:
+            self._take(rank)
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._put_back()
+
+    def park(self, rank: int, seconds: float) -> None:
+        """Wait ``seconds`` holding no permit: a later product may take the
+        one this thread held. Then take a permit again."""
+        with self._cond:
+            self._parked[rank] += 1
+            self._put_back()
+        if self._on_park is not None:
+            self._on_park()
+        time.sleep(seconds)
+        with self._cond:
+            self._parked[rank] -= 1
+            self._take(rank)
+
+    def hand_over(self, rank: int) -> None:
+        """Give this thread's permit to an earlier product waiting for one,
+        if there is such a product, and wait for a permit again."""
+        with self._cond:
+            if self._waiting and self._waiting[0][0] < rank:
+                self._put_back()
+                self._take(rank)
+
+    def _put_back(self) -> None:
+        self._free += 1
+        self._cond.notify_all()
+
+    def _take(self, rank: int) -> None:
+        ticket = (rank, next(self._tickets))
+        heapq.heappush(self._waiting, ticket)
+        self._cond.wait_for(
+            lambda: self._free > 0
+            and self._waiting[0] == ticket
+            and all(self._parked[r] for r in self._unfinished if r < rank)
+        )
+        heapq.heappop(self._waiting)
+        self._free -= 1
+        # The next waiter may be due a permit too.
+        self._cond.notify_all()
+
 
 @dataclass(slots=True)
 class _Runtime:
@@ -193,6 +304,8 @@ class _Runtime:
     gateway: ChatBackend
     credential: ApiCredential | None
     cache: DiskResponseCache | None
+    permits: _PermitPool
+    rank: int
     stats: StatsRecorder = field(default_factory=StatsRecorder)
     # The product's queued per-review tasks, and which threads are running
     # one inside a backoff.
@@ -202,8 +315,8 @@ class _Runtime:
 
     def run_queued(self, tasks: list[Callable[[], None]]) -> None:
         """Run ``tasks`` on ``min(workers, len(tasks))`` threads, the caller's
-        included, and return once every task has finished. A task must not
-        raise."""
+        included, each holding a permit while it runs them, and return once
+        every task has finished. A task must not raise."""
         with self._lock:
             self._queue.extend(tasks)
         helpers = [
@@ -225,13 +338,18 @@ class _Runtime:
             return self._queue.popleft() if self._queue else None
 
     def _drain(self) -> None:
-        while (task := self._next_task()) is not None:
-            task()
+        with self.holding():
+            while (task := self._next_task()) is not None:
+                task()
+
+    def holding(self) -> contextlib.AbstractContextManager[None]:
+        return self.permits.holding(self.rank)
 
     def idle(self, seconds: float) -> None:
         """Spend a backoff of ``seconds``: run queued tasks until it has
-        passed, unless this thread is already inside one, then sleep what is
-        left. A task started here may end after the backoff has passed."""
+        passed, unless this thread is already inside one. Wait out what is
+        left holding the permit while tasks are still queued, else parked.
+        A task started here may end after the backoff has passed."""
         deadline = time.monotonic() + seconds
         if not getattr(self._local, "helping", False):
             self._local.helping = True
@@ -241,8 +359,20 @@ class _Runtime:
             finally:
                 self._local.helping = False
         remaining = deadline - time.monotonic()
-        if remaining > 0:
+        if remaining <= 0:
+            return
+        with self._lock:
+            queued = bool(self._queue)
+        if queued:
             time.sleep(remaining)
+        else:
+            self.permits.park(self.rank, remaining)
+
+    def complete(self, request: ChatRequest, credential: ApiCredential | None = None) -> ChatResponse:
+        """One backend call, made once an earlier product that waits for a
+        permit has been handed this thread's."""
+        self.permits.hand_over(self.rank)
+        return self.gateway.complete(request, credential)
 
     def call(
         self,
@@ -258,7 +388,7 @@ class _Runtime:
         return complete_parsed(
             request,
             parser,
-            gateway=self.gateway,
+            gateway=self,
             credential=self.credential,
             policy=self.config.retry,
             cache=self.cache,
@@ -273,10 +403,14 @@ def _make_runtime(
     gateway: ChatBackend,
     credential: ApiCredential | None,
     cache: DiskResponseCache | None,
+    permits: _PermitPool | None,
+    rank: int,
 ) -> _Runtime:
     if cache is None and config.cache_dir is not None:
         cache = DiskResponseCache(config.cache_dir)
-    return _Runtime(config, gateway, credential, cache)
+    if permits is None:
+        permits = _PermitPool(config.workers)
+    return _Runtime(config, gateway, credential, cache, permits, rank)
 
 
 @dataclass(slots=True)
@@ -396,12 +530,13 @@ def _assign_categories(
         prompt_version=config.prompt_version,
     )
     try:
-        return runtime.call(
-            "grouping_calls",
-            request,
-            lambda text, scratch: parse_grouping_response(text, keys, diagnostics=scratch),
-            notes,
-        )
+        with runtime.holding():
+            return runtime.call(
+                "grouping_calls",
+                request,
+                lambda text, scratch: parse_grouping_response(text, keys, diagnostics=scratch),
+                notes,
+            )
     except _STEP_FAILURES as exc:
         notes.append(
             f"grouping failed permanently; every attribute assigned {OTHER_CATEGORY!r}: {exc}"
@@ -420,10 +555,12 @@ def run_full(
     *,
     credential: ApiCredential | None = None,
     cache: DiskResponseCache | None = None,
+    permits: _PermitPool | None = None,
+    rank: int = 0,
 ) -> PipelineResult:
     """The multi-step pipeline: per-review extract and compare, one grouping
     call, deterministic structuring."""
-    runtime = _make_runtime(config, gateway, credential, cache)
+    runtime = _make_runtime(config, gateway, credential, cache, permits, rank)
     reviews = _run_reviews(product, runtime, _extract_and_compare)
     compared = [item for outcome in reviews.succeeded for item in outcome.compared]
     assignment = _assign_categories(compared, runtime, reviews.diagnostics)
@@ -508,12 +645,13 @@ def _direct_report(
     """
     try:
         # The direct report call is the run's "+1", counted as grouping.
-        insights, assignment = runtime.call(
-            "grouping_calls",
-            request,
-            lambda text, scratch: parse_report_sections(text, product.review_ids, diagnostics=scratch),
-            notes,
-        )
+        with runtime.holding():
+            insights, assignment = runtime.call(
+                "grouping_calls",
+                request,
+                lambda text, scratch: parse_report_sections(text, product.review_ids, diagnostics=scratch),
+                notes,
+            )
     except _STEP_FAILURES as exc:
         malformed = isinstance(exc, MalformedOutputError) or (
             isinstance(exc, ExhaustedRetriesError)
@@ -537,9 +675,11 @@ def run_baseline(
     *,
     credential: ApiCredential | None = None,
     cache: DiskResponseCache | None = None,
+    permits: _PermitPool | None = None,
+    rank: int = 0,
 ) -> PipelineResult:
     """Single-call mode: the whole product in one prompt, one response."""
-    runtime = _make_runtime(config, gateway, credential, cache)
+    runtime = _make_runtime(config, gateway, credential, cache, permits, rank)
     if not product.reviews:
         return PipelineResult(report=_empty_report(product, runtime.stats.snapshot()))
     request = build_baseline_prompt(
@@ -561,10 +701,12 @@ def run_ablated(
     *,
     credential: ApiCredential | None = None,
     cache: DiskResponseCache | None = None,
+    permits: _PermitPool | None = None,
+    rank: int = 0,
 ) -> PipelineResult:
     """Extraction plus one direct report call; no per-review comparison and
     no dedicated grouping call."""
-    runtime = _make_runtime(config, gateway, credential, cache)
+    runtime = _make_runtime(config, gateway, credential, cache, permits, rank)
     reviews = _run_reviews(product, runtime, _extract)
     attributes = [attr for outcome in reviews.succeeded for attr in outcome.attributes]
     failed = reviews.failed
@@ -597,14 +739,78 @@ def run_product(
     *,
     credential: ApiCredential | None = None,
     cache: DiskResponseCache | None = None,
+    permits: _PermitPool | None = None,
+    rank: int = 0,
 ) -> PipelineResult:
-    """Dispatch on the configured mode."""
+    """Dispatch on the configured mode. ``permits`` and ``rank`` place the
+    product in a run of ``run_products``; without them it has a private
+    pool of ``config.workers`` permits."""
     runner = {
         PipelineMode.FULL: run_full,
         PipelineMode.BASELINE: run_baseline,
         PipelineMode.ABLATED: run_ablated,
     }[config.mode]
-    return runner(product, config, gateway, credential=credential, cache=cache)
+    return runner(
+        product, config, gateway, credential=credential, cache=cache, permits=permits, rank=rank
+    )
+
+
+def run_products(
+    products: Sequence[ProductRecord],
+    config: PipelineConfig,
+    gateway: ChatBackend,
+    *,
+    credential: ApiCredential | None = None,
+    cache: DiskResponseCache | None = None,
+) -> Iterator[PipelineResult]:
+    """Run each product once through ``run_product`` and yield the results
+    in dataset order, each once it and every earlier product have finished.
+
+    All products share ``config.workers`` permits, so that is the cap on
+    LLM calls in flight for the run. The earliest unfinished product runs
+    on the caller's thread. The next one starts, on a thread of its own,
+    only when the earlier one parks a request in a backoff, and gets a
+    permit only while the earlier one has a request parked.
+    """
+    lock = threading.Lock()
+    lent: dict[int, Future[PipelineResult]] = {}
+    unstarted = 0  # the earliest product not started yet
+
+    def run(rank: int) -> PipelineResult:
+        try:
+            return run_product(
+                products[rank], config, gateway,
+                credential=credential, cache=cache, permits=permits, rank=rank,
+            )
+        finally:
+            permits.finish(rank)
+            lend()
+
+    def lend() -> None:
+        """Start the next product on a thread of its own if the products in
+        progress all have a request parked."""
+        nonlocal unstarted
+        with lock:
+            if unstarted < len(products) and permits.lending():
+                permits.start(unstarted)
+                lent[unstarted] = executor.submit(run, unstarted)
+                unstarted += 1
+
+    permits = _PermitPool(config.workers, on_park=lend)
+    with ThreadPoolExecutor(max_workers=_PRODUCTS_IN_PROGRESS) as executor:
+        try:
+            for rank in range(len(products)):
+                with lock:
+                    future = lent.pop(rank, None)
+                    if future is None:
+                        permits.start(rank)
+                        unstarted = rank + 1
+                # A product not started in a lent permit runs on this thread,
+                # so with no backoff the products run one after another.
+                yield run(rank) if future is None else future.result()
+        finally:
+            with lock:
+                unstarted = len(products)  # a closed run starts nothing more
 
 
 def build_run_manifest(

@@ -8,11 +8,27 @@ concurrent workers can never observe a torn file.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import Any
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path`` and rename it into
+    place, so ``path`` holds either its old bytes or all of ``data``. A
+    write that fails leaves no temp file."""
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 class ResponseStore:
@@ -46,18 +62,8 @@ class ResponseStore:
     def save(self, fingerprint: str, payload: dict[str, Any]) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
         target = self.path_for(fingerprint)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, ensure_ascii=False, sort_keys=True, indent=2)
-                handle.write("\n")
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        write_atomic(target, text.encode("utf-8"))
         return target
 
     def evict(self, fingerprint: str) -> None:

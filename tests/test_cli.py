@@ -3,20 +3,28 @@
 from __future__ import annotations
 
 import json
+import random
 import shutil
+import threading
+import time
+from dataclasses import dataclass
 
 import pytest
 
+from reviewlens import pipeline
 from reviewlens.cli import CREDENTIAL_ENV_VAR, main
+from reviewlens.errors import RateLimitedError, TransportError
 from reviewlens.evaluation import REFERENCE_CATEGORY_SCORES
-from reviewlens.gateway import fingerprint
+from reviewlens.gateway import ReplayBackend, fingerprint
 from reviewlens.extraction import build_extraction_prompt
-from reviewlens.testing import FakeChatSession
+from reviewlens.pipeline import PipelineConfig, PipelineMode, run_product
+from reviewlens.testing import FakeChatSession, SelectiveFailureBackend
 
 from conftest import TESTDATA, golden
 
 DATASET = str(TESTDATA / "dataset.json")
 FIXTURES = str(TESTDATA / "fixtures")
+PRODUCT_IDS = ("app-mixer-001", "bty-serum-002", "ele-buds-003")
 
 
 def run_cli(*argv: str) -> int:
@@ -87,22 +95,22 @@ class TestRunReplay:
         assert (out / "app-mixer-001" / "report.json").exists()
         assert not (out / "app-mixer-001" / "report.md").exists()
 
-    def test_parallel_products_same_bytes(self, tmp_path):
-        sequential = tmp_path / "seq"
-        parallel = tmp_path / "par"
-        for out, extra in ((sequential, []), (parallel, ["--parallel-products", "3"])):
+    def test_worker_counts_same_bytes(self, tmp_path):
+        one = tmp_path / "one"
+        three = tmp_path / "three"
+        for out, workers in ((one, "1"), (three, "3")):
             code = run_cli(
                 "run",
                 "--dataset", DATASET,
                 "--fixtures", FIXTURES,
                 "--mode", "full",
                 "--out", str(out),
-                *extra,
+                "--workers", workers,
             )
             assert code == 0
         for product_id in ("app-mixer-001", "bty-serum-002", "ele-buds-003"):
-            assert (sequential / product_id / "report.json").read_bytes() == (
-                parallel / product_id / "report.json"
+            assert (one / product_id / "report.json").read_bytes() == (
+                three / product_id / "report.json"
             ).read_bytes()
 
 
@@ -125,7 +133,7 @@ class TestRunErrors:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("flag", ["--workers", "--parallel-products"])
+    @pytest.mark.parametrize("flag", ["--workers"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_count_flags_rejected(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exit_info:
@@ -134,6 +142,12 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert f"error: argument {flag}: expected a positive integer, got '{value}'" in err
         assert "Traceback" not in err
+
+    def test_parallel_products_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "--dataset", DATASET, "--fixtures", FIXTURES, "--parallel-products", "2")
+        assert exit_info.value.code == 1
+        assert "unrecognized arguments: --parallel-products 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config",
@@ -206,6 +220,209 @@ class TestRunErrors:
             for rid in insight["evidence"]
         }
         assert "mix-r3" not in cited
+
+
+class TestRunOutputs:
+    def test_crash_keeps_finished_products_and_resumes_from_cache(self, tmp_path, monkeypatch, products_by_id):
+        first_review = products_by_id["ele-buds-003"].reviews[0].text
+        pending = [RuntimeError("crash")]
+
+        def crash_once(request):
+            if first_review in request.user_prompt and pending:
+                return pending.pop()
+            return None
+
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        argv = [
+            "run", "--dataset", DATASET, "--fixtures", FIXTURES, "--mode", "full",
+            "--out", str(out), "--cache-dir", str(cache),
+        ]
+        monkeypatch.setattr(
+            "reviewlens.cli.ReplayBackend",
+            lambda root: SelectiveFailureBackend(ReplayBackend(root), fail_with=crash_once),
+        )
+        with pytest.raises(RuntimeError, match="crash"):
+            run_cli(*argv)
+        for product_id in PRODUCT_IDS[:2]:
+            for name in ("report.json", "report.md"):
+                assert (out / product_id / name).read_bytes() == golden("full", product_id, name)
+        assert not (out / "ele-buds-003").exists()
+        assert not [path for path in tmp_path.rglob("*") if path.name.endswith(".tmp")]
+        cached = {path.stem for path in cache.glob("*.json")}
+
+        called: list[str] = []
+
+        def record(request):
+            called.append(fingerprint(request))
+            return None
+
+        monkeypatch.setattr(
+            "reviewlens.cli.ReplayBackend",
+            lambda root: SelectiveFailureBackend(ReplayBackend(root), fail_with=record),
+        )
+        assert run_cli(*argv) == 0
+        for product_id in PRODUCT_IDS:
+            for name in ("report.json", "report.md"):
+                assert (out / product_id / name).read_bytes() == golden("full", product_id, name)
+        needed = {path.stem for path in cache.glob("*.json")}
+        assert called and len(called) == len(set(called))
+        assert set(called) == needed - cached
+
+
+@dataclass
+class _Call:
+    product: str
+    prompt: str
+    start: float
+    end: float = 0.0
+    failed: bool = False
+
+
+def prompt_owners(products, mode: str) -> tuple[dict[str, str], dict[str, str]]:
+    """For a clean run of ``mode``: the product of each request's user
+    prompt, and each product's last request (its grouping or report call)."""
+    owners: dict[str, str] = {}
+    tails: dict[str, str] = {}
+    for product in products:
+        prompts: list[str] = []
+
+        def record(request):
+            prompts.append(request.user_prompt)
+
+        backend = SelectiveFailureBackend(ReplayBackend(FIXTURES), fail_with=record)
+        run_product(product, PipelineConfig(mode=PipelineMode(mode)), backend)
+        owners.update(dict.fromkeys(prompts, product.product_id))
+        tails[product.product_id] = prompts[-1]
+    return owners, tails
+
+
+class ProbeBackend:
+    """Replays the bundled fixtures, raising each planned error once, on
+    the first request with its user prompt, after an optional per-product
+    service time. Records every call and the peaks of calls in flight and
+    of live threads."""
+
+    def __init__(self, owners, faults=None, service_s=lambda product: 0.0):
+        self._inner = ReplayBackend(FIXTURES)
+        self._owners = owners
+        self._faults = dict(faults or {})
+        self._service_s = service_s
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.calls: list[_Call] = []
+        self.peak_in_flight = 0
+        self.peak_threads = 0
+
+    def complete(self, request, credential=None):
+        call = _Call(self._owners[request.user_prompt], request.user_prompt, time.monotonic())
+        with self._lock:
+            self.calls.append(call)
+            self._in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
+            self.peak_threads = max(self.peak_threads, threading.active_count())
+            error = self._faults.pop(request.user_prompt, None)
+        try:
+            time.sleep(self._service_s(call.product))
+            call.failed = error is not None
+            if error is not None:
+                raise error
+            return self._inner.complete(request, credential)
+        finally:
+            call.end = time.monotonic()
+            with self._lock:
+                self._in_flight -= 1
+
+    def of(self, product: str) -> list[_Call]:
+        return [call for call in self.calls if call.product == product]
+
+
+def run_probed(monkeypatch, tmp_path, probe, mode: str, workers: int, base_delay_ms: int) -> int:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"retry": {"base_delay_ms": base_delay_ms, "backoff_factor": 1.0}}))
+    monkeypatch.setattr("reviewlens.cli.ReplayBackend", lambda root: probe)
+    return run_cli(
+        "run", "--dataset", DATASET, "--fixtures", FIXTURES, "--mode", mode,
+        "--workers", str(workers), "--config", str(config), "--out", str(tmp_path / f"out-{workers}"),
+    )
+
+
+class TestRunWideCap:
+    """``--workers`` caps the calls in flight across the products of a run;
+    a later product runs only in a permit an earlier one lent while parked."""
+
+    @pytest.mark.parametrize("mode", ["full", "baseline", "ablated"])
+    def test_cap_holds_across_products(self, tmp_path, monkeypatch, products, mode):
+        owners, tails = prompt_owners(products, mode)
+        rng = random.Random(mode)
+        rng_lock = threading.Lock()
+
+        def jitter(product):
+            with rng_lock:
+                return rng.uniform(0, 0.002)
+
+        for workers in (1, 2, 3, 8, 16):
+            # Every product's last call fails once, so its backoff parks.
+            faults = {prompt: TransportError("blip") for prompt in tails.values()}
+            probe = ProbeBackend(owners, faults, jitter)
+            threads_before = threading.active_count()
+            assert run_probed(monkeypatch, tmp_path, probe, mode, workers, base_delay_ms=30) == 0
+            assert probe.peak_in_flight <= workers
+            assert probe.peak_threads <= threads_before + 2 * workers
+            for product_id in PRODUCT_IDS:
+                for name in ("report.json", "report.md"):
+                    written = (tmp_path / f"out-{workers}" / product_id / name).read_bytes()
+                    assert written == golden(mode, product_id, name)
+            # The second product ran in the permit the first one lent.
+            assert probe.of(PRODUCT_IDS[1])[0].start < probe.of(PRODUCT_IDS[0])[-1].start
+
+    def test_parked_grouping_lends_its_permit(self, tmp_path, monkeypatch, products):
+        owners, tails = prompt_owners(products, "full")
+        mixer, serum = PRODUCT_IDS[:2]
+        probe = ProbeBackend(
+            owners,
+            {tails[mixer]: TransportError("blip")},
+            lambda product: 0.05 if product == serum else 0.0,
+        )
+        assert run_probed(monkeypatch, tmp_path, probe, "full", 2, base_delay_ms=200) == 0
+        failed, retry = [call for call in probe.of(mixer) if call.prompt == tails[mixer]]
+        assert failed.failed and not retry.failed
+        deadline = failed.end + 0.2
+        serum_calls = probe.of(serum)
+        assert failed.end < serum_calls[0].start < deadline
+        assert products[1].reviews[0].text in serum_calls[0].prompt
+        # The grouping retry waits for at most one call issued after its
+        # deadline, though serum still had calls to make.
+        assert len([call for call in probe.calls if deadline <= call.start < retry.start]) <= 1
+        assert serum_calls[-1].start > retry.start
+
+    @pytest.mark.parametrize("fault", [RateLimitedError("slow down"), None], ids=["throttled", "clean"])
+    def test_no_lending_without_a_parked_request(self, tmp_path, monkeypatch, products, fault):
+        owners, tails = prompt_owners(products, "full")
+        mixer, serum = PRODUCT_IDS[:2]
+        probe = ProbeBackend(
+            owners,
+            {tails[mixer]: fault} if fault else {},
+            lambda product: 0.05 if product == serum else 0.0,
+        )
+        runs = []
+        inner = pipeline.run_product
+
+        def traced_run_product(product, *args, **kwargs):
+            started = time.monotonic()
+            try:
+                return inner(product, *args, **kwargs)
+            finally:
+                runs.append((product.product_id, threading.get_ident(), started, time.monotonic()))
+
+        monkeypatch.setattr(pipeline, "run_product", traced_run_product)
+        assert run_probed(monkeypatch, tmp_path, probe, "full", 2, base_delay_ms=200) == 0
+        assert len(probe.of(mixer)) == (18 if fault else 17)
+        assert probe.of(serum)[0].start >= max(call.end for call in probe.of(mixer))
+        # With nothing parked, each product starts once the one before it
+        # has finished, on the caller's thread.
+        assert tuple(run[0] for run in runs) == PRODUCT_IDS
+        assert {run[1] for run in runs} == {threading.get_ident()}
+        assert all(later[2] >= earlier[3] for earlier, later in zip(runs, runs[1:]))
 
 
 class TestRecordFixtures:

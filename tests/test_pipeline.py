@@ -15,6 +15,7 @@ from reviewlens.cache import DiskResponseCache
 from reviewlens.comparison import build_comparison_prompt
 from reviewlens.domain import ProductRecord, ComparisonStatus
 from reviewlens.errors import RateLimitedError, TransportError
+from reviewlens.extraction import build_extraction_prompt
 from reviewlens.gateway import ChatResponse, ReplayBackend, RetryPolicy, fingerprint
 from reviewlens.pipeline import (
     PipelineConfig,
@@ -25,6 +26,7 @@ from reviewlens.pipeline import (
     run_baseline,
     run_full,
     run_product,
+    run_products,
 )
 from reviewlens.structuring import ReportFormat, render_report
 from reviewlens.testing import (
@@ -444,23 +446,30 @@ class TestBackoffScheduling:
 
 
 class FaultyBackend:
-    """Fails each planned request once, by user prompt, with its planned
-    kind, and records the peak of calls in flight and of live threads."""
+    """Fails each planned request once, or on every attempt if
+    ``permanent``, by user prompt, with its planned kind, and records the
+    calls made and the peak of calls in flight and of live threads."""
 
-    def __init__(self, inner, plan: dict[str, str]):
+    def __init__(self, inner, plan: dict[str, str], *, permanent: bool = False):
         self.inner = inner
         self._plan = dict(plan)
+        self._permanent = permanent
         self._lock = threading.Lock()
         self._in_flight = 0
+        self.calls = 0
         self.peak_in_flight = 0
         self.peak_threads = 0
 
     def complete(self, request, credential=None):
         with self._lock:
+            self.calls += 1
             self._in_flight += 1
             self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
             self.peak_threads = max(self.peak_threads, threading.active_count())
-            kind = self._plan.pop(request.user_prompt, None)
+            if self._permanent:
+                kind = self._plan.get(request.user_prompt)
+            else:
+                kind = self._plan.pop(request.user_prompt, None)
         try:
             if kind == "transport":
                 raise TransportError("injected")
@@ -536,6 +545,80 @@ class TestTransientFaultProperty:
                 assert result.report.call_stats.retries == len(faults)
         finally:
             sys.setswitchinterval(previous)
+
+
+class TestPermanentFaultProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_permanent_faults_fail_exactly_their_reviews(self, products, canned_config, data):
+        """Requests that fail on every attempt, through ``run_products``: the
+        reviews hit are the failed units and each report is a clean run
+        over the rest; a failed grouping call puts every key in "Other"."""
+        model = CannedReviewModel.from_config(products, canned_config)
+        all_other = CannedReviewModel.from_config(
+            products, {**canned_config, "categories": {}, "default_category": "Other"}
+        )
+        # (product, "<review id>/<stage>" or "grouping") -> its user prompt;
+        # the grouping prompt depends on the reviews left, so comes later.
+        units = {}
+        defaults = PipelineConfig()
+        for product in products:
+            clean = run_full(product, config_for(PipelineMode.FULL, workers=1), model)
+            units[(product.product_id, "grouping")] = None
+            for review in product.reviews:
+                extraction = build_extraction_prompt(review, product.title, model=defaults.extraction_model)
+                units[(product.product_id, f"{review.review_id}/extraction")] = extraction.user_prompt
+                if attributes := clean.extractions[review.review_id]:
+                    comparison = build_comparison_prompt(
+                        list(attributes), product.seller_description, model=defaults.comparison_model
+                    )
+                    units[(product.product_id, f"{review.review_id}/comparison")] = comparison.user_prompt
+        hits = data.draw(
+            st.dictionaries(
+                st.sampled_from(sorted(units)),
+                st.sampled_from(["transport", "rate_limited", "malformed"]),
+                max_size=4,
+            ),
+            label="faults",
+        )
+        plan = {units[unit]: kind for unit, kind in hits.items() if unit[1] != "grouping"}
+        expected = []
+        for product in products:
+            # A review is hit when one of its requests is: two reviews with
+            # the same extraction send one comparison request.
+            failed = tuple(
+                r.review_id
+                for r in product.reviews
+                if any(
+                    units.get((product.product_id, f"{r.review_id}/{stage}")) in plan
+                    for stage in ("extraction", "comparison")
+                )
+            )
+            rest = dataclasses.replace(
+                product, reviews=tuple(r for r in product.reviews if r.review_id not in failed)
+            )
+            grouping_hit = (product.product_id, "grouping") in hits
+            reference = RecordingBackend(all_other if grouping_hit else model, lambda r: r.user_prompt)
+            report = run_full(rest, config_for(PipelineMode.FULL, workers=1), reference).report
+            if grouping_hit:
+                grouping = [prompt for prompt in reference.calls if GROUPING_MARKER in prompt]
+                plan.update(dict.fromkeys(grouping, hits[(product.product_id, "grouping")]))
+                categories = {group.category for section in report.sections for group in section.groups}
+                assert categories <= {"Other"}
+            expected.append((failed, render_report(report, ReportFormat.JSON)))
+        policy = RetryPolicy(
+            max_attempts=3,
+            base_delay_ms=data.draw(st.integers(1, 5), label="base_delay_ms"),
+            backoff_factor=2.0,
+        )
+        for workers in (1, 2, 8):
+            backend = FaultyBackend(model, plan, permanent=True)
+            config = config_for(PipelineMode.FULL, workers=workers, retry=policy)
+            results = list(run_products(products, config, backend))
+            assert [(r.failed_units, render_report(r.report, ReportFormat.JSON)) for r in results] == expected
+            assert backend.peak_in_flight <= workers
+            stats = [r.report.call_stats for r in results]
+            assert backend.calls == sum(s.total_calls - s.cache_hits + s.retries for s in stats)
 
 
 class TestConfig:
