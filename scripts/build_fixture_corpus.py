@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build the bundled test corpus: dataset, canned-model script, replay
-fixtures for all three pipeline modes, golden report bytes, gold attribute
-sets, and annotation files.
+fixtures for all three pipeline modes (one compacted response-log segment),
+golden report bytes, gold attribute sets, and annotation files.
 
 The corpus is three fictional products (an appliance, a beauty product, an
 electronics product) with 7 to 9 single-line reviews each. The canned model
@@ -326,6 +326,7 @@ def build(root: Path) -> None:
         config = PipelineConfig(mode=mode, workers=4)
         for product in PRODUCTS:
             run_product(product, config, recorder)
+    recorder.close()  # compacts the fixtures into one segment, sorted by fingerprint
     replay = ReplayBackend(fixtures_dir)
     for mode in PipelineMode:
         config = PipelineConfig(mode=mode, workers=4)

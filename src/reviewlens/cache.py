@@ -1,39 +1,219 @@
-"""Content-addressed response cache.
+"""The response log: one append-only store for the response cache and the
+replay fixtures, keyed by request fingerprint.
 
-Entries live under a cache directory as one JSON file per request
-fingerprint, identical in layout to replay fixtures. There is no TTL: a
-fingerprint only ever maps to one logical answer, and prompt or model
-changes produce new fingerprints rather than stale hits.
+A store is a directory of segment files (``*.log``), a log-structured hash
+table after Bitcask (Sheehy & Smith, 2010). Each line is one entry::
+
+    <fingerprint> <checksum> <compact JSON {"model": ..., "text": ...}>
+
+where the checksum is the CRC-32 of the JSON as eight hex digits. An
+eviction appends a tombstone: the same line with ``null`` for the JSON.
+
+Opening a store reads every segment once, oldest first, into an in-memory
+keydir that maps a fingerprint to where its value lies (file, offset,
+length), never to the text; ``get`` reads the value with ``os.pread``. A
+later line wins and a tombstone deletes. A last line with no newline, torn
+by a crash, is skipped, so its request is a miss. A line whose fingerprint
+parses but whose checksum fails makes that fingerprint a miss with a
+diagnostic: corruption is a miss, never a crash.
+
+Each store instance appends to a segment of its own, created on its first
+``put`` and named ``<creation time in ns>-<pid>-<random>.log``, so names
+sort oldest first. Each line goes out in one unbuffered ``write`` under a
+lock: two processes sharing a directory never interleave, and a line is in
+the file, readable by any other process, once ``put`` returns. ``compact``
+rewrites the live entries, sorted by fingerprint, as the one segment
+``responses.log``, which sorts before all others; that is the layout of a
+fixture directory. A directory of ``<fingerprint>.json`` files, the layout
+before this log, reads as empty.
+
+There is no TTL: a fingerprint only ever maps to one logical answer, and
+prompt or model changes produce new fingerprints rather than stale hits.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import re
+import secrets
+import threading
+import time
+import weakref
+import zlib
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
-from .gateway import ChatResponse
-from .store import ResponseStore
+from .store import write_atomic
+
+COMPACTED_SEGMENT = "responses.log"
+
+_FINGERPRINT = re.compile(rb"[0-9a-f]{64}")
+_TOMBSTONE = b"null"
+# A line is "<64 hex> <8 hex> <value>\n": the value starts at this offset.
+_VALUE_AT = 74
+
+
+@dataclass(frozen=True, slots=True)
+class ChatResponse:
+    """One chat answer, as a backend returns it and the log stores it."""
+
+    text: str
+    model: str
+    latency_ms: int = 0
+
+    def __post_init__(self) -> None:
+        if self.latency_ms < 0:
+            raise ValueError("latency_ms must be >= 0")
+
+
+def _line(digest: str, value: bytes) -> bytes:
+    return b"%s %08x %s\n" % (digest.encode("ascii"), zlib.crc32(value), value)
+
+
+def _segments(root: Path) -> list[Path]:
+    """The segments under ``root``, oldest first, so that a later line wins:
+    a compacted segment, then the others in the creation order their names
+    give."""
+    try:
+        names = [name for name in os.listdir(root) if name.endswith(".log")]
+    except FileNotFoundError:
+        return []
+    names.sort(key=lambda name: (name != COMPACTED_SEGMENT, name))
+    return [root / name for name in names]
+
+
+def _close_all(fds: list[int]) -> None:
+    for fd in fds:
+        os.close(fd)
+    fds.clear()
 
 
 class DiskResponseCache:
-    """Cache keyed by request fingerprint, tolerant of corrupt entries."""
+    """An append-only response log, tolerant of torn and corrupt lines."""
 
-    def __init__(self, cache_dir: Path | str):
-        self._store = ResponseStore(cache_dir)
+    def __init__(self, path: Path | str):
+        self.root = Path(path)
+        # Fingerprint -> (fd, offset, length) of its value, or the problem
+        # that makes it a miss.
+        self._keydir: dict[str, tuple[int, int, int] | str] = {}
+        self._fds: list[int] = []
+        self._closer = weakref.finalize(self, _close_all, self._fds)
+        self._lock = threading.Lock()
+        self._segment: int | None = None  # this instance's own, once created
+        self._size = 0
+        self.segments: list[Path] = []
+        for segment in _segments(self.root):
+            try:
+                fd = os.open(segment, os.O_RDONLY)
+            except FileNotFoundError:
+                continue  # compacted away since the listing
+            self._fds.append(fd)
+            self.segments.append(segment)
+            self._scan(fd, segment.name)
+
+    def _scan(self, fd: int, name: str) -> None:
+        offset = 0
+        with open(fd, "rb", closefd=False) as handle:
+            for line in handle:
+                if line.endswith(b"\n"):
+                    self._index(line, fd, offset, name)
+                offset += len(line)
+
+    def _index(self, line: bytes, fd: int, offset: int, name: str) -> None:
+        if line[64:65] != b" " or not _FINGERPRINT.fullmatch(line, 0, 64):
+            return  # no fingerprint to charge the damage to
+        digest = line[:64].decode("ascii")
+        value = line[_VALUE_AT:-1]
+        if line[73:74] != b" " or line[65:73] != b"%08x" % zlib.crc32(value):
+            self._keydir[digest] = f"corrupt entry {digest[:16]}... in {name}: checksum mismatch"
+        elif value == _TOMBSTONE:
+            self._keydir.pop(digest, None)
+        else:
+            self._keydir[digest] = (fd, offset + _VALUE_AT, len(value))
+
+    def __iter__(self) -> Iterator[str]:
+        """The fingerprints of the live entries."""
+        return iter([digest for digest, entry in self._keydir.items() if not isinstance(entry, str)])
+
+    def load(self, digest: str) -> tuple[ChatResponse | None, str | None]:
+        """Return (response, problem). No entry: (None, None). A corrupt or
+        unreadable entry: (None, <description>)."""
+        entry = self._keydir.get(digest)
+        if entry is None or isinstance(entry, str):
+            return None, entry
+        fd, offset, length = entry
+        try:
+            payload = json.loads(os.pread(fd, length, offset))
+        except (OSError, ValueError) as exc:
+            return None, f"unreadable entry {digest[:16]}...: {exc}"
+        if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
+            return None, f"corrupt entry {digest[:16]}...: expected an object with a 'text' string"
+        return ChatResponse(text=payload["text"], model=str(payload.get("model", "")), latency_ms=0), None
 
     def get(self, digest: str, *, diagnostics: list[str] | None = None) -> ChatResponse | None:
-        payload, problem = self._store.load(digest)
+        response, problem = self.load(digest)
         if problem is not None:
             # Corruption is a miss, never a crash; the caller re-fetches.
             if diagnostics is not None:
                 diagnostics.append(f"cache: {problem}; treated as miss")
-            self._store.evict(digest)
-            return None
-        if payload is None:
-            return None
-        return ChatResponse(text=payload["text"], model=str(payload.get("model", "")), latency_ms=0)
+            self.evict(digest)
+        return response
 
     def put(self, digest: str, response: ChatResponse) -> None:
-        self._store.save(digest, {"text": response.text, "model": response.model})
+        # ASCII-escaped, so that any text, a lone surrogate included, encodes.
+        value = json.dumps({"model": response.model, "text": response.text}, separators=(",", ":"))
+        self._append(digest, value.encode("ascii"))
 
     def evict(self, digest: str) -> None:
-        self._store.evict(digest)
+        if digest in self._keydir:
+            self._append(digest, _TOMBSTONE)
+
+    def _append(self, digest: str, value: bytes) -> None:
+        line = _line(digest, value)
+        with self._lock:
+            if self._segment is None:
+                self.root.mkdir(parents=True, exist_ok=True)
+                path = self.root / f"{time.time_ns():020d}-{os.getpid()}-{secrets.token_hex(4)}.log"
+                self._segment = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644)
+                self._fds.append(self._segment)
+                self.segments.append(path)
+            offset = self._size
+            written = os.write(self._segment, line)
+            self._size += written
+            if written != len(line):
+                raise OSError(f"short write to {self.segments[-1]}: {written} of {len(line)} bytes")
+            if value == _TOMBSTONE:
+                self._keydir.pop(digest, None)
+            else:
+                self._keydir[digest] = (self._segment, offset + _VALUE_AT, len(value))
+
+    def compact(self) -> None:
+        """Rewrite the live entries, sorted by fingerprint, as the one
+        segment ``responses.log``, remove the other segments this store
+        read or wrote, and close the store."""
+        lines = []
+        for digest in sorted(self):
+            fd, offset, length = self._keydir[digest]
+            lines.append(_line(digest, os.pread(fd, length, offset)))
+        target = self.root / COMPACTED_SEGMENT
+        self.root.mkdir(parents=True, exist_ok=True)
+        write_atomic(target, b"".join(lines))
+        for path in self.segments:
+            if path != target:
+                path.unlink(missing_ok=True)
+        self.close()
+
+    def close(self) -> None:
+        """Close the segment files; the store is empty from here on."""
+        with self._lock:
+            self._keydir.clear()
+            self._segment = None
+            self._closer()
+
+    def __enter__(self) -> "DiskResponseCache":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

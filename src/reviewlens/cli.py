@@ -14,12 +14,12 @@ logged, or written to any output file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 from typing import Any, Iterable, NoReturn, Sequence
 
-from .cache import DiskResponseCache
 from .domain import (
     ProductRecord,
     StructuredReport,
@@ -237,27 +237,28 @@ def _execute_run(
 ) -> int:
     config = _load_config(args)
     products = _select_products(args.dataset, args.product)
-    cache = DiskResponseCache(config.cache_dir) if config.cache_dir else None
     formats = _report_formats(args.format)
-    results = run_products(products, config, gateway, credential=credential, cache=cache)
     any_failures = False
-    # Each product is written as soon as it and every earlier one are done.
-    for product, result in zip(products, results):
-        if args.out is not None:
-            _write_outputs(args.out, product, config, result, formats, backend_label)
-        stats = result.report.call_stats
-        line = (
-            f"{product.product_id}: mode={config.mode.value} calls={stats.total_calls}"
-            f" (extraction={stats.extraction_calls} comparison={stats.comparison_calls}"
-            f" grouping={stats.grouping_calls} cache_hits={stats.cache_hits}"
-            f" retries={stats.retries})"
-        )
-        if result.failed_units:
-            any_failures = True
-            line += f" failed_units={list(result.failed_units)}"
-        print(line)
-        for note in result.diagnostics:
-            print(f"note: {product.product_id}: {note}", file=sys.stderr)
+    # The run opens the store at config.cache_dir once; closing the
+    # generator, on success or on a crash, closes the store.
+    with contextlib.closing(run_products(products, config, gateway, credential=credential)) as results:
+        # Each product is written as soon as it and every earlier one are done.
+        for product, result in zip(products, results):
+            if args.out is not None:
+                _write_outputs(args.out, product, config, result, formats, backend_label)
+            stats = result.report.call_stats
+            line = (
+                f"{product.product_id}: mode={config.mode.value} calls={stats.total_calls}"
+                f" (extraction={stats.extraction_calls} comparison={stats.comparison_calls}"
+                f" grouping={stats.grouping_calls} cache_hits={stats.cache_hits}"
+                f" retries={stats.retries})"
+            )
+            if result.failed_units:
+                any_failures = True
+                line += f" failed_units={list(result.failed_units)}"
+            print(line)
+            for note in result.diagnostics:
+                print(f"note: {product.product_id}: {note}", file=sys.stderr)
     return EXIT_FAILED_UNITS if any_failures else EXIT_OK
 
 
@@ -293,6 +294,7 @@ def cmd_record_fixtures(args: argparse.Namespace) -> int:
         code = _execute_run(args, gateway, "record", credential)
     finally:
         live.close()
+        gateway.close()  # compacts the fixture directory into one segment
     print(f"recorded {gateway.calls} fixture responses into {args.fixtures}")
     return code
 

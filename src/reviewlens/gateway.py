@@ -7,7 +7,9 @@ Responsibilities:
   * a stable content fingerprint identifying a request (the credential is
     deliberately outside the identity)
   * interchangeable backends: live HTTP, replay-from-fixtures, and a
-    recording wrapper that captures live traffic for later replay
+    recording wrapper that captures live traffic for later replay; both
+    fixture backends keep their responses in the response log of
+    ``cache.DiskResponseCache``, the store the response cache uses too
   * the request path every pipeline stage uses, one function per job:
     ``complete_parsed`` fingerprints the request once and builds one
     attempt; ``lookup_or_call`` is that attempt's cache-or-call;
@@ -41,8 +43,10 @@ from typing import Any, Callable, Mapping, Optional, Protocol, TypeVar, runtime_
 from urllib.parse import unquote, urlsplit
 
 from . import __version__
+from .cache import ChatResponse, DiskResponseCache
 from .errors import (
     AuthFailedError,
+    DataFormatError,
     ExhaustedRetriesError,
     GatewayError,
     MalformedOutputError,
@@ -50,7 +54,6 @@ from .errors import (
     RateLimitedError,
     TransportError,
 )
-from .store import ResponseStore
 
 T = TypeVar("T")
 
@@ -77,17 +80,6 @@ class ChatRequest:
             raise ValueError("model must be non-empty")
         if not 0.0 <= self.temperature <= 1.0:
             raise ValueError("temperature must be within [0.0, 1.0]")
-
-
-@dataclass(frozen=True, slots=True)
-class ChatResponse:
-    text: str
-    model: str
-    latency_ms: int = 0
-
-    def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be >= 0")
 
 
 def config_kwargs(cls: type, payload: Any, label: str) -> dict[str, Any]:
@@ -465,8 +457,15 @@ class ReplayBackend:
     network. A missing fixture is a test-setup error, not a retry case."""
 
     def __init__(self, fixtures_dir: Path | str):
-        self._store = ResponseStore(fixtures_dir)
+        self._store = DiskResponseCache(fixtures_dir)
         self._counter = CallCounter()
+        if not self._store.segments and any(Path(fixtures_dir).glob("*.json")):
+            self._store.close()
+            raise DataFormatError(
+                f"fixture directory {fixtures_dir} holds one JSON file per response, a layout "
+                "no longer read; re-record it with `reviewlens record-fixtures`, or rebuild the "
+                "bundled corpus with scripts/build_fixture_corpus.py"
+            )
 
     @property
     def calls(self) -> int:
@@ -475,31 +474,35 @@ class ReplayBackend:
     def complete(self, request: ChatRequest, credential: ApiCredential | None = None) -> ChatResponse:
         self._counter.bump()
         digest = fingerprint(request)
-        payload, problem = self._store.load(digest)
-        if payload is None:
+        response, problem = self._store.load(digest)
+        if response is None:
             detail = problem or "no recorded response"
             raise NoFixtureError(
                 f"{detail} for fingerprint {digest[:16]}... (model {request.model})"
             )
-        return ChatResponse(text=payload["text"], model=str(payload.get("model", request.model)), latency_ms=0)
+        return response
 
 
 class RecordingBackend:
-    """Pass-through wrapper that captures every live response as a fixture."""
+    """Pass-through wrapper that captures every live response as a fixture.
+    ``close`` compacts the fixture directory into its one segment."""
 
     def __init__(self, inner: ChatBackend, fixtures_dir: Path | str):
         self.inner = inner
-        self._store = ResponseStore(fixtures_dir)
+        self._store = DiskResponseCache(fixtures_dir)
         self._counter = CallCounter()
 
     @property
     def calls(self) -> int:
         return self._counter.calls
 
+    def close(self) -> None:
+        self._store.compact()
+
     def complete(self, request: ChatRequest, credential: ApiCredential | None = None) -> ChatResponse:
         self._counter.bump()
         response = self.inner.complete(request, credential)
-        self._store.save(fingerprint(request), {"text": response.text, "model": response.model})
+        self._store.put(fingerprint(request), response)
         return response
 
 

@@ -328,10 +328,13 @@ class _Runtime:
         try:
             self._drain()
         finally:
-            with self._lock:
-                self._queue.clear()
+            self.drop_queued()
             for helper in helpers:
                 helper.join()
+
+    def drop_queued(self) -> None:
+        with self._lock:
+            self._queue.clear()
 
     def _next_task(self) -> Callable[[], None] | None:
         with self._lock:
@@ -398,6 +401,20 @@ class _Runtime:
         )
 
 
+@contextlib.contextmanager
+def _cache_for(
+    config: PipelineConfig, cache: DiskResponseCache | None
+) -> Iterator[DiskResponseCache | None]:
+    """``cache``, else the store at ``config.cache_dir`` (if any), opened
+    here and closed on exit."""
+    if cache is not None or config.cache_dir is None:
+        yield cache
+        return
+    with DiskResponseCache(config.cache_dir) as opened:
+        yield opened
+
+
+@contextlib.contextmanager
 def _make_runtime(
     config: PipelineConfig,
     gateway: ChatBackend,
@@ -405,12 +422,11 @@ def _make_runtime(
     cache: DiskResponseCache | None,
     permits: _PermitPool | None,
     rank: int,
-) -> _Runtime:
-    if cache is None and config.cache_dir is not None:
-        cache = DiskResponseCache(config.cache_dir)
+) -> Iterator[_Runtime]:
     if permits is None:
         permits = _PermitPool(config.workers)
-    return _Runtime(config, gateway, credential, cache, permits, rank)
+    with _cache_for(config, cache) as cache:
+        yield _Runtime(config, gateway, credential, cache, permits, rank)
 
 
 @dataclass(slots=True)
@@ -490,22 +506,28 @@ def _run_reviews(
 ) -> _Collected:
     """Run the per-review task through the runtime's queue and collect the
     outcomes in dataset order whatever the completion order. An exception
-    that is not a step failure is kept with its review, never raised inside
-    the request whose backoff ran it, and re-raised here, in dataset order,
-    once every review has run."""
+    that is not a step failure, a ``KeyboardInterrupt`` or ``SystemExit``
+    on a helper thread included, is kept with its review, never raised
+    inside the request whose backoff ran it, and re-raised here, in dataset
+    order, once the queue has drained. One that is not an ``Exception``
+    also drops the reviews not yet started."""
     reviews = product.reviews
-    results: list[_ReviewOutcome | Exception | None] = [None] * len(reviews)
+    results: list[_ReviewOutcome | BaseException | None] = [None] * len(reviews)
 
     def run(index: int) -> None:
         try:
             results[index] = task(reviews[index], product, runtime)
-        except Exception as exc:
+        except BaseException as exc:
             results[index] = exc
+            if not isinstance(exc, Exception):
+                runtime.drop_queued()
 
     runtime.run_queued([functools.partial(run, index) for index in range(len(reviews))])
     outcomes: list[_ReviewOutcome] = []
     for result in results:
-        if isinstance(result, Exception):
+        # The queue runs in dataset order, so a dropped review comes after
+        # the one that raised.
+        if isinstance(result, BaseException):
             raise result
         outcomes.append(result)
     return _Collected(
@@ -560,10 +582,10 @@ def run_full(
 ) -> PipelineResult:
     """The multi-step pipeline: per-review extract and compare, one grouping
     call, deterministic structuring."""
-    runtime = _make_runtime(config, gateway, credential, cache, permits, rank)
-    reviews = _run_reviews(product, runtime, _extract_and_compare)
-    compared = [item for outcome in reviews.succeeded for item in outcome.compared]
-    assignment = _assign_categories(compared, runtime, reviews.diagnostics)
+    with _make_runtime(config, gateway, credential, cache, permits, rank) as runtime:
+        reviews = _run_reviews(product, runtime, _extract_and_compare)
+        compared = [item for outcome in reviews.succeeded for item in outcome.compared]
+        assignment = _assign_categories(compared, runtime, reviews.diagnostics)
     report = build_report(
         merge_insights(compared),
         assignment,
@@ -679,9 +701,8 @@ def run_baseline(
     rank: int = 0,
 ) -> PipelineResult:
     """Single-call mode: the whole product in one prompt, one response."""
-    runtime = _make_runtime(config, gateway, credential, cache, permits, rank)
     if not product.reviews:
-        return PipelineResult(report=_empty_report(product, runtime.stats.snapshot()))
+        return PipelineResult(report=_empty_report(product, CallStats()))
     request = build_baseline_prompt(
         product,
         model=config.comparison_model,
@@ -689,7 +710,8 @@ def run_baseline(
         prompt_version=config.prompt_version,
     )
     notes: list[str] = []
-    report, unit_failed = _direct_report(request, product, runtime, notes)
+    with _make_runtime(config, gateway, credential, cache, permits, rank) as runtime:
+        report, unit_failed = _direct_report(request, product, runtime, notes)
     failed = product.review_ids if unit_failed else ()
     return PipelineResult(report=report, failed_units=failed, diagnostics=notes)
 
@@ -706,24 +728,24 @@ def run_ablated(
 ) -> PipelineResult:
     """Extraction plus one direct report call; no per-review comparison and
     no dedicated grouping call."""
-    runtime = _make_runtime(config, gateway, credential, cache, permits, rank)
-    reviews = _run_reviews(product, runtime, _extract)
-    attributes = [attr for outcome in reviews.succeeded for attr in outcome.attributes]
-    failed = reviews.failed
-    if attributes:
-        request = build_ablated_prompt(
-            product,
-            attributes,
-            model=config.comparison_model,
-            temperature=config.comparison_temperature,
-            prompt_version=config.prompt_version,
-        )
-        report, unit_failed = _direct_report(request, product, runtime, reviews.diagnostics)
-        if unit_failed:
-            # The terminal call covered every review, so the whole product failed.
-            failed = list(product.review_ids)
-    else:
-        report = _empty_report(product, runtime.stats.snapshot())
+    with _make_runtime(config, gateway, credential, cache, permits, rank) as runtime:
+        reviews = _run_reviews(product, runtime, _extract)
+        attributes = [attr for outcome in reviews.succeeded for attr in outcome.attributes]
+        failed = reviews.failed
+        if attributes:
+            request = build_ablated_prompt(
+                product,
+                attributes,
+                model=config.comparison_model,
+                temperature=config.comparison_temperature,
+                prompt_version=config.prompt_version,
+            )
+            report, unit_failed = _direct_report(request, product, runtime, reviews.diagnostics)
+            if unit_failed:
+                # The terminal call covered every review, so the whole product failed.
+                failed = list(product.review_ids)
+        else:
+            report = _empty_report(product, runtime.stats.snapshot())
     return PipelineResult(
         report=report,
         failed_units=tuple(failed),
@@ -770,7 +792,9 @@ def run_products(
     LLM calls in flight for the run. The earliest unfinished product runs
     on the caller's thread. The next one starts, on a thread of its own,
     only when the earlier one parks a request in a backoff, and gets a
-    permit only while the earlier one has a request parked.
+    permit only while the earlier one has a request parked. Without a
+    ``cache``, the run opens the store at ``config.cache_dir`` once, for
+    all its products.
     """
     lock = threading.Lock()
     lent: dict[int, Future[PipelineResult]] = {}
@@ -797,7 +821,7 @@ def run_products(
                 unstarted += 1
 
     permits = _PermitPool(config.workers, on_park=lend)
-    with ThreadPoolExecutor(max_workers=_PRODUCTS_IN_PROGRESS) as executor:
+    with _cache_for(config, cache) as cache, ThreadPoolExecutor(_PRODUCTS_IN_PROGRESS) as executor:
         try:
             for rank in range(len(products)):
                 with lock:

@@ -1,19 +1,16 @@
-"""Directory of fingerprint-keyed JSON payloads.
+"""Atomic file writes.
 
-Both the replay fixture corpus and the on-disk response cache use this exact
-layout: one ``<fingerprint>.json`` file per recorded response, holding
-``{"text": ..., "model": ...}``. Writes are atomic (temp file + rename) so
-concurrent workers can never observe a torn file.
+The CLI writes every report, manifest and extractions file through
+``write_atomic``, and compaction writes a fixture directory's one segment
+through it, so a crash never leaves a torn output file.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import secrets
 from pathlib import Path
-from typing import Any
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -29,45 +26,3 @@ def write_atomic(path: Path, data: bytes) -> None:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
-
-
-class ResponseStore:
-    """Low-level access to one fingerprint-keyed directory."""
-
-    def __init__(self, root: Path | str):
-        self.root = Path(root)
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / f"{fingerprint}.json"
-
-    def load(self, fingerprint: str) -> tuple[dict[str, Any] | None, str | None]:
-        """Return (payload, problem). Missing file: (None, None).
-        Unreadable or non-object content: (None, <description>).
-        """
-        path = self.path_for(fingerprint)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None, None
-        except OSError as exc:
-            return None, f"unreadable entry {path.name}: {exc}"
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            return None, f"corrupt entry {path.name}: {exc}"
-        if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
-            return None, f"corrupt entry {path.name}: expected an object with a 'text' string"
-        return payload, None
-
-    def save(self, fingerprint: str, payload: dict[str, Any]) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
-        target = self.path_for(fingerprint)
-        text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-        write_atomic(target, text.encode("utf-8"))
-        return target
-
-    def evict(self, fingerprint: str) -> None:
-        try:
-            self.path_for(fingerprint).unlink()
-        except FileNotFoundError:
-            pass

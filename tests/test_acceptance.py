@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from reviewlens.cache import DiskResponseCache
 from reviewlens.cli import CREDENTIAL_ENV_VAR, main
 from reviewlens.domain import (
     CategoryAssignment,
@@ -144,7 +145,8 @@ def test_05_single_review_failure_is_isolated(tmp_path, products_by_id, capsys):
     mixer = products_by_id["app-mixer-001"]
     review = next(r for r in mixer.reviews if r.review_id == "mix-r3")
     request = build_extraction_prompt(review, mixer.title, model="gemini-2.0-flash")
-    (fixtures_copy / f"{fingerprint(request)}.json").unlink()
+    with DiskResponseCache(fixtures_copy) as fixtures:
+        fixtures.evict(fingerprint(request))
 
     out = tmp_path / "out"
     code = main(

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import shutil
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from reviewlens import pipeline
+from reviewlens.cache import DiskResponseCache
 from reviewlens.cli import CREDENTIAL_ENV_VAR, main
 from reviewlens.errors import RateLimitedError, TransportError
 from reviewlens.evaluation import REFERENCE_CATEGORY_SCORES
@@ -195,7 +198,8 @@ class TestRunErrors:
         mixer = products_by_id["app-mixer-001"]
         review = next(r for r in mixer.reviews if r.review_id == "mix-r3")
         request = build_extraction_prompt(review, mixer.title, model="gemini-2.0-flash")
-        (fixtures_copy / f"{fingerprint(request)}.json").unlink()
+        with DiskResponseCache(fixtures_copy) as fixtures:
+            fixtures.evict(fingerprint(request))
 
         out = tmp_path / "out"
         code = run_cli(
@@ -248,7 +252,7 @@ class TestRunOutputs:
                 assert (out / product_id / name).read_bytes() == golden("full", product_id, name)
         assert not (out / "ele-buds-003").exists()
         assert not [path for path in tmp_path.rglob("*") if path.name.endswith(".tmp")]
-        cached = {path.stem for path in cache.glob("*.json")}
+        cached = set(DiskResponseCache(cache))
 
         called: list[str] = []
 
@@ -264,9 +268,73 @@ class TestRunOutputs:
         for product_id in PRODUCT_IDS:
             for name in ("report.json", "report.md"):
                 assert (out / product_id / name).read_bytes() == golden("full", product_id, name)
-        needed = {path.stem for path in cache.glob("*.json")}
+        needed = set(DiskResponseCache(cache))
         assert called and len(called) == len(set(called))
         assert set(called) == needed - cached
+
+
+    @staticmethod
+    def interrupt_after(calls: int):
+        """A ``fail_with`` that raises KeyboardInterrupt from backend call
+        ``calls + 1``, whichever thread makes it."""
+        made = itertools.count(1)
+        return lambda request: KeyboardInterrupt() if next(made) == calls + 1 else None
+
+    @staticmethod
+    def resume(argv, out, monkeypatch) -> list[str]:
+        """Rerun ``argv``, check the golden bytes, and return the
+        fingerprints the backend was called for."""
+        called: list[str] = []
+
+        def record(request):
+            called.append(fingerprint(request))
+            return None
+
+        monkeypatch.setattr(
+            "reviewlens.cli.ReplayBackend",
+            lambda root: SelectiveFailureBackend(ReplayBackend(root), fail_with=record),
+        )
+        assert run_cli(*argv) == 0
+        for product_id in PRODUCT_IDS:
+            for name in ("report.json", "report.md"):
+                assert (out / product_id / name).read_bytes() == golden("full", product_id, name)
+        assert len(called) == len(set(called))
+        return called
+
+    def interrupted_run(self, tmp_path, monkeypatch, calls: int) -> tuple[list[str], Path, Path]:
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        argv = [
+            "run", "--dataset", DATASET, "--fixtures", FIXTURES, "--mode", "full",
+            "--out", str(out), "--cache-dir", str(cache),
+        ]
+        interrupt = self.interrupt_after(calls)
+        monkeypatch.setattr(
+            "reviewlens.cli.ReplayBackend",
+            lambda root: SelectiveFailureBackend(ReplayBackend(root), fail_with=interrupt),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*argv)
+        return argv, out, cache
+
+    @pytest.mark.parametrize("calls", [0, 9, 17, 30])
+    def test_interrupt_after_k_calls_resumes_from_cache(self, tmp_path, monkeypatch, calls):
+        argv, out, cache = self.interrupted_run(tmp_path, monkeypatch, calls)
+        cached = set(DiskResponseCache(cache))
+        called = self.resume(argv, out, monkeypatch)
+        # Exactly the requests with no complete line in the log.
+        assert set(called) == set(DiskResponseCache(cache)) - cached
+
+    def test_torn_last_line_after_an_interrupt_is_reissued(self, tmp_path, monkeypatch):
+        argv, out, cache = self.interrupted_run(tmp_path, monkeypatch, 10)
+        cached = set(DiskResponseCache(cache))
+        (segment,) = cache.glob("*.log")
+        data = segment.read_bytes()
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        torn = data[last : last + 64].decode("ascii")
+        segment.write_bytes(data[: (last + len(data)) // 2])
+        called = self.resume(argv, out, monkeypatch)
+        assert torn in cached and torn in called
+        assert set(called) == (set(DiskResponseCache(cache)) - cached) | {torn}
 
 
 @dataclass
@@ -441,7 +509,7 @@ class TestRecordFixtures:
         )
         assert code == 0
         assert "recorded" in capsys.readouterr().out
-        assert list(fixtures.glob("*.json"))
+        assert list(DiskResponseCache(fixtures))
         assert session.closed
 
         out = tmp_path / "out"

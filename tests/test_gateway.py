@@ -199,9 +199,12 @@ class TestRecordReplay:
             replay.complete(REQ)
 
     def test_fixture_file_layout(self, tmp_path):
-        RecordingBackend(ScriptedBackend(["text body"]), tmp_path).complete(REQ)
-        path = tmp_path / f"{fingerprint(REQ)}.json"
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        recorder = RecordingBackend(ScriptedBackend(["text body"]), tmp_path)
+        recorder.complete(REQ)
+        recorder.close()
+        assert [path.name for path in tmp_path.iterdir()] == ["responses.log"]
+        response = DiskResponseCache(tmp_path).get(fingerprint(REQ))
+        payload = {"text": response.text, "model": response.model}
         assert payload == {"text": "text body", "model": "test-model"}
 
 
@@ -264,9 +267,12 @@ class TestLookupOrCall:
         assert stats.cache_hits == 1
 
     def test_corrupt_entry_is_miss_with_diagnostic(self, tmp_path):
+        with DiskResponseCache(tmp_path) as earlier:
+            earlier.put(fingerprint(REQ), ChatResponse(text="not json at all", model="m"))
+        (segment,) = tmp_path.glob("*.log")
+        # The line's checksum no longer matches.
+        segment.write_bytes(segment.read_bytes().replace(b"not json", b"not JSON"))
         cache = DiskResponseCache(tmp_path)
-        cache_path = tmp_path / f"{fingerprint(REQ)}.json"
-        cache_path.write_text("not json at all", encoding="utf-8")
         backend = ScriptedBackend(["fresh"])
         notes: list[str] = []
         response = lookup_or_call(REQ, fingerprint(REQ), backend, cache, diagnostics=notes)
@@ -274,7 +280,7 @@ class TestLookupOrCall:
         assert backend.calls == 1
         assert any("cache" in note for note in notes)
         # The bad entry was replaced by the fresh response.
-        assert json.loads(cache_path.read_text(encoding="utf-8"))["text"] == "fresh"
+        assert DiskResponseCache(tmp_path).get(fingerprint(REQ)).text == "fresh"
 
 
 class TestCompleteParsed:

@@ -445,6 +445,29 @@ class TestBackoffScheduling:
         )
 
 
+class TestInterrupts:
+    def test_interrupt_on_a_helper_thread_reaches_the_caller(self, products_by_id):
+        """A KeyboardInterrupt on a helper thread is kept with its review and
+        re-raised on the caller's thread, never lost with the thread."""
+        interrupt = KeyboardInterrupt()
+        raised: list[BaseException] = []
+        lock = threading.Lock()
+
+        def interrupt_off_main(request):
+            with lock:
+                if raised or threading.current_thread() is threading.main_thread():
+                    return None
+                raised.append(interrupt)
+                return interrupt
+
+        # The jitter keeps the caller's thread from draining every review alone.
+        backend = SelectiveFailureBackend(JitterBackend(fresh_replay(), seed=1), fail_with=interrupt_off_main)
+        config = config_for(PipelineMode.FULL, workers=2)
+        with pytest.raises(KeyboardInterrupt) as info:
+            run_product(products_by_id["app-mixer-001"], config, backend)
+        assert info.value is interrupt
+
+
 class FaultyBackend:
     """Fails each planned request once, or on every attempt if
     ``permanent``, by user prompt, with its planned kind, and records the
