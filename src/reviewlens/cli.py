@@ -299,25 +299,29 @@ def cmd_record_fixtures(args: argparse.Namespace) -> int:
     return code
 
 
+def _read_json(path: Path) -> Any:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
 def _load_run_dir(run_dir: Path) -> dict[str, dict[str, Any]]:
-    """Per-product payloads from one run directory: manifest, report, and
-    extractions when present."""
+    """Per-product payloads from one run directory: its directory, manifest,
+    report, and extractions when present."""
     if not run_dir.is_dir():
         raise DataFormatError(f"run directory {run_dir} does not exist")
     out: dict[str, dict[str, Any]] = {}
     for manifest_path in sorted(run_dir.glob("*/manifest.json")):
         product_dir = manifest_path.parent
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataFormatError(f"cannot read {manifest_path}: {exc}") from exc
-        entry: dict[str, Any] = {"manifest": manifest}
-        report_path = product_dir / "report.json"
-        if report_path.is_file():
-            entry["report"] = json.loads(report_path.read_text(encoding="utf-8"))
-        extractions_path = product_dir / "extractions.json"
-        if extractions_path.is_file():
-            entry["extractions"] = json.loads(extractions_path.read_text(encoding="utf-8"))
+        manifest = _read_json(manifest_path)
+        if not isinstance(manifest, dict):
+            raise DataFormatError(f"{manifest_path}: expected a JSON object")
+        entry: dict[str, Any] = {"dir": product_dir, "manifest": manifest}
+        for name in ("report", "extractions"):
+            path = product_dir / f"{name}.json"
+            if path.is_file():
+                entry[name] = _read_json(path)
         out[product_dir.name] = entry
     if not out:
         raise DataFormatError(f"run directory {run_dir} holds no product manifests")
@@ -325,11 +329,15 @@ def _load_run_dir(run_dir: Path) -> dict[str, dict[str, Any]]:
 
 
 def _predicted_pairs(entry: dict[str, Any]) -> dict[str, set[tuple[str, str]]]:
-    extractions = entry.get("extractions", {}).get("extractions", {})
-    return {
-        review_id: {(row["attribute"], row["value"]) for row in rows}
-        for review_id, rows in extractions.items()
-    }
+    try:
+        return {
+            review_id: {(row["attribute"], row["value"]) for row in rows}
+            for review_id, rows in entry["extractions"].get("extractions", {}).items()
+        }
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise DataFormatError(
+            f"{entry['dir'] / 'extractions.json'}: invalid extractions: {exc!r}"
+        ) from exc
 
 
 def _category_metrics_rows(
@@ -415,7 +423,10 @@ def _mode_comparison(
         entry = by_mode[mode][product_id]
         if "report" not in entry:
             raise DataFormatError(f"{mode} run for {product_id} lacks report.json")
-        return StructuredReport.from_dict(entry["report"])
+        try:
+            return StructuredReport.from_dict(entry["report"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{entry['dir'] / 'report.json'}: invalid report: {exc!r}") from exc
 
     annotations = [
         annotation

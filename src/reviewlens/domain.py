@@ -232,15 +232,6 @@ class ExtractedAttribute:
             "raw_attribute": self.raw_key,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ExtractedAttribute":
-        return cls(
-            key=str(payload["attribute"]),
-            value=str(payload["value"]),
-            review_id=str(payload["review_id"]),
-            raw_key=str(payload.get("raw_attribute", "")),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ComparedAttribute:
@@ -249,21 +240,6 @@ class ComparedAttribute:
     attribute: ExtractedAttribute
     status: ComparisonStatus
     justification: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "attribute": self.attribute.to_dict(),
-            "status": render_status(self.status),
-            "justification": self.justification,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ComparedAttribute":
-        return cls(
-            attribute=ExtractedAttribute.from_dict(payload["attribute"]),
-            status=parse_status(payload["status"]),
-            justification=str(payload.get("justification", "")),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,13 +256,6 @@ class CategoryAssignment:
 
     def category_for(self, key: AttributeKey) -> str:
         return self.mapping.get(key, OTHER_CATEGORY)
-
-    def to_dict(self) -> dict[str, str]:
-        return {key: self.mapping[key] for key in sorted(self.mapping)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, str]) -> "CategoryAssignment":
-        return cls(mapping=dict(payload))
 
 
 @dataclass(frozen=True, slots=True)
@@ -420,9 +389,6 @@ class StructuredReport:
         statuses = tuple(section.status for section in self.sections)
         if statuses != REPORT_STATUS_ORDER:
             raise ValueError("report sections must cover all four statuses in fixed order")
-
-    def section(self, status: ComparisonStatus) -> ReportSection:
-        return self.sections[REPORT_STATUS_ORDER.index(status)]
 
     def iter_insights(self) -> Iterable[Insight]:
         for section in self.sections:

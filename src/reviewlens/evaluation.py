@@ -130,18 +130,6 @@ class ErrorAnnotation:
                 f"{self.step.value} rubric {sorted(allowed)}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "product_id": self.product_id,
-            "step": self.step.value,
-            "error_category": self.error_category,
-        }
-        if self.review_id is not None:
-            payload["review_id"] = self.review_id
-        if self.note:
-            payload["note"] = self.note
-        return payload
-
 
 @dataclass(frozen=True, slots=True)
 class CriterionAnnotation:
@@ -158,16 +146,6 @@ class CriterionAnnotation:
         if self.criterion not in CRITERIA:
             raise DataFormatError(f"criterion {self.criterion!r} is not one of {CRITERIA}")
 
-    def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "product_id": self.product_id,
-            "mode": self.mode,
-            "criterion": self.criterion,
-        }
-        if self.note:
-            payload["note"] = self.note
-        return payload
-
 
 @dataclass(frozen=True, slots=True)
 class CategoryMetrics:
@@ -180,9 +158,6 @@ class CategoryMetrics:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise OutOfRangeError(f"{name} must lie in [0, 1], got {value!r}")
-
-    def to_dict(self) -> dict[str, float]:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,18 +1,26 @@
 """Orchestration: full, baseline, and ablated runs over one product.
 
-The full mode chains extraction into comparison per review, joins once for
-the single grouping call, then assembles the report deterministically. With
-R productive reviews and a cold cache that is R extraction calls, R
-comparison calls, and one grouping call: 2R + 1.
-The baseline mode spends exactly one call on the whole product; the ablated
-mode spends R extraction calls plus one direct report call. Every one of
-those requests goes through ``_Runtime.call``, which counts it once, when
-it is issued, and resolves it through the gateway's single retry loop.
+``run_product`` is the one runner. A table gives each mode a per-review
+task and one closing call:
+
+- full: extract then compare each review, then one grouping call over the
+  compared keys (2R + 1 calls for R productive reviews on a cold cache);
+- ablated: extract each review, then one direct report call over the
+  extracted attributes (R + 1);
+- baseline: no per-review task, one direct report call over the reviews'
+  text (1).
+
+The runner opens the runtime (the run's permit pool and cache, or private
+ones), runs the task over the reviews, makes the closing call holding a
+permit, and builds the report once. The closing call is counted under
+``grouping_calls`` in every mode, and none is made when there is nothing to
+ask. Every request goes through ``_Runtime.call``, which counts it once,
+when it is issued, and resolves it through the gateway's single retry loop.
 
 ``workers`` caps the LLM calls in flight for a whole run: it is the number
 of permits in one ``_PermitPool``, and a thread holds a permit while it
-runs its product's work (the per-review drain loop, or the grouping or
-direct-report call). A product's per-review tasks wait in one queue,
+runs its product's work (the per-review drain loop, or the closing
+call). A product's per-review tasks wait in one queue,
 drained by ``workers`` threads at most, the caller's included. A task whose
 request backs off after a transport error or malformed output runs the
 queue's next tasks on its own thread until the backoff has passed. Helping
@@ -27,8 +35,14 @@ output with nothing left in its product's queue. Parking lends the permit
 for the rest of the wait; every other backoff, a throttled one included,
 sleeps holding it. The later product hands the permit back before its
 next request once the earlier one waits for it. A direct call of
-``run_product`` and the mode runners gets a private pool of ``workers``
-permits.
+``run_product`` gets a private pool of ``workers`` permits.
+
+With a cache, a request identical to one that another thread of the same
+product is resolving waits for it, holding its permit, and then reads the
+answer from the cache, so a cold cached run sends each request once.
+Requests of other products are never waited for: a later product's request
+may have handed its permit to the earlier one, and would then wait for it
+in turn.
 
 Scheduling never leaks into results: per-review outcomes are collected in
 dataset order regardless of completion order, so report bytes are identical
@@ -59,6 +73,7 @@ from .domain import (
     CategoryAssignment,
     ComparedAttribute,
     ExtractedAttribute,
+    Insight,
     OTHER_CATEGORY,
     ProductRecord,
     Review,
@@ -92,9 +107,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "StatsRecorder",
-    "run_full",
-    "run_baseline",
-    "run_ablated",
     "run_product",
     "run_products",
     "build_baseline_prompt",
@@ -310,6 +322,9 @@ class _Runtime:
     # The product's queued per-review tasks, and which threads are running
     # one inside a backoff.
     _queue: collections.deque[Callable[[], None]] = field(default_factory=collections.deque)
+    # With a cache, the requests this product's threads are resolving.
+    _resolving: set[ChatRequest] = field(default_factory=set)
+    _resolved: threading.Condition = field(default_factory=threading.Condition)
     _lock: threading.Lock = field(default_factory=threading.Lock)
     _local: threading.local = field(default_factory=threading.local)
 
@@ -341,12 +356,9 @@ class _Runtime:
             return self._queue.popleft() if self._queue else None
 
     def _drain(self) -> None:
-        with self.holding():
+        with self.permits.holding(self.rank):
             while (task := self._next_task()) is not None:
                 task()
-
-    def holding(self) -> contextlib.AbstractContextManager[None]:
-        return self.permits.holding(self.rank)
 
     def idle(self, seconds: float) -> None:
         """Spend a backoff of ``seconds``: run queued tasks until it has
@@ -386,8 +398,29 @@ class _Runtime:
     ) -> T:
         """Resolve one stage request into parsed output. The logical request
         is counted under ``counter`` when it is issued, whatever its outcome,
-        so backend calls = requests - cache hits + retries on every path."""
+        so backend calls = requests - cache hits + retries on every path.
+
+        With a cache, a request identical to one another thread of this
+        product is resolving waits, holding its permit, until that one is
+        done, and then reads the answer from the cache as a hit; if that one
+        failed, this one is resolved afresh. A task run inside a backoff does
+        not wait, as its thread is itself resolving a request."""
         self.stats.record(counter)
+        if self.cache is None or getattr(self._local, "helping", False):
+            return self._resolve(request, parser, notes)
+        with self._resolved:
+            self._resolved.wait_for(lambda: request not in self._resolving)
+            self._resolving.add(request)
+        try:
+            return self._resolve(request, parser, notes)
+        finally:
+            with self._resolved:
+                self._resolving.remove(request)
+                self._resolved.notify_all()
+
+    def _resolve(
+        self, request: ChatRequest, parser: Callable[[str, list[str]], T], notes: list[str]
+    ) -> T:
         return complete_parsed(
             request,
             parser,
@@ -412,21 +445,6 @@ def _cache_for(
         return
     with DiskResponseCache(config.cache_dir) as opened:
         yield opened
-
-
-@contextlib.contextmanager
-def _make_runtime(
-    config: PipelineConfig,
-    gateway: ChatBackend,
-    credential: ApiCredential | None,
-    cache: DiskResponseCache | None,
-    permits: _PermitPool | None,
-    rank: int,
-) -> Iterator[_Runtime]:
-    if permits is None:
-        permits = _PermitPool(config.workers)
-    with _cache_for(config, cache) as cache:
-        yield _Runtime(config, gateway, credential, cache, permits, rank)
 
 
 @dataclass(slots=True)
@@ -502,7 +520,7 @@ class _Collected:
 def _run_reviews(
     product: ProductRecord,
     runtime: _Runtime,
-    task: Callable[[Review, ProductRecord, _Runtime], _ReviewOutcome],
+    task: Callable[[Review, ProductRecord, _Runtime], _ReviewOutcome] | None,
 ) -> _Collected:
     """Run the per-review task through the runtime's queue and collect the
     outcomes in dataset order whatever the completion order. An exception
@@ -510,7 +528,10 @@ def _run_reviews(
     on a helper thread included, is kept with its review, never raised
     inside the request whose backoff ran it, and re-raised here, in dataset
     order, once the queue has drained. One that is not an ``Exception``
-    also drops the reviews not yet started."""
+    also drops the reviews not yet started. With no task (the baseline)
+    there is nothing to collect and no permit is taken."""
+    if task is None:
+        return _Collected([], [], [], {})
     reviews = product.reviews
     results: list[_ReviewOutcome | BaseException | None] = [None] * len(reviews)
 
@@ -538,66 +559,47 @@ def _run_reviews(
     )
 
 
-def _assign_categories(
-    compared: list[ComparedAttribute], runtime: _Runtime, notes: list[str]
-) -> CategoryAssignment:
+def _closing_call(
+    runtime: _Runtime,
+    request: ChatRequest,
+    parser: Callable[[str, list[str]], T],
+    notes: list[str],
+) -> T:
+    """A mode's one closing call, made holding a permit. It is the
+    product's "+1", counted as grouping in every mode."""
+    with runtime.permits.holding(runtime.rank):
+        return runtime.call("grouping_calls", request, parser, notes)
+
+
+def _group(
+    product: ProductRecord, reviews: _Collected, runtime: _Runtime
+) -> tuple[list[Insight], CategoryAssignment]:
+    """The full mode's closing call: one grouping call over the compared
+    attributes' keys. If it fails permanently, every key goes to "Other"."""
+    compared = [item for outcome in reviews.succeeded for item in outcome.compared]
     keys = collect_unique_keys(compared)
-    if not keys:
-        return CategoryAssignment()
-    config = runtime.config
-    request = build_grouping_prompt(
-        keys,
-        model=config.grouping_model,
-        temperature=config.grouping_temperature,
-        prompt_version=config.prompt_version,
-    )
-    try:
-        with runtime.holding():
-            return runtime.call(
-                "grouping_calls",
+    assignment = CategoryAssignment()
+    if keys:
+        config = runtime.config
+        request = build_grouping_prompt(
+            keys,
+            model=config.grouping_model,
+            temperature=config.grouping_temperature,
+            prompt_version=config.prompt_version,
+        )
+        try:
+            assignment = _closing_call(
+                runtime,
                 request,
                 lambda text, scratch: parse_grouping_response(text, keys, diagnostics=scratch),
-                notes,
+                reviews.diagnostics,
             )
-    except _STEP_FAILURES as exc:
-        notes.append(
-            f"grouping failed permanently; every attribute assigned {OTHER_CATEGORY!r}: {exc}"
-        )
-        return CategoryAssignment(mapping={key: OTHER_CATEGORY for key in keys})
-
-
-def _empty_report(product: ProductRecord, stats: CallStats) -> StructuredReport:
-    return build_report([], CategoryAssignment(), product_id=product.product_id, stats=stats)
-
-
-def run_full(
-    product: ProductRecord,
-    config: PipelineConfig,
-    gateway: ChatBackend,
-    *,
-    credential: ApiCredential | None = None,
-    cache: DiskResponseCache | None = None,
-    permits: _PermitPool | None = None,
-    rank: int = 0,
-) -> PipelineResult:
-    """The multi-step pipeline: per-review extract and compare, one grouping
-    call, deterministic structuring."""
-    with _make_runtime(config, gateway, credential, cache, permits, rank) as runtime:
-        reviews = _run_reviews(product, runtime, _extract_and_compare)
-        compared = [item for outcome in reviews.succeeded for item in outcome.compared]
-        assignment = _assign_categories(compared, runtime, reviews.diagnostics)
-    report = build_report(
-        merge_insights(compared),
-        assignment,
-        product_id=product.product_id,
-        stats=runtime.stats.snapshot(),
-    )
-    return PipelineResult(
-        report=report,
-        failed_units=tuple(reviews.failed),
-        diagnostics=tuple(reviews.diagnostics),
-        extractions=reviews.extractions,
-    )
+        except _STEP_FAILURES as exc:
+            reviews.diagnostics.append(
+                f"grouping failed permanently; every attribute assigned {OTHER_CATEGORY!r}: {exc}"
+            )
+            assignment = CategoryAssignment(mapping={key: OTHER_CATEGORY for key in keys})
+    return merge_insights(compared), assignment
 
 
 def build_baseline_prompt(
@@ -655,103 +657,58 @@ def build_ablated_prompt(
 
 
 def _direct_report(
-    request: ChatRequest,
-    product: ProductRecord,
-    runtime: _Runtime,
-    notes: list[str],
-) -> tuple[StructuredReport, bool]:
-    """Resolve a whole-report request. Returns (report, unit_failed).
+    product: ProductRecord, reviews: _Collected, runtime: _Runtime
+) -> tuple[list[Insight], CategoryAssignment]:
+    """The baseline and ablated closing call: ask for the whole report, over
+    the reviews' text (baseline) or the extracted attributes (ablated).
 
     Unparseable output after retries degrades to an empty report with a
-    diagnostic; transport-level exhaustion marks the unit failed.
+    diagnostic; transport-level exhaustion fails every review, as the call
+    covered them all.
     """
+    config = runtime.config
+    options = dict(
+        model=config.comparison_model,
+        temperature=config.comparison_temperature,
+        prompt_version=config.prompt_version,
+    )
+    if config.mode is PipelineMode.BASELINE:
+        request = build_baseline_prompt(product, **options) if product.reviews else None
+    else:
+        attributes = [attr for outcome in reviews.succeeded for attr in outcome.attributes]
+        request = build_ablated_prompt(product, attributes, **options) if attributes else None
+    if request is None:
+        return [], CategoryAssignment()
     try:
-        # The direct report call is the run's "+1", counted as grouping.
-        with runtime.holding():
-            insights, assignment = runtime.call(
-                "grouping_calls",
-                request,
-                lambda text, scratch: parse_report_sections(text, product.review_ids, diagnostics=scratch),
-                notes,
-            )
+        return _closing_call(
+            runtime,
+            request,
+            lambda text, scratch: parse_report_sections(text, product.review_ids, diagnostics=scratch),
+            reviews.diagnostics,
+        )
     except _STEP_FAILURES as exc:
         malformed = isinstance(exc, MalformedOutputError) or (
             isinstance(exc, ExhaustedRetriesError)
             and isinstance(exc.last_error, MalformedOutputError)
         )
         if malformed:
-            notes.append(f"report payload unusable after retries; emitting empty report: {exc}")
-        else:
-            notes.append(f"direct report call failed permanently: {exc}")
-        return _empty_report(product, runtime.stats.snapshot()), not malformed
-    report = build_report(
-        insights, assignment, product_id=product.product_id, stats=runtime.stats.snapshot()
-    )
-    return report, False
-
-
-def run_baseline(
-    product: ProductRecord,
-    config: PipelineConfig,
-    gateway: ChatBackend,
-    *,
-    credential: ApiCredential | None = None,
-    cache: DiskResponseCache | None = None,
-    permits: _PermitPool | None = None,
-    rank: int = 0,
-) -> PipelineResult:
-    """Single-call mode: the whole product in one prompt, one response."""
-    if not product.reviews:
-        return PipelineResult(report=_empty_report(product, CallStats()))
-    request = build_baseline_prompt(
-        product,
-        model=config.comparison_model,
-        temperature=config.comparison_temperature,
-        prompt_version=config.prompt_version,
-    )
-    notes: list[str] = []
-    with _make_runtime(config, gateway, credential, cache, permits, rank) as runtime:
-        report, unit_failed = _direct_report(request, product, runtime, notes)
-    failed = product.review_ids if unit_failed else ()
-    return PipelineResult(report=report, failed_units=failed, diagnostics=notes)
-
-
-def run_ablated(
-    product: ProductRecord,
-    config: PipelineConfig,
-    gateway: ChatBackend,
-    *,
-    credential: ApiCredential | None = None,
-    cache: DiskResponseCache | None = None,
-    permits: _PermitPool | None = None,
-    rank: int = 0,
-) -> PipelineResult:
-    """Extraction plus one direct report call; no per-review comparison and
-    no dedicated grouping call."""
-    with _make_runtime(config, gateway, credential, cache, permits, rank) as runtime:
-        reviews = _run_reviews(product, runtime, _extract)
-        attributes = [attr for outcome in reviews.succeeded for attr in outcome.attributes]
-        failed = reviews.failed
-        if attributes:
-            request = build_ablated_prompt(
-                product,
-                attributes,
-                model=config.comparison_model,
-                temperature=config.comparison_temperature,
-                prompt_version=config.prompt_version,
+            reviews.diagnostics.append(
+                f"report payload unusable after retries; emitting empty report: {exc}"
             )
-            report, unit_failed = _direct_report(request, product, runtime, reviews.diagnostics)
-            if unit_failed:
-                # The terminal call covered every review, so the whole product failed.
-                failed = list(product.review_ids)
         else:
-            report = _empty_report(product, runtime.stats.snapshot())
-    return PipelineResult(
-        report=report,
-        failed_units=tuple(failed),
-        diagnostics=tuple(reviews.diagnostics),
-        extractions=reviews.extractions,
-    )
+            reviews.diagnostics.append(f"direct report call failed permanently: {exc}")
+            reviews.failed = list(product.review_ids)
+        return [], CategoryAssignment()
+
+
+# Each mode's per-review task (the baseline has none) and its closing call,
+# which returns the report's insights and categories. A closing call adds its
+# notes to the collected diagnostics, and may fail every review.
+_MODES = {
+    PipelineMode.FULL: (_extract_and_compare, _group),
+    PipelineMode.ABLATED: (_extract, _direct_report),
+    PipelineMode.BASELINE: (None, _direct_report),
+}
 
 
 def run_product(
@@ -764,16 +721,26 @@ def run_product(
     permits: _PermitPool | None = None,
     rank: int = 0,
 ) -> PipelineResult:
-    """Dispatch on the configured mode. ``permits`` and ``rank`` place the
-    product in a run of ``run_products``; without them it has a private
-    pool of ``config.workers`` permits."""
-    runner = {
-        PipelineMode.FULL: run_full,
-        PipelineMode.BASELINE: run_baseline,
-        PipelineMode.ABLATED: run_ablated,
-    }[config.mode]
-    return runner(
-        product, config, gateway, credential=credential, cache=cache, permits=permits, rank=rank
+    """Run one product in the configured mode: the mode's per-review task
+    over the reviews, then its one closing call. ``permits`` and ``rank``
+    place the product in a run of ``run_products``; without them it has a
+    private pool of ``config.workers`` permits. Without a ``cache`` it opens
+    the store at ``config.cache_dir``, if any."""
+    task, close = _MODES[config.mode]
+    if permits is None:
+        permits = _PermitPool(config.workers)
+    with _cache_for(config, cache) as cache:
+        runtime = _Runtime(config, gateway, credential, cache, permits, rank)
+        reviews = _run_reviews(product, runtime, task)
+        insights, assignment = close(product, reviews, runtime)
+    report = build_report(
+        insights, assignment, product_id=product.product_id, stats=runtime.stats.snapshot()
+    )
+    return PipelineResult(
+        report=report,
+        failed_units=tuple(reviews.failed),
+        diagnostics=tuple(reviews.diagnostics),
+        extractions=reviews.extractions,
     )
 
 

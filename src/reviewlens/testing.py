@@ -359,10 +359,6 @@ class _FakeHttpResponse:
             raise self._payload
         return self._payload
 
-    @property
-    def text(self) -> str:
-        return json.dumps(self._payload, default=str)
-
 
 class FakeChatSession:
     """Offline stand-in for the session under ``HttpBackend``

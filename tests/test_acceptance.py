@@ -35,9 +35,6 @@ from reviewlens.gateway import ReplayBackend, fingerprint
 from reviewlens.pipeline import (
     PipelineConfig,
     PipelineMode,
-    run_ablated,
-    run_baseline,
-    run_full,
     run_product,
 )
 from reviewlens.structuring import ReportFormat, build_report, merge_insights, render_report
@@ -86,15 +83,15 @@ def test_02_call_count_identities_on_cold_cache(products_by_id):
     assert len(mixer.reviews) == 8
 
     full_backend = fresh_replay()
-    run_full(mixer, config_for(PipelineMode.FULL), full_backend)
+    run_product(mixer, config_for(PipelineMode.FULL), full_backend)
     assert full_backend.calls == 17
 
     ablated_backend = fresh_replay()
-    run_ablated(mixer, config_for(PipelineMode.ABLATED), ablated_backend)
+    run_product(mixer, config_for(PipelineMode.ABLATED), ablated_backend)
     assert ablated_backend.calls == 9
 
     baseline_backend = fresh_replay()
-    run_baseline(mixer, config_for(PipelineMode.BASELINE), baseline_backend)
+    run_product(mixer, config_for(PipelineMode.BASELINE), baseline_backend)
     assert baseline_backend.calls == 1
 
     elapsed = time.monotonic() - started
@@ -124,14 +121,14 @@ def test_04_report_bytes_stable_across_workers_and_orderings(products_by_id):
     started = time.monotonic()
     buds = products_by_id["ele-buds-003"]
     reference = render_report(
-        run_full(buds, config_for(PipelineMode.FULL, workers=1), fresh_replay()).report,
+        run_product(buds, config_for(PipelineMode.FULL, workers=1), fresh_replay()).report,
         ReportFormat.JSON,
     )
     worker_choices = (1, 2, 8)
     for seed in range(20):
         workers = worker_choices[seed % len(worker_choices)]
         backend = JitterBackend(fresh_replay(), seed=seed)
-        result = run_full(buds, config_for(PipelineMode.FULL, workers=workers), backend)
+        result = run_product(buds, config_for(PipelineMode.FULL, workers=workers), backend)
         rendered = render_report(result.report, ReportFormat.JSON)
         assert rendered == reference, f"bytes diverged at seed={seed} workers={workers}"
     elapsed = time.monotonic() - started

@@ -13,7 +13,7 @@ from pathlib import Path
 from reviewlens.cache import COMPACTED_SEGMENT, ChatResponse, DiskResponseCache
 from reviewlens.cli import main
 from reviewlens.gateway import RecordingBackend, ReplayBackend
-from reviewlens.pipeline import PipelineConfig, run_full
+from reviewlens.pipeline import PipelineConfig, run_product
 
 from conftest import TESTDATA
 
@@ -178,7 +178,7 @@ class TestResponseLog:
         # bud-r1 and bud-r8 send byte-identical comparison requests; with no
         # cache both reach the backend and are recorded.
         recorder = RecordingBackend(ReplayBackend(TESTDATA / "fixtures"), tmp_path)
-        run_full(products_by_id["ele-buds-003"], PipelineConfig(workers=1), recorder)
+        run_product(products_by_id["ele-buds-003"], PipelineConfig(workers=1), recorder)
         recorded = [line.split()[0] for line in only_segment(tmp_path).read_bytes().splitlines()]
         assert len(recorded) == recorder.calls == len(set(recorded)) + 1
         assert len(list(DiskResponseCache(tmp_path))) == len(set(recorded))

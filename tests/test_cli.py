@@ -628,6 +628,38 @@ class TestEval:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("report.json", lambda payload: "{not json"),
+            (
+                "extractions.json",
+                lambda payload: {
+                    "extractions": {
+                        rid: [{k: v for k, v in row.items() if k != "attribute"} for row in rows]
+                        for rid, rows in payload["extractions"].items()
+                    }
+                },
+            ),
+            ("manifest.json", lambda payload: [payload]),
+            ("report.json", lambda payload: {**payload, "sections": payload["sections"][1:]}),
+        ],
+        ids=["report-not-json", "row-without-attribute", "manifest-list", "report-three-sections"],
+    )
+    def test_malformed_run_file_names_it(self, run_dirs, capsys, name, corrupt):
+        path = run_dirs["full"] / "app-mixer-001" / name
+        corrupted = corrupt(json.loads(path.read_text()))
+        path.write_text(corrupted if isinstance(corrupted, str) else json.dumps(corrupted))
+        code = run_cli(
+            "eval",
+            "--runs", str(run_dirs["full"]), str(run_dirs["baseline"]), str(run_dirs["ablated"]),
+            "--gold", str(TESTDATA / "gold.json"),
+            "--criteria", str(TESTDATA / "criteria.jsonl"),
+            "--product", "app-mixer-001",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_nothing_requested(self, capsys):
         code = run_cli("eval")
         assert code == 1

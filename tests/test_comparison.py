@@ -16,7 +16,7 @@ from reviewlens.comparison import (
 from reviewlens.domain import ComparisonStatus, ExtractedAttribute, ProductRecord, Review
 from reviewlens.errors import MalformedOutputError, TransportError
 from reviewlens.gateway import ResponseFormat
-from reviewlens.pipeline import PipelineConfig, run_full
+from reviewlens.pipeline import PipelineConfig, run_product
 from reviewlens.testing import ScriptedBackend
 
 DESCRIPTION = "A 300 watt mixer with a 5-quart bowl."
@@ -175,7 +175,7 @@ class TestCompareReview:
         product = ProductRecord(
             "p4", "Mixer", "Kitchen", DESCRIPTION, reviews=(Review("r4", "Red, and it weighs 2 kg."),)
         )
-        return run_full(product, PipelineConfig(retry=fast_retry), backend)
+        return run_product(product, PipelineConfig(retry=fast_retry), backend)
 
     @staticmethod
     def _extracted(*pairs):

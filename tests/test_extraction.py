@@ -14,7 +14,7 @@ from reviewlens.extraction import (
     parse_extraction_response,
 )
 from reviewlens.gateway import ResponseFormat
-from reviewlens.pipeline import PipelineConfig, PipelineMode, run_ablated
+from reviewlens.pipeline import PipelineConfig, PipelineMode, run_product
 from reviewlens.testing import ScriptedBackend
 
 REVIEW = Review("r9", "The tray is bamboo and holds 2 liters.")
@@ -110,7 +110,7 @@ class TestExtractAttributes:
     @staticmethod
     def _run(backend, fast_retry):
         product = ProductRecord("p9", "T", "Misc", "A bamboo tray.", reviews=(REVIEW,))
-        return run_ablated(product, PipelineConfig(mode=PipelineMode.ABLATED, retry=fast_retry), backend)
+        return run_product(product, PipelineConfig(mode=PipelineMode.ABLATED, retry=fast_retry), backend)
 
     def test_success(self, fast_retry):
         backend = ScriptedBackend([

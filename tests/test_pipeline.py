@@ -22,9 +22,6 @@ from reviewlens.pipeline import (
     PipelineMode,
     build_baseline_prompt,
     build_run_manifest,
-    run_ablated,
-    run_baseline,
-    run_full,
     run_product,
     run_products,
 )
@@ -70,7 +67,7 @@ def assert_attempt_identity(backend, stats):
 class TestCallAccounting:
     def test_full_mode_mixer(self, products_by_id):
         backend = fresh_replay()
-        result = run_full(products_by_id["app-mixer-001"], config_for(PipelineMode.FULL), backend)
+        result = run_product(products_by_id["app-mixer-001"], config_for(PipelineMode.FULL), backend)
         assert result.failed_units == ()
         stats = result.report.call_stats
         assert backend.calls == 17
@@ -79,7 +76,7 @@ class TestCallAccounting:
 
     def test_full_mode_skips_comparison_for_empty_extraction(self, products_by_id):
         backend = fresh_replay()
-        result = run_full(products_by_id["bty-serum-002"], config_for(PipelineMode.FULL), backend)
+        result = run_product(products_by_id["bty-serum-002"], config_for(PipelineMode.FULL), backend)
         stats = result.report.call_stats
         assert backend.calls == 14
         assert (stats.extraction_calls, stats.comparison_calls, stats.grouping_calls) == (7, 6, 1)
@@ -88,13 +85,13 @@ class TestCallAccounting:
 
     def test_full_mode_buds(self, products_by_id):
         backend = fresh_replay()
-        result = run_full(products_by_id["ele-buds-003"], config_for(PipelineMode.FULL), backend)
+        result = run_product(products_by_id["ele-buds-003"], config_for(PipelineMode.FULL), backend)
         assert backend.calls == 19
         assert result.report.call_stats.extraction_calls == 9
 
     def test_ablated_mode(self, products_by_id):
         backend = fresh_replay()
-        result = run_ablated(
+        result = run_product(
             products_by_id["app-mixer-001"], config_for(PipelineMode.ABLATED), backend
         )
         stats = result.report.call_stats
@@ -104,7 +101,7 @@ class TestCallAccounting:
 
     def test_baseline_mode(self, products_by_id):
         backend = fresh_replay()
-        result = run_baseline(
+        result = run_product(
             products_by_id["app-mixer-001"], config_for(PipelineMode.BASELINE), backend
         )
         stats = result.report.call_stats
@@ -114,7 +111,7 @@ class TestCallAccounting:
 
     def test_permanently_failed_request_is_counted(self, products_by_id):
         backend = SelectiveFailureBackend(fresh_replay(), fail_with=fail_mix_r3)
-        result = run_full(products_by_id["app-mixer-001"], config_for(PipelineMode.FULL), backend)
+        result = run_product(products_by_id["app-mixer-001"], config_for(PipelineMode.FULL), backend)
         assert result.failed_units == ("mix-r3",)
         stats = result.report.call_stats
         assert backend.calls == 18
@@ -130,7 +127,7 @@ class TestCallAccounting:
         request = build_baseline_prompt(product, model=config.comparison_model)
         cache.put(fingerprint(request), ChatResponse(text="not json", model="m"))
         backend = ScriptedBackend([json.dumps({"sections": []})])
-        result = run_baseline(product, config, backend, cache=cache)
+        result = run_product(product, config, backend, cache=cache)
         assert result.failed_units == ()
         stats = result.report.call_stats
         assert (stats.total_calls, stats.cache_hits, stats.retries, backend.calls) == (1, 1, 1, 1)
@@ -143,11 +140,11 @@ class TestCaching:
         config = config_for(PipelineMode.FULL, cache_dir=tmp_path / "cache")
 
         cold_backend = fresh_replay()
-        cold = run_full(product, config, cold_backend)
+        cold = run_product(product, config, cold_backend)
         assert cold_backend.calls == 17
 
         warm_backend = fresh_replay()
-        warm = run_full(product, config, warm_backend)
+        warm = run_product(product, config, warm_backend)
         assert warm_backend.calls == 0
         assert warm.report.call_stats.cache_hits == 17
         for fmt in ReportFormat:
@@ -157,19 +154,66 @@ class TestCaching:
         product = products_by_id["app-mixer-001"]
         config = config_for(PipelineMode.ABLATED, cache_dir=tmp_path / "cache")
         first = fresh_replay()
-        run_ablated(product, config, first)
+        run_product(product, config, first)
         assert first.calls == 9
         second = fresh_replay()
-        warm = run_ablated(product, config, second)
+        warm = run_product(product, config, second)
         assert second.calls == 0
         assert warm.report.call_stats.cache_hits == 9
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+    def test_identical_request_in_flight_is_waited_for(self, products_by_id, tmp_path, cached):
+        # bud-r1 and bud-r8 send one byte-identical comparison request.
+        product = products_by_id["ele-buds-003"]
+        sent: list[str] = []
+        run_product(
+            product,
+            config_for(PipelineMode.FULL, workers=1),
+            SelectiveFailureBackend(fresh_replay(), fail_with=lambda r: sent.append(fingerprint(r))),
+        )
+        (shared,) = {digest for digest in sent if sent.count(digest) == 2}
+        arrivals: list[str] = []
+        second = threading.Event()
+
+        def hold_until_second(request):
+            """Hold the shared request until an identical one arrives or 1 s passes."""
+            if fingerprint(request) == shared:
+                arrivals.append(shared)
+                if len(arrivals) == 1:
+                    second.wait(1.0)
+                else:
+                    second.set()
+            return None
+
+        backend = SelectiveFailureBackend(fresh_replay(), fail_with=hold_until_second)
+        config = config_for(PipelineMode.FULL, cache_dir=tmp_path / "cache" if cached else None)
+        result = run_product(product, config, backend)
+        assert result.failed_units == ()
+        stats = result.report.call_stats
+        assert len(arrivals) == (1 if cached else 2)
+        assert stats.cache_hits == (1 if cached else 0)
+        assert backend.calls == (18 if cached else 19)
+        assert_attempt_identity(backend, stats)
+
+    def test_cold_cached_runs_send_each_request_once_under_stress(self, products_by_id, tmp_path):
+        product = products_by_id["ele-buds-003"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in range(200):
+                backend = fresh_replay()
+                config = config_for(PipelineMode.FULL, workers=8, cache_dir=tmp_path / str(run))
+                stats = run_product(product, config, backend).report.call_stats
+                assert (backend.calls, stats.cache_hits) == (18, 1), run
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDegradedModes:
     def test_extraction_failure_isolates_one_review(self, products_by_id):
         product = products_by_id["app-mixer-001"]
         backend = SelectiveFailureBackend(fresh_replay(), fail_with=fail_mix_r3)
-        result = run_full(product, config_for(PipelineMode.FULL), backend)
+        result = run_product(product, config_for(PipelineMode.FULL), backend)
         assert result.failed_units == ("mix-r3",)
         assert any("mix-r3" in note for note in result.diagnostics)
 
@@ -192,7 +236,7 @@ class TestDegradedModes:
             return None
 
         backend = SelectiveFailureBackend(fresh_replay(), fail_with=fail_grouping)
-        result = run_full(product, config_for(PipelineMode.FULL), backend)
+        result = run_product(product, config_for(PipelineMode.FULL), backend)
         assert result.failed_units == ()
         assert any("grouping" in note.lower() for note in result.diagnostics)
         categories = {
@@ -205,7 +249,7 @@ class TestDegradedModes:
     def test_baseline_malformed_yields_empty_report(self, products_by_id):
         product = products_by_id["app-mixer-001"]
         backend = ScriptedBackend(["certainly! here is prose, not JSON"] * 3)
-        result = run_baseline(product, config_for(PipelineMode.BASELINE), backend)
+        result = run_product(product, config_for(PipelineMode.BASELINE), backend)
         assert result.failed_units == ()
         assert all(section.groups == () for section in result.report.sections)
         assert result.diagnostics != ()
@@ -213,7 +257,7 @@ class TestDegradedModes:
     def test_baseline_transport_outage_fails_every_review(self, products_by_id):
         product = products_by_id["app-mixer-001"]
         backend = ScriptedBackend([TransportError("down")] * 3)
-        result = run_baseline(product, config_for(PipelineMode.BASELINE), backend)
+        result = run_product(product, config_for(PipelineMode.BASELINE), backend)
         assert result.failed_units == tuple(product.review_ids)
 
     def test_ablated_direct_call_outage_keeps_extractions(self, products_by_id):
@@ -225,7 +269,7 @@ class TestDegradedModes:
             return None
 
         backend = SelectiveFailureBackend(fresh_replay(), fail_with=fail_direct)
-        result = run_ablated(product, config_for(PipelineMode.ABLATED), backend)
+        result = run_product(product, config_for(PipelineMode.ABLATED), backend)
         assert result.failed_units == tuple(product.review_ids)
         assert len(result.extractions) == 8
 
@@ -240,7 +284,7 @@ class TestDegradedModes:
             return None
 
         backend = SelectiveFailureBackend(fresh_replay(), fail_with=fail_once)
-        result = run_full(product, config_for(PipelineMode.FULL), backend)
+        result = run_product(product, config_for(PipelineMode.FULL), backend)
         assert result.failed_units == ()
         assert result.report.call_stats.retries == 1
 
@@ -251,7 +295,7 @@ class TestEdgeCases:
             product_id="empty-1", title="Nothing", category="Misc", seller_description="d"
         )
         backend = ScriptedBackend([])
-        result = run_full(product, config_for(PipelineMode.FULL), backend)
+        result = run_product(product, config_for(PipelineMode.FULL), backend)
         assert backend.calls == 0
         assert result.report.call_stats.total_calls == 0
         assert all(section.groups == () for section in result.report.sections)
@@ -261,7 +305,7 @@ class TestEdgeCases:
             product_id="empty-1", title="Nothing", category="Misc", seller_description="d"
         )
         backend = ScriptedBackend([])
-        result = run_baseline(product, config_for(PipelineMode.BASELINE), backend)
+        result = run_product(product, config_for(PipelineMode.BASELINE), backend)
         assert backend.calls == 0
         assert result.failed_units == ()
 
@@ -283,7 +327,7 @@ class TestDeterminism:
         reference = None
         for workers in (1, 2, 8):
             backend = JitterBackend(fresh_replay(), seed=workers)
-            result = run_full(
+            result = run_product(
                 product, config_for(PipelineMode.FULL, workers=workers), backend
             )
             rendered = render_report(result.report, ReportFormat.JSON)
@@ -299,7 +343,7 @@ MIX_R2_TEXT = "Mine arrived in red, which looks great"
 def request_labeller(product: ProductRecord):
     """Names each request of a full run over ``product`` as
     "<review id>/<stage>" or "grouping"."""
-    clean = run_full(product, config_for(PipelineMode.FULL), fresh_replay())
+    clean = run_product(product, config_for(PipelineMode.FULL), fresh_replay())
     model = PipelineConfig().comparison_model
     comparisons = {
         build_comparison_prompt(list(attrs), product.seller_description, model=model).user_prompt: rid
@@ -366,7 +410,7 @@ class TestBackoffScheduling:
             retry=RetryPolicy(max_attempts=3, base_delay_ms=base_delay_ms, backoff_factor=1.0),
         )
         try:
-            return run_full(product, config, backend), backend.calls
+            return run_product(product, config, backend), backend.calls
         except RuntimeError as exc:
             return exc, backend.calls
 
@@ -514,7 +558,7 @@ class TestTransientFaultProperty:
         clean_backend = RecordingBackend(
             CannedReviewModel.from_config(products, canned_config), lambda r: r.user_prompt
         )
-        clean = run_full(product, config_for(PipelineMode.FULL, workers=1), clean_backend)
+        clean = run_product(product, config_for(PipelineMode.FULL, workers=1), clean_backend)
         plan = data.draw(
             st.dictionaries(
                 st.sampled_from(clean_backend.calls),
@@ -533,7 +577,7 @@ class TestTransientFaultProperty:
         for workers in (1, 2, 8):
             backend = FaultyBackend(CannedReviewModel.from_config(products, canned_config), plan)
             threads_before = threading.active_count()
-            result = run_full(
+            result = run_product(
                 product, config_for(PipelineMode.FULL, workers=workers, retry=policy), backend
             )
             assert render_report(result.report, ReportFormat.JSON) == expected
@@ -562,7 +606,7 @@ class TestTransientFaultProperty:
                     workers=8,
                     retry=RetryPolicy(max_attempts=3, base_delay_ms=1, backoff_factor=1.0),
                 )
-                result = run_full(product, config, backend)
+                result = run_product(product, config, backend)
                 assert render_report(result.report, ReportFormat.JSON) == expected
                 assert backend.calls == 19 + len(faults)
                 assert result.report.call_stats.retries == len(faults)
@@ -586,7 +630,7 @@ class TestPermanentFaultProperty:
         units = {}
         defaults = PipelineConfig()
         for product in products:
-            clean = run_full(product, config_for(PipelineMode.FULL, workers=1), model)
+            clean = run_product(product, config_for(PipelineMode.FULL, workers=1), model)
             units[(product.product_id, "grouping")] = None
             for review in product.reviews:
                 extraction = build_extraction_prompt(review, product.title, model=defaults.extraction_model)
@@ -622,7 +666,7 @@ class TestPermanentFaultProperty:
             )
             grouping_hit = (product.product_id, "grouping") in hits
             reference = RecordingBackend(all_other if grouping_hit else model, lambda r: r.user_prompt)
-            report = run_full(rest, config_for(PipelineMode.FULL, workers=1), reference).report
+            report = run_product(rest, config_for(PipelineMode.FULL, workers=1), reference).report
             if grouping_hit:
                 grouping = [prompt for prompt in reference.calls if GROUPING_MARKER in prompt]
                 plan.update(dict.fromkeys(grouping, hits[(product.product_id, "grouping")]))
@@ -689,7 +733,7 @@ class TestManifest:
         product = products_by_id["app-mixer-001"]
         backend = fresh_replay()
         config = config_for(PipelineMode.FULL)
-        result = run_full(product, config, backend)
+        result = run_product(product, config, backend)
         manifest = build_run_manifest(product, config, result, backend_label="replay")
         assert manifest["product_id"] == "app-mixer-001"
         assert manifest["mode"] == "full"
