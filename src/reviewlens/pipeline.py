@@ -19,23 +19,28 @@ when it is issued, and resolves it through the gateway's single retry loop.
 
 ``workers`` caps the LLM calls in flight for a whole run: it is the number
 of permits in one ``_PermitPool``, and a thread holds a permit while it
-runs its product's work (the per-review drain loop, or the closing
-call). A product's per-review tasks wait in one queue,
-drained by ``workers`` threads at most, the caller's included. A task whose
-request backs off after a transport error or malformed output runs the
-queue's next tasks on its own thread until the backoff has passed. Helping
-is one level deep: a task run inside a backoff sleeps through its own.
+runs its product's work (the per-review drain loop, or the closing call).
+A product's per-review tasks wait in one queue, drained by ``workers``
+threads at most, the product's own included. The last drain thread to run
+out of tasks keeps its permit for the closing call, so that call never
+queues behind a later product. A task whose request backs off after a
+transport error or malformed output runs the queue's next tasks on its own
+thread until the backoff has passed. Helping is one level deep: a task run
+inside a backoff sleeps through its own.
 
-``run_products`` runs the products one after another on the caller's
-thread, except that two may be in progress at once: when the earliest
-unfinished one parks a request, the next one starts on a thread of its
-own, and it gets a permit only while the earlier one has a request parked.
-A request parks when it backs off after a transport error or malformed
-output with nothing left in its product's queue. Parking lends the permit
-for the rest of the wait; every other backoff, a throttled one included,
-sleeps holding it. The later product hands the permit back before its
-next request once the earlier one waits for it. A direct call of
-``run_product`` gets a private pool of ``workers`` permits.
+``run_products`` runs each product on a thread of its own, two at most at
+once, and a free permit goes to the earliest product waiting for one, so a
+later product only fills the permits the earlier one cannot use: the first
+product starts at once, and the next one whenever a permit goes back with
+nobody waiting for it or a product finishes. A permit goes back at the end
+of a drain or of a closing call, and in a backoff after a transport error
+or malformed output with nothing left in its product's queue, which gives
+the permit back for the wait and takes one again after it. Every other
+backoff, a throttled one included, sleeps holding its permit. A later
+product hands its permit to an earlier one waiting for it before each
+backend call. A run that is stopping (an exception, or the caller closing
+it) starts no product, no queued review and no backend call. A direct call
+of ``run_product`` gets a private pool of ``workers`` permits.
 
 With a cache, a request identical to one that another thread of the same
 product is resolving waits for it, holding its permit, and then reads the
@@ -218,71 +223,62 @@ class PipelineResult:
 
 _STEP_FAILURES = (ExhaustedRetriesError, GatewayError, MalformedOutputError)
 
-# Products in progress at once in ``run_products``: a third could only get
-# a permit while both earlier ones are parked.
+# Products in progress at once in ``run_products``.
 _PRODUCTS_IN_PROGRESS = 2
+
+# How often the caller of ``run_products`` wakes while it waits for a
+# product, so that a KeyboardInterrupt that reaches the main thread without
+# waking it (``_thread.interrupt_main``, or a signal delivered to another
+# thread) surfaces within this many seconds. Each wake costs about 0.1 ms
+# of CPU on a 2-vCPU VM.
+_WAKE_S = 0.05
+
+
+class _Stopped(Exception):
+    """Raised in place of a backend call, and by a product, once the run
+    has stopped at or before the product's rank."""
 
 
 class _PermitPool:
     """The permits of one run, one per LLM call in flight, shared by the
-    products that run at once. A product is known by its rank, its position
-    in the dataset.
+    products in progress. A product is known by its rank, its position in
+    the dataset.
 
-    A free permit goes to the earliest waiting rank, first come first
-    served within a rank, and to a rank only while every earlier unfinished
-    one has a request parked. As that rule holds for a rank whenever it
-    holds for a later one, the head of the wait queue is the only candidate.
+    A free permit goes to the earliest waiting rank, whatever the earlier
+    ranks are doing, first come first served within a rank. A permit given
+    back with nobody waiting for it calls ``on_release``. The pool also
+    holds the run's stop: once ``stop(rank)`` is called, the products from
+    ``rank`` on start nothing new.
     """
 
-    def __init__(self, count: int, on_park: Callable[[], None] | None = None) -> None:
+    def __init__(self, count: int, on_release: Callable[[], None] | None = None) -> None:
         self._cond = threading.Condition()
-        self._on_park = on_park
+        self._on_release = on_release
         self._free = count
         self._waiting: list[tuple[int, int]] = []  # heap of (rank, ticket)
         self._tickets = itertools.count()
-        self._parked: collections.Counter[int] = collections.Counter()
-        self._unfinished: set[int] = set()
+        self._stop_rank: int | None = None
 
-    def start(self, rank: int) -> None:
+    def stop(self, rank: int) -> None:
         with self._cond:
-            self._unfinished.add(rank)
+            if self._stop_rank is None or rank < self._stop_rank:
+                self._stop_rank = rank
 
-    def finish(self, rank: int) -> None:
-        with self._cond:
-            self._unfinished.discard(rank)
-            self._cond.notify_all()
+    def stopped(self, rank: int) -> bool:
+        return self._stop_rank is not None and rank >= self._stop_rank
 
-    def lending(self) -> bool:
-        """Whether another product may start: fewer than
-        ``_PRODUCTS_IN_PROGRESS`` are unfinished, and each has a request
-        parked."""
-        with self._cond:
-            return 0 < len(self._unfinished) < _PRODUCTS_IN_PROGRESS and all(
-                self._parked[r] for r in self._unfinished
-            )
-
-    @contextlib.contextmanager
-    def holding(self, rank: int) -> Iterator[None]:
+    def acquire(self, rank: int) -> None:
         with self._cond:
             self._take(rank)
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._put_back()
 
-    def park(self, rank: int, seconds: float) -> None:
-        """Wait ``seconds`` holding no permit: a later product may take the
-        one this thread held. Then take a permit again."""
+    def release(self) -> None:
+        """Give a permit back. With nobody waiting for it, call
+        ``on_release``: the products in progress cannot use it now."""
         with self._cond:
-            self._parked[rank] += 1
             self._put_back()
-        if self._on_park is not None:
-            self._on_park()
-        time.sleep(seconds)
-        with self._cond:
-            self._parked[rank] -= 1
-            self._take(rank)
+            unwanted = not self._waiting
+        if unwanted and self._on_release is not None:
+            self._on_release()
 
     def hand_over(self, rank: int) -> None:
         """Give this thread's permit to an earlier product waiting for one,
@@ -299,11 +295,7 @@ class _PermitPool:
     def _take(self, rank: int) -> None:
         ticket = (rank, next(self._tickets))
         heapq.heappush(self._waiting, ticket)
-        self._cond.wait_for(
-            lambda: self._free > 0
-            and self._waiting[0] == ticket
-            and all(self._parked[r] for r in self._unfinished if r < rank)
-        )
+        self._cond.wait_for(lambda: self._free > 0 and self._waiting[0] == ticket)
         heapq.heappop(self._waiting)
         self._free -= 1
         # The next waiter may be due a permit too.
@@ -322,6 +314,10 @@ class _Runtime:
     # The product's queued per-review tasks, and which threads are running
     # one inside a backoff.
     _queue: collections.deque[Callable[[], None]] = field(default_factory=collections.deque)
+    # Drain threads created and not yet done, and whether the product holds
+    # a permit for its closing call.
+    _drains: int = 0
+    _holding: bool = False
     # With a cache, the requests this product's threads are resolving.
     _resolving: set[ChatRequest] = field(default_factory=set)
     _resolved: threading.Condition = field(default_factory=threading.Condition)
@@ -331,40 +327,61 @@ class _Runtime:
     def run_queued(self, tasks: list[Callable[[], None]]) -> None:
         """Run ``tasks`` on ``min(workers, len(tasks))`` threads, the caller's
         included, each holding a permit while it runs them, and return once
-        every task has finished. A task must not raise."""
+        every task has finished or the run has stopped. A task must not
+        raise."""
         with self._lock:
             self._queue.extend(tasks)
-        helpers = [
-            threading.Thread(target=self._drain)
-            for _ in range(min(self.config.workers, len(tasks)) - 1)
-        ]
+            self._drains = min(self.config.workers, len(tasks))
+        helpers = [threading.Thread(target=self._drain) for _ in range(self._drains - 1)]
         for helper in helpers:
             helper.start()
         try:
             self._drain()
         finally:
-            self.drop_queued()
+            with self._lock:
+                self._queue.clear()
             for helper in helpers:
                 helper.join()
 
-    def drop_queued(self) -> None:
-        with self._lock:
-            self._queue.clear()
-
     def _next_task(self) -> Callable[[], None] | None:
         with self._lock:
-            return self._queue.popleft() if self._queue else None
+            if self._queue and not self.permits.stopped(self.rank):
+                return self._queue.popleft()
+            return None
 
     def _drain(self) -> None:
-        with self.permits.holding(self.rank):
+        """Run queued tasks holding a permit. The product's last drain
+        thread to end keeps its permit for the closing call, so that call
+        never queues behind a later product."""
+        self.permits.acquire(self.rank)
+        try:
             while (task := self._next_task()) is not None:
                 task()
+        finally:
+            with self._lock:
+                self._drains -= 1
+                keep = self._holding = self._drains == 0
+            if not keep:
+                self.permits.release()
+
+    def hold(self) -> None:
+        """Hold a permit for the closing call: the one the last drain
+        thread kept, else a new one. ``let_go`` gives it back."""
+        if not self._holding:
+            self.permits.acquire(self.rank)
+            self._holding = True
+
+    def let_go(self) -> None:
+        if self._holding:
+            self._holding = False
+            self.permits.release()
 
     def idle(self, seconds: float) -> None:
         """Spend a backoff of ``seconds``: run queued tasks until it has
         passed, unless this thread is already inside one. Wait out what is
-        left holding the permit while tasks are still queued, else parked.
-        A task started here may end after the backoff has passed."""
+        left holding the permit while tasks are still queued, else give the
+        permit back for the wait and take one again after it. A task
+        started here may end after the backoff has passed."""
         deadline = time.monotonic() + seconds
         if not getattr(self._local, "helping", False):
             self._local.helping = True
@@ -381,12 +398,17 @@ class _Runtime:
         if queued:
             time.sleep(remaining)
         else:
-            self.permits.park(self.rank, remaining)
+            self.permits.release()
+            time.sleep(remaining)
+            self.permits.acquire(self.rank)
 
     def complete(self, request: ChatRequest, credential: ApiCredential | None = None) -> ChatResponse:
         """One backend call, made once an earlier product that waits for a
-        permit has been handed this thread's."""
+        permit has been handed this thread's, and never once the run has
+        stopped at this product."""
         self.permits.hand_over(self.rank)
+        if self.permits.stopped(self.rank):
+            raise _Stopped(f"run stopped before a backend call of product rank {self.rank}")
         return self.gateway.complete(request, credential)
 
     def call(
@@ -528,8 +550,10 @@ def _run_reviews(
     on a helper thread included, is kept with its review, never raised
     inside the request whose backoff ran it, and re-raised here, in dataset
     order, once the queue has drained. One that is not an ``Exception``
-    also drops the reviews not yet started. With no task (the baseline)
-    there is nothing to collect and no permit is taken."""
+    stops the run from this product on at once, which drops the reviews not
+    yet started. A product stopped by another raises ``_Stopped``. With no
+    task (the baseline) there is nothing to collect and no permit is
+    taken."""
     if task is None:
         return _Collected([], [], [], {})
     reviews = product.reviews
@@ -541,16 +565,17 @@ def _run_reviews(
         except BaseException as exc:
             results[index] = exc
             if not isinstance(exc, Exception):
-                runtime.drop_queued()
+                runtime.permits.stop(runtime.rank)
 
     runtime.run_queued([functools.partial(run, index) for index in range(len(reviews))])
-    outcomes: list[_ReviewOutcome] = []
-    for result in results:
+    raised = [r for r in results if isinstance(r, BaseException) and not isinstance(r, _Stopped)]
+    if raised:
         # The queue runs in dataset order, so a dropped review comes after
         # the one that raised.
-        if isinstance(result, BaseException):
-            raise result
-        outcomes.append(result)
+        raise raised[0]
+    if runtime.permits.stopped(runtime.rank):
+        raise _Stopped(f"run stopped before product rank {runtime.rank} finished its reviews")
+    outcomes = [r for r in results if isinstance(r, _ReviewOutcome)]
     return _Collected(
         succeeded=[o for o in outcomes if o.failed_stage is None],
         failed=[o.review_id for o in outcomes if o.failed_stage is not None],
@@ -565,10 +590,11 @@ def _closing_call(
     parser: Callable[[str, list[str]], T],
     notes: list[str],
 ) -> T:
-    """A mode's one closing call, made holding a permit. It is the
-    product's "+1", counted as grouping in every mode."""
-    with runtime.permits.holding(runtime.rank):
-        return runtime.call("grouping_calls", request, parser, notes)
+    """A mode's one closing call, made holding a permit that
+    ``run_product`` gives back. It is the product's "+1", counted as
+    grouping in every mode."""
+    runtime.hold()
+    return runtime.call("grouping_calls", request, parser, notes)
 
 
 def _group(
@@ -577,6 +603,8 @@ def _group(
     """The full mode's closing call: one grouping call over the compared
     attributes' keys. If it fails permanently, every key goes to "Other"."""
     compared = [item for outcome in reviews.succeeded for item in outcome.compared]
+    # Merged first, so the permit goes back as soon as the call returns.
+    insights = merge_insights(compared)
     keys = collect_unique_keys(compared)
     assignment = CategoryAssignment()
     if keys:
@@ -599,7 +627,7 @@ def _group(
                 f"grouping failed permanently; every attribute assigned {OTHER_CATEGORY!r}: {exc}"
             )
             assignment = CategoryAssignment(mapping={key: OTHER_CATEGORY for key in keys})
-    return merge_insights(compared), assignment
+    return insights, assignment
 
 
 def build_baseline_prompt(
@@ -731,8 +759,15 @@ def run_product(
         permits = _PermitPool(config.workers)
     with _cache_for(config, cache) as cache:
         runtime = _Runtime(config, gateway, credential, cache, permits, rank)
-        reviews = _run_reviews(product, runtime, task)
-        insights, assignment = close(product, reviews, runtime)
+        try:
+            reviews = _run_reviews(product, runtime, task)
+            insights, assignment = close(product, reviews, runtime)
+        except BaseException:
+            # Stop first, so the permit given back below starts nothing.
+            permits.stop(rank)
+            raise
+        finally:
+            runtime.let_go()
     report = build_report(
         insights, assignment, product_id=product.product_id, stats=runtime.stats.snapshot()
     )
@@ -756,52 +791,72 @@ def run_products(
     in dataset order, each once it and every earlier product have finished.
 
     All products share ``config.workers`` permits, so that is the cap on
-    LLM calls in flight for the run. The earliest unfinished product runs
-    on the caller's thread. The next one starts, on a thread of its own,
-    only when the earlier one parks a request in a backoff, and gets a
-    permit only while the earlier one has a request parked. Without a
-    ``cache``, the run opens the store at ``config.cache_dir`` once, for
-    all its products.
+    LLM calls in flight for the run, and a free permit goes to the earliest
+    product waiting for one. Products run on threads of their own, at most
+    ``_PRODUCTS_IN_PROGRESS`` at once, while the caller waits for the next
+    result. The first starts at once. The next one starts whenever a permit
+    goes back with nobody waiting for it (at the end of a drain or of a
+    closing call, or for the wait of a backoff) and whenever a product
+    finishes. Without a ``cache``, the run opens the store at
+    ``config.cache_dir`` once, for all its products.
+
+    A run that is stopping starts nothing new: no product, no queued review
+    and no backend call. An exception from a product stops the products
+    from it on; the earlier ones finish and are yielded, and then it is
+    raised. An exception in the caller's thread, or closing the generator,
+    stops every product. Either way the exception surfaces once the calls
+    in flight have returned.
     """
     lock = threading.Lock()
-    lent: dict[int, Future[PipelineResult]] = {}
+    started: dict[int, Future[PipelineResult]] = {}
+    in_progress = 0
     unstarted = 0  # the earliest product not started yet
 
     def run(rank: int) -> PipelineResult:
+        nonlocal in_progress
         try:
             return run_product(
                 products[rank], config, gateway,
                 credential=credential, cache=cache, permits=permits, rank=rank,
             )
         finally:
-            permits.finish(rank)
-            lend()
+            with lock:
+                in_progress -= 1
+            start_next()
 
-    def lend() -> None:
-        """Start the next product on a thread of its own if the products in
-        progress all have a request parked."""
-        nonlocal unstarted
+    def start_next() -> None:
+        nonlocal in_progress, unstarted
         with lock:
-            if unstarted < len(products) and permits.lending():
-                permits.start(unstarted)
-                lent[unstarted] = executor.submit(run, unstarted)
+            if (
+                unstarted < len(products)
+                and in_progress < _PRODUCTS_IN_PROGRESS
+                and not permits.stopped(unstarted)
+            ):
+                started[unstarted] = executor.submit(run, unstarted)
+                in_progress += 1
                 unstarted += 1
 
-    permits = _PermitPool(config.workers, on_park=lend)
+    permits = _PermitPool(config.workers, on_release=start_next)
     with _cache_for(config, cache) as cache, ThreadPoolExecutor(_PRODUCTS_IN_PROGRESS) as executor:
         try:
+            start_next()
             for rank in range(len(products)):
                 with lock:
-                    future = lent.pop(rank, None)
-                    if future is None:
-                        permits.start(rank)
-                        unstarted = rank + 1
-                # A product not started in a lent permit runs on this thread,
-                # so with no backoff the products run one after another.
-                yield run(rank) if future is None else future.result()
+                    future = started.pop(rank)
+                yield _result(future)
         finally:
             with lock:
-                unstarted = len(products)  # a closed run starts nothing more
+                permits.stop(0)
+
+
+def _result(future: Future[T]) -> T:
+    """``future.result()``, waiting in steps of ``_WAKE_S``."""
+    done = threading.Lock()
+    done.acquire()
+    future.add_done_callback(lambda _: done.release())
+    while not done.acquire(timeout=_WAKE_S):
+        pass
+    return future.result()
 
 
 def build_run_manifest(

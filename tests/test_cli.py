@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import _thread
 import itertools
 import json
 import random
@@ -404,6 +405,12 @@ class ProbeBackend:
         return [call for call in self.calls if call.product == product]
 
 
+def max_in_flight(calls) -> int:
+    """The most of ``calls`` in flight at one time."""
+    edges = sorted([(call.start, 1) for call in calls] + [(call.end, -1) for call in calls])
+    return max(itertools.accumulate(step for _, step in edges), default=0)
+
+
 def run_probed(monkeypatch, tmp_path, probe, mode: str, workers: int, base_delay_ms: int) -> int:
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"retry": {"base_delay_ms": base_delay_ms, "backoff_factor": 1.0}}))
@@ -416,7 +423,8 @@ def run_probed(monkeypatch, tmp_path, probe, mode: str, workers: int, base_delay
 
 class TestRunWideCap:
     """``--workers`` caps the calls in flight across the products of a run;
-    a later product runs only in a permit an earlier one lent while parked."""
+    a free permit goes to the earliest product waiting for one, so a later
+    product runs in the permits the earlier one cannot use."""
 
     @pytest.mark.parametrize("mode", ["full", "baseline", "ablated"])
     def test_cap_holds_across_products(self, tmp_path, monkeypatch, products, mode):
@@ -429,7 +437,7 @@ class TestRunWideCap:
                 return rng.uniform(0, 0.002)
 
         for workers in (1, 2, 3, 8, 16):
-            # Every product's last call fails once, so its backoff parks.
+            # Every product's last call fails once, so its backoff lends.
             faults = {prompt: TransportError("blip") for prompt in tails.values()}
             probe = ProbeBackend(owners, faults, jitter)
             threads_before = threading.active_count()
@@ -440,10 +448,10 @@ class TestRunWideCap:
                 for name in ("report.json", "report.md"):
                     written = (tmp_path / f"out-{workers}" / product_id / name).read_bytes()
                     assert written == golden(mode, product_id, name)
-            # The second product ran in the permit the first one lent.
+            # The second product ran in a permit the first one gave back.
             assert probe.of(PRODUCT_IDS[1])[0].start < probe.of(PRODUCT_IDS[0])[-1].start
 
-    def test_parked_grouping_lends_its_permit(self, tmp_path, monkeypatch, products):
+    def test_grouping_backoff_lends_its_permit(self, tmp_path, monkeypatch, products):
         owners, tails = prompt_owners(products, "full")
         mixer, serum = PRODUCT_IDS[:2]
         probe = ProbeBackend(
@@ -456,41 +464,174 @@ class TestRunWideCap:
         assert failed.failed and not retry.failed
         deadline = failed.end + 0.2
         serum_calls = probe.of(serum)
-        assert failed.end < serum_calls[0].start < deadline
-        assert products[1].reviews[0].text in serum_calls[0].prompt
+        # Serum ran on both permits while the grouping call backed off.
+        during = [call for call in serum_calls if failed.end < call.start < deadline]
+        assert any(a.start < b.start < a.end for a, b in itertools.combinations(during, 2))
         # The grouping retry waits for at most one call issued after its
         # deadline, though serum still had calls to make.
         assert len([call for call in probe.calls if deadline <= call.start < retry.start]) <= 1
         assert serum_calls[-1].start > retry.start
 
-    @pytest.mark.parametrize("fault", [RateLimitedError("slow down"), None], ids=["throttled", "clean"])
-    def test_no_lending_without_a_parked_request(self, tmp_path, monkeypatch, products, fault):
+    def test_throttled_backoff_keeps_its_permit(self, tmp_path, monkeypatch, products):
         owners, tails = prompt_owners(products, "full")
         mixer, serum = PRODUCT_IDS[:2]
+        workers = 2
         probe = ProbeBackend(
             owners,
-            {tails[mixer]: fault} if fault else {},
+            {tails[mixer]: RateLimitedError("slow down")},
             lambda product: 0.05 if product == serum else 0.0,
         )
-        runs = []
+        assert run_probed(monkeypatch, tmp_path, probe, "full", workers, base_delay_ms=200) == 0
+        assert len(probe.of(mixer)) == 18
+        throttled, retry = [call for call in probe.of(mixer) if call.prompt == tails[mixer]]
+        assert throttled.failed and not retry.failed
+        # While the grouping call sleeps after the 429, it holds its permit:
+        # the other calls in flight use the rest, and none is mixer's.
+        overlapping = [
+            call for call in probe.calls if call.start < retry.start and call.end > throttled.end
+        ]
+        assert overlapping and all(call.product != mixer for call in overlapping)
+        assert max_in_flight(overlapping) <= workers - 1
+
+    def test_rank_priority_and_the_kept_permit(self, tmp_path, monkeypatch, products):
+        owners, tails = prompt_owners(products, "full")
+        mixer, serum = PRODUCT_IDS[:2]
+        service_s = {mixer: 0.03, serum: 0.05}
+        probe = ProbeBackend(owners, {}, lambda product: service_s.get(product, 0.03))
+        finished = []
         inner = pipeline.run_product
 
         def traced_run_product(product, *args, **kwargs):
-            started = time.monotonic()
             try:
                 return inner(product, *args, **kwargs)
             finally:
-                runs.append((product.product_id, threading.get_ident(), started, time.monotonic()))
+                finished.append(product.product_id)
+
+        acquired = []
+        acquire = pipeline._PermitPool.acquire
+
+        def traced_acquire(pool, rank):
+            acquired.append(rank)
+            return acquire(pool, rank)
 
         monkeypatch.setattr(pipeline, "run_product", traced_run_product)
+        monkeypatch.setattr(pipeline._PermitPool, "acquire", traced_acquire)
         assert run_probed(monkeypatch, tmp_path, probe, "full", 2, base_delay_ms=200) == 0
-        assert len(probe.of(mixer)) == (18 if fault else 17)
-        assert probe.of(serum)[0].start >= max(call.end for call in probe.of(mixer))
-        # With nothing parked, each product starts once the one before it
-        # has finished, on the caller's thread.
-        assert tuple(run[0] for run in runs) == PRODUCT_IDS
-        assert {run[1] for run in runs} == {threading.get_ident()}
-        assert all(later[2] >= earlier[3] for earlier, later in zip(runs, runs[1:]))
+        # Mixer took a permit for each of its two drain threads and none for
+        # its grouping call: the last drain thread kept its own.
+        assert acquired.count(0) == 2
+        mixer_calls, serum_calls = probe.of(mixer), probe.of(serum)
+        (grouping,) = [call for call in mixer_calls if call.prompt == tails[mixer]]
+        assert grouping is mixer_calls[-1]
+        # Serum starts in mixer's tail, in the permit mixer's first drain
+        # thread to run out of reviews gave back.
+        assert serum_calls[0].start < grouping.end
+        # Mixer's last drain thread kept its permit for the grouping call,
+        # so serum never had both permits before that call was done.
+        before = [call for call in serum_calls if call.start < grouping.end]
+        assert max_in_flight(before) == 1
+        assert finished == list(PRODUCT_IDS)
+
+
+class TestStopping:
+    """A run that is stopping starts no product, no queued review and no
+    backend call, and the stop surfaces once the calls in flight have
+    returned."""
+
+    WORKERS = 2
+
+    def argv(self, tmp_path) -> list[str]:
+        return [
+            "run", "--dataset", DATASET, "--fixtures", FIXTURES, "--mode", "full",
+            "--workers", str(self.WORKERS), "--out", str(tmp_path / "out"),
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+
+    def resume(self, tmp_path, monkeypatch) -> None:
+        """A rerun on the same cache gives the golden bytes and calls the
+        backend once for each request missing from the cache."""
+        cache = tmp_path / "cache"
+        cached = set(DiskResponseCache(cache))
+        called = TestRunOutputs.resume(self.argv(tmp_path), tmp_path / "out", monkeypatch)
+        assert set(called) == set(DiskResponseCache(cache)) - cached
+
+    @pytest.mark.parametrize("calls", [5, 25])
+    def test_interrupt_main_starts_at_most_workers_calls(self, tmp_path, monkeypatch, calls):
+        lock = threading.Lock()
+        starts: list[float] = []
+        interrupted: list[float] = []
+
+        def interrupt_after_k(request):
+            with lock:
+                starts.append(time.monotonic())
+                if len(starts) == calls + 1:
+                    interrupted.append(starts[-1])
+                    _thread.interrupt_main()
+            # Twice as long as the caller may take to see the interrupt.
+            time.sleep(2 * pipeline._WAKE_S)
+            return None
+
+        monkeypatch.setattr(
+            "reviewlens.cli.ReplayBackend",
+            lambda root: SelectiveFailureBackend(ReplayBackend(root), fail_with=interrupt_after_k),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*self.argv(tmp_path))
+        (at,) = interrupted
+        assert len([start for start in starts if start > at]) <= self.WORKERS
+        self.resume(tmp_path, monkeypatch)
+
+    def test_error_in_a_later_product_lets_the_earlier_one_finish(self, tmp_path, monkeypatch, products):
+        owners, tails = prompt_owners(products, "full")
+        mixer, serum, buds = PRODUCT_IDS
+        probe = ProbeBackend(
+            owners, {tails[mixer]: TransportError("blip"), tails[serum]: RuntimeError("crash")}
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retry": {"base_delay_ms": 200, "backoff_factor": 1.0}}))
+        started = []
+        inner = pipeline.run_product
+
+        def traced_run_product(product, *args, **kwargs):
+            started.append(product.product_id)
+            return inner(product, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_product", traced_run_product)
+        monkeypatch.setattr("reviewlens.cli.ReplayBackend", lambda root: probe)
+        with pytest.raises(RuntimeError, match="crash"):
+            run_cli(*self.argv(tmp_path), "--config", str(config))
+        assert started == [mixer, serum]
+        (crash,) = [call for call in probe.of(serum) if call.failed]
+        retry = probe.of(mixer)[-1]
+        # Serum crashed while mixer's grouping call was backing off.
+        assert crash.end < retry.start and not retry.failed
+        for name in ("report.json", "report.md"):
+            assert (tmp_path / "out" / mixer / name).read_bytes() == golden("full", mixer, name)
+        assert not (tmp_path / "out" / serum).exists()
+        assert not (tmp_path / "out" / buds).exists() and not probe.of(buds)
+        self.resume(tmp_path, monkeypatch)
+
+    def test_error_in_the_earlier_product_stops_the_later_one(self, tmp_path, monkeypatch, products):
+        owners, tails = prompt_owners(products, "full")
+        mixer, serum, buds = PRODUCT_IDS
+        probe = ProbeBackend(
+            owners,
+            {tails[mixer]: RuntimeError("crash")},
+            lambda product: 0.03 if product == mixer else 0.05,
+        )
+        monkeypatch.setattr("reviewlens.cli.ReplayBackend", lambda root: probe)
+        with pytest.raises(RuntimeError, match="crash"):
+            run_cli(*self.argv(tmp_path))
+        (crash,) = [call for call in probe.calls if call.failed]
+        serum_calls = probe.of(serum)
+        # Serum was in progress when mixer's grouping call crashed, and
+        # started at most one call after that: the one permit serum held
+        # may have been between two calls.
+        assert serum_calls and serum_calls[0].start < crash.end
+        assert len([call for call in probe.calls if call.start > crash.end]) <= self.WORKERS - 1
+        assert len(serum_calls) < 14 and not probe.of(buds)
+        assert not any((tmp_path / "out" / product_id).exists() for product_id in PRODUCT_IDS)
+        self.resume(tmp_path, monkeypatch)
 
 
 class TestRecordFixtures:

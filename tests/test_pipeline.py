@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from reviewlens.gateway import ChatResponse, ReplayBackend, RetryPolicy, fingerp
 from reviewlens.pipeline import (
     PipelineConfig,
     PipelineMode,
+    _PermitPool,
     build_baseline_prompt,
     build_run_manifest,
     run_product,
@@ -512,6 +515,57 @@ class TestInterrupts:
         assert info.value is interrupt
 
 
+    def test_a_stopped_product_makes_no_new_call(self, products_by_id):
+        """Once a KeyboardInterrupt on one thread stops the product, the
+        request in flight on the other thread gets no follow-up call, and
+        no queued review starts."""
+        product = products_by_id["app-mixer-001"]
+        interrupt = KeyboardInterrupt()
+
+        def slow_r1_and_interrupt_r2(request):
+            if MIX_R1_TEXT in request.user_prompt:
+                time.sleep(0.2)
+            return interrupt if MIX_R2_TEXT in request.user_prompt else None
+
+        backend = RecordingBackend(
+            SelectiveFailureBackend(fresh_replay(), fail_with=slow_r1_and_interrupt_r2),
+            request_labeller(product),
+        )
+        with pytest.raises(KeyboardInterrupt) as info:
+            run_product(product, config_for(PipelineMode.FULL, workers=2), backend)
+        assert info.value is interrupt
+        assert sorted(backend.calls) == ["mix-r1/extraction", "mix-r2/extraction"]
+
+
+class TestPermitPool:
+    def test_a_free_permit_goes_to_the_earliest_waiting_rank(self):
+        """Whatever order the ranks started waiting in; and only a permit
+        given back with nobody waiting for it calls ``on_release``."""
+        unwanted = []
+        pool = _PermitPool(1, on_release=lambda: unwanted.append(len(order)))
+        order: list[int] = []
+
+        def take(rank):
+            pool.acquire(rank)
+            order.append(rank)
+            pool.release()
+
+        pool.acquire(0)
+        threads = []
+        for rank in (2, 1):
+            threads.append(threading.Thread(target=take, args=(rank,)))
+            threads[-1].start()
+            deadline = time.monotonic() + 5
+            while len(pool._waiting) < len(threads) and time.monotonic() < deadline:
+                time.sleep(0.001)
+        pool.release()
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert order == [1, 2]
+        assert unwanted == [2]
+
+
 class FaultyBackend:
     """Fails each planned request once, or on every attempt if
     ``permanent``, by user prompt, with its planned kind, and records the
@@ -610,6 +664,43 @@ class TestTransientFaultProperty:
                 assert render_report(result.report, ReportFormat.JSON) == expected
                 assert backend.calls == 19 + len(faults)
                 assert result.report.call_stats.retries == len(faults)
+        finally:
+            sys.setswitchinterval(previous)
+
+
+    def test_run_products_stress_more_workers_than_cores(self, products):
+        """Products overlap in the run-wide permits: every report stays
+        golden, every call is counted once, and the cap holds."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed, workers in itertools.product(range(5), (3, 8)):
+                faults = [
+                    (review.text, TransportError("blip"))
+                    for product in products
+                    for review in product.reviews[seed % 3 :: 3]
+                ]
+                backend = FaultyBackend(
+                    SelectiveFailureBackend(
+                        JitterBackend(fresh_replay(), seed=seed, max_delay_ms=2),
+                        fail_with=fail_once(*faults),
+                    ),
+                    {},
+                )
+                config = config_for(
+                    PipelineMode.FULL,
+                    workers=workers,
+                    retry=RetryPolicy(max_attempts=3, base_delay_ms=1, backoff_factor=1.0),
+                )
+                results = list(run_products(products, config, backend))
+                for product, result in zip(products, results):
+                    assert render_report(result.report, ReportFormat.JSON) == golden(
+                        "full", product.product_id, "report.json"
+                    )
+                stats = [result.report.call_stats for result in results]
+                assert sum(s.retries for s in stats) == len(faults)
+                assert backend.calls == sum(s.total_calls - s.cache_hits + s.retries for s in stats)
+                assert backend.peak_in_flight <= workers
         finally:
             sys.setswitchinterval(previous)
 
