@@ -21,7 +21,7 @@ from .domain import (
 from .errors import EmptyKeyError, MalformedOutputError
 from .gateway import ChatRequest
 from .llm_json import coerce_scalar, load_json_object, require_array
-from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
+from .prompt_library import render_prompt
 
 COMPARISON_SCHEMA = (
     '{"results": [{"attribute": "<name>", "value": "<value>", '
@@ -33,12 +33,7 @@ OMITTED_JUSTIFICATION = "model omitted; defaulted"
 
 
 def build_comparison_prompt(
-    attributes: list[ExtractedAttribute],
-    seller_description: str,
-    *,
-    model: str,
-    temperature: float = 0.0,
-    prompt_version: str = DEFAULT_PROMPT_VERSION,
+    attributes: list[ExtractedAttribute], seller_description: str, *, model: str
 ) -> ChatRequest:
     """Build the JSON-mode comparison request for one review's batch."""
     if not attributes:
@@ -51,8 +46,6 @@ def build_comparison_prompt(
     return render_prompt(
         "comparison",
         model=model,
-        temperature=temperature,
-        prompt_version=prompt_version,
         seller_description=seller_description,
         attributes_json=attributes_json,
         schema=COMPARISON_SCHEMA,

@@ -207,9 +207,8 @@ def selection_counts(
 
 
 def metrics_from_counts(tp: int, fp: int, fn: int) -> CategoryMetrics:
-    """Metrics from pooled counts. Empty-pool conventions mirror
-    selection_metrics: no predictions means precision 0, empty gold means
-    recall 1."""
+    """Metrics from (TP, FP, FN) counts. Empty-pool conventions: no
+    predictions means precision 0, empty gold means recall 1."""
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     return CategoryMetrics(precision=precision, recall=recall, f1=f1(precision, recall))
@@ -221,14 +220,11 @@ def selection_metrics(
     """Exact-match attribute selection quality for one review.
 
     Match predicate is (key, value) equality after key normalization; the
-    prediction side is already normalized by construction. Conventions:
-    precision 0 when nothing was predicted, recall 1 when gold is empty.
+    prediction side is already normalized by construction. The empty-set
+    conventions are ``metrics_from_counts``'s.
     """
-    predicted_pairs = {(attr.key, attr.value) for attr in predicted}
-    tp, _, _ = selection_counts(predicted_pairs, gold.gold)
-    precision = tp / len(predicted_pairs) if predicted_pairs else 0.0
-    recall = tp / len(gold.gold) if gold.gold else 1.0
-    return CategoryMetrics(precision=precision, recall=recall, f1=f1(precision, recall))
+    pairs = [(attr.key, attr.value) for attr in predicted]
+    return metrics_from_counts(*selection_counts(pairs, gold.gold))
 
 
 def aggregate_errors(

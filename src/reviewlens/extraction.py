@@ -12,25 +12,16 @@ from .domain import ExtractedAttribute, Review, normalize_key
 from .errors import EmptyKeyError, MalformedOutputError
 from .gateway import ChatRequest
 from .llm_json import coerce_scalar, load_json_object, require_array
-from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
+from .prompt_library import render_prompt
 
 EXTRACTION_SCHEMA = '{"attributes": [{"attribute": "<name>", "value": "<value>"}]}'
 
 
-def build_extraction_prompt(
-    review: Review,
-    title: str,
-    *,
-    model: str,
-    temperature: float = 0.0,
-    prompt_version: str = DEFAULT_PROMPT_VERSION,
-) -> ChatRequest:
+def build_extraction_prompt(review: Review, title: str, *, model: str) -> ChatRequest:
     """Build the JSON-mode extraction request for one review."""
     return render_prompt(
         "extraction",
         model=model,
-        temperature=temperature,
-        prompt_version=prompt_version,
         title=title,
         review_text=review.text,
         schema=EXTRACTION_SCHEMA,

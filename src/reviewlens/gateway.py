@@ -57,6 +57,7 @@ from .errors import (
 
 T = TypeVar("T")
 
+# The error kinds a request is retried on; every other error ends it at once.
 RETRYABLE_ERROR_KINDS = frozenset({"transport", "rate_limited", "malformed_output"})
 
 
@@ -113,27 +114,19 @@ def check_number(name: str, value: Any, low: float, high: float = math.inf) -> f
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """Declarative retry behaviour shared by all stages."""
+    """Declarative retry behaviour shared by all stages: how many attempts a
+    request gets and how long to wait between them. Which errors are retried
+    is fixed by ``RETRYABLE_ERROR_KINDS``."""
 
     max_attempts: int = 3
     base_delay_ms: int = 250
     backoff_factor: float = 2.0
-    retryable_errors: frozenset[str] = RETRYABLE_ERROR_KINDS
 
     def __post_init__(self) -> None:
         check_int("max_attempts", self.max_attempts, 1)
         check_int("base_delay_ms", self.base_delay_ms, 0)
         backoff_factor = check_number("backoff_factor", self.backoff_factor, 1.0)
         object.__setattr__(self, "backoff_factor", backoff_factor)
-        kinds = self.retryable_errors
-        if not isinstance(kinds, (list, tuple, set, frozenset)) or not all(
-            isinstance(kind, str) and kind in RETRYABLE_ERROR_KINDS for kind in kinds
-        ):
-            raise ValueError(
-                f"retryable_errors must be a list drawn from {sorted(RETRYABLE_ERROR_KINDS)}, "
-                f"got {kinds!r}"
-            )
-        object.__setattr__(self, "retryable_errors", frozenset(kinds))
 
     def delay_ms(self, retry_index: int) -> float:
         """Delay before re-attempt number ``retry_index`` (1-based).
@@ -146,10 +139,10 @@ class RetryPolicy:
         return self.base_delay_ms * self.backoff_factor ** (retry_index - 1)
 
     def is_retryable(self, error: BaseException) -> bool:
-        return getattr(error, "kind", None) in self.retryable_errors
+        return getattr(error, "kind", None) in RETRYABLE_ERROR_KINDS
 
     def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "retryable_errors": sorted(self.retryable_errors)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RetryPolicy":

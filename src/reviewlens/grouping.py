@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .domain import OTHER_CATEGORY, AttributeKey, CategoryAssignment, ComparedAttribute
 from .gateway import ChatRequest
 from .llm_json import coerce_scalar, load_json_object, require_array
-from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
+from .prompt_library import render_prompt
 
 GROUPING_SCHEMA = '{"groups": [{"attribute": "<name>", "category": "<label>"}]}'
 
@@ -25,20 +25,12 @@ def collect_unique_keys(compared: Iterable[ComparedAttribute]) -> list[Attribute
     return sorted({item.attribute.key for item in compared})
 
 
-def build_grouping_prompt(
-    keys: Sequence[AttributeKey],
-    *,
-    model: str,
-    temperature: float = 0.0,
-    prompt_version: str = DEFAULT_PROMPT_VERSION,
-) -> ChatRequest:
+def build_grouping_prompt(keys: Sequence[AttributeKey], *, model: str) -> ChatRequest:
     if not keys:
         raise ValueError("grouping prompt requires at least one key")
     return render_prompt(
         "grouping",
         model=model,
-        temperature=temperature,
-        prompt_version=prompt_version,
         keys_json=json.dumps(list(keys), ensure_ascii=False, indent=2),
         schema=GROUPING_SCHEMA,
     )

@@ -97,12 +97,11 @@ from .gateway import (
     ChatResponse,
     RetryPolicy,
     check_int,
-    check_number,
     complete_parsed,
     config_kwargs,
 )
 from .grouping import build_grouping_prompt, collect_unique_keys, parse_grouping_response
-from .prompt_library import DEFAULT_PROMPT_VERSION, render_prompt
+from .prompt_library import render_prompt
 from .structuring import build_report, merge_insights, parse_report_sections
 
 T = TypeVar("T")
@@ -143,22 +142,16 @@ class PipelineConfig:
     workers: int = 8
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     cache_dir: Path | None = None
-    prompt_version: str = DEFAULT_PROMPT_VERSION
     mode: PipelineMode = PipelineMode.FULL
-    extraction_temperature: float = 0.0
-    comparison_temperature: float = 0.0
-    grouping_temperature: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("extraction_model", "comparison_model", "grouping_model", "prompt_version"):
+        for name in ("extraction_model", "comparison_model", "grouping_model"):
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise TypeError(f"{name} must be a non-empty string, got {value!r}")
         check_int("workers", self.workers, 1)
         if not isinstance(self.retry, RetryPolicy):
             raise TypeError(f"retry must be a RetryPolicy, got {self.retry!r}")
-        for name in ("extraction_temperature", "comparison_temperature", "grouping_temperature"):
-            object.__setattr__(self, name, check_number(name, getattr(self, name), 0.0, 1.0))
         if not isinstance(self.cache_dir, (str, Path, type(None))):
             raise TypeError(f"cache_dir must be a path string or null, got {self.cache_dir!r}")
         # An empty path means no cache, not the working directory.
@@ -169,7 +162,6 @@ class PipelineConfig:
     def to_dict(self) -> dict[str, Any]:
         return {
             **asdict(self),
-            "retry": self.retry.to_dict(),
             "cache_dir": None if self.cache_dir is None else str(self.cache_dir),
             "mode": self.mode.value,
         }
@@ -480,15 +472,8 @@ class _ReviewOutcome:
 
 def _extract(review: Review, product: ProductRecord, runtime: _Runtime) -> _ReviewOutcome:
     """The per-review extraction task, shared by the full and ablated modes."""
-    config = runtime.config
     outcome = _ReviewOutcome(review.review_id, diagnostics=[])
-    request = build_extraction_prompt(
-        review,
-        product.title,
-        model=config.extraction_model,
-        temperature=config.extraction_temperature,
-        prompt_version=config.prompt_version,
-    )
+    request = build_extraction_prompt(review, product.title, model=runtime.config.extraction_model)
     try:
         outcome.attributes = runtime.call(
             "extraction_calls",
@@ -508,13 +493,8 @@ def _extract_and_compare(review: Review, product: ProductRecord, runtime: _Runti
     attributes = outcome.attributes
     if outcome.failed_stage is not None or not attributes:
         return outcome
-    config = runtime.config
     request = build_comparison_prompt(
-        attributes,
-        product.seller_description,
-        model=config.comparison_model,
-        temperature=config.comparison_temperature,
-        prompt_version=config.prompt_version,
+        attributes, product.seller_description, model=runtime.config.comparison_model
     )
     try:
         outcome.compared = runtime.call(
@@ -608,13 +588,7 @@ def _group(
     keys = collect_unique_keys(compared)
     assignment = CategoryAssignment()
     if keys:
-        config = runtime.config
-        request = build_grouping_prompt(
-            keys,
-            model=config.grouping_model,
-            temperature=config.grouping_temperature,
-            prompt_version=config.prompt_version,
-        )
+        request = build_grouping_prompt(keys, model=runtime.config.grouping_model)
         try:
             assignment = _closing_call(
                 runtime,
@@ -630,13 +604,7 @@ def _group(
     return insights, assignment
 
 
-def build_baseline_prompt(
-    product: ProductRecord,
-    *,
-    model: str,
-    temperature: float = 0.0,
-    prompt_version: str = DEFAULT_PROMPT_VERSION,
-) -> ChatRequest:
+def build_baseline_prompt(product: ProductRecord, *, model: str) -> ChatRequest:
     """One prompt holding the description and every review, asking for the
     finished report in a single step."""
     reviews_block = "\n".join(
@@ -645,8 +613,6 @@ def build_baseline_prompt(
     return render_prompt(
         "baseline_report",
         model=model,
-        temperature=temperature,
-        prompt_version=prompt_version,
         title=product.title,
         seller_description=product.seller_description,
         reviews_block=reviews_block,
@@ -655,12 +621,7 @@ def build_baseline_prompt(
 
 
 def build_ablated_prompt(
-    product: ProductRecord,
-    attributes: list[ExtractedAttribute],
-    *,
-    model: str,
-    temperature: float = 0.0,
-    prompt_version: str = DEFAULT_PROMPT_VERSION,
+    product: ProductRecord, attributes: list[ExtractedAttribute], *, model: str
 ) -> ChatRequest:
     """Direct report prompt over pre-extracted attributes, skipping the
     dedicated comparison and grouping calls."""
@@ -675,8 +636,6 @@ def build_ablated_prompt(
     return render_prompt(
         "ablated_report",
         model=model,
-        temperature=temperature,
-        prompt_version=prompt_version,
         title=product.title,
         seller_description=product.seller_description,
         attributes_json=attributes_json,
@@ -695,16 +654,12 @@ def _direct_report(
     covered them all.
     """
     config = runtime.config
-    options = dict(
-        model=config.comparison_model,
-        temperature=config.comparison_temperature,
-        prompt_version=config.prompt_version,
-    )
+    model = config.comparison_model
     if config.mode is PipelineMode.BASELINE:
-        request = build_baseline_prompt(product, **options) if product.reviews else None
+        request = build_baseline_prompt(product, model=model) if product.reviews else None
     else:
         attributes = [attr for outcome in reviews.succeeded for attr in outcome.attributes]
-        request = build_ablated_prompt(product, attributes, **options) if attributes else None
+        request = build_ablated_prompt(product, attributes, model=model) if attributes else None
     if request is None:
         return [], CategoryAssignment()
     try:

@@ -4,10 +4,12 @@ Templates are plain text files under ``reviewlens/prompts/`` with a
 ``<<<system>>>`` / ``<<<user>>>`` split and ``$placeholder`` substitution
 (``string.Template`` keeps literal JSON braces safe). ``render_prompt`` is
 the one place a stage request is built: it renders both halves of a
-template into a JSON-mode ``ChatRequest`` for the given model and
-temperature. Every system template renders the configured
-``prompt_version`` into its text, so editing a template or bumping the
-version changes request fingerprints and invalidates caches and fixtures.
+template into a JSON-mode ``ChatRequest`` for the given model, at the
+request's default temperature of 0. Every system template renders
+``PROMPT_VERSION`` into its text, so editing a template or bumping that
+constant changes request fingerprints and invalidates caches and fixtures.
+Neither the temperature nor the version is configurable: a cached or
+recorded answer stands for exactly one request.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from string import Template
 
 from .gateway import ChatRequest, ResponseFormat
 
-DEFAULT_PROMPT_VERSION = "v1"
+PROMPT_VERSION = "v1"
 
 _PROMPTS_DIR = Path(__file__).parent / "prompts"
 
@@ -37,13 +39,13 @@ def _load_template(name: str) -> tuple[Template, Template]:
     return Template(system_text.strip()), Template(user_text.strip())
 
 
-def render_prompt(name: str, *, model: str, temperature: float, **variables: str) -> ChatRequest:
+def render_prompt(name: str, *, model: str, **variables: str) -> ChatRequest:
     """Render the named template into the stage's JSON-mode request."""
     system_template, user_template = _load_template(name)
+    variables["prompt_version"] = PROMPT_VERSION
     return ChatRequest(
         model=model,
         system_prompt=system_template.substitute(**variables),
         user_prompt=user_template.substitute(**variables),
-        temperature=temperature,
         response_format=ResponseFormat.JSON_OBJECT,
     )

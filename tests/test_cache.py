@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 from reviewlens.cache import COMPACTED_SEGMENT, ChatResponse, DiskResponseCache
@@ -145,6 +146,33 @@ class TestResponseLog:
         assert len(notes) == 1
         assert notes[0].startswith("cache: corrupt entry") and notes[0].endswith("treated as miss")
         assert text_of(tmp_path, digest("bad")) == "fresh"
+
+    def test_hostile_lines_are_skipped_or_a_miss_with_one_diagnostic(self, tmp_path):
+        def line(key: str, value: bytes) -> bytes:
+            return b"%s %08x %s\n" % (key.encode(), zlib.crc32(value), value)
+
+        # Each value has a correct checksum; the note its read leaves.
+        hostile = {
+            "not json": (b"{oops", "cache: unreadable entry"),
+            "an array": (b"[1,2]", "cache: corrupt entry"),
+            "a number text": (b'{"text":5}', "cache: corrupt entry"),
+        }
+        good = b'{"model":"m","text":"kept"}'
+        (tmp_path / COMPACTED_SEGMENT).write_bytes(
+            line(digest("good"), good)
+            + line(digest("upper").upper(), good)  # not a fingerprint: skipped
+            + b"".join(line(digest(name), value) for name, (value, _) in hostile.items())
+        )
+        with DiskResponseCache(tmp_path) as store:
+            assert store.get(digest("good")).text == "kept"
+            for name, (_, note) in hostile.items():
+                notes: list[str] = []
+                assert store.get(digest(name), diagnostics=notes) is None
+                assert store.get(digest(name), diagnostics=notes) is None
+                assert len(notes) == 1, (name, notes)
+                assert notes[0].startswith(note) and notes[0].endswith("; treated as miss")
+        with DiskResponseCache(tmp_path) as store:
+            assert list(store) == [digest("good")]
 
     def test_evict_then_reload(self, tmp_path):
         with DiskResponseCache(tmp_path) as store:

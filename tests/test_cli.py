@@ -54,6 +54,24 @@ class TestRunReplay:
         stdout = capsys.readouterr().out
         assert f"app-mixer-001: mode={mode}" in stdout
 
+    def test_bundled_config_gives_golden_bytes(self, tmp_path):
+        config_path = TESTDATA / "config.json"
+        out = tmp_path / "out"
+        code = run_cli(
+            "run",
+            "--dataset", DATASET,
+            "--config", str(config_path),
+            "--fixtures", FIXTURES,
+            "--mode", "full",
+            "--out", str(out),
+        )
+        assert code == 0
+        for product_id in PRODUCT_IDS:
+            for name in ("report.json", "report.md"):
+                assert (out / product_id / name).read_bytes() == golden("full", product_id, name)
+            manifest = json.loads((out / product_id / "manifest.json").read_text())
+            assert manifest["config"] == json.loads(config_path.read_text())
+
     def test_manifest_and_extractions_written(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(
@@ -167,6 +185,7 @@ class TestRunErrors:
             {"extraction_model": None},
             {"extraction_temperature": 5},
             {"retry": {"retryable_errors": "transport"}},
+            {"prompt_version": "v2"},
         ],
     )
     def test_invalid_config_values_rejected(self, tmp_path, capsys, config):
@@ -177,6 +196,10 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: ")
         assert "Traceback" not in err
+        # A setting that was once configurable is named as an unknown key.
+        for key in ("extraction_temperature", "retryable_errors", "prompt_version"):
+            if key in path.read_text():
+                assert "unknown" in err and f"key(s): '{key}'" in err
 
     def test_empty_cache_dir_flag_means_no_cache(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

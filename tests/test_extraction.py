@@ -30,13 +30,6 @@ class TestPromptBuild:
         assert EXTRACTION_SCHEMA in request.user_prompt
         assert "Instruction set: v1" in request.system_prompt
 
-    def test_prompt_version_changes_fingerprint_input(self):
-        from reviewlens.gateway import fingerprint
-
-        a = build_extraction_prompt(REVIEW, "T", model="m", prompt_version="v1")
-        b = build_extraction_prompt(REVIEW, "T", model="m", prompt_version="v2")
-        assert fingerprint(a) != fingerprint(b)
-
 
 class TestParse:
     def test_normalizes_and_orders(self):

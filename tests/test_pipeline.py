@@ -786,7 +786,7 @@ class TestConfig:
             workers=3,
             cache_dir=tmp_path / "c",
             retry=RetryPolicy(max_attempts=5, base_delay_ms=10, backoff_factor=3.0),
-            prompt_version="v2",
+            grouping_model="m-2",
         )
         assert PipelineConfig.from_dict(config.to_dict()) == config
 
@@ -808,10 +808,9 @@ class TestConfig:
         assert PipelineConfig.from_dict({"retry": {}}) == PipelineConfig()
 
     def test_integral_numbers_load_as_floats(self):
-        # json.dumps renders 0 and 0.0 differently, and every temperature
-        # is part of its request's fingerprint.
-        config = PipelineConfig.from_dict({"grouping_temperature": 0, "retry": {"backoff_factor": 2}})
-        assert type(config.grouping_temperature) is float
+        # json.dumps renders 2 and 2.0 differently, and every run manifest
+        # records its config: equal configs must be written alike.
+        config = PipelineConfig.from_dict({"retry": {"backoff_factor": 2}})
         assert type(config.retry.backoff_factor) is float
 
     def test_no_credential_fields(self):

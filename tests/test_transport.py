@@ -43,10 +43,12 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
-    def _reply(self, status: int, body: bytes) -> None:
+    def _reply(self, status: int, body: bytes, *, close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # also closes it after the reply
         self.end_headers()
         self.wfile.write(body)
 
@@ -65,7 +67,11 @@ class _Handler(BaseHTTPRequestHandler):
         # reached the wrong caller, or a header the transport rewrote, shows.
         user = body["messages"][1]["content"]
         content = f"{self.headers.get('Authorization', '')}\n{user}"
-        self._reply(200, json.dumps({"model": "served", "choices": [{"message": {"content": content}}]}).encode())
+        self._reply(
+            200,
+            json.dumps({"model": "served", "choices": [{"message": {"content": content}}]}).encode(),
+            close=action == "close_header",
+        )
         if action == "idle_close":
             self.close_connection = True
 
@@ -81,6 +87,8 @@ class WireServer(ThreadingHTTPServer):
     * ``"ok"``: 200 whose content is the Authorization header and the user
       prompt, one per line;
     * ``"idle_close"``: the same, then the server closes the connection;
+    * ``"close_header"``: the same with a ``Connection: close`` header, then
+      the server closes the connection;
     * ``"drop"``: read the request, close without answering;
     * ``"stall"``: wait for ``release`` (at most 5 s), then answer;
     * ``(status, body)``: that status and body.
@@ -187,6 +195,16 @@ class TestConnectionReuse:
         live = backend(server.url)
         assert live.complete(_request("first"), KEY).text == _ok("first")
         assert server.closed.acquire(timeout=5)
+        assert live.complete(_request("second"), KEY).text == _ok("second")
+        assert server.connections == 2
+        assert len(server.arrivals) == 2
+
+    def test_connection_close_header_keeps_no_idle_connection(self, serve, backend):
+        server = serve(["close_header"])
+        live = backend(server.url)
+        assert live.complete(_request("first"), KEY).text == _ok("first")
+        (origin,) = live._session._origins.values()
+        assert origin._idle == []
         assert live.complete(_request("second"), KEY).text == _ok("second")
         assert server.connections == 2
         assert len(server.arrivals) == 2
