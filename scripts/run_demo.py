@@ -36,7 +36,7 @@ def main() -> None:
     result = run_product(products[args.product], config, gateway)
 
     print(render_report(result.report, ReportFormat.MARKDOWN).decode("utf-8"))
-    stats = result.report.call_stats
+    stats = result.call_stats
     print(
         f"[{stats.total_calls} calls: {stats.extraction_calls} extraction, "
         f"{stats.comparison_calls} comparison, {stats.grouping_calls} grouping]",

@@ -61,11 +61,6 @@ class ChatResponse:
 
     text: str
     model: str
-    latency_ms: int = 0
-
-    def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ValueError("latency_ms must be >= 0")
 
 
 def _line(digest: str, value: bytes) -> bytes:
@@ -150,7 +145,7 @@ class DiskResponseCache:
             return None, f"unreadable entry {digest[:16]}...: {exc}"
         if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
             return None, f"corrupt entry {digest[:16]}...: expected an object with a 'text' string"
-        return ChatResponse(text=payload["text"], model=str(payload.get("model", "")), latency_ms=0), None
+        return ChatResponse(text=payload["text"], model=str(payload.get("model", ""))), None
 
     def get(self, digest: str, *, diagnostics: list[str] | None = None) -> ChatResponse | None:
         response, problem = self.load(digest)

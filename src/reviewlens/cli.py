@@ -7,8 +7,9 @@ later replay. Exit codes: 0 success, 1 fatal configuration or input error,
 2 finished with failed review units.
 
 The API credential enters through --api-key or the REVIEWLENS_API_KEY
-environment variable, lives only in process memory, and is never echoed,
-logged, or written to any output file.
+environment variable, is read only for a live backend, and is handed to
+that backend alone; it is never echoed, logged, or written to any output
+file.
 """
 
 from __future__ import annotations
@@ -229,24 +230,19 @@ def _write_outputs(
         write_atomic(product_dir / "extractions.json", canonical_json(payload).encode("utf-8"))
 
 
-def _execute_run(
-    args: argparse.Namespace,
-    gateway,
-    backend_label: str,
-    credential: ApiCredential | None,
-) -> int:
+def _execute_run(args: argparse.Namespace, gateway, backend_label: str) -> int:
     config = _load_config(args)
     products = _select_products(args.dataset, args.product)
     formats = _report_formats(args.format)
     any_failures = False
     # The run opens the store at config.cache_dir once; closing the
     # generator, on success or on a crash, closes the store.
-    with contextlib.closing(run_products(products, config, gateway, credential=credential)) as results:
+    with contextlib.closing(run_products(products, config, gateway)) as results:
         # Each product is written as soon as it and every earlier one are done.
         for product, result in zip(products, results):
             if args.out is not None:
                 _write_outputs(args.out, product, config, result, formats, backend_label)
-            stats = result.report.call_stats
+            stats = result.call_stats
             line = (
                 f"{product.product_id}: mode={config.mode.value} calls={stats.total_calls}"
                 f" (extraction={stats.extraction_calls} comparison={stats.comparison_calls}"
@@ -263,22 +259,22 @@ def _execute_run(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    credential = _resolve_credential(args)
     if args.backend == "live":
+        credential = _resolve_credential(args)
         if credential is None:
             return _fatal(
                 f"live backend needs an API key; set {CREDENTIAL_ENV_VAR} or pass --api-key"
             )
-        live = HttpBackend(args.base_url)
+        live = HttpBackend(args.base_url, credential)
         try:
-            return _execute_run(args, live, "live", credential)
+            return _execute_run(args, live, "live")
         finally:
             live.close()
     if args.fixtures is None:
         return _fatal("replay backend needs --fixtures")
     if not Path(args.fixtures).is_dir():
         return _fatal(f"fixture directory {args.fixtures} does not exist")
-    return _execute_run(args, ReplayBackend(args.fixtures), "replay", credential)
+    return _execute_run(args, ReplayBackend(args.fixtures), "replay")
 
 
 def cmd_record_fixtures(args: argparse.Namespace) -> int:
@@ -288,10 +284,10 @@ def cmd_record_fixtures(args: argparse.Namespace) -> int:
             f"recording runs live and needs an API key; set {CREDENTIAL_ENV_VAR} or pass --api-key"
         )
     Path(args.fixtures).mkdir(parents=True, exist_ok=True)
-    live = HttpBackend(args.base_url)
+    live = HttpBackend(args.base_url, credential)
     gateway = RecordingBackend(live, args.fixtures)
     try:
-        code = _execute_run(args, gateway, "record", credential)
+        code = _execute_run(args, gateway, "record")
     finally:
         live.close()
         gateway.close()  # compacts the fixture directory into one segment

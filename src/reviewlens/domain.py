@@ -337,16 +337,6 @@ class CallStats:
             "retries": self.retries,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, int]) -> "CallStats":
-        return cls(
-            extraction_calls=int(payload.get("extraction_calls", 0)),
-            comparison_calls=int(payload.get("comparison_calls", 0)),
-            grouping_calls=int(payload.get("grouping_calls", 0)),
-            cache_hits=int(payload.get("cache_hits", 0)),
-            retries=int(payload.get("retries", 0)),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class CategoryGroup:
@@ -377,12 +367,13 @@ class StructuredReport:
     Sections appear in the fixed status order (Missing, Contradictory,
     Partially-matching, Matching), categories lexicographically inside each
     section, insights by key inside each category. All four sections are
-    always present, empty or not.
+    always present, empty or not. It holds no call stats: those are run
+    telemetry (cache hits and retries vary between runs over identical
+    inputs) and belong to the run, so report bytes stay reproducible.
     """
 
     product_id: str
     sections: tuple[ReportSection, ...]
-    call_stats: CallStats = field(default_factory=CallStats)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sections", tuple(self.sections))
@@ -395,13 +386,7 @@ class StructuredReport:
             for group in section.groups:
                 yield from group.insights
 
-    def body_dict(self) -> dict[str, Any]:
-        """The rendered report body: product id plus sections.
-
-        Excludes call stats, which are run telemetry (cache hits and retry
-        counts vary between runs over identical inputs) and belong in the
-        run manifest; keeping them out makes report bytes reproducible.
-        """
+    def to_dict(self) -> dict[str, Any]:
         return {
             "product_id": self.product_id,
             "sections": [
@@ -419,11 +404,6 @@ class StructuredReport:
             ],
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        payload = self.body_dict()
-        payload["call_stats"] = self.call_stats.to_dict()
-        return payload
-
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "StructuredReport":
         sections = []
@@ -436,11 +416,7 @@ class StructuredReport:
                 for group in section_payload["categories"]
             )
             sections.append(ReportSection(status=parse_status(section_payload["status"]), groups=groups))
-        return cls(
-            product_id=str(payload["product_id"]),
-            sections=tuple(sections),
-            call_stats=CallStats.from_dict(payload.get("call_stats", {})),
-        )
+        return cls(product_id=str(payload["product_id"]), sections=tuple(sections))
 
 
 def load_product_records(path: Path | str) -> list[ProductRecord]:

@@ -6,10 +6,12 @@ Responsibilities:
     shares with ``PipelineConfig``
   * a stable content fingerprint identifying a request (the credential is
     deliberately outside the identity)
-  * interchangeable backends: live HTTP, replay-from-fixtures, and a
-    recording wrapper that captures live traffic for later replay; both
-    fixture backends keep their responses in the response log of
-    ``cache.DiskResponseCache``, the store the response cache uses too
+  * interchangeable backends, each answering ``complete(request)``: live
+    HTTP, replay-from-fixtures, and a recording wrapper that captures live
+    traffic for later replay. The live backend is built with the API
+    credential and is the only object that holds it. Both fixture backends
+    keep their responses in the response log of ``cache.DiskResponseCache``,
+    the store the response cache uses too
   * the request path every pipeline stage uses, one function per job:
     ``complete_parsed`` fingerprints the request once and builds one
     attempt; ``lookup_or_call`` is that attempt's cache-or-call;
@@ -192,7 +194,10 @@ def fingerprint(request: ChatRequest) -> str:
 
 @runtime_checkable
 class ChatBackend(Protocol):
-    def complete(self, request: ChatRequest, credential: ApiCredential | None = None) -> ChatResponse:
+    """Answers one chat request. A backend that needs a credential is built
+    with it, so a request never carries one."""
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
         ...
 
 
@@ -378,15 +383,20 @@ def _default_session() -> KeepAliveSession:
 
 
 class HttpBackend:
-    """Live chat-completions backend: one JSON POST with bearer auth."""
+    """Live chat-completions backend: one JSON POST with bearer auth. It
+    holds the API credential, which only its Authorization header reads."""
 
     def __init__(
         self,
         base_url: str,
+        credential: ApiCredential | None,
         *,
         timeout_s: float = 60.0,
         session: Any | None = None,
     ):
+        if credential is None:
+            raise AuthFailedError("live backend requires an API credential")
+        self._credential = credential
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self._session = session if session is not None else _default_session()
@@ -400,9 +410,7 @@ class HttpBackend:
         """Close the session's pooled connections."""
         self._session.close()
 
-    def complete(self, request: ChatRequest, credential: ApiCredential | None = None) -> ChatResponse:
-        if credential is None:
-            raise AuthFailedError("live backend requires an API credential")
+    def complete(self, request: ChatRequest) -> ChatResponse:
         self._counter.bump()
         payload: dict[str, Any] = {
             "model": request.model,
@@ -415,10 +423,9 @@ class HttpBackend:
         if request.response_format is ResponseFormat.JSON_OBJECT:
             payload["response_format"] = {"type": "json_object"}
         headers = {
-            "Authorization": f"Bearer {credential.key}",
+            "Authorization": f"Bearer {self._credential.key}",
             "Content-Type": "application/json",
         }
-        started = time.monotonic()
         try:
             response = self._session.post(
                 f"{self.base_url}/chat/completions",
@@ -441,8 +448,7 @@ class HttpBackend:
             raise TransportError(f"unexpected provider payload shape: {exc}") from exc
         if not isinstance(text, str):
             raise TransportError("provider returned a non-string message content")
-        latency_ms = int((time.monotonic() - started) * 1000)
-        return ChatResponse(text=text, model=str(body.get("model", request.model)), latency_ms=latency_ms)
+        return ChatResponse(text=text, model=str(body.get("model", request.model)))
 
 
 class ReplayBackend:
@@ -464,7 +470,7 @@ class ReplayBackend:
     def calls(self) -> int:
         return self._counter.calls
 
-    def complete(self, request: ChatRequest, credential: ApiCredential | None = None) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> ChatResponse:
         self._counter.bump()
         digest = fingerprint(request)
         response, problem = self._store.load(digest)
@@ -492,9 +498,9 @@ class RecordingBackend:
     def close(self) -> None:
         self._store.compact()
 
-    def complete(self, request: ChatRequest, credential: ApiCredential | None = None) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> ChatResponse:
         self._counter.bump()
-        response = self.inner.complete(request, credential)
+        response = self.inner.complete(request)
         self._store.put(fingerprint(request), response)
         return response
 
@@ -545,7 +551,6 @@ def lookup_or_call(
     gateway: ChatBackend,
     cache: Any | None = None,
     *,
-    credential: ApiCredential | None = None,
     stats: Any | None = None,
     diagnostics: list[str] | None = None,
 ) -> ChatResponse:
@@ -561,7 +566,7 @@ def lookup_or_call(
             if stats is not None:
                 stats.record("cache_hits")
             return cached
-    response = gateway.complete(request, credential)
+    response = gateway.complete(request)
     if cache is not None:
         cache.put(digest, response)
     return response
@@ -572,7 +577,6 @@ def complete_parsed(
     parser: Callable[[str, list[str]], T],
     *,
     gateway: ChatBackend,
-    credential: ApiCredential | None = None,
     policy: RetryPolicy | None = None,
     cache: Any | None = None,
     stats: Any | None = None,
@@ -592,9 +596,7 @@ def complete_parsed(
     digest = fingerprint(request)
 
     def attempt() -> T:
-        response = lookup_or_call(
-            request, digest, gateway, cache, credential=credential, stats=stats, diagnostics=diagnostics
-        )
+        response = lookup_or_call(request, digest, gateway, cache, stats=stats, diagnostics=diagnostics)
         scratch: list[str] = []
         try:
             parsed = parser(response.text, scratch)

@@ -16,6 +16,9 @@ permit, and builds the report once. The closing call is counted under
 ``grouping_calls`` in every mode, and none is made when there is nothing to
 ask. Every request goes through ``_Runtime.call``, which counts it once,
 when it is issued, and resolves it through the gateway's single retry loop.
+The runtime also counts cache hits and retries; the counts come back as
+``PipelineResult.call_stats``, never inside the report. The runner never
+sees a credential: a backend that needs one was built with it.
 
 ``workers`` caps the LLM calls in flight for a whole run: it is the number
 of permits in one ``_PermitPool``, and a thread holds a permit while it
@@ -91,7 +94,6 @@ from .errors import (
 )
 from .extraction import build_extraction_prompt, parse_extraction_response
 from .gateway import (
-    ApiCredential,
     ChatBackend,
     ChatRequest,
     ChatResponse,
@@ -110,7 +112,6 @@ __all__ = [
     "PipelineMode",
     "PipelineConfig",
     "PipelineResult",
-    "StatsRecorder",
     "run_product",
     "run_products",
     "build_baseline_prompt",
@@ -157,7 +158,12 @@ class PipelineConfig:
         # An empty path means no cache, not the working directory.
         cache_dir = None if self.cache_dir in (None, "") else Path(self.cache_dir)
         object.__setattr__(self, "cache_dir", cache_dir)
-        object.__setattr__(self, "mode", PipelineMode(self.mode))
+        try:
+            mode = PipelineMode(self.mode)
+        except ValueError:
+            choices = ", ".join(repr(m.value) for m in PipelineMode)
+            raise ValueError(f"mode must be one of {choices}, got {self.mode!r}") from None
+        object.__setattr__(self, "mode", mode)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -176,32 +182,17 @@ class PipelineConfig:
         return cls(**kwargs)
 
 
-class StatsRecorder:
-    """Thread-safe tally behind the immutable CallStats snapshot, keyed by
-    CallStats field name."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: dict[str, int] = {}
-
-    def record(self, name: str) -> None:
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + 1
-
-    def snapshot(self) -> CallStats:
-        with self._lock:
-            return CallStats(**self._counts)
-
-
 @dataclass(frozen=True, slots=True)
 class PipelineResult:
     """A product run: the report, which reviews failed, what went sideways,
-    and the per-review extractions (kept for the evaluation harness)."""
+    the per-review extractions (kept for the evaluation harness), and the
+    run's call stats (for the manifest)."""
 
     report: StructuredReport
     failed_units: tuple[str, ...] = ()
     diagnostics: tuple[str, ...] = ()
     extractions: Mapping[str, tuple[ExtractedAttribute, ...]] = field(default_factory=dict)
+    call_stats: CallStats = field(default_factory=CallStats)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "failed_units", tuple(self.failed_units))
@@ -298,11 +289,11 @@ class _PermitPool:
 class _Runtime:
     config: PipelineConfig
     gateway: ChatBackend
-    credential: ApiCredential | None
     cache: DiskResponseCache | None
     permits: _PermitPool
     rank: int
-    stats: StatsRecorder = field(default_factory=StatsRecorder)
+    # The product's call stats so far, by ``CallStats`` field name.
+    _counts: dict[str, int] = field(default_factory=dict)
     # The product's queued per-review tasks, and which threads are running
     # one inside a backoff.
     _queue: collections.deque[Callable[[], None]] = field(default_factory=collections.deque)
@@ -394,14 +385,19 @@ class _Runtime:
             time.sleep(remaining)
             self.permits.acquire(self.rank)
 
-    def complete(self, request: ChatRequest, credential: ApiCredential | None = None) -> ChatResponse:
+    def record(self, name: str) -> None:
+        """Count one of the product's calls, cache hits or retries."""
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + 1
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
         """One backend call, made once an earlier product that waits for a
         permit has been handed this thread's, and never once the run has
         stopped at this product."""
         self.permits.hand_over(self.rank)
         if self.permits.stopped(self.rank):
             raise _Stopped(f"run stopped before a backend call of product rank {self.rank}")
-        return self.gateway.complete(request, credential)
+        return self.gateway.complete(request)
 
     def call(
         self,
@@ -419,7 +415,7 @@ class _Runtime:
         done, and then reads the answer from the cache as a hit; if that one
         failed, this one is resolved afresh. A task run inside a backoff does
         not wait, as its thread is itself resolving a request."""
-        self.stats.record(counter)
+        self.record(counter)
         if self.cache is None or getattr(self._local, "helping", False):
             return self._resolve(request, parser, notes)
         with self._resolved:
@@ -439,10 +435,9 @@ class _Runtime:
             request,
             parser,
             gateway=self,
-            credential=self.credential,
             policy=self.config.retry,
             cache=self.cache,
-            stats=self.stats,
+            stats=self,
             diagnostics=notes,
             idle=self.idle,
         )
@@ -699,7 +694,6 @@ def run_product(
     config: PipelineConfig,
     gateway: ChatBackend,
     *,
-    credential: ApiCredential | None = None,
     cache: DiskResponseCache | None = None,
     permits: _PermitPool | None = None,
     rank: int = 0,
@@ -713,7 +707,7 @@ def run_product(
     if permits is None:
         permits = _PermitPool(config.workers)
     with _cache_for(config, cache) as cache:
-        runtime = _Runtime(config, gateway, credential, cache, permits, rank)
+        runtime = _Runtime(config, gateway, cache, permits, rank)
         try:
             reviews = _run_reviews(product, runtime, task)
             insights, assignment = close(product, reviews, runtime)
@@ -723,14 +717,12 @@ def run_product(
             raise
         finally:
             runtime.let_go()
-    report = build_report(
-        insights, assignment, product_id=product.product_id, stats=runtime.stats.snapshot()
-    )
     return PipelineResult(
-        report=report,
+        report=build_report(insights, assignment, product_id=product.product_id),
         failed_units=tuple(reviews.failed),
         diagnostics=tuple(reviews.diagnostics),
         extractions=reviews.extractions,
+        call_stats=CallStats(**runtime._counts),
     )
 
 
@@ -739,7 +731,6 @@ def run_products(
     config: PipelineConfig,
     gateway: ChatBackend,
     *,
-    credential: ApiCredential | None = None,
     cache: DiskResponseCache | None = None,
 ) -> Iterator[PipelineResult]:
     """Run each product once through ``run_product`` and yield the results
@@ -770,10 +761,7 @@ def run_products(
     def run(rank: int) -> PipelineResult:
         nonlocal in_progress
         try:
-            return run_product(
-                products[rank], config, gateway,
-                credential=credential, cache=cache, permits=permits, rank=rank,
-            )
+            return run_product(products[rank], config, gateway, cache=cache, permits=permits, rank=rank)
         finally:
             with lock:
                 in_progress -= 1
@@ -830,7 +818,7 @@ def build_run_manifest(
         "mode": config.mode.value,
         "backend": backend_label,
         "config": config.to_dict(),
-        "call_stats": result.report.call_stats.to_dict(),
+        "call_stats": result.call_stats.to_dict(),
         "failed_units": list(result.failed_units),
         "diagnostics": list(result.diagnostics),
     }

@@ -15,10 +15,8 @@ from dataclasses import replace
 from typing import Iterable, Sequence
 
 from .domain import (
-    OTHER_CATEGORY,
     REPORT_STATUS_ORDER,
     AttributeKey,
-    CallStats,
     CategoryAssignment,
     CategoryGroup,
     ComparedAttribute,
@@ -31,7 +29,7 @@ from .domain import (
     parse_status,
     render_status,
 )
-from .errors import EmptyKeyError, MalformedOutputError, UnknownStatusError
+from .errors import EmptyKeyError, UnknownStatusError
 from .llm_json import coerce_scalar, load_json_object, require_array
 
 
@@ -85,11 +83,7 @@ def _merge_rows(rows: Iterable[_Row]) -> list[Insight]:
 
 
 def build_report(
-    insights: Iterable[Insight],
-    categories: CategoryAssignment,
-    *,
-    product_id: str,
-    stats: CallStats | None = None,
+    insights: Iterable[Insight], categories: CategoryAssignment, *, product_id: str
 ) -> StructuredReport:
     """Attach categories and impose the canonical ordering.
 
@@ -119,17 +113,13 @@ def build_report(
         )
         for status in REPORT_STATUS_ORDER
     )
-    return StructuredReport(
-        product_id=product_id,
-        sections=sections,
-        call_stats=stats if stats is not None else CallStats(),
-    )
+    return StructuredReport(product_id=product_id, sections=sections)
 
 
 def render_report(report: StructuredReport, fmt: ReportFormat) -> bytes:
     """Render the report body to bytes; identical inputs give identical bytes."""
     if fmt is ReportFormat.JSON:
-        return canonical_json_bytes(report.body_dict())
+        return canonical_json_bytes(report.to_dict())
     if fmt is ReportFormat.MARKDOWN:
         return _render_markdown(report).encode("utf-8")
     raise ValueError(f"unsupported report format: {fmt!r}")

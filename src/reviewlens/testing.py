@@ -27,7 +27,7 @@ from .domain import (
     normalize_key,
     parse_status,
 )
-from .gateway import ApiCredential, CallCounter, ChatBackend, ChatRequest, ChatResponse, ResponseFormat
+from .gateway import CallCounter, ChatBackend, ChatRequest, ChatResponse, ResponseFormat
 from .structuring import build_report, merge_insights
 
 __all__ = [
@@ -125,9 +125,7 @@ class CannedReviewModel:
     def calls(self) -> int:
         return self._counter.calls
 
-    def complete(
-        self, request: ChatRequest, credential: ApiCredential | None = None
-    ) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> ChatResponse:
         self._counter.bump()
         prompt = request.user_prompt
         if _COMPARISON_MARKER in prompt:
@@ -142,7 +140,7 @@ class CannedReviewModel:
             text = self._extraction_answer(prompt)
         else:
             raise AssertionError("canned model cannot identify the step for this prompt")
-        return ChatResponse(text=text, model=request.model, latency_ms=0)
+        return ChatResponse(text=text, model=request.model)
 
     # -- per-step answers ---------------------------------------------------
 
@@ -270,7 +268,7 @@ class CannedReviewModel:
         assignment = CategoryAssignment(
             mapping={insight.key: category_for(insight.key) for insight in insights}
         )
-        body = build_report(insights, assignment, product_id=product.product_id).body_dict()
+        body = build_report(insights, assignment, product_id=product.product_id).to_dict()
         if not keep_justifications:
             for section in body["sections"]:
                 for group in section["categories"]:
@@ -294,9 +292,7 @@ class ScriptedBackend:
         with self._lock:
             return len(self.requests)
 
-    def complete(
-        self, request: ChatRequest, credential: ApiCredential | None = None
-    ) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> ChatResponse:
         with self._lock:
             self.requests.append(request)
             if not self._script:
@@ -304,7 +300,7 @@ class ScriptedBackend:
             step = self._script.pop(0)
         if isinstance(step, Exception):
             raise step
-        return ChatResponse(text=step, model=request.model, latency_ms=0)
+        return ChatResponse(text=step, model=request.model)
 
 
 class SelectiveFailureBackend:
@@ -320,14 +316,12 @@ class SelectiveFailureBackend:
     def calls(self) -> int:
         return self._counter.calls
 
-    def complete(
-        self, request: ChatRequest, credential: ApiCredential | None = None
-    ) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> ChatResponse:
         self._counter.bump()
         error = self._fail_with(request)
         if error is not None:
             raise error
-        return self.inner.complete(request, credential)
+        return self.inner.complete(request)
 
 
 class JitterBackend:
@@ -340,13 +334,11 @@ class JitterBackend:
         self._lock = threading.Lock()
         self._max_delay_ms = max_delay_ms
 
-    def complete(
-        self, request: ChatRequest, credential: ApiCredential | None = None
-    ) -> ChatResponse:
+    def complete(self, request: ChatRequest) -> ChatResponse:
         with self._lock:
             delay = self._rng.uniform(0, self._max_delay_ms)
         time.sleep(delay / 1000.0)
-        return self.inner.complete(request, credential)
+        return self.inner.complete(request)
 
 
 class _FakeHttpResponse:

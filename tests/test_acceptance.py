@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import random
 import shutil
-import string
 import time
 
 import pytest
@@ -183,7 +182,7 @@ def test_06_structuring_matches_brute_force_reference():
             CategoryAssignment(mapping=mapping),
             product_id="acc-6",
         )
-        assert report.body_dict() == brute_force_body(items, mapping, "acc-6"), (
+        assert report.to_dict() == brute_force_body(items, mapping, "acc-6"), (
             f"divergence from brute-force reference at round {round_number}"
         )
 
@@ -258,7 +257,7 @@ def test_08_selection_metrics_matches_set_oracle():
 
 
 def test_09_canary_key_never_reaches_disk_or_streams(
-    tmp_path, monkeypatch, canned_model, capsys
+    tmp_path, monkeypatch, canned_model, capsys, golden_bytes
 ):
     canary = "CANARY-9f27-SECRET"
     session = FakeChatSession(backend=canned_model, expected_key=canary)
@@ -278,6 +277,34 @@ def test_09_canary_key_never_reaches_disk_or_streams(
         ]
     )
     assert code == 0
+
+    # The live backend is the only holder of the key: it goes out in the
+    # Authorization header of every request and nowhere else.
+    live_out = tmp_path / "live-out"
+    sent_before = len(session.requests)
+    code = main(
+        [
+            "run",
+            "--dataset", DATASET,
+            "--backend", "live",
+            "--api-key", canary,
+            "--mode", "full",
+            "--out", str(live_out),
+            "--cache-dir", str(tmp_path / "live-cache"),
+        ]
+    )
+    assert code == 0
+    live_requests = session.requests[sent_before:]
+    assert live_requests, "the live leg must reach the session"
+    for request in live_requests:
+        assert request["headers"]["Authorization"] == f"Bearer {canary}"
+    for request in session.requests:
+        headers = {name: value for name, value in request["headers"].items() if name != "Authorization"}
+        assert canary not in json.dumps({**request, "headers": headers}), request["url"]
+    for product in load_product_records(TESTDATA / "dataset.json"):
+        for name in ("report.json", "report.md"):
+            got = (live_out / product.product_id / name).read_bytes()
+            assert got == golden_bytes("full", product.product_id, name), f"live {product.product_id}/{name}"
 
     monkeypatch.setenv(CREDENTIAL_ENV_VAR, canary)
     replay_out = tmp_path / "replay-out"

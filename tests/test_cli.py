@@ -196,10 +196,24 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: ")
         assert "Traceback" not in err
+        # The error names the offending key: the leaf key of a nested value.
         # A setting that was once configurable is named as an unknown key.
-        for key in ("extraction_temperature", "retryable_errors", "prompt_version"):
-            if key in path.read_text():
-                assert "unknown" in err and f"key(s): '{key}'" in err
+        key, value = next(iter(config.items()))
+        while isinstance(value, dict):
+            key, value = next(iter(value.items()))
+        assert err.startswith(f"error: invalid config: {key} must ") or (
+            "unknown" in err and f"key(s): '{key}'" in err
+        ), err
+
+    @pytest.mark.parametrize("mode, shown", [("bogus", "'bogus'"), (5, "5")])
+    def test_invalid_mode_lists_the_modes(self, tmp_path, capsys, mode, shown):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mode": mode}), encoding="utf-8")
+        code = run_cli("run", "--dataset", DATASET, "--fixtures", FIXTURES, "--config", str(path))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid config: mode must be one of 'full', 'baseline', 'ablated', got {shown}\n"
+        )
 
     def test_empty_cache_dir_flag_means_no_cache(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -405,7 +419,7 @@ class ProbeBackend:
         self.peak_in_flight = 0
         self.peak_threads = 0
 
-    def complete(self, request, credential=None):
+    def complete(self, request):
         call = _Call(self._owners[request.user_prompt], request.user_prompt, time.monotonic())
         with self._lock:
             self.calls.append(call)
@@ -418,7 +432,7 @@ class ProbeBackend:
             call.failed = error is not None
             if error is not None:
                 raise error
-            return self._inner.complete(request, credential)
+            return self._inner.complete(request)
         finally:
             call.end = time.monotonic()
             with self._lock:

@@ -46,8 +46,6 @@ from reviewlens.evaluation import (
 )
 from reviewlens.structuring import build_report
 
-from conftest import TESTDATA
-
 
 def attr(key: str, value: str, review_id: str = "r1") -> ExtractedAttribute:
     return ExtractedAttribute(key=key, value=value, review_id=review_id)

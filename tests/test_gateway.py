@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import http.client
+import inspect
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from reviewlens.errors import (
 )
 from reviewlens.gateway import (
     ApiCredential,
+    ChatBackend,
     ChatRequest,
     ChatResponse,
     HttpBackend,
@@ -32,6 +34,7 @@ from reviewlens.gateway import (
     fingerprint,
     lookup_or_call,
 )
+from reviewlens.pipeline import run_product, run_products
 from reviewlens.testing import FakeChatSession, ScriptedBackend
 
 REQ = ChatRequest(
@@ -111,16 +114,19 @@ class TestApiCredential:
         assert "sk-secret-value" not in str(credential)
 
 
+KEY = ApiCredential(key="k")
+
+
 class TestHttpBackend:
     def _backend(self, script):
-        return HttpBackend("https://api.example.test/v1", session=FakeChatSession(script=script))
+        return HttpBackend("https://api.example.test/v1", KEY, session=FakeChatSession(script=script))
 
     def test_happy_path_and_wire_shape(self):
         session = FakeChatSession(
             script=[(200, {"choices": [{"message": {"content": "hi"}}], "model": "served-model"})]
         )
-        backend = HttpBackend("https://api.example.test/v1/", session=session)
-        response = backend.complete(REQ, ApiCredential(key="k1"))
+        backend = HttpBackend("https://api.example.test/v1/", ApiCredential(key="k1"), session=session)
+        response = backend.complete(REQ)
         assert response.text == "hi"
         assert response.model == "served-model"
         sent = session.requests[0]
@@ -135,15 +141,16 @@ class TestHttpBackend:
         session = FakeChatSession(
             script=[(200, {"choices": [{"message": {"content": "x"}}]})]
         )
-        backend = HttpBackend("https://api.example.test", session=session)
+        backend = HttpBackend("https://api.example.test", KEY, session=session)
         request = dataclasses.replace(REQ, response_format=ResponseFormat.FREE_TEXT)
-        backend.complete(request, ApiCredential(key="k"))
+        backend.complete(request)
         assert "response_format" not in session.requests[0]["json"]
 
     def test_missing_credential(self):
-        backend = self._backend([])
+        session = FakeChatSession(script=[])
         with pytest.raises(AuthFailedError):
-            backend.complete(REQ, None)
+            HttpBackend("https://api.example.test/v1", None, session=session)
+        assert session.requests == []
 
     @pytest.mark.parametrize(
         "status, error",
@@ -152,7 +159,7 @@ class TestHttpBackend:
     def test_status_mapping(self, status, error):
         backend = self._backend([(status, {"error": "x"})])
         with pytest.raises(error):
-            backend.complete(REQ, ApiCredential(key="k"))
+            backend.complete(REQ)
 
     @pytest.mark.parametrize(
         "error",
@@ -166,20 +173,29 @@ class TestHttpBackend:
     def test_network_error_wrapped(self, error):
         backend = self._backend([error])
         with pytest.raises(TransportError):
-            backend.complete(REQ, ApiCredential(key="k"))
+            backend.complete(REQ)
 
     def test_bad_envelope(self):
         backend = self._backend([(200, {"unexpected": True})])
         with pytest.raises(TransportError):
-            backend.complete(REQ, ApiCredential(key="k"))
+            backend.complete(REQ)
 
     def test_bearer_check_through_canned_backend(self):
         inner = ScriptedBackend(["pong"])
         session = FakeChatSession(backend=inner, expected_key="right-key")
-        backend = HttpBackend("https://api.example.test", session=session)
+
+        def backend(key):
+            return HttpBackend("https://api.example.test", ApiCredential(key=key), session=session)
+
         with pytest.raises(AuthFailedError):
-            backend.complete(REQ, ApiCredential(key="wrong-key"))
-        assert backend.complete(REQ, ApiCredential(key="right-key")).text == "pong"
+            backend("wrong-key").complete(REQ)
+        assert backend("right-key").complete(REQ).text == "pong"
+
+    def test_only_the_live_backend_holds_a_credential(self):
+        for backend in (ChatBackend, HttpBackend, ReplayBackend, RecordingBackend, ScriptedBackend):
+            assert list(inspect.signature(backend.complete).parameters) == ["self", "request"]
+        for runner in (lookup_or_call, complete_parsed, run_product, run_products):
+            assert "credential" not in inspect.signature(runner).parameters
 
 
 class TestRecordReplay:
@@ -221,7 +237,7 @@ class _Stats:
 
 def _calling(backend):
     """One attempt of the retry loop: a single backend call for REQ."""
-    return lambda: backend.complete(REQ, None)
+    return lambda: backend.complete(REQ)
 
 
 class TestCompleteWithRetry:
@@ -308,7 +324,7 @@ class TestCompleteParsed:
     def test_malformed_evicts_cache_entry(self, tmp_path, fast_retry):
         cache = DiskResponseCache(tmp_path)
         # Seed the cache with a bad response; the backend holds the good one.
-        cache.put(fingerprint(REQ), ChatResponse(text='{"bad": true}', model="m", latency_ms=0))
+        cache.put(fingerprint(REQ), ChatResponse(text='{"bad": true}', model="m"))
         backend = ScriptedBackend(['{"value": 3}'])
         value = complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry, cache=cache)
         assert value == 3

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from reviewlens.cache import DiskResponseCache
 from reviewlens.comparison import build_comparison_prompt
-from reviewlens.domain import ProductRecord, ComparisonStatus
+from reviewlens.domain import ProductRecord
 from reviewlens.errors import RateLimitedError, TransportError
 from reviewlens.extraction import build_extraction_prompt
 from reviewlens.gateway import ChatResponse, ReplayBackend, RetryPolicy, fingerprint
@@ -72,7 +72,7 @@ class TestCallAccounting:
         backend = fresh_replay()
         result = run_product(products_by_id["app-mixer-001"], config_for(PipelineMode.FULL), backend)
         assert result.failed_units == ()
-        stats = result.report.call_stats
+        stats = result.call_stats
         assert backend.calls == 17
         assert (stats.extraction_calls, stats.comparison_calls, stats.grouping_calls) == (8, 8, 1)
         assert stats.cache_hits == 0
@@ -80,7 +80,7 @@ class TestCallAccounting:
     def test_full_mode_skips_comparison_for_empty_extraction(self, products_by_id):
         backend = fresh_replay()
         result = run_product(products_by_id["bty-serum-002"], config_for(PipelineMode.FULL), backend)
-        stats = result.report.call_stats
+        stats = result.call_stats
         assert backend.calls == 14
         assert (stats.extraction_calls, stats.comparison_calls, stats.grouping_calls) == (7, 6, 1)
         assert "ser-r5" in result.extractions
@@ -90,14 +90,14 @@ class TestCallAccounting:
         backend = fresh_replay()
         result = run_product(products_by_id["ele-buds-003"], config_for(PipelineMode.FULL), backend)
         assert backend.calls == 19
-        assert result.report.call_stats.extraction_calls == 9
+        assert result.call_stats.extraction_calls == 9
 
     def test_ablated_mode(self, products_by_id):
         backend = fresh_replay()
         result = run_product(
             products_by_id["app-mixer-001"], config_for(PipelineMode.ABLATED), backend
         )
-        stats = result.report.call_stats
+        stats = result.call_stats
         assert backend.calls == 9
         assert (stats.extraction_calls, stats.comparison_calls, stats.grouping_calls) == (8, 0, 1)
         assert len(result.extractions) == 8
@@ -107,7 +107,7 @@ class TestCallAccounting:
         result = run_product(
             products_by_id["app-mixer-001"], config_for(PipelineMode.BASELINE), backend
         )
-        stats = result.report.call_stats
+        stats = result.call_stats
         assert backend.calls == 1
         assert (stats.extraction_calls, stats.comparison_calls, stats.grouping_calls) == (0, 0, 1)
         assert result.extractions == {}
@@ -116,7 +116,7 @@ class TestCallAccounting:
         backend = SelectiveFailureBackend(fresh_replay(), fail_with=fail_mix_r3)
         result = run_product(products_by_id["app-mixer-001"], config_for(PipelineMode.FULL), backend)
         assert result.failed_units == ("mix-r3",)
-        stats = result.report.call_stats
+        stats = result.call_stats
         assert backend.calls == 18
         assert (
             stats.extraction_calls, stats.comparison_calls, stats.grouping_calls, stats.retries
@@ -132,7 +132,7 @@ class TestCallAccounting:
         backend = ScriptedBackend([json.dumps({"sections": []})])
         result = run_product(product, config, backend, cache=cache)
         assert result.failed_units == ()
-        stats = result.report.call_stats
+        stats = result.call_stats
         assert (stats.total_calls, stats.cache_hits, stats.retries, backend.calls) == (1, 1, 1, 1)
         assert_attempt_identity(backend, stats)
 
@@ -149,7 +149,7 @@ class TestCaching:
         warm_backend = fresh_replay()
         warm = run_product(product, config, warm_backend)
         assert warm_backend.calls == 0
-        assert warm.report.call_stats.cache_hits == 17
+        assert warm.call_stats.cache_hits == 17
         for fmt in ReportFormat:
             assert render_report(warm.report, fmt) == render_report(cold.report, fmt)
 
@@ -162,7 +162,7 @@ class TestCaching:
         second = fresh_replay()
         warm = run_product(product, config, second)
         assert second.calls == 0
-        assert warm.report.call_stats.cache_hits == 9
+        assert warm.call_stats.cache_hits == 9
 
     @pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
     def test_identical_request_in_flight_is_waited_for(self, products_by_id, tmp_path, cached):
@@ -192,7 +192,7 @@ class TestCaching:
         config = config_for(PipelineMode.FULL, cache_dir=tmp_path / "cache" if cached else None)
         result = run_product(product, config, backend)
         assert result.failed_units == ()
-        stats = result.report.call_stats
+        stats = result.call_stats
         assert len(arrivals) == (1 if cached else 2)
         assert stats.cache_hits == (1 if cached else 0)
         assert backend.calls == (18 if cached else 19)
@@ -206,7 +206,7 @@ class TestCaching:
             for run in range(200):
                 backend = fresh_replay()
                 config = config_for(PipelineMode.FULL, workers=8, cache_dir=tmp_path / str(run))
-                stats = run_product(product, config, backend).report.call_stats
+                stats = run_product(product, config, backend).call_stats
                 assert (backend.calls, stats.cache_hits) == (18, 1), run
         finally:
             sys.setswitchinterval(interval)
@@ -289,7 +289,7 @@ class TestDegradedModes:
         backend = SelectiveFailureBackend(fresh_replay(), fail_with=fail_once)
         result = run_product(product, config_for(PipelineMode.FULL), backend)
         assert result.failed_units == ()
-        assert result.report.call_stats.retries == 1
+        assert result.call_stats.retries == 1
 
 
 class TestEdgeCases:
@@ -300,7 +300,7 @@ class TestEdgeCases:
         backend = ScriptedBackend([])
         result = run_product(product, config_for(PipelineMode.FULL), backend)
         assert backend.calls == 0
-        assert result.report.call_stats.total_calls == 0
+        assert result.call_stats.total_calls == 0
         assert all(section.groups == () for section in result.report.sections)
 
     def test_empty_product_baseline_mode(self):
@@ -374,10 +374,10 @@ class RecordingBackend:
         self._lock = threading.Lock()
         self.calls: list[str] = []
 
-    def complete(self, request, credential=None):
+    def complete(self, request):
         with self._lock:
             self.calls.append(self._label(request))
-        return self.inner.complete(request, credential)
+        return self.inner.complete(request)
 
 
 def fail_once(*faults):
@@ -427,7 +427,7 @@ class TestBackoffScheduling:
         assert render_report(result.report, ReportFormat.MARKDOWN) == render_report(
             reference.report, ReportFormat.MARKDOWN
         )
-        assert result.report.call_stats == reference.report.call_stats
+        assert result.call_stats == reference.call_stats
         assert (result.failed_units, result.diagnostics) == ((), reference.diagnostics)
 
     def others(self, product, *skip):
@@ -447,7 +447,7 @@ class TestBackoffScheduling:
             + self.others(product, "mix-r1")
             + ["mix-r1/extraction", "mix-r1/comparison", "grouping"]
         )
-        stats = result.report.call_stats
+        stats = result.call_stats
         assert (stats.extraction_calls, stats.comparison_calls, stats.grouping_calls) == (8, 8, 1)
         assert stats.retries == 1
         self.assert_as_without_backoff(product, faults, result)
@@ -461,7 +461,7 @@ class TestBackoffScheduling:
             + self.others(product, "mix-r1")
             + ["grouping"]
         )
-        assert result.report.call_stats.retries == 1
+        assert result.call_stats.retries == 1
         self.assert_as_without_backoff(product, faults, result)
 
     def test_helped_review_sleeps_through_its_own_backoff(self, products_by_id):
@@ -474,7 +474,7 @@ class TestBackoffScheduling:
             + self.others(product, "mix-r1", "mix-r2")
             + ["grouping"]
         )
-        assert result.report.call_stats.retries == 2
+        assert result.call_stats.retries == 2
         self.assert_as_without_backoff(product, faults, result)
 
     def test_bug_in_helped_review_surfaces_after_the_run(self, products_by_id):
@@ -581,7 +581,7 @@ class FaultyBackend:
         self.peak_in_flight = 0
         self.peak_threads = 0
 
-    def complete(self, request, credential=None):
+    def complete(self, request):
         with self._lock:
             self.calls += 1
             self._in_flight += 1
@@ -598,7 +598,7 @@ class FaultyBackend:
                 raise RateLimitedError("injected")
             if kind == "malformed":
                 return ChatResponse(text="not json", model=request.model)
-            return self.inner.complete(request, credential)
+            return self.inner.complete(request)
         finally:
             with self._lock:
                 self._in_flight -= 1
@@ -638,7 +638,7 @@ class TestTransientFaultProperty:
             assert result.failed_units == ()
             assert backend.peak_in_flight <= workers
             assert backend.peak_threads <= threads_before + workers - 1
-            stats.add(result.report.call_stats)
+            stats.add(result.call_stats)
         assert len(stats) == 1
         assert stats.pop().retries == len(plan)
 
@@ -663,7 +663,7 @@ class TestTransientFaultProperty:
                 result = run_product(product, config, backend)
                 assert render_report(result.report, ReportFormat.JSON) == expected
                 assert backend.calls == 19 + len(faults)
-                assert result.report.call_stats.retries == len(faults)
+                assert result.call_stats.retries == len(faults)
         finally:
             sys.setswitchinterval(previous)
 
@@ -697,7 +697,7 @@ class TestTransientFaultProperty:
                     assert render_report(result.report, ReportFormat.JSON) == golden(
                         "full", product.product_id, "report.json"
                     )
-                stats = [result.report.call_stats for result in results]
+                stats = [result.call_stats for result in results]
                 assert sum(s.retries for s in stats) == len(faults)
                 assert backend.calls == sum(s.total_calls - s.cache_hits + s.retries for s in stats)
                 assert backend.peak_in_flight <= workers
@@ -775,7 +775,7 @@ class TestPermanentFaultProperty:
             results = list(run_products(products, config, backend))
             assert [(r.failed_units, render_report(r.report, ReportFormat.JSON)) for r in results] == expected
             assert backend.peak_in_flight <= workers
-            stats = [r.report.call_stats for r in results]
+            stats = [r.call_stats for r in results]
             assert backend.calls == sum(s.total_calls - s.cache_hits + s.retries for s in stats)
 
 

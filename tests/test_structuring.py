@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from reviewlens.domain import (
     OTHER_CATEGORY,
     REPORT_STATUS_ORDER,
-    CallStats,
     CategoryAssignment,
     ComparedAttribute,
     ComparisonStatus,
@@ -27,6 +26,7 @@ from reviewlens.domain import (
     render_status,
 )
 from reviewlens.errors import MalformedOutputError
+from reviewlens.llm_json import load_json_object
 from reviewlens.structuring import (
     ReportFormat,
     build_report,
@@ -128,21 +128,14 @@ class TestBuildReport:
         insights = merge_insights([compared("a", "1", "r1"), compared("b", "2", "r2")])
         forward = build_report(insights, assignment, product_id="p1")
         backward = build_report(list(reversed(insights)), assignment, product_id="p1")
-        assert forward.body_dict() == backward.body_dict()
-
-    def test_stats_excluded_from_body(self):
-        report = build_report(
-            [], CategoryAssignment(), product_id="p1", stats=CallStats(extraction_calls=5)
-        )
-        assert "call_stats" not in report.body_dict()
-        assert report.call_stats.extraction_calls == 5
+        assert forward.to_dict() == backward.to_dict()
 
 
 class TestRenderReport:
     def test_json_is_canonical_body_bytes(self):
         insights = merge_insights([compared("color", "red", "r1")])
         report = build_report(insights, CategoryAssignment(), product_id="p1")
-        assert render_report(report, ReportFormat.JSON) == canonical_json_bytes(report.body_dict())
+        assert render_report(report, ReportFormat.JSON) == canonical_json_bytes(report.to_dict())
 
     def test_markdown_layout(self):
         insights = merge_insights(
@@ -260,7 +253,7 @@ class TestAgainstBruteForce:
                 CategoryAssignment(mapping=mapping),
                 product_id="pX",
             )
-            assert report.body_dict() == brute_force_body(items, mapping, "pX")
+            assert report.to_dict() == brute_force_body(items, mapping, "pX")
 
 
 class TestParseReportSections:
@@ -305,7 +298,7 @@ class TestParseReportSections:
         text = render_report(original, ReportFormat.JSON).decode("utf-8")
         insights, parsed_assignment = parse_report_sections(text, ["r1", "r2"])
         rebuilt = build_report(insights, parsed_assignment, product_id="p1")
-        assert rebuilt.body_dict() == original.body_dict()
+        assert rebuilt.to_dict() == original.to_dict()
 
     def test_unknown_evidence_dropped_then_row_skipped(self):
         payload = self.payload()
@@ -355,6 +348,89 @@ class TestParseReportSections:
     def test_unusable_payload_rejected(self, text):
         with pytest.raises(MalformedOutputError):
             parse_report_sections(text, ["r1"])
+
+    @pytest.mark.parametrize(
+        "where, broken, note",
+        [
+            ("section", "not a section", "report section is not an object; skipped"),
+            ("section", {"status": "Matching"}, "report section Matching lacks categories; skipped"),
+            ("group", ["not a group"], "category group is not an object; skipped"),
+            (
+                "group",
+                {"category": " Build ", "insights": {"attribute": "size"}},
+                "category 'Build' lacks an insights array; skipped",
+            ),
+            ("row", 7, "insight row is not an object; skipped"),
+            (
+                "row",
+                {"attribute": None, "value": "L", "evidence": ["r1"]},
+                "insight row lacks an attribute name; skipped",
+            ),
+            (
+                "row",
+                {"attribute": " - _ ", "value": "L", "evidence": ["r1"]},
+                "insight attribute ' - _ ' normalizes to empty; skipped",
+            ),
+            (
+                "row",
+                {"attribute": "Size", "values": ["", " ", None], "evidence": ["r1"]},
+                "insight 'size' has no usable values; skipped",
+            ),
+            (
+                "row",
+                {"attribute": "Size", "value": "L", "evidence": [None, {"id": "r1"}]},
+                "insight 'size' has no valid evidence; skipped",
+            ),
+        ],
+        ids=[
+            "section-not-object",
+            "section-without-categories",
+            "group-not-object",
+            "group-without-insights",
+            "row-not-object",
+            "row-without-attribute",
+            "row-attribute-normalizes-empty",
+            "row-without-values",
+            "row-evidence-not-scalar",
+        ],
+    )
+    def test_malformed_shape_skipped_with_its_note(self, where, broken, note):
+        """One malformed shape ahead of the valid row: it is skipped with
+        exactly its note, and the valid row parses as it does alone."""
+        payload = self.payload()
+        section = payload["sections"][0]
+        container = {
+            "section": payload["sections"],
+            "group": section["categories"],
+            "row": section["categories"][0]["insights"],
+        }[where]
+        container.insert(0, broken)
+        notes: list[str] = []
+        parsed = parse_report_sections(json.dumps(payload), ["r1"], diagnostics=notes)
+        assert notes == [note]
+        assert parsed == parse_report_sections(json.dumps(self.payload()), ["r1"])
+
+
+class TestLoadJsonObject:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty model output"),
+            (" \n ", "empty model output"),
+            (None, "empty model output"),
+            ('{"sections": [}', "invalid JSON in model output"),
+            ('```json\n{"sections": [}\n```', "invalid JSON in model output"),
+            ('```json\n[{"sections": []}]\n```', "model output is valid JSON but not an object"),
+        ],
+        ids=["empty", "blank", "not-text", "invalid", "fenced-invalid", "fenced-array"],
+    )
+    def test_unrecoverable_output_raises(self, text, message):
+        with pytest.raises(MalformedOutputError, match=message):
+            load_json_object(text)
+
+    def test_fence_and_prose_are_stripped(self):
+        assert load_json_object('Here:\n```json\n{"a": 1}\n```\nDone.') == {"a": 1}
+        assert load_json_object('Sure! {"a": [1]} Hope that helps.') == {"a": [1]}
 
 
 compared_items = st.lists(
@@ -410,7 +486,7 @@ def test_structured_report_round_trips_via_dict():
         merge_insights(items),
         CategoryAssignment(mapping={"color": "Appearance"}),
         product_id="p1",
-        stats=CallStats(extraction_calls=1, comparison_calls=1, grouping_calls=1),
     )
-    rebuilt = StructuredReport.from_dict(report.to_dict())
-    assert rebuilt == report
+    payload = report.to_dict()
+    assert "call_stats" not in payload
+    assert StructuredReport.from_dict(payload) == report

@@ -162,7 +162,7 @@ def backend():
     backends = []
 
     def make(base_url: str, **kwargs) -> HttpBackend:
-        backends.append(HttpBackend(base_url, **kwargs))
+        backends.append(HttpBackend(base_url, KEY, **kwargs))
         return backends[-1]
 
     yield make
@@ -178,10 +178,10 @@ class TestConnectionReuse:
     def test_sequential_calls_share_one_connection_across_threads(self, serve, backend):
         server = serve()
         live = backend(server.url)
-        texts = [live.complete(_request(f"main {i}"), KEY).text for i in range(3)]
+        texts = [live.complete(_request(f"main {i}")).text for i in range(3)]
         # A fresh thread per call, as the pipeline starts per product.
         for i in range(3):
-            worker = threading.Thread(target=lambda i=i: texts.append(live.complete(_request(f"thread {i}"), KEY).text))
+            worker = threading.Thread(target=lambda i=i: texts.append(live.complete(_request(f"thread {i}")).text))
             worker.start()
             worker.join(timeout=10)
             assert not worker.is_alive()
@@ -193,30 +193,30 @@ class TestConnectionReuse:
     def test_idle_connection_closed_by_server_is_replaced(self, serve, backend):
         server = serve(["idle_close"])
         live = backend(server.url)
-        assert live.complete(_request("first"), KEY).text == _ok("first")
+        assert live.complete(_request("first")).text == _ok("first")
         assert server.closed.acquire(timeout=5)
-        assert live.complete(_request("second"), KEY).text == _ok("second")
+        assert live.complete(_request("second")).text == _ok("second")
         assert server.connections == 2
         assert len(server.arrivals) == 2
 
     def test_connection_close_header_keeps_no_idle_connection(self, serve, backend):
         server = serve(["close_header"])
         live = backend(server.url)
-        assert live.complete(_request("first"), KEY).text == _ok("first")
+        assert live.complete(_request("first")).text == _ok("first")
         (origin,) = live._session._origins.values()
         assert origin._idle == []
-        assert live.complete(_request("second"), KEY).text == _ok("second")
+        assert live.complete(_request("second")).text == _ok("second")
         assert server.connections == 2
         assert len(server.arrivals) == 2
 
     def test_drop_mid_request_is_not_resent(self, serve, backend):
         server = serve(["ok", "drop"])
         live = backend(server.url)
-        live.complete(_request("first"), KEY)
+        live.complete(_request("first"))
         with pytest.raises(TransportError):
-            live.complete(_request("dropped"), KEY)
+            live.complete(_request("dropped"))
         assert len(server.arrivals) == 2
-        assert live.complete(_request("third"), KEY).text == _ok("third")
+        assert live.complete(_request("third")).text == _ok("third")
         assert server.connections == 2
         assert len(server.arrivals) == 3
 
@@ -229,7 +229,7 @@ class TestConnectionReuse:
         def work(t: int) -> None:
             for c in range(calls):
                 user = f"caller {t} call {c}"
-                results[user] = live.complete(_request(user), KEY).text
+                results[user] = live.complete(_request(user)).text
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -262,14 +262,14 @@ class TestWireErrors:
     def test_status_and_body_mapping(self, serve, backend, status, body, error):
         server = serve([(status, body)])
         with pytest.raises(error):
-            backend(server.url).complete(_request(), KEY)
+            backend(server.url).complete(_request())
         assert len(server.arrivals) == 1
 
     def test_timeout_raises_transport_error(self, serve, backend):
         server = serve(["stall"])
         live = backend(server.url, timeout_s=0.2)
         with pytest.raises(TransportError):
-            live.complete(_request(), KEY)
+            live.complete(_request())
         assert len(server.arrivals) == 1
 
     def test_timeout_applies_to_a_reused_connection(self, serve):
@@ -297,7 +297,7 @@ class TestProxies:
         monkeypatch.setattr(urllib.request, "getproxies", lambda: reads.append(1) or getproxies())
         live = backend("http://api.example.test/v1")
         for i in range(3):
-            assert live.complete(_request(f"call {i}"), KEY).text == _ok(f"call {i}")
+            assert live.complete(_request(f"call {i}")).text == _ok(f"call {i}")
         assert len(reads) == 1
         assert proxy.connections == 1
         target, headers = proxy.arrivals[0]
@@ -309,7 +309,7 @@ class TestProxies:
         proxy, server = serve(), serve()
         monkeypatch.setenv("HTTP_PROXY", f"http://{proxy.address}")
         monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
-        assert backend(server.url).complete(_request(), KEY).text == _ok()
+        assert backend(server.url).complete(_request()).text == _ok()
         assert proxy.arrivals == []
         assert server.arrivals[0][0] == "/v1/chat/completions"
 
@@ -317,7 +317,7 @@ class TestProxies:
         proxy = serve()
         monkeypatch.setenv("HTTPS_PROXY", f"http://user:pw@{proxy.address}")
         with pytest.raises(TransportError):
-            backend("https://api.example.test/v1").complete(_request(), KEY)
+            backend("https://api.example.test/v1").complete(_request())
         target, headers = proxy.arrivals[0]
         assert target == "api.example.test:443"
         assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
@@ -328,7 +328,7 @@ def test_netrc_entry_does_not_replace_bearer_credential(serve, backend, monkeypa
     netrc = tmp_path / "netrc"
     netrc.write_text("machine 127.0.0.1 login someone password hunter2\n", encoding="utf-8")
     monkeypatch.setenv("NETRC", str(netrc))
-    assert backend(server.url).complete(_request(), KEY).text == _ok()
+    assert backend(server.url).complete(_request()).text == _ok()
     assert server.arrivals[0][1]["Authorization"] == f"Bearer {KEY.key}"
 
 
@@ -336,7 +336,7 @@ def test_request_headers_on_the_wire(serve, backend):
     from reviewlens import __version__
 
     server = serve()
-    backend(server.url).complete(_request(), KEY)
+    backend(server.url).complete(_request())
     headers = server.arrivals[0][1]
     assert headers["User-Agent"] == f"reviewlens/{__version__}"
     assert headers["Content-Type"] == "application/json"
