@@ -181,9 +181,12 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _resolve_credential(args: argparse.Namespace) -> ApiCredential | None:
-    if args.api_key:
-        return ApiCredential(key=args.api_key)
-    return ApiCredential.from_env(CREDENTIAL_ENV_VAR)
+    try:
+        if args.api_key:
+            return ApiCredential(key=args.api_key)
+        return ApiCredential.from_env(CREDENTIAL_ENV_VAR)
+    except ValueError as exc:  # the message never quotes the key
+        raise DataFormatError(f"invalid API key: {exc}") from None
 
 
 def _select_products(dataset: Path, wanted: str | None) -> list[ProductRecord]:

@@ -24,6 +24,10 @@ The live backend speaks the common chat-completions JSON dialect: a single
 POST with system/user messages and bearer auth, which both OpenAI-style and
 Gemini-style endpoints accept. It posts through ``KeepAliveSession``, a
 stdlib HTTP/1.1 client that pools keep-alive connections per origin.
+``http.client`` only opens those connections; the session writes each
+request in one ``sendall`` and reads the response with its own small
+parser, which takes the framings of RFC 9112 §6 (``Content-Length``,
+chunked, or the connection closing) and refuses anything else.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ import hashlib
 import http.client
 import json
 import math
+import re
 import select
+import socket
 import ssl
 import threading
 import time
@@ -165,6 +171,10 @@ class ApiCredential:
     def __post_init__(self) -> None:
         if not self.key:
             raise ValueError("credential key must be non-empty")
+        # A bearer token is printable ASCII; CR or LF would split the request
+        # head. The message must not quote the key.
+        if not (self.key.isascii() and self.key.isprintable()):
+            raise ValueError("credential key holds a control or non-ASCII character")
 
     @classmethod
     def from_env(cls, variable: str = "REVIEWLENS_API_KEY") -> Optional["ApiCredential"]:
@@ -236,23 +246,148 @@ def _json_body(payload: Any) -> bytes:
     return json.dumps(payload, allow_nan=False).encode("utf-8")
 
 
-def _is_dropped(conn: http.client.HTTPConnection) -> bool:
+# http.client's limits on a response head: bytes per line, header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_RECV_BYTES = 65536
+# No request asks for an interim (1xx) response, so one is refused.
+_STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([2-9]\d\d)(?: .*)?")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+_HEADER_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+_BAD_HEADER_VALUE = re.compile(r"[\r\n\0]")
+_BAD_TARGET = re.compile(r"[^!-~]")  # anything but visible ASCII
+_USER_AGENT = f"reviewlens/{__version__}"
+
+
+def _header_lines(headers: Mapping[str, str]) -> str:
+    """``headers`` as request head lines. A name that is not a token, or a
+    value holding CR, LF or NUL, raises ValueError naming only the header."""
+    lines = []
+    for name, value in headers.items():
+        if not _HEADER_NAME.fullmatch(name) or _BAD_HEADER_VALUE.search(value):
+            raise ValueError(f"invalid request header {name!r}")
+        lines.append(f"{name}: {value}\r\n")
+    return "".join(lines)
+
+
+class _ResponseReader:
+    """Reads one HTTP/1.1 response off a socket (RFC 9112), with
+    http.client's limits of ``_MAX_LINE`` bytes per line and
+    ``_MAX_HEADERS`` headers. The body is framed by ``Content-Length``,
+    ``Transfer-Encoding: chunked``, or the server closing the connection;
+    anything else raises an ``http.client.HTTPException``."""
+
+    __slots__ = ("_sock", "_buf")
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buf = bytearray()
+
+    def _fill(self) -> None:
+        chunk = self._sock.recv(_RECV_BYTES)
+        if not chunk:
+            raise http.client.IncompleteRead(bytes(self._buf))
+        self._buf += chunk
+
+    def _line(self, what: str) -> bytes:
+        buf = self._buf
+        while (end := buf.find(b"\n")) < 0:
+            if len(buf) > _MAX_LINE:
+                raise http.client.LineTooLong(what)
+            self._fill()
+        if end >= _MAX_LINE:
+            raise http.client.LineTooLong(what)
+        line = bytes(buf[:end])
+        del buf[: end + 1]
+        return line[:-1] if line.endswith(b"\r") else line
+
+    def _take(self, size: int) -> bytes:
+        while len(self._buf) < size:
+            self._fill()
+        data = bytes(self._buf[:size])
+        del self._buf[:size]
+        return data
+
+    def _chunked(self) -> bytes:
+        parts = []
+        while True:
+            field = self._line("chunk size").partition(b";")[0].strip()
+            if not _CHUNK_SIZE.fullmatch(field):
+                raise http.client.HTTPException(f"invalid chunk size {field[:20]!r}")
+            size = int(field, 16)
+            if not size:
+                break
+            parts.append(self._take(size))
+            if self._line("chunk data"):
+                raise http.client.HTTPException("chunk data longer than its size")
+        for _ in range(_MAX_HEADERS + 1):
+            if not self._line("trailer line"):
+                return b"".join(parts)
+        raise http.client.HTTPException(f"got more than {_MAX_HEADERS} trailer lines")
+
+    def _to_close(self) -> bytes:
+        while chunk := self._sock.recv(_RECV_BYTES):
+            self._buf += chunk
+        return self._take(len(self._buf))
+
+    def read(self) -> tuple[int, bytes, bool]:
+        """The status, the body, and whether the connection can carry
+        another request: it stays open and no byte came past the body."""
+        line = self._line("status line")
+        match = _STATUS_LINE.fullmatch(line)
+        if match is None:
+            raise http.client.BadStatusLine(repr(line[:100]))
+        close = match[1] == b"0"  # an HTTP/1.0 connection is never reused
+        length: int | None = None
+        chunked = False
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._line("header line")
+            if not line:
+                break
+            name, colon, value = line.partition(b":")
+            if not colon or not name or name != name.strip():
+                raise http.client.HTTPException(f"malformed header line {line[:100]!r}")
+            name, value = name.lower(), value.strip()
+            if name == b"content-length":
+                if not value.isdigit() or length not in (None, int(value)):
+                    raise http.client.HTTPException(f"invalid Content-Length {value[:20]!r}")
+                length = int(value)
+            elif name == b"transfer-encoding":
+                if value.lower() != b"chunked":
+                    raise http.client.UnknownTransferEncoding(value[:100].decode("latin-1"))
+                chunked = True
+            elif name == b"connection":
+                close = close or b"close" in {token.strip() for token in value.lower().split(b",")}
+        else:
+            raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+        if chunked:
+            body = self._chunked()
+            close = close or length is not None  # both framings: do not trust the rest
+        elif length is not None:
+            body = self._take(length)
+        else:
+            body, close = self._to_close(), True
+        return int(match[2]), body, not close and not self._buf
+
+
+def _is_dropped(sock: socket.socket) -> bool:
     """True when an idle connection can no longer carry a request: an idle
     keep-alive socket has nothing to read, so a readable one was closed by
-    the server."""
-    if conn.sock is None:
-        return True
-    readable, _, _ = select.select([conn.sock], [], [], 0)
-    return bool(readable)
+    the server (or sent bytes no request asked for). ``poll`` takes any fd,
+    where ``select`` fails on one of 1024 or more."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 class _Origin:
     """How to reach one ``scheme://host:port``, and its idle connections.
 
-    The proxy environment is read once, here, rather than on every request.
-    Idle connections form a LIFO list under a lock shared by all threads, so
-    the most recently used socket, the one least likely to have timed out on
-    the server, is reused first.
+    The proxy environment is read once, here, rather than on every request,
+    and so are the head lines every request to the origin carries. Idle
+    sockets form a LIFO list under a lock shared by all threads, so the most
+    recently used socket, the one least likely to have timed out on the
+    server, is reused first.
     """
 
     def __init__(self, scheme: str, netloc: str):
@@ -264,7 +399,7 @@ class _Origin:
         # A plain-HTTP proxy takes the absolute-form target and the proxy
         # credentials with each request; HTTPS sends them once, in CONNECT.
         self.target_prefix = ""
-        self.request_headers: dict[str, str] = {}
+        request_headers: dict[str, str] = {}
         proxy = urllib.request.getproxies().get(scheme)
         if proxy and not urllib.request.proxy_bypass(netloc):
             parsed = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
@@ -276,40 +411,54 @@ class _Origin:
                 self._proxy_auth["Proxy-Authorization"] = "Basic " + base64.b64encode(token).decode()
             if scheme == "http":
                 self.target_prefix = f"http://{netloc}"
-                self.request_headers = self._proxy_auth
-        self._idle: list[http.client.HTTPConnection] = []
+                request_headers = self._proxy_auth
+        host = netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
+        host = host.removesuffix(":443" if scheme == "https" else ":80")
+        # Every request line and header but the target, Content-Length and
+        # the caller's headers.
+        self.head_lines = _header_lines(
+            {"Host": host, "Accept-Encoding": "identity", "User-Agent": _USER_AGENT, **request_headers}
+        )
+        self._idle: list[socket.socket] = []
         self._lock = threading.Lock()
 
-    def connect(self, timeout: float | None) -> http.client.HTTPConnection:
-        """A new connection; it connects on its first request."""
+    def connect(self, timeout: float | None) -> socket.socket:
+        """A new socket, opened by http.client: TCP_NODELAY, TLS with
+        certificate and host name checks, and the proxy's CONNECT tunnel."""
         if self.scheme == "http":
-            return http.client.HTTPConnection(self._proxy or self.netloc, timeout=timeout)
-        if self._proxy is None:
-            return http.client.HTTPSConnection(self.netloc, timeout=timeout, context=self._tls)
-        conn = http.client.HTTPSConnection(self._proxy, timeout=timeout, context=self._tls)
-        conn.set_tunnel(self.netloc, headers=self._proxy_auth)
-        return conn
+            conn = http.client.HTTPConnection(self._proxy or self.netloc, timeout=timeout)
+        elif self._proxy is None:
+            conn = http.client.HTTPSConnection(self.netloc, timeout=timeout, context=self._tls)
+        else:
+            conn = http.client.HTTPSConnection(self._proxy, timeout=timeout, context=self._tls)
+            conn.set_tunnel(self.netloc, headers=self._proxy_auth)
+        try:
+            conn.connect()
+        except BaseException:
+            conn.close()
+            raise
+        return conn.sock
 
-    def checkout(self) -> http.client.HTTPConnection | None:
-        """An idle connection still open at the server, or None."""
+    def checkout(self) -> socket.socket | None:
+        """An idle socket still open at the server, or None."""
         while True:
             with self._lock:
                 if not self._idle:
                     return None
-                conn = self._idle.pop()
-            if not _is_dropped(conn):
-                return conn
-            conn.close()
+                sock = self._idle.pop()
+            if not _is_dropped(sock):
+                return sock
+            sock.close()
 
-    def checkin(self, conn: http.client.HTTPConnection) -> None:
+    def checkin(self, sock: socket.socket) -> None:
         with self._lock:
-            self._idle.append(conn)
+            self._idle.append(sock)
 
     def close(self) -> None:
         with self._lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for sock in idle:
+            sock.close()
 
 
 class KeepAliveSession:
@@ -317,17 +466,22 @@ class KeepAliveSession:
     ``post(url, json=, headers=, timeout=)``, answering ``status_code`` and
     ``json()``.
 
-    Connections are pooled per origin and shared by all threads; each is
-    checked out for exactly one request and response. A request is never
-    sent twice: a pooled connection the server closed while idle is
-    discarded before use, and an ``OSError`` or ``http.client.HTTPException``
-    closes the connection and propagates. ``HTTP(S)_PROXY`` and ``NO_PROXY``
-    are read once per origin; TLS verifies against OpenSSL's default CA
-    store (``SSL_CERT_FILE``, ``SSL_CERT_DIR``).
+    ``http.client`` only opens connections (TCP_NODELAY, TLS, the proxy
+    tunnel). The exchange is this module's: each request goes out in one
+    ``sendall`` of head and body, and ``_ResponseReader`` parses the
+    response. Sockets are pooled per origin and shared by all threads; each
+    is checked out for exactly one request and response, and goes back to
+    the pool only when the response left it open with no byte unread. A
+    request is never sent twice: a pooled socket the server closed while
+    idle is discarded before use, and an ``OSError`` or
+    ``http.client.HTTPException`` closes the socket and propagates. A caller
+    header that could split the head raises ValueError before any byte is
+    sent. ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read once per origin; TLS
+    verifies against OpenSSL's default CA store (``SSL_CERT_FILE``,
+    ``SSL_CERT_DIR``).
     """
 
     def __init__(self) -> None:
-        self._user_agent = f"reviewlens/{__version__}"
         self._origins: dict[tuple[str, str], _Origin] = {}
         self._lock = threading.Lock()
 
@@ -342,7 +496,7 @@ class KeepAliveSession:
         self,
         url: str,
         json: Any = None,  # noqa: A002 - the keyword HttpBackend passes
-        headers: dict[str, str] | None = None,
+        headers: Mapping[str, str] | None = None,
         timeout: float | None = None,
     ) -> _Response:
         parts = urlsplit(url)
@@ -350,25 +504,30 @@ class KeepAliveSession:
             raise http.client.InvalidURL(f"unsupported URL {url!r}")
         origin = self._origin(parts.scheme, parts.netloc.rpartition("@")[2])
         target = origin.target_prefix + (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        all_headers = {"User-Agent": self._user_agent, **origin.request_headers, **(headers or {})}
+        if _BAD_TARGET.search(target):
+            raise http.client.InvalidURL(f"URL can't contain control characters or non-ASCII: {target!r}")
         body = _json_body(json)
-        conn = origin.checkout()
-        if conn is None:
-            conn = origin.connect(timeout)
-        else:
-            conn.sock.settimeout(timeout)
+        head = (
+            f"POST {target} HTTP/1.1\r\n{origin.head_lines}Content-Length: {len(body)}\r\n"
+            f"{_header_lines(headers or {})}\r\n"
+        ).encode("latin-1")
+        sock = origin.checkout()
         try:
-            conn.request("POST", target, body=body, headers=all_headers)
-            response = conn.getresponse()
-            content = response.read()
+            if sock is None:
+                sock = origin.connect(timeout)
+            else:
+                sock.settimeout(timeout)
+            sock.sendall(head + body)
+            status, content, reusable = _ResponseReader(sock).read()
         except BaseException:
-            conn.close()
+            if sock is not None:
+                sock.close()
             raise
-        if response.will_close:
-            conn.close()
+        if reusable:
+            origin.checkin(sock)
         else:
-            origin.checkin(conn)
-        return _Response(response.status, content)
+            sock.close()
+        return _Response(status, content)
 
     def close(self) -> None:
         """Close every idle connection. The session stays usable."""
@@ -396,7 +555,8 @@ class HttpBackend:
     ):
         if credential is None:
             raise AuthFailedError("live backend requires an API credential")
-        self._credential = credential
+        # The only read of the key: headers every request carries unchanged.
+        self._headers = {"Authorization": f"Bearer {credential.key}", "Content-Type": "application/json"}
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
         self._session = session if session is not None else _default_session()
@@ -422,15 +582,11 @@ class HttpBackend:
         }
         if request.response_format is ResponseFormat.JSON_OBJECT:
             payload["response_format"] = {"type": "json_object"}
-        headers = {
-            "Authorization": f"Bearer {self._credential.key}",
-            "Content-Type": "application/json",
-        }
         try:
             response = self._session.post(
                 f"{self.base_url}/chat/completions",
                 json=payload,
-                headers=headers,
+                headers=self._headers,
                 timeout=self.timeout_s,
             )
         except (OSError, http.client.HTTPException) as exc:

@@ -2,9 +2,10 @@
 against loopback stdlib servers that count connections and arrivals.
 
 Covers connection reuse across calls and threads, idle and mid-request
-closes (a request is never sent twice), status mapping, timeouts, proxies,
-the credential header, and that importing the CLI loads no third-party HTTP
-stack.
+closes (a request is never sent twice), the response framings the reader
+accepts and the malformed responses it refuses, status mapping, timeouts,
+proxies, the credential header, and that importing the CLI loads no
+third-party HTTP stack.
 """
 
 from __future__ import annotations
@@ -12,26 +13,43 @@ from __future__ import annotations
 import base64
 import json
 import os
+import resource
 import subprocess
 import sys
 import threading
 import time
 import urllib.request
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+from reviewlens.cli import CREDENTIAL_ENV_VAR, main
 from reviewlens.errors import AuthFailedError, RateLimitedError, TransportError
 from reviewlens.gateway import ApiCredential, ChatRequest, HttpBackend, KeepAliveSession
 
 KEY = ApiCredential(key="wire-key")
+DATASET = str(Path(__file__).resolve().parents[1] / "testdata" / "dataset.json")
 PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy", "all_proxy", "request_method")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _request(user: str = "hello") -> ChatRequest:
     return ChatRequest(model="wire-model", system_prompt="system", user_prompt=user)
+
+
+def _answer(content: str) -> bytes:
+    return json.dumps({"model": "served", "choices": [{"message": {"content": content}}]}).encode()
+
+
+@dataclass(frozen=True)
+class Raw:
+    """A scripted reply written to the socket as it is; the server then
+    closes the connection unless ``keep_open``."""
+
+    data: bytes
+    keep_open: bool = False
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -60,6 +78,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if action == "stall":
             self.server.release.wait(5)
+        if isinstance(action, Raw):
+            self.wfile.write(action.data)
+            self.close_connection = not action.keep_open
+            return
         if isinstance(action, tuple):
             self._reply(*action)
             return
@@ -67,11 +89,7 @@ class _Handler(BaseHTTPRequestHandler):
         # reached the wrong caller, or a header the transport rewrote, shows.
         user = body["messages"][1]["content"]
         content = f"{self.headers.get('Authorization', '')}\n{user}"
-        self._reply(
-            200,
-            json.dumps({"model": "served", "choices": [{"message": {"content": content}}]}).encode(),
-            close=action == "close_header",
-        )
+        self._reply(200, _answer(content), close=action == "close_header")
         if action == "idle_close":
             self.close_connection = True
 
@@ -91,7 +109,8 @@ class WireServer(ThreadingHTTPServer):
       the server closes the connection;
     * ``"drop"``: read the request, close without answering;
     * ``"stall"``: wait for ``release`` (at most 5 s), then answer;
-    * ``(status, body)``: that status and body.
+    * ``(status, body)``: that status and body;
+    * ``Raw(data, keep_open)``: ``data`` as the whole reply.
     """
 
     daemon_threads = True
@@ -247,6 +266,101 @@ class TestConnectionReuse:
         assert len(server.arrivals) == threads * calls
         assert 1 <= server.connections <= threads
 
+    def test_pooled_socket_above_fd_1024_is_reused(self, serve, backend):
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 2048:
+            pytest.skip("needs a soft RLIMIT_NOFILE of at least 2048")
+        server = serve()
+        live = backend(server.url)
+        base = os.open(os.devnull, os.O_RDONLY)
+        held = [base]
+        try:
+            held += [os.dup(base) for _ in range(1100)]
+            assert live.complete(_request("first")).text == _ok("first")
+            (origin,) = live._session._origins.values()
+            (sock,) = origin._idle
+            assert sock.fileno() >= 1024  # beyond what select() takes
+            assert live.complete(_request("second")).text == _ok("second")
+        finally:
+            for fd in held:
+                os.close(fd)
+        assert server.connections == 1
+        assert len(server.arrivals) == 2
+
+
+def _head(status_line: bytes, *fields: bytes) -> bytes:
+    return b"\r\n".join([status_line, *fields, b"", b""])
+
+
+class TestResponseFraming:
+    """The reader takes a response framed by Content-Length, chunked
+    coding or the close of the connection, and refuses anything else as a
+    transport error. Each scripted reply meets one request, sent once."""
+
+    def test_chunked_body_keeps_the_connection(self, serve, backend):
+        body = _answer(_ok("first"))
+        chunks = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(part), part) for part in (body[:7], body[7:]))
+        reply = _head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked") + chunks + b"0\r\nX-Trailer: t\r\n\r\n"
+        server = serve([Raw(reply, keep_open=True)])
+        live = backend(server.url)
+        assert live.complete(_request("first")).text == _ok("first")
+        assert live.complete(_request("second")).text == _ok("second")
+        assert server.connections == 1
+        assert len(server.arrivals) == 2
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            pytest.param(_head(b"HTTP/1.1 2OO OK", b"Content-Length: 0"), id="malformed-status-line"),
+            pytest.param(_head(b"HTTP/1.1 200 OK", b"X-Long: " + b"a" * 65536, b"Content-Length: 0"), id="header-line-too-long"),
+            pytest.param(_head(b"HTTP/1.1 200 OK", *[b"X-Many: 1"] * 101, b"Content-Length: 0"), id="too-many-headers"),
+            pytest.param(_head(b"HTTP/1.1 100 Continue") + _head(b"HTTP/1.1 200 OK"), id="interim-response"),
+            pytest.param(_head(b"HTTP/1.1 200 OK", b"Content-Length: 2", b"Content-Length: 3") + b"{}", id="conflicting-lengths"),
+            pytest.param(_head(b"HTTP/1.1 200 OK", b"Content-Length: 100") + b'{"choices": [', id="body-short-of-length"),
+            pytest.param(_head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: gzip") + b"x", id="unknown-transfer-coding"),
+            pytest.param(_head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked") + b"zz\r\n", id="bad-chunk-size"),
+        ],
+    )
+    def test_malformed_response_is_a_transport_error_sent_once(self, serve, backend, reply):
+        server = serve([Raw(reply)])
+        live = backend(server.url)
+        with pytest.raises(TransportError):
+            live.complete(_request())
+        assert len(server.arrivals) == 1
+        (origin,) = live._session._origins.values()
+        assert origin._idle == []
+
+    def test_http_10_response_without_length_reads_to_close(self, serve, backend):
+        server = serve([Raw(_head(b"HTTP/1.0 200 OK", b"Content-Type: application/json") + _answer(_ok("first")))])
+        live = backend(server.url)
+        assert live.complete(_request("first")).text == _ok("first")
+        assert live.complete(_request("second")).text == _ok("second")
+        assert server.connections == 2
+        assert len(server.arrivals) == 2
+
+    def test_bytes_past_the_response_are_never_read_as_the_next_one(self, serve, backend):
+        def reply(content: str) -> bytes:
+            body = _answer(content)
+            return _head(b"HTTP/1.1 200 OK", b"Content-Length: %d" % len(body)) + body
+
+        server = serve([Raw(reply(_ok("first")) + reply("smuggled"), keep_open=True)])
+        live = backend(server.url)
+        assert live.complete(_request("first")).text == _ok("first")
+        assert live.complete(_request("second")).text == _ok("second")
+        assert server.connections == 2
+        assert len(server.arrivals) == 2
+
+    def test_header_value_with_a_line_break_raises_before_any_byte_is_sent(self, serve):
+        server = serve()
+        session = KeepAliveSession()
+        try:
+            with pytest.raises(ValueError, match="X-Note") as caught:
+                session.post(f"{server.url}/chat/completions", json={}, headers={"X-Note": "a\r\nX-Evil: 1"})
+            assert "X-Evil" not in str(caught.value)
+        finally:
+            session.close()
+        assert server.connections == 0
+        assert server.arrivals == []
+
 
 class TestWireErrors:
     @pytest.mark.parametrize(
@@ -348,3 +462,24 @@ def test_cli_import_loads_no_third_party_http_stack():
     probe = "import sys, reviewlens.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("via", ["environment", "--api-key"])
+def test_api_key_with_a_control_character_is_refused_unseen(serve, monkeypatch, tmp_path, capsys, via):
+    server = serve()
+    canary = "sk-canary-5e1f0c"
+    key = f"{canary}\nX-Evil: 1"
+    argv = ["run", "--dataset", DATASET, "--backend", "live", "--base-url", server.url,
+            "--cache-dir", "", "--out", str(tmp_path / "out")]
+    if via == "environment":
+        monkeypatch.setenv(CREDENTIAL_ENV_VAR, key)
+    else:
+        monkeypatch.delenv(CREDENTIAL_ENV_VAR, raising=False)
+        argv += ["--api-key", key]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: invalid API key")
+    written = [path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()]
+    for text in [out.encode(), err.encode(), *written]:
+        assert canary.encode() not in text
+    assert server.connections == 0
