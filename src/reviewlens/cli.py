@@ -189,6 +189,13 @@ def _resolve_credential(args: argparse.Namespace) -> ApiCredential | None:
         raise DataFormatError(f"invalid API key: {exc}") from None
 
 
+def _live_backend(args: argparse.Namespace, credential: ApiCredential) -> HttpBackend:
+    try:
+        return HttpBackend(args.base_url, credential)
+    except ValueError as exc:  # the message names at most the scheme and host
+        raise DataFormatError(f"invalid base URL: {exc}") from None
+
+
 def _select_products(dataset: Path, wanted: str | None) -> list[ProductRecord]:
     products = load_product_records(dataset)
     if wanted is None:
@@ -268,7 +275,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             return _fatal(
                 f"live backend needs an API key; set {CREDENTIAL_ENV_VAR} or pass --api-key"
             )
-        live = HttpBackend(args.base_url, credential)
+        live = _live_backend(args, credential)
         try:
             return _execute_run(args, live, "live")
         finally:
@@ -286,8 +293,8 @@ def cmd_record_fixtures(args: argparse.Namespace) -> int:
         return _fatal(
             f"recording runs live and needs an API key; set {CREDENTIAL_ENV_VAR} or pass --api-key"
         )
+    live = _live_backend(args, credential)
     Path(args.fixtures).mkdir(parents=True, exist_ok=True)
-    live = HttpBackend(args.base_url, credential)
     gateway = RecordingBackend(live, args.fixtures)
     try:
         code = _execute_run(args, gateway, "record")

@@ -22,12 +22,13 @@ Responsibilities:
 
 The live backend speaks the common chat-completions JSON dialect: a single
 POST with system/user messages and bearer auth, which both OpenAI-style and
-Gemini-style endpoints accept. It posts through ``KeepAliveSession``, a
-stdlib HTTP/1.1 client that pools keep-alive connections per origin.
-``http.client`` only opens those connections; the session writes each
-request in one ``sendall`` and reads the response with its own small
-parser, which takes the framings of RFC 9112 §6 (``Content-Length``,
-chunked, or the connection closing) and refuses anything else.
+Gemini-style endpoints accept. It resolves its one endpoint when it is
+built (``_Origin``): the URL and proxy checks, the request target and every
+constant line of the request head. ``http.client`` only opens connections,
+which the backend pools and keeps alive; each request goes out in one
+``sendall`` and the response is read by a small parser, which takes the
+framings of RFC 9112 §6 (``Content-Length``, chunked, or the connection
+closing) and refuses anything else.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import urllib.request
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Protocol, TypeVar, runtime_checkable
-from urllib.parse import unquote, urlsplit
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from . import __version__
 from .cache import ChatResponse, DiskResponseCache
@@ -228,24 +229,6 @@ class CallCounter:
             return self._calls
 
 
-class _Response:
-    """Status and body of one exchange, read the way ``HttpBackend`` reads
-    them: ``status_code`` and ``json()``."""
-
-    __slots__ = ("status_code", "content")
-
-    def __init__(self, status_code: int, content: bytes):
-        self.status_code = status_code
-        self.content = content
-
-    def json(self) -> Any:
-        return json.loads(self.content)
-
-
-def _json_body(payload: Any) -> bytes:
-    return json.dumps(payload, allow_nan=False).encode("utf-8")
-
-
 # http.client's limits on a response head: bytes per line, header lines.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
@@ -253,21 +236,8 @@ _RECV_BYTES = 65536
 # No request asks for an interim (1xx) response, so one is refused.
 _STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([2-9]\d\d)(?: .*)?")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
-_HEADER_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
-_BAD_HEADER_VALUE = re.compile(r"[\r\n\0]")
-_BAD_TARGET = re.compile(r"[^!-~]")  # anything but visible ASCII
+_VISIBLE_ASCII = re.compile(r"[!-~]+")
 _USER_AGENT = f"reviewlens/{__version__}"
-
-
-def _header_lines(headers: Mapping[str, str]) -> str:
-    """``headers`` as request head lines. A name that is not a token, or a
-    value holding CR, LF or NUL, raises ValueError naming only the header."""
-    lines = []
-    for name, value in headers.items():
-        if not _HEADER_NAME.fullmatch(name) or _BAD_HEADER_VALUE.search(value):
-            raise ValueError(f"invalid request header {name!r}")
-        lines.append(f"{name}: {value}\r\n")
-    return "".join(lines)
 
 
 class _ResponseReader:
@@ -380,49 +350,71 @@ def _is_dropped(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
-class _Origin:
-    """How to reach one ``scheme://host:port``, and its idle connections.
+def _split_url(url: str, label: str, schemes: tuple[str, ...]) -> SplitResult:
+    """``url`` split, if it is visible ASCII with one of ``schemes``, a host
+    and a port from 0 to 65535. Otherwise ValueError, whose message starts
+    with ``label`` and names at most the scheme and host, never userinfo."""
+    if not _VISIBLE_ASCII.fullmatch(url):
+        raise ValueError(f"{label} holds a space, a control character or a non-ASCII character")
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError for a port that is not a number in range
+    except ValueError:
+        raise ValueError(f"{label} has a host or port that cannot be parsed") from None
+    if parts.scheme not in schemes or not parts.hostname:
+        where = f"{parts.scheme}://{parts.hostname or ''}"
+        raise ValueError(f"{label} {where} does not name an {' or '.join(schemes)} host")
+    return parts
 
-    The proxy environment is read once, here, rather than on every request,
-    and so are the head lines every request to the origin carries. Idle
-    sockets form a LIFO list under a lock shared by all threads, so the most
-    recently used socket, the one least likely to have timed out on the
-    server, is reused first.
+
+class _Origin:
+    """The one URL an ``HttpBackend`` posts to, resolved once, and the idle
+    connections to it.
+
+    ``__init__`` checks the URL, reads the proxy environment and builds
+    every line of the request head but Content-Length: the request line,
+    Host, Accept-Encoding, User-Agent, Proxy-Authorization through an HTTP
+    proxy, then ``headers`` after Content-Length. A URL or proxy that
+    cannot be used raises ValueError (see ``_split_url``) before any
+    connection is made.
+
+    Idle sockets form a LIFO list under a lock shared by all threads, so
+    the most recently used socket, the one least likely to have timed out
+    on the server, is reused first.
     """
 
-    def __init__(self, scheme: str, netloc: str):
-        self.scheme = scheme
-        self.netloc = netloc
-        self._tls = ssl.create_default_context() if scheme == "https" else None
+    def __init__(self, url: str, headers: str):
+        parts = _split_url(url, "the URL", ("http", "https"))
+        self.scheme, self.netloc = parts.scheme, parts.netloc.rpartition("@")[2]
+        self._tls = ssl.create_default_context() if self.scheme == "https" else None
         self._proxy: str | None = None
         self._proxy_auth: dict[str, str] = {}
-        # A plain-HTTP proxy takes the absolute-form target and the proxy
-        # credentials with each request; HTTPS sends them once, in CONNECT.
-        self.target_prefix = ""
-        request_headers: dict[str, str] = {}
-        proxy = urllib.request.getproxies().get(scheme)
-        if proxy and not urllib.request.proxy_bypass(netloc):
-            parsed = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            if parsed.scheme != "http" or not parsed.hostname:
-                raise http.client.InvalidURL(f"unsupported {scheme} proxy {parsed.scheme}://{parsed.hostname}")
-            self._proxy = parsed.netloc.rpartition("@")[2]
-            if parsed.username is not None:
-                token = f"{unquote(parsed.username)}:{unquote(parsed.password or '')}".encode()
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        proxy_lines = ""
+        proxy = urllib.request.getproxies().get(self.scheme)
+        if proxy and not urllib.request.proxy_bypass(self.netloc):
+            proxy_parts = _split_url(
+                proxy if "://" in proxy else f"http://{proxy}", f"the {self.scheme} proxy", ("http",)
+            )
+            self._proxy = proxy_parts.netloc.rpartition("@")[2]
+            if proxy_parts.username is not None:
+                token = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}".encode()
                 self._proxy_auth["Proxy-Authorization"] = "Basic " + base64.b64encode(token).decode()
-            if scheme == "http":
-                self.target_prefix = f"http://{netloc}"
-                request_headers = self._proxy_auth
-        host = netloc if netloc.isascii() else netloc.encode("idna").decode("ascii")
-        host = host.removesuffix(":443" if scheme == "https" else ":80")
-        # Every request line and header but the target, Content-Length and
-        # the caller's headers.
-        self.head_lines = _header_lines(
-            {"Host": host, "Accept-Encoding": "identity", "User-Agent": _USER_AGENT, **request_headers}
-        )
+            # A plain-HTTP proxy takes the absolute-form target and the proxy
+            # credentials with each request; HTTPS sends them once, in CONNECT.
+            if self.scheme == "http":
+                target = f"http://{self.netloc}{target}"
+                proxy_lines = "".join(f"{name}: {value}\r\n" for name, value in self._proxy_auth.items())
+        host = self.netloc.removesuffix(":443" if self.scheme == "https" else ":80")
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+            f"User-Agent: {_USER_AGENT}\r\n{proxy_lines}Content-Length: "
+        ).encode("ascii")
+        self._tail = f"\r\n{headers}\r\n".encode("latin-1")
         self._idle: list[socket.socket] = []
         self._lock = threading.Lock()
 
-    def connect(self, timeout: float | None) -> socket.socket:
+    def _connect(self, timeout: float) -> socket.socket:
         """A new socket, opened by http.client: TCP_NODELAY, TLS with
         certificate and host name checks, and the proxy's CONNECT tunnel."""
         if self.scheme == "http":
@@ -439,7 +431,7 @@ class _Origin:
             raise
         return conn.sock
 
-    def checkout(self) -> socket.socket | None:
+    def _checkout(self) -> socket.socket | None:
         """An idle socket still open at the server, or None."""
         while True:
             with self._lock:
@@ -450,9 +442,37 @@ class _Origin:
                 return sock
             sock.close()
 
-    def checkin(self, sock: socket.socket) -> None:
-        with self._lock:
-            self._idle.append(sock)
+    def post(self, body: bytes, timeout: float) -> tuple[int, bytes]:
+        """Send one request carrying ``body`` and read the response's status
+        and body.
+
+        The request goes out in one ``sendall`` of head and body, and
+        ``_ResponseReader`` parses the response. Each socket carries exactly
+        one request and response at a time, and goes back to the pool only
+        when the response left it open with no byte unread. A request is
+        never sent twice: a pooled socket the server closed while idle is
+        discarded before use, and an ``OSError`` or
+        ``http.client.HTTPException`` closes the socket and propagates.
+        ``timeout`` applies to a reused socket too.
+        """
+        sock = self._checkout()
+        try:
+            if sock is None:
+                sock = self._connect(timeout)
+            else:
+                sock.settimeout(timeout)
+            sock.sendall(b"%b%d%b%b" % (self._head, len(body), self._tail, body))
+            status, content, reusable = _ResponseReader(sock).read()
+        except BaseException:
+            if sock is not None:
+                sock.close()
+            raise
+        if reusable:
+            with self._lock:
+                self._idle.append(sock)
+        else:
+            sock.close()
+        return status, content
 
     def close(self) -> None:
         with self._lock:
@@ -461,105 +481,27 @@ class _Origin:
             sock.close()
 
 
-class KeepAliveSession:
-    """Stdlib HTTP/1.1 client for the one call ``HttpBackend`` makes:
-    ``post(url, json=, headers=, timeout=)``, answering ``status_code`` and
-    ``json()``.
+class HttpBackend:
+    """Live chat-completions backend: one JSON POST with bearer auth to
+    ``<base_url>/chat/completions``, over keep-alive connections pooled
+    and shared by all threads.
 
-    ``http.client`` only opens connections (TCP_NODELAY, TLS, the proxy
-    tunnel). The exchange is this module's: each request goes out in one
-    ``sendall`` of head and body, and ``_ResponseReader`` parses the
-    response. Sockets are pooled per origin and shared by all threads; each
-    is checked out for exactly one request and response, and goes back to
-    the pool only when the response left it open with no byte unread. A
-    request is never sent twice: a pooled socket the server closed while
-    idle is discarded before use, and an ``OSError`` or
-    ``http.client.HTTPException`` closes the socket and propagates. A caller
-    header that could split the head raises ValueError before any byte is
-    sent. ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read once per origin; TLS
-    verifies against OpenSSL's default CA store (``SSL_CERT_FILE``,
-    ``SSL_CERT_DIR``).
+    It holds the API credential, which only the Authorization line of its
+    request head reads. The endpoint is resolved once, here: a base URL or
+    proxy that cannot be used raises ValueError before any connection is
+    made. ``HTTP(S)_PROXY`` and
+    ``NO_PROXY`` are read here too; TLS verifies against OpenSSL's default
+    CA store (``SSL_CERT_FILE``, ``SSL_CERT_DIR``).
     """
 
-    def __init__(self) -> None:
-        self._origins: dict[tuple[str, str], _Origin] = {}
-        self._lock = threading.Lock()
-
-    def _origin(self, scheme: str, netloc: str) -> _Origin:
-        with self._lock:
-            origin = self._origins.get((scheme, netloc))
-            if origin is None:
-                origin = self._origins[(scheme, netloc)] = _Origin(scheme, netloc)
-        return origin
-
-    def post(
-        self,
-        url: str,
-        json: Any = None,  # noqa: A002 - the keyword HttpBackend passes
-        headers: Mapping[str, str] | None = None,
-        timeout: float | None = None,
-    ) -> _Response:
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise http.client.InvalidURL(f"unsupported URL {url!r}")
-        origin = self._origin(parts.scheme, parts.netloc.rpartition("@")[2])
-        target = origin.target_prefix + (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        if _BAD_TARGET.search(target):
-            raise http.client.InvalidURL(f"URL can't contain control characters or non-ASCII: {target!r}")
-        body = _json_body(json)
-        head = (
-            f"POST {target} HTTP/1.1\r\n{origin.head_lines}Content-Length: {len(body)}\r\n"
-            f"{_header_lines(headers or {})}\r\n"
-        ).encode("latin-1")
-        sock = origin.checkout()
-        try:
-            if sock is None:
-                sock = origin.connect(timeout)
-            else:
-                sock.settimeout(timeout)
-            sock.sendall(head + body)
-            status, content, reusable = _ResponseReader(sock).read()
-        except BaseException:
-            if sock is not None:
-                sock.close()
-            raise
-        if reusable:
-            origin.checkin(sock)
-        else:
-            sock.close()
-        return _Response(status, content)
-
-    def close(self) -> None:
-        """Close every idle connection. The session stays usable."""
-        with self._lock:
-            origins = list(self._origins.values())
-        for origin in origins:
-            origin.close()
-
-
-def _default_session() -> KeepAliveSession:
-    return KeepAliveSession()
-
-
-class HttpBackend:
-    """Live chat-completions backend: one JSON POST with bearer auth. It
-    holds the API credential, which only its Authorization header reads."""
-
-    def __init__(
-        self,
-        base_url: str,
-        credential: ApiCredential | None,
-        *,
-        timeout_s: float = 60.0,
-        session: Any | None = None,
-    ):
+    def __init__(self, base_url: str, credential: ApiCredential | None, *, timeout_s: float = 60.0):
         if credential is None:
             raise AuthFailedError("live backend requires an API credential")
-        # The only read of the key: headers every request carries unchanged.
-        self._headers = {"Authorization": f"Bearer {credential.key}", "Content-Type": "application/json"}
-        self.base_url = base_url.rstrip("/")
+        self._origin = _Origin(
+            f"{base_url.rstrip('/')}/chat/completions",
+            f"Authorization: Bearer {credential.key}\r\nContent-Type: application/json\r\n",
+        )
         self.timeout_s = timeout_s
-        self._session = session if session is not None else _default_session()
         self._counter = CallCounter()
 
     @property
@@ -567,8 +509,8 @@ class HttpBackend:
         return self._counter.calls
 
     def close(self) -> None:
-        """Close the session's pooled connections."""
-        self._session.close()
+        """Close the pooled connections. The backend stays usable."""
+        self._origin.close()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         self._counter.bump()
@@ -583,22 +525,19 @@ class HttpBackend:
         if request.response_format is ResponseFormat.JSON_OBJECT:
             payload["response_format"] = {"type": "json_object"}
         try:
-            response = self._session.post(
-                f"{self.base_url}/chat/completions",
-                json=payload,
-                headers=self._headers,
-                timeout=self.timeout_s,
+            status, content = self._origin.post(
+                json.dumps(payload, allow_nan=False).encode("utf-8"), self.timeout_s
             )
         except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"request failed: {exc}") from exc
-        if response.status_code == 429:
+        if status == 429:
             raise RateLimitedError("provider throttled the request (HTTP 429)")
-        if response.status_code in (401, 403):
-            raise AuthFailedError(f"credential rejected (HTTP {response.status_code})")
-        if response.status_code >= 400:
-            raise TransportError(f"provider returned HTTP {response.status_code}")
+        if status in (401, 403):
+            raise AuthFailedError(f"credential rejected (HTTP {status})")
+        if status >= 400:
+            raise TransportError(f"provider returned HTTP {status}")
         try:
-            body = response.json()
+            body = json.loads(content)
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unexpected provider payload shape: {exc}") from exc

@@ -4,7 +4,8 @@ CannedReviewModel plays a cooperative but imperfect model: it answers every
 pipeline prompt from lookup tables and can be configured to omit comparison
 rows, invent rows that were never asked about, or drop keys from the
 grouping answer, exercising the parsers' repair paths. The other backends
-script failures, inject scheduling jitter, or stand in for an HTTP session.
+script answers and failures, or inject scheduling jitter. The live
+backend's tests serve these over loopback sockets (``tests/wire.py``).
 
 Everything here is deterministic given its configuration; nothing sleeps
 except JitterBackend, and that only by a seeded RNG.
@@ -27,7 +28,7 @@ from .domain import (
     normalize_key,
     parse_status,
 )
-from .gateway import CallCounter, ChatBackend, ChatRequest, ChatResponse, ResponseFormat
+from .gateway import CallCounter, ChatBackend, ChatRequest, ChatResponse
 from .structuring import build_report, merge_insights
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "ScriptedBackend",
     "SelectiveFailureBackend",
     "JitterBackend",
-    "FakeChatSession",
 ]
 
 # Marker lines copied from the prompt templates; they identify the step a
@@ -339,89 +339,3 @@ class JitterBackend:
             delay = self._rng.uniform(0, self._max_delay_ms)
         time.sleep(delay / 1000.0)
         return self.inner.complete(request)
-
-
-class _FakeHttpResponse:
-    def __init__(self, status_code: int, payload: Any):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self) -> Any:
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
-
-
-class FakeChatSession:
-    """Offline stand-in for the session under ``HttpBackend``
-    (``gateway.KeepAliveSession``): the same ``post`` and ``close`` calls.
-
-    Two modes: wrap a ChatBackend (requests are rebuilt from the posted
-    payload and answered through it, with bearer-token checking), or play a
-    script of (status_code, payload) pairs and exception instances.
-    """
-
-    def __init__(
-        self,
-        backend: ChatBackend | None = None,
-        *,
-        expected_key: str | None = None,
-        script: Sequence[tuple[int, Any] | Exception] | None = None,
-    ):
-        if (backend is None) == (script is None):
-            raise ValueError("provide exactly one of backend or script")
-        self._backend = backend
-        self._expected_key = expected_key
-        self._script = list(script) if script is not None else None
-        self.requests: list[dict[str, Any]] = []
-        self.closed = False
-
-    def close(self) -> None:
-        self.closed = True
-
-    def post(
-        self,
-        url: str,
-        json: Any = None,  # noqa: A002 - mirrors the KeepAliveSession signature
-        headers: Mapping[str, str] | None = None,
-        timeout: float | None = None,
-    ) -> _FakeHttpResponse:
-        payload = json or {}
-        self.requests.append(
-            {"url": url, "json": payload, "headers": dict(headers or {}), "timeout": timeout}
-        )
-        if self._script is not None:
-            if not self._script:
-                raise AssertionError("fake session script exhausted")
-            step = self._script.pop(0)
-            if isinstance(step, Exception):
-                raise step
-            status, body = step
-            return _FakeHttpResponse(status, body)
-
-        if self._expected_key is not None:
-            authorization = (headers or {}).get("Authorization", "")
-            if authorization != f"Bearer {self._expected_key}":
-                return _FakeHttpResponse(401, {"error": "invalid credential"})
-        messages = {m["role"]: m["content"] for m in payload.get("messages", [])}
-        fmt = (
-            ResponseFormat.JSON_OBJECT
-            if payload.get("response_format", {}).get("type") == "json_object"
-            else ResponseFormat.FREE_TEXT
-        )
-        request = ChatRequest(
-            model=payload["model"],
-            system_prompt=messages.get("system", ""),
-            user_prompt=messages.get("user", ""),
-            temperature=payload.get("temperature", 0.0),
-            response_format=fmt,
-        )
-        assert self._backend is not None
-        response = self._backend.complete(request)
-        return _FakeHttpResponse(
-            200,
-            {
-                "choices": [{"message": {"content": response.text}}],
-                "model": response.model,
-            },
-        )

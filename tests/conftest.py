@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled corpus, canned model, and replay backend."""
+"""Shared fixtures: the bundled corpus, canned model, replay backend, and
+loopback chat servers."""
 
 from __future__ import annotations
 
@@ -8,10 +9,13 @@ from pathlib import Path
 import pytest
 
 from reviewlens.domain import ProductRecord, load_product_records
-from reviewlens.gateway import ReplayBackend, RetryPolicy
+from reviewlens.gateway import ApiCredential, HttpBackend, ReplayBackend, RetryPolicy
 from reviewlens.testing import CannedReviewModel
+from wire import WireServer
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy", "all_proxy", "request_method")
 
 # A retry policy that never sleeps; tests that need backoff timing build
 # their own.
@@ -60,3 +64,41 @@ def golden(mode: str, product_id: str, name: str) -> bytes:
 @pytest.fixture(scope="session")
 def golden_bytes():
     return golden
+
+
+@pytest.fixture(autouse=True)
+def _no_proxy_environment(monkeypatch):
+    """Requests to a loopback server go direct, whatever proxy the shell sets."""
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.fixture
+def serve():
+    """Start loopback chat servers, ``serve(script, backend=, key=)``
+    (see ``wire.WireServer``); each is stopped after the test."""
+    servers = []
+
+    def start(script=(), **kwargs) -> WireServer:
+        servers.append(WireServer(script, **kwargs))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+@pytest.fixture
+def http_backend():
+    """Build live backends, ``http_backend(base_url, credential, **kwargs)``;
+    each is closed after the test."""
+    backends = []
+
+    def make(base_url: str, credential: ApiCredential, **kwargs) -> HttpBackend:
+        backends.append(HttpBackend(base_url, credential, **kwargs))
+        return backends[-1]
+
+    yield make
+    for backend in backends:
+        backend.close()

@@ -37,7 +37,7 @@ from reviewlens.pipeline import (
     run_product,
 )
 from reviewlens.structuring import ReportFormat, build_report, merge_insights, render_report
-from reviewlens.testing import FakeChatSession, JitterBackend
+from reviewlens.testing import JitterBackend
 
 from conftest import TESTDATA
 from test_evaluation import attr, oracle_metrics
@@ -257,11 +257,10 @@ def test_08_selection_metrics_matches_set_oracle():
 
 
 def test_09_canary_key_never_reaches_disk_or_streams(
-    tmp_path, monkeypatch, canned_model, capsys, golden_bytes
+    tmp_path, monkeypatch, serve, canned_model, capsys, golden_bytes
 ):
     canary = "CANARY-9f27-SECRET"
-    session = FakeChatSession(backend=canned_model, expected_key=canary)
-    monkeypatch.setattr("reviewlens.gateway._default_session", lambda: session)
+    server = serve(backend=canned_model, key=canary)
 
     fixtures = tmp_path / "fixtures"
     record_out = tmp_path / "record-out"
@@ -271,6 +270,7 @@ def test_09_canary_key_never_reaches_disk_or_streams(
             "--dataset", DATASET,
             "--fixtures", str(fixtures),
             "--api-key", canary,
+            "--base-url", server.url,
             "--mode", "full",
             "--out", str(record_out),
             "--cache-dir", str(tmp_path / "record-cache"),
@@ -279,28 +279,28 @@ def test_09_canary_key_never_reaches_disk_or_streams(
     assert code == 0
 
     # The live backend is the only holder of the key: it goes out in the
-    # Authorization header of every request and nowhere else.
+    # Authorization line of every request's head and nowhere else.
     live_out = tmp_path / "live-out"
-    sent_before = len(session.requests)
+    sent_before = len(server.arrivals)
     code = main(
         [
             "run",
             "--dataset", DATASET,
             "--backend", "live",
             "--api-key", canary,
+            "--base-url", server.url,
             "--mode", "full",
             "--out", str(live_out),
             "--cache-dir", str(tmp_path / "live-cache"),
         ]
     )
     assert code == 0
-    live_requests = session.requests[sent_before:]
-    assert live_requests, "the live leg must reach the session"
-    for request in live_requests:
-        assert request["headers"]["Authorization"] == f"Bearer {canary}"
-    for request in session.requests:
-        headers = {name: value for name, value in request["headers"].items() if name != "Authorization"}
-        assert canary not in json.dumps({**request, "headers": headers}), request["url"]
+    assert server.arrivals[sent_before:], "the live leg must reach the server"
+    # Each request's raw bytes hold the key once, as its Authorization line.
+    authorization = f"\r\nAuthorization: Bearer {canary}\r\n".encode("utf-8")
+    for arrival in server.arrivals:
+        head = arrival.raw.partition(b"\r\n\r\n")[0] + b"\r\n"
+        assert authorization in head and arrival.raw.count(canary.encode("utf-8")) == 1, arrival.target
     for product in load_product_records(TESTDATA / "dataset.json"):
         for name in ("report.json", "report.md"):
             got = (live_out / product.product_id / name).read_bytes()
@@ -331,17 +331,14 @@ def test_09_canary_key_never_reaches_disk_or_streams(
         assert canary_bytes not in path.read_bytes(), f"canary key leaked into {path}"
 
 
-def test_10_record_replay_round_trip_on_bundled_corpus(
-    tmp_path, monkeypatch, canned_model
-):
+def test_10_record_replay_round_trip_on_bundled_corpus(tmp_path, serve, canned_model):
     products = load_product_records(TESTDATA / "dataset.json")
     assert len(products) == 3
     assert len({product.category for product in products}) == 3
     for product in products:
         assert 7 <= len(product.reviews) <= 9
 
-    session = FakeChatSession(backend=canned_model, expected_key="k-roundtrip")
-    monkeypatch.setattr("reviewlens.gateway._default_session", lambda: session)
+    server = serve(backend=canned_model, key="k-roundtrip")
 
     fixtures = tmp_path / "fixtures"
     record_out = tmp_path / "record-out"
@@ -351,6 +348,7 @@ def test_10_record_replay_round_trip_on_bundled_corpus(
             "--dataset", DATASET,
             "--fixtures", str(fixtures),
             "--api-key", "k-roundtrip",
+            "--base-url", server.url,
             "--mode", "full",
             "--out", str(record_out),
         ]

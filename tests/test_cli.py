@@ -22,7 +22,7 @@ from reviewlens.evaluation import REFERENCE_CATEGORY_SCORES
 from reviewlens.gateway import ReplayBackend, fingerprint
 from reviewlens.extraction import build_extraction_prompt
 from reviewlens.pipeline import PipelineConfig, PipelineMode, run_product
-from reviewlens.testing import FakeChatSession, SelectiveFailureBackend
+from reviewlens.testing import SelectiveFailureBackend
 
 from conftest import TESTDATA, golden
 
@@ -672,9 +672,8 @@ class TestStopping:
 
 
 class TestRecordFixtures:
-    def test_record_then_replay_matches_golden(self, tmp_path, monkeypatch, canned_model, capsys):
-        session = FakeChatSession(backend=canned_model, expected_key="test-key-123")
-        monkeypatch.setattr("reviewlens.gateway._default_session", lambda: session)
+    def test_record_then_replay_matches_golden(self, tmp_path, serve, canned_model, capsys):
+        server = serve(backend=canned_model, key="test-key-123")
 
         fixtures = tmp_path / "recorded"
         code = run_cli(
@@ -682,13 +681,14 @@ class TestRecordFixtures:
             "--dataset", DATASET,
             "--fixtures", str(fixtures),
             "--api-key", "test-key-123",
+            "--base-url", server.url,
             "--mode", "full",
             "--product", "app-mixer-001",
         )
         assert code == 0
         assert "recorded" in capsys.readouterr().out
         assert list(DiskResponseCache(fixtures))
-        assert session.closed
+        assert server.connections >= 1 and server.all_closed()
 
         out = tmp_path / "out"
         code = run_cli(

@@ -4,9 +4,9 @@ record/replay, caching, and parse-directed resampling."""
 from __future__ import annotations
 
 import dataclasses
-import http.client
 import inspect
 import json
+import socket
 
 import pytest
 
@@ -35,7 +35,7 @@ from reviewlens.gateway import (
     lookup_or_call,
 )
 from reviewlens.pipeline import run_product, run_products
-from reviewlens.testing import FakeChatSession, ScriptedBackend
+from reviewlens.testing import ScriptedBackend
 
 REQ = ChatRequest(
     model="test-model",
@@ -118,78 +118,81 @@ KEY = ApiCredential(key="k")
 
 
 class TestHttpBackend:
-    def _backend(self, script):
-        return HttpBackend("https://api.example.test/v1", KEY, session=FakeChatSession(script=script))
+    """The backend against a loopback server (``wire.WireServer``); response
+    framing is in test_transport."""
 
-    def test_happy_path_and_wire_shape(self):
-        session = FakeChatSession(
-            script=[(200, {"choices": [{"message": {"content": "hi"}}], "model": "served-model"})]
-        )
-        backend = HttpBackend("https://api.example.test/v1/", ApiCredential(key="k1"), session=session)
-        response = backend.complete(REQ)
+    @staticmethod
+    def _payload(raw: bytes) -> dict:
+        return json.loads(raw.partition(b"\r\n\r\n")[2])
+
+    def test_happy_path_and_wire_shape(self, serve, http_backend):
+        server = serve([(200, b'{"choices": [{"message": {"content": "hi"}}], "model": "served-model"}')])
+        response = http_backend(f"{server.url}/", ApiCredential(key="k1")).complete(REQ)
         assert response.text == "hi"
         assert response.model == "served-model"
-        sent = session.requests[0]
-        assert sent["url"] == "https://api.example.test/v1/chat/completions"
-        assert sent["headers"]["Authorization"] == "Bearer k1"
-        assert sent["json"]["model"] == "test-model"
-        assert sent["json"]["response_format"] == {"type": "json_object"}
-        roles = [m["role"] for m in sent["json"]["messages"]]
+        (sent,) = server.arrivals
+        assert sent.target == "/v1/chat/completions"
+        assert sent.headers["Authorization"] == "Bearer k1"
+        payload = self._payload(sent.raw)
+        assert payload["model"] == "test-model"
+        assert payload["response_format"] == {"type": "json_object"}
+        roles = [m["role"] for m in payload["messages"]]
         assert roles == ["system", "user"]
 
-    def test_free_text_omits_response_format(self):
-        session = FakeChatSession(
-            script=[(200, {"choices": [{"message": {"content": "x"}}]})]
-        )
-        backend = HttpBackend("https://api.example.test", KEY, session=session)
+    def test_free_text_omits_response_format(self, serve, http_backend):
+        server = serve([(200, b'{"choices": [{"message": {"content": "x"}}]}')])
         request = dataclasses.replace(REQ, response_format=ResponseFormat.FREE_TEXT)
-        backend.complete(request)
-        assert "response_format" not in session.requests[0]["json"]
+        assert http_backend(server.url, KEY).complete(request).model == "test-model"
+        assert "response_format" not in self._payload(server.arrivals[0].raw)
 
-    def test_missing_credential(self):
-        session = FakeChatSession(script=[])
+    def test_missing_credential(self, serve):
+        server = serve()
         with pytest.raises(AuthFailedError):
-            HttpBackend("https://api.example.test/v1", None, session=session)
-        assert session.requests == []
+            HttpBackend(server.url, None)
+        assert server.connections == 0
 
     @pytest.mark.parametrize(
         "status, error",
         [(429, RateLimitedError), (401, AuthFailedError), (403, AuthFailedError), (500, TransportError)],
     )
-    def test_status_mapping(self, status, error):
-        backend = self._backend([(status, {"error": "x"})])
+    def test_status_mapping(self, serve, http_backend, status, error):
+        server = serve([(status, b'{"error": "x"}')])
         with pytest.raises(error):
-            backend.complete(REQ)
+            http_backend(server.url, KEY).complete(REQ)
+        assert len(server.arrivals) == 1
 
     @pytest.mark.parametrize(
-        "error",
+        "failure",
         [
-            ConnectionRefusedError("refused"),
-            http.client.RemoteDisconnected("closed without response"),
-            TimeoutError("timed out"),
+            pytest.param("refused", id="ConnectionRefusedError"),
+            pytest.param("drop", id="RemoteDisconnected"),
+            pytest.param("stall", id="TimeoutError"),
         ],
-        ids=lambda error: type(error).__name__,
     )
-    def test_network_error_wrapped(self, error):
-        backend = self._backend([error])
-        with pytest.raises(TransportError):
-            backend.complete(REQ)
+    def test_network_error_wrapped(self, serve, http_backend, failure):
+        with socket.socket() as placeholder:
+            placeholder.bind(("127.0.0.1", 0))  # bound but not listening: connecting is refused
+            refused = f"http://127.0.0.1:{placeholder.getsockname()[1]}/v1"
+            # "drop" reads the request and closes the connection unanswered;
+            # "stall" holds the answer past the backend's timeout.
+            url = refused if failure == "refused" else serve([failure]).url
+            with pytest.raises(TransportError):
+                http_backend(url, KEY, timeout_s=0.2).complete(REQ)
 
-    def test_bad_envelope(self):
-        backend = self._backend([(200, {"unexpected": True})])
-        with pytest.raises(TransportError):
-            backend.complete(REQ)
+    def test_bad_envelope(self, serve, http_backend):
+        envelopes = [b'{"unexpected": true}', b'{"choices": [{"message": {"content": 42}}]}']
+        server = serve([(200, envelope) for envelope in envelopes])
+        backend = http_backend(server.url, KEY)
+        for _ in envelopes:
+            with pytest.raises(TransportError):
+                backend.complete(REQ)
+        assert len(server.arrivals) == 2
 
-    def test_bearer_check_through_canned_backend(self):
-        inner = ScriptedBackend(["pong"])
-        session = FakeChatSession(backend=inner, expected_key="right-key")
-
-        def backend(key):
-            return HttpBackend("https://api.example.test", ApiCredential(key=key), session=session)
-
+    def test_bearer_check_through_canned_backend(self, serve, http_backend):
+        server = serve(backend=ScriptedBackend(["pong"]), key="right-key")
         with pytest.raises(AuthFailedError):
-            backend("wrong-key").complete(REQ)
-        assert backend("right-key").complete(REQ).text == "pong"
+            http_backend(server.url, ApiCredential(key="wrong-key")).complete(REQ)
+        assert http_backend(server.url, ApiCredential(key="right-key")).complete(REQ).text == "pong"
 
     def test_only_the_live_backend_holds_a_credential(self):
         for backend in (ChatBackend, HttpBackend, ReplayBackend, RecordingBackend, ScriptedBackend):
