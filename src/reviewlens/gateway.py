@@ -369,7 +369,8 @@ def _split_url(url: str, label: str, schemes: tuple[str, ...]) -> SplitResult:
 
 class _Origin:
     """The one URL an ``HttpBackend`` posts to, resolved once, and the idle
-    connections to it.
+    connections to it: ``endpoint`` appended to the path of ``base_url``
+    (trailing slashes stripped), with ``base_url``'s query string after it.
 
     ``__init__`` checks the URL, reads the proxy environment and builds
     every line of the request head but Content-Length: the request line,
@@ -383,13 +384,13 @@ class _Origin:
     on the server, is reused first.
     """
 
-    def __init__(self, url: str, headers: str):
-        parts = _split_url(url, "the URL", ("http", "https"))
+    def __init__(self, base_url: str, endpoint: str, headers: str):
+        parts = _split_url(base_url, "the URL", ("http", "https"))
         self.scheme, self.netloc = parts.scheme, parts.netloc.rpartition("@")[2]
         self._tls = ssl.create_default_context() if self.scheme == "https" else None
         self._proxy: str | None = None
         self._proxy_auth: dict[str, str] = {}
-        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        target = parts.path.rstrip("/") + endpoint + (f"?{parts.query}" if parts.query else "")
         proxy_lines = ""
         proxy = urllib.request.getproxies().get(self.scheme)
         if proxy and not urllib.request.proxy_bypass(self.netloc):
@@ -483,8 +484,8 @@ class _Origin:
 
 class HttpBackend:
     """Live chat-completions backend: one JSON POST with bearer auth to
-    ``<base_url>/chat/completions``, over keep-alive connections pooled
-    and shared by all threads.
+    ``<base_url>/chat/completions`` (a query string in ``base_url`` goes
+    after it), over keep-alive connections pooled and shared by all threads.
 
     It holds the API credential, which only the Authorization line of its
     request head reads. The endpoint is resolved once, here: a base URL or
@@ -498,7 +499,7 @@ class HttpBackend:
         if credential is None:
             raise AuthFailedError("live backend requires an API credential")
         self._origin = _Origin(
-            f"{base_url.rstrip('/')}/chat/completions",
+            base_url, "/chat/completions",
             f"Authorization: Bearer {credential.key}\r\nContent-Type: application/json\r\n",
         )
         self.timeout_s = timeout_s

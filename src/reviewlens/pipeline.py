@@ -29,28 +29,28 @@ out of tasks keeps its permit for the closing call, so that call never
 queues behind a later product. A task whose request backs off after a
 transport error or malformed output runs the queue's next tasks on its own
 thread until the backoff has passed. Helping is one level deep: a task run
-inside a backoff sleeps through its own.
+inside a backoff only waits out its own.
 
 ``run_products`` runs each product on a thread of its own, two at most at
 once, and a free permit goes to the earliest product waiting for one, so a
 later product only fills the permits the earlier one cannot use: the first
 product starts at once, and the next one whenever a permit goes back with
 nobody waiting for it or a product finishes. A permit goes back at the end
-of a drain or of a closing call, and in a backoff after a transport error
-or malformed output with nothing left in its product's queue, which gives
-the permit back for the wait and takes one again after it. Every other
-backoff, a throttled one included, sleeps holding its permit. A later
-product hands its permit to an earlier one waiting for it before each
-backend call. A run that is stopping (an exception, or the caller closing
-it) starts no product, no queued review and no backend call. A direct call
-of ``run_product`` gets a private pool of ``workers`` permits.
+of a drain or of a closing call, and for the wait of a backoff after a
+transport error or malformed output, nested or not, which takes one again
+after it. Only a backoff after throttling sleeps holding its permit, so the
+provider sees the load drop. A later product hands its permit to an
+earlier one waiting for it before each backend call. A run that is
+stopping (an exception, or the caller closing it) starts no product, no
+queued review and no backend call. A direct call of ``run_product`` gets a
+private pool of ``workers`` permits.
 
 With a cache, a request identical to one that another thread of the same
-product is resolving waits for it, holding its permit, and then reads the
-answer from the cache, so a cold cached run sends each request once.
-Requests of other products are never waited for: a later product's request
-may have handed its permit to the earlier one, and would then wait for it
-in turn.
+product is resolving waits for it without a permit, and then reads the
+answer from the cache, so a cold cached run sends each request once. No
+thread waits for another holding a permit, so the thread it waits for can
+always take one back after a backoff. Requests of other products are
+never waited for.
 
 Scheduling never leaks into results: per-review outcomes are collected in
 dataset order regardless of completion order, so report bytes are identical
@@ -361,10 +361,9 @@ class _Runtime:
 
     def idle(self, seconds: float) -> None:
         """Spend a backoff of ``seconds``: run queued tasks until it has
-        passed, unless this thread is already inside one. Wait out what is
-        left holding the permit while tasks are still queued, else give the
-        permit back for the wait and take one again after it. A task
-        started here may end after the backoff has passed."""
+        passed, unless this thread is already inside one. For what is left,
+        give the permit back and take one again after it. A task started
+        here may end after the backoff has passed."""
         deadline = time.monotonic() + seconds
         if not getattr(self._local, "helping", False):
             self._local.helping = True
@@ -374,13 +373,7 @@ class _Runtime:
             finally:
                 self._local.helping = False
         remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return
-        with self._lock:
-            queued = bool(self._queue)
-        if queued:
-            time.sleep(remaining)
-        else:
+        if remaining > 0:
             self.permits.release()
             time.sleep(remaining)
             self.permits.acquire(self.rank)
@@ -411,16 +404,22 @@ class _Runtime:
         so backend calls = requests - cache hits + retries on every path.
 
         With a cache, a request identical to one another thread of this
-        product is resolving waits, holding its permit, until that one is
+        product is resolving waits, without its permit, until that one is
         done, and then reads the answer from the cache as a hit; if that one
         failed, this one is resolved afresh. A task run inside a backoff does
         not wait, as its thread is itself resolving a request."""
         self.record(counter)
         if self.cache is None or getattr(self._local, "helping", False):
             return self._resolve(request, parser, notes)
-        with self._resolved:
-            self._resolved.wait_for(lambda: request not in self._resolving)
-            self._resolving.add(request)
+        while True:
+            with self._resolved:
+                if request not in self._resolving:
+                    self._resolving.add(request)
+                    break
+            self.permits.release()
+            with self._resolved:
+                self._resolved.wait_for(lambda: request not in self._resolving)
+            self.permits.acquire(self.rank)
         try:
             return self._resolve(request, parser, notes)
         finally:

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import shutil
+import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -509,6 +510,36 @@ class TestRunWideCap:
         assert len([call for call in probe.calls if deadline <= call.start < retry.start]) <= 1
         assert serum_calls[-1].start > retry.start
 
+    def test_nested_backoff_lends_its_permit(self, tmp_path, monkeypatch, products):
+        owners, _ = prompt_owners(products, "full")
+        mixer, serum = PRODUCT_IDS[:2]
+        model = PipelineConfig().extraction_model
+        first, second = (
+            build_extraction_prompt(review, products[0].title, model=model).user_prompt
+            for review in products[0].reviews[:2]
+        )
+        workers = 1
+        probe = ProbeBackend(
+            owners,
+            {first: TransportError("blip"), second: TransportError("blip")},
+            lambda product: 0.03 if product == serum else 0.0,
+        )
+        threads_before = threading.active_count()
+        assert run_probed(monkeypatch, tmp_path, probe, "full", workers, base_delay_ms=200) == 0
+        outer_failed, outer_retry = [call for call in probe.of(mixer) if call.prompt == first]
+        failed, retry = [call for call in probe.of(mixer) if call.prompt == second]
+        assert failed.failed and not retry.failed
+        # mix-r2 ran inside mix-r1's backoff and backed off in turn.
+        assert outer_failed.end < failed.start < retry.start < outer_retry.start
+        # Its permit went to serum for the wait.
+        assert any(failed.end < call.start < retry.start for call in probe.of(serum))
+        assert probe.peak_in_flight <= workers
+        assert probe.peak_threads <= threads_before + 2 * workers
+        for product_id in PRODUCT_IDS:
+            for name in ("report.json", "report.md"):
+                written = (tmp_path / f"out-{workers}" / product_id / name).read_bytes()
+                assert written == golden("full", product_id, name)
+
     def test_throttled_backoff_keeps_its_permit(self, tmp_path, monkeypatch, products):
         owners, tails = prompt_owners(products, "full")
         mixer, serum = PRODUCT_IDS[:2]
@@ -592,6 +623,16 @@ class TestStopping:
         called = TestRunOutputs.resume(self.argv(tmp_path), tmp_path / "out", monkeypatch)
         assert set(called) == set(DiskResponseCache(cache)) - cached
 
+    @pytest.fixture
+    def sigint_raises(self):
+        """SIGINT raises KeyboardInterrupt for the test's duration. A process
+        started as a background job of a non-interactive shell ignores
+        SIGINT, and then ``_thread.interrupt_main`` does nothing."""
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        yield
+        signal.signal(signal.SIGINT, previous)
+
+    @pytest.mark.usefixtures("sigint_raises")
     @pytest.mark.parametrize("calls", [5, 25])
     def test_interrupt_main_starts_at_most_workers_calls(self, tmp_path, monkeypatch, calls):
         lock = threading.Lock()

@@ -198,6 +198,59 @@ class TestCaching:
         assert backend.calls == (18 if cached else 19)
         assert_attempt_identity(backend, stats)
 
+    def test_identical_request_waits_without_its_permit(self, products, tmp_path, monkeypatch):
+        """Mixer and serum each repeat their first review. That review's
+        extraction fails once, and in its backoff its thread runs the next
+        queued review, which fails once too. In that nested backoff the
+        thread gives its permit back, and a drain thread of the same product
+        then waits for the repeated request. The waiting thread holds no
+        permit, so the resolving one takes one back and the run finishes."""
+        mixer, serum, buds = products
+
+        def repeat_first_review(product, at):
+            reviews = list(product.reviews)
+            reviews.insert(at, dataclasses.replace(reviews[0], review_id=reviews[0].review_id + "-again"))
+            return dataclasses.replace(product, reviews=tuple(reviews))
+
+        run = [repeat_first_review(mixer, 3), repeat_first_review(serum, 2), buds]
+        clean = list(run_products(run, config_for(PipelineMode.FULL, workers=1), fresh_replay()))
+        fail = fail_once(
+            *[(product.reviews[i].text, TransportError("blip")) for product, i in
+              ((mixer, 0), (mixer, 2), (serum, 0), (serum, 1))]
+        )
+
+        def slow_fail(request):
+            time.sleep(0.01)
+            return fail(request)
+
+        pools: list[_PermitPool] = []
+
+        def traced_pool(*args, **kwargs):
+            pools.append(_PermitPool(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr("reviewlens.pipeline._PermitPool", traced_pool)
+        config = config_for(
+            PipelineMode.FULL,
+            workers=2,
+            retry=RetryPolicy(max_attempts=3, base_delay_ms=200, backoff_factor=1.0),
+            cache_dir=tmp_path / "cache",
+        )
+        backend = SelectiveFailureBackend(fresh_replay(), fail_with=slow_fail)
+        results: list = []
+        runner = threading.Thread(target=lambda: results.extend(run_products(run, config, backend)), daemon=True)
+        runner.start()
+        runner.join(10)
+        deadlocked = runner.is_alive()
+        while runner.is_alive():
+            pools[0].release()  # a spare permit frees the run, so the suite goes on
+            runner.join(0.5)
+        assert not deadlocked
+        assert [r.failed_units for r in results] == [(), (), ()]
+        for got, want in zip(results, clean, strict=True):
+            assert render_report(got.report, ReportFormat.JSON) == render_report(want.report, ReportFormat.JSON)
+        assert sum(r.call_stats.retries for r in results) == 4
+
     def test_cold_cached_runs_send_each_request_once_under_stress(self, products_by_id, tmp_path):
         product = products_by_id["ele-buds-003"]
         interval = sys.getswitchinterval()
@@ -692,6 +745,7 @@ class TestTransientFaultProperty:
                     workers=workers,
                     retry=RetryPolicy(max_attempts=3, base_delay_ms=1, backoff_factor=1.0),
                 )
+                threads_before = threading.active_count()
                 results = list(run_products(products, config, backend))
                 for product, result in zip(products, results):
                     assert render_report(result.report, ReportFormat.JSON) == golden(
@@ -701,6 +755,7 @@ class TestTransientFaultProperty:
                 assert sum(s.retries for s in stats) == len(faults)
                 assert backend.calls == sum(s.total_calls - s.cache_hits + s.retries for s in stats)
                 assert backend.peak_in_flight <= workers
+                assert backend.peak_threads <= threads_before + 2 * workers
         finally:
             sys.setswitchinterval(previous)
 

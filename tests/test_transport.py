@@ -276,10 +276,11 @@ def test_netrc_entry_does_not_replace_bearer_credential(serve, http_backend, mon
 
 
 # (base URL, HTTP proxy, the request's exact bytes) for a JSON-mode request
-# and KEY, captured from the HttpBackend of commit 1091efc. The head keeps
-# its order: request line, Host, Accept-Encoding, User-Agent,
-# Proxy-Authorization through an HTTP proxy, Content-Length, Authorization,
-# Content-Type. {address} is the server's, {version} the package's.
+# and KEY, captured from the HttpBackend of commit 1091efc, except that a
+# base URL's query string now follows the endpoint's path instead of coming
+# before it. The head keeps its order: request line, Host, Accept-Encoding,
+# User-Agent, Proxy-Authorization through an HTTP proxy, Content-Length,
+# Authorization, Content-Type. {address} is the server's, {version} the package's.
 _PINNED_BODY = (
     b'{"model": "wire-model", "messages": [{"role": "system", "content": "system"}, '
     b'{"role": "user", "content": "hello"}], "temperature": 0.0, "response_format": {"type": "json_object"}}'
@@ -295,14 +296,14 @@ PINNED_REQUESTS = [
     (
         "http://{address}/gw/v1/?api-version=2024-06",
         None,
-        b"POST /gw/v1/?api-version=2024-06/chat/completions HTTP/1.1\r\nHost: {address}\r\n"
+        b"POST /gw/v1/chat/completions?api-version=2024-06 HTTP/1.1\r\nHost: {address}\r\n"
         b"Accept-Encoding: identity\r\nUser-Agent: reviewlens/{version}\r\nContent-Length: 180\r\n"
         b"Authorization: Bearer wire-key\r\nContent-Type: application/json\r\n\r\n" + _PINNED_BODY,
     ),
     (
         "http://api.example.test/gw/v1/?api-version=2024-06",
         "http://user:p%40ss@{address}",
-        b"POST http://api.example.test/gw/v1/?api-version=2024-06/chat/completions HTTP/1.1\r\n"
+        b"POST http://api.example.test/gw/v1/chat/completions?api-version=2024-06 HTTP/1.1\r\n"
         b"Host: api.example.test\r\nAccept-Encoding: identity\r\nUser-Agent: reviewlens/{version}\r\n"
         b"Proxy-Authorization: Basic dXNlcjpwQHNz\r\nContent-Length: 180\r\n"
         b"Authorization: Bearer wire-key\r\nContent-Type: application/json\r\n\r\n" + _PINNED_BODY,
