@@ -16,33 +16,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from pathlib import Path
-from typing import Any, Iterable, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
-from .domain import (
-    ProductRecord,
-    StructuredReport,
-    canonical_json,
-    load_product_records,
-)
+from .domain import ProductRecord, canonical_json, load_product_records
 from .errors import DataFormatError
-from .evaluation import (
-    CategoryMetrics,
-    aggregate_errors,
-    compare_modes,
-    f1,
-    load_criterion_annotations,
-    load_error_annotations,
-    load_gold_sets,
-    metrics_from_counts,
-    render_error_table,
-    render_metrics_table,
-    render_mode_table,
-    selection_counts,
-)
 from .gateway import ApiCredential, HttpBackend, RecordingBackend, ReplayBackend
+from .inputs import build, check_object, read_json
 from .pipeline import (
     PipelineConfig,
     PipelineMode,
@@ -157,53 +138,33 @@ def _fatal(message: str) -> int:
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    if args.config is not None:
-        try:
-            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataFormatError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise DataFormatError("config must be a JSON object")
-    else:
-        payload = {}
-    if args.mode:
-        payload["mode"] = args.mode
-    if args.workers is not None:
-        payload["workers"] = args.workers
-    if args.cache_dir is not None:
-        payload["cache_dir"] = args.cache_dir
-    try:
-        return PipelineConfig.from_dict(payload)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"invalid config: {exc}") from exc
+    # The config file's object, with the run flags that were given laid over it.
+    payload = {} if args.config is None else dict(read_json(args.config, check_object, ""))
+    flags = {"mode": args.mode, "workers": args.workers, "cache_dir": args.cache_dir}
+    payload.update((key, value) for key, value in flags.items() if value is not None)
+    return build("invalid config", PipelineConfig.from_dict, payload)
 
 
 def _resolve_credential(args: argparse.Namespace) -> ApiCredential | None:
-    try:
-        if args.api_key:
-            return ApiCredential(key=args.api_key)
-        return ApiCredential.from_env(CREDENTIAL_ENV_VAR)
-    except ValueError as exc:  # the message never quotes the key
-        raise DataFormatError(f"invalid API key: {exc}") from None
+    # A refused key's message never quotes the key.
+    if args.api_key:
+        return build("invalid API key", ApiCredential, key=args.api_key)
+    return build("invalid API key", ApiCredential.from_env, CREDENTIAL_ENV_VAR)
 
 
 def _live_backend(args: argparse.Namespace, credential: ApiCredential) -> HttpBackend:
-    try:
-        return HttpBackend(args.base_url, credential)
-    except ValueError as exc:  # the message names at most the scheme and host
-        raise DataFormatError(f"invalid base URL: {exc}") from None
+    # A refused URL's message names at most the scheme and host.
+    return build("invalid base URL", HttpBackend, args.base_url, credential)
 
 
-def _select_products(dataset: Path, wanted: str | None) -> list[ProductRecord]:
-    products = load_product_records(dataset)
-    if wanted is None:
-        return products
-    chosen = [product for product in products if product.product_id == wanted]
-    if not chosen:
-        raise DataFormatError(f"product {wanted!r} not found in {dataset}")
-    return chosen
+def _load_inputs(args: argparse.Namespace) -> tuple[PipelineConfig, list[ProductRecord]]:
+    # Read before any backend, cache or output file opens: a bad input costs nothing.
+    config, products = _load_config(args), load_product_records(args.dataset)
+    if args.product is not None:
+        products = [product for product in products if product.product_id == args.product]
+        if not products:
+            raise DataFormatError(f"product {args.product!r} not found in {args.dataset}")
+    return config, products
 
 
 def _report_formats(choice: str) -> list[ReportFormat]:
@@ -240,9 +201,8 @@ def _write_outputs(
         write_atomic(product_dir / "extractions.json", canonical_json(payload).encode("utf-8"))
 
 
-def _execute_run(args: argparse.Namespace, gateway, backend_label: str) -> int:
-    config = _load_config(args)
-    products = _select_products(args.dataset, args.product)
+def _execute_run(args: argparse.Namespace, inputs, gateway, backend_label: str) -> int:
+    config, products = inputs
     formats = _report_formats(args.format)
     any_failures = False
     # The run opens the store at config.cache_dir once; closing the
@@ -269,6 +229,7 @@ def _execute_run(args: argparse.Namespace, gateway, backend_label: str) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    inputs = _load_inputs(args)
     if args.backend == "live":
         credential = _resolve_credential(args)
         if credential is None:
@@ -277,17 +238,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         live = _live_backend(args, credential)
         try:
-            return _execute_run(args, live, "live")
+            return _execute_run(args, inputs, live, "live")
         finally:
             live.close()
     if args.fixtures is None:
         return _fatal("replay backend needs --fixtures")
     if not Path(args.fixtures).is_dir():
         return _fatal(f"fixture directory {args.fixtures} does not exist")
-    return _execute_run(args, ReplayBackend(args.fixtures), "replay")
+    return _execute_run(args, inputs, ReplayBackend(args.fixtures), "replay")
 
 
 def cmd_record_fixtures(args: argparse.Namespace) -> int:
+    inputs = _load_inputs(args)
     credential = _resolve_credential(args)
     if credential is None:
         return _fatal(
@@ -297,7 +259,7 @@ def cmd_record_fixtures(args: argparse.Namespace) -> int:
     Path(args.fixtures).mkdir(parents=True, exist_ok=True)
     gateway = RecordingBackend(live, args.fixtures)
     try:
-        code = _execute_run(args, gateway, "record")
+        code = _execute_run(args, inputs, gateway, "record")
     finally:
         live.close()
         gateway.close()  # compacts the fixture directory into one segment
@@ -305,172 +267,34 @@ def cmd_record_fixtures(args: argparse.Namespace) -> int:
     return code
 
 
-def _read_json(path: Path) -> Any:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-
-
-def _load_run_dir(run_dir: Path) -> dict[str, dict[str, Any]]:
-    """Per-product payloads from one run directory: its directory, manifest,
-    report, and extractions when present."""
-    if not run_dir.is_dir():
-        raise DataFormatError(f"run directory {run_dir} does not exist")
-    out: dict[str, dict[str, Any]] = {}
-    for manifest_path in sorted(run_dir.glob("*/manifest.json")):
-        product_dir = manifest_path.parent
-        manifest = _read_json(manifest_path)
-        if not isinstance(manifest, dict):
-            raise DataFormatError(f"{manifest_path}: expected a JSON object")
-        entry: dict[str, Any] = {"dir": product_dir, "manifest": manifest}
-        for name in ("report", "extractions"):
-            path = product_dir / f"{name}.json"
-            if path.is_file():
-                entry[name] = _read_json(path)
-        out[product_dir.name] = entry
-    if not out:
-        raise DataFormatError(f"run directory {run_dir} holds no product manifests")
-    return out
-
-
-def _predicted_pairs(entry: dict[str, Any]) -> dict[str, set[tuple[str, str]]]:
-    try:
-        return {
-            review_id: {(row["attribute"], row["value"]) for row in rows}
-            for review_id, rows in entry["extractions"].get("extractions", {}).items()
-        }
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise DataFormatError(
-            f"{entry['dir'] / 'extractions.json'}: invalid extractions: {exc!r}"
-        ) from exc
-
-
-def _category_metrics_rows(
-    runs: dict[str, dict[str, Any]],
-    gold_path: Path,
-    dataset: Path | None,
-) -> list[tuple[str, CategoryMetrics]]:
-    gold = load_gold_sets(gold_path)
-    categories: dict[str, str] = {}
-    if dataset is not None:
-        for product in load_product_records(dataset):
-            categories[product.product_id] = product.category
-    pooled: dict[str, list[int]] = {}
-    for product_id, entry in runs.items():
-        if "extractions" not in entry:
-            continue
-        category = categories.get(product_id, product_id)
-        predictions = _predicted_pairs(entry)
-        review_ids = set(predictions)
-        review_ids.update(rid for pid, rid in gold if pid == product_id)
-        for review_id in review_ids:
-            gold_set = gold.get((product_id, review_id))
-            gold_pairs = gold_set.gold if gold_set else frozenset()
-            tp, fp, fn = selection_counts(predictions.get(review_id, set()), gold_pairs)
-            bucket = pooled.setdefault(category, [0, 0, 0])
-            bucket[0] += tp
-            bucket[1] += fp
-            bucket[2] += fn
-    return [
-        (category, metrics_from_counts(*pooled[category])) for category in sorted(pooled)
-    ]
-
-
-def _scores_table(scores_path: Path) -> str:
-    try:
-        payload = json.loads(scores_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read scores file: {exc}") from exc
-    rows = payload.get("rows") if isinstance(payload, dict) else payload
-    if not isinstance(rows, list):
-        raise DataFormatError("scores file must be a JSON array or an object with 'rows'")
-    table: list[tuple[str, CategoryMetrics]] = []
-    for index, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise DataFormatError(f"rows[{index}]: expected an object")
-        try:
-            precision = float(row["precision"])
-            recall = float(row["recall"])
-            category = str(row["category"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"rows[{index}]: {exc}") from exc
-        table.append(
-            (category, CategoryMetrics(precision, recall, f1(precision, recall)))
-        )
-    return render_metrics_table(table)
-
-
-def _mode_comparison(
-    run_payloads: list[dict[str, dict[str, Any]]],
-    criteria_path: Path,
-    product_id: str | None,
-) -> str:
-    by_mode: dict[str, dict[str, dict[str, Any]]] = {}
-    for runs in run_payloads:
-        mode = next(iter(runs.values()))["manifest"].get("mode")
-        by_mode[str(mode)] = runs
-    missing = {"full", "baseline", "ablated"} - set(by_mode)
-    if missing:
-        raise DataFormatError(
-            f"mode comparison needs one run dir per mode; missing {sorted(missing)}"
-        )
-    shared = set.intersection(*(set(runs) for runs in run_payloads))
-    if product_id is None:
-        if len(shared) != 1:
-            raise DataFormatError(
-                f"pass --product to choose among shared products {sorted(shared)}"
-            )
-        product_id = next(iter(shared))
-    elif product_id not in shared:
-        raise DataFormatError(f"product {product_id!r} is not present in every run dir")
-
-    def report_for(mode: str) -> StructuredReport:
-        entry = by_mode[mode][product_id]
-        if "report" not in entry:
-            raise DataFormatError(f"{mode} run for {product_id} lacks report.json")
-        try:
-            return StructuredReport.from_dict(entry["report"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{entry['dir'] / 'report.json'}: invalid report: {exc!r}") from exc
-
-    annotations = [
-        annotation
-        for annotation in load_criterion_annotations(criteria_path)
-        if annotation.product_id == product_id
-    ]
-    table = compare_modes(
-        report_for("full"), report_for("baseline"), report_for("ablated"), annotations
-    )
-    return f"Mode comparison for {product_id}:\n" + render_mode_table(table)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation  # only this subcommand needs the harness
+
     emitted = False
     if args.scores is not None:
-        print(_scores_table(args.scores), end="")
+        print(evaluation.scores_table(args.scores), end="")
         emitted = True
-    run_payloads = [_load_run_dir(run_dir) for run_dir in args.runs]
+    run_payloads = [evaluation.load_run_dir(run_dir) for run_dir in args.runs]
     if args.gold is not None:
         if not run_payloads:
             return _fatal("--gold needs at least one --runs directory")
         for run_dir, runs in zip(args.runs, run_payloads):
-            rows = _category_metrics_rows(runs, args.gold, args.dataset)
+            rows = evaluation.category_metrics_rows(runs, args.gold, args.dataset)
             if not rows:
                 continue
-            mode = next(iter(runs.values()))["manifest"].get("mode", "?")
+            mode = next(iter(runs.values())).mode
             print(f"Attribute selection, {run_dir} (mode={mode}):")
-            print(render_metrics_table(rows), end="")
+            print(evaluation.render_metrics_table(rows), end="")
             emitted = True
     if args.annotations is not None:
-        counts = aggregate_errors(load_error_annotations(args.annotations))
+        counts = evaluation.aggregate_errors(evaluation.load_error_annotations(args.annotations))
         print("Error tallies:")
-        print(render_error_table(counts), end="")
+        print(evaluation.render_error_table(counts), end="")
         emitted = True
     if args.criteria is not None:
         if len(run_payloads) < 3:
             return _fatal("--criteria needs three --runs directories (full, baseline, ablated)")
-        print(_mode_comparison(run_payloads, args.criteria, args.product), end="")
+        print(evaluation.mode_comparison(run_payloads, args.criteria, args.product), end="")
         emitted = True
     if not emitted:
         return _fatal("nothing to evaluate; pass --scores, --gold, --annotations, or --criteria")

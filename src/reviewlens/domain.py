@@ -7,6 +7,11 @@ Responsibilities:
   * the closed four-variant comparison taxonomy with its parser/renderer
   * canonical JSON serialization (UTF-8, lexicographically sorted keys) so
     equal values always produce identical bytes
+  * the dataset and ``report.json`` readers: ``from_dict(payload, name)``
+    parses the JSON object found at path ``name`` with the checks of
+    ``inputs``, and ``load_product_records`` refuses a repeated product id.
+    A product id names the product's output directory, so it must match
+    ``[A-Za-z0-9][A-Za-z0-9._-]*``.
 
 The report sections are carried as arrays, not objects, so that semantic
 ordering (actionable statuses first) survives key-sorted serialization.
@@ -23,6 +28,16 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .errors import DataFormatError, EmptyKeyError, UnknownStatusError
+from .inputs import (
+    build,
+    check_choice,
+    check_int,
+    check_list,
+    check_string,
+    optional,
+    read_json,
+    required,
+)
 
 # An attribute key is a plain string that is a fixed point of normalize_key.
 AttributeKey = str
@@ -30,6 +45,9 @@ AttributeKey = str
 OTHER_CATEGORY = "Other"
 
 _UNDERSCORE_RUN = re.compile(r"_+")
+
+# A product id names its output directory: no separator, never "." or "..".
+_PRODUCT_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 def normalize_key(raw: str) -> AttributeKey:
@@ -145,11 +163,13 @@ class Review:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Review":
-        return cls(
-            review_id=str(payload["review_id"]),
-            text=str(payload["text"]),
-            rating=payload.get("rating"),
+    def from_dict(cls, record: Any, name: str = "") -> "Review":
+        return build(
+            name,
+            cls,
+            review_id=required(record, "review_id", name, check_string),
+            text=required(record, "text", name, check_string),
+            rating=optional(record, "rating", name, check_int),
         )
 
 
@@ -164,8 +184,8 @@ class ProductRecord:
     reviews: tuple[Review, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.product_id:
-            raise ValueError("product_id must be non-empty")
+        if not _PRODUCT_ID.fullmatch(self.product_id):
+            raise ValueError(f"product_id {self.product_id!r} must match {_PRODUCT_ID.pattern}")
         if not self.seller_description or not self.seller_description.strip():
             raise ValueError(f"product {self.product_id}: seller_description must be non-empty")
         object.__setattr__(self, "reviews", tuple(self.reviews))
@@ -191,13 +211,15 @@ class ProductRecord:
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ProductRecord":
-        return cls(
-            product_id=str(payload["product_id"]),
-            title=str(payload.get("title", "")),
-            category=str(payload.get("category", "")),
-            seller_description=str(payload["seller_description"]),
-            reviews=tuple(Review.from_dict(item) for item in payload.get("reviews", [])),
+    def from_dict(cls, record: Any, name: str = "") -> "ProductRecord":
+        return build(
+            name,
+            cls,
+            product_id=required(record, "product_id", name, check_string),
+            title=optional(record, "title", name, check_string, default=""),
+            category=optional(record, "category", name, check_string, default=""),
+            seller_description=required(record, "seller_description", name, check_string),
+            reviews=optional(record, "reviews", name, check_list, Review.from_dict, default=()),
         )
 
 
@@ -292,14 +314,18 @@ class Insight:
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Insight":
-        return cls(
-            key=str(payload["attribute"]),
-            values=tuple(str(v) for v in payload["values"]),
-            status=parse_status(payload["status"]),
-            category=str(payload.get("category", "")),
-            evidence=tuple(str(e) for e in payload["evidence"]),
-            justifications=tuple(str(j) for j in payload.get("justifications", [])),
+    def from_dict(cls, record: Any, name: str = "") -> "Insight":
+        return build(
+            name,
+            cls,
+            key=required(record, "attribute", name, check_string),
+            values=required(record, "values", name, check_list, check_string),
+            status=required(record, "status", name, _read_status),
+            category=optional(record, "category", name, check_string, default=""),
+            evidence=required(record, "evidence", name, check_list, check_string),
+            justifications=optional(
+                record, "justifications", name, check_list, check_string, default=()
+            ),
         )
 
 
@@ -405,38 +431,45 @@ class StructuredReport:
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "StructuredReport":
-        sections = []
-        for section_payload in payload["sections"]:
-            groups = tuple(
-                CategoryGroup(
-                    category=str(group["category"]),
-                    insights=tuple(Insight.from_dict(item) for item in group["insights"]),
-                )
-                for group in section_payload["categories"]
-            )
-            sections.append(ReportSection(status=parse_status(section_payload["status"]), groups=groups))
-        return cls(product_id=str(payload["product_id"]), sections=tuple(sections))
+    def from_dict(cls, record: Any, name: str = "") -> "StructuredReport":
+        return build(
+            name,
+            cls,
+            product_id=required(record, "product_id", name, check_string),
+            sections=required(record, "sections", name, check_list, _read_section),
+        )
+
+
+def _read_status(value: Any, name: str) -> ComparisonStatus:
+    return ComparisonStatus(check_choice(value, name, [s.value for s in ComparisonStatus]))
+
+
+def _read_section(record: Any, name: str) -> ReportSection:
+    return ReportSection(
+        status=required(record, "status", name, _read_status),
+        groups=required(record, "categories", name, check_list, _read_group),
+    )
+
+
+def _read_group(record: Any, name: str) -> CategoryGroup:
+    return CategoryGroup(
+        category=required(record, "category", name, check_string),
+        insights=required(record, "insights", name, check_list, Insight.from_dict),
+    )
 
 
 def load_product_records(path: Path | str) -> list[ProductRecord]:
-    """Load a dataset file: a JSON array of product records."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataFormatError(f"dataset file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, list):
-        raise DataFormatError(f"{path}: expected a JSON array of products")
-    records = []
-    for position, item in enumerate(payload):
-        try:
-            records.append(ProductRecord.from_dict(item))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}: products[{position}]: {exc}") from exc
-    return records
+    """Load a dataset file: a JSON array of products with distinct ids."""
+    return read_json(path, _read_products)
+
+
+def _read_products(payload: Any) -> list[ProductRecord]:
+    products = check_list(payload, "products", ProductRecord.from_dict)
+    first: dict[str, int] = {}
+    for index, product in enumerate(products):
+        if first.setdefault(product.product_id, index) != index:
+            raise DataFormatError(f"products[{index}]: duplicate product_id {product.product_id!r}")
+    return products
 
 
 def dump_product_records(records: Iterable[ProductRecord], path: Path | str) -> None:

@@ -1,47 +1,36 @@
 """Evaluation harness: error tallies, attribute-selection metrics, and
-mode-vs-mode criterion comparisons.
+mode-vs-mode criterion comparisons, as ``reviewlens eval`` prints them.
 
 Everything here is pure aggregation over annotation files and pipeline
 outputs. Annotators work against a closed rubric per step; anything outside
-it is rejected at load time with a line position.
+it is rejected at load time with a line position. Every file ``eval`` reads
+is parsed here with the checks of ``inputs``: the gold, annotation and
+scores files, and each product directory of a run (``load_run_dir``), so an
+error names the file and the JSON path in it.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .domain import ExtractedAttribute, StructuredReport, normalize_key
+from .domain import ExtractedAttribute, StructuredReport, load_product_records, normalize_key
 from .errors import DataFormatError, OutOfRangeError, ProductMismatchError
-
-__all__ = [
-    "Step",
-    "ERROR_RUBRIC",
-    "CRITERIA",
-    "COMPARED_MODES",
-    "REFERENCE_CATEGORY_SCORES",
-    "ErrorAnnotation",
-    "CriterionAnnotation",
-    "CategoryMetrics",
-    "GoldAttributeSet",
-    "f1",
-    "round_half_up",
-    "selection_counts",
-    "metrics_from_counts",
-    "selection_metrics",
-    "aggregate_errors",
-    "compare_modes",
-    "load_error_annotations",
-    "load_criterion_annotations",
-    "load_gold_sets",
-    "render_metrics_table",
-    "render_error_table",
-    "render_mode_table",
-]
+from .inputs import (
+    build,
+    check_choice,
+    check_list,
+    check_number,
+    check_object,
+    check_string,
+    optional,
+    read_json,
+    read_jsonl,
+    required,
+)
 
 
 class Step(str, enum.Enum):
@@ -121,8 +110,6 @@ class ErrorAnnotation:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.step, Step):
-            object.__setattr__(self, "step", Step(self.step))
         allowed = ERROR_RUBRIC[self.step]
         if self.error_category not in allowed:
             raise DataFormatError(
@@ -173,9 +160,7 @@ class GoldAttributeSet:
     gold: frozenset[tuple[str, str]] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        normalized = frozenset(
-            (normalize_key(str(key)), str(value).strip()) for key, value in self.gold
-        )
+        normalized = frozenset((normalize_key(key), value.strip()) for key, value in self.gold)
         object.__setattr__(self, "gold", normalized)
 
 
@@ -270,121 +255,181 @@ def compare_modes(
     return table
 
 
-def _load_jsonl(path: Path) -> Iterable[tuple[int, dict[str, Any]]]:
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path.name}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise DataFormatError(f"{path.name}:{lineno}: expected a JSON object")
-        yield lineno, payload
-
-
 def load_error_annotations(path: Path | str) -> list[ErrorAnnotation]:
-    """One ErrorAnnotation per JSON line; rubric violations carry positions."""
-    path = Path(path)
-    annotations: list[ErrorAnnotation] = []
-    for lineno, payload in _load_jsonl(path):
-        try:
-            annotations.append(
-                ErrorAnnotation(
-                    product_id=str(payload["product_id"]),
-                    step=Step(payload["step"]),
-                    error_category=str(payload["error_category"]),
-                    review_id=(
-                        str(payload["review_id"]) if payload.get("review_id") is not None else None
-                    ),
-                    note=str(payload.get("note", "")),
-                )
-            )
-        except KeyError as exc:
-            raise DataFormatError(f"{path.name}:{lineno}: missing field {exc}") from exc
-        except (ValueError, DataFormatError) as exc:
-            raise DataFormatError(f"{path.name}:{lineno}: {exc}") from exc
-    return annotations
+    """One ErrorAnnotation per JSON line; an error names ``<file>:<line>``."""
+    return read_jsonl(path, _read_error_annotation)
+
+
+def _read_error_annotation(record: Any) -> ErrorAnnotation:
+    return ErrorAnnotation(
+        product_id=required(record, "product_id", "", check_string),
+        step=Step(required(record, "step", "", check_choice, [step.value for step in Step])),
+        error_category=required(record, "error_category", "", check_string),
+        review_id=optional(record, "review_id", "", check_string),
+        note=optional(record, "note", "", check_string, default=""),
+    )
 
 
 def load_criterion_annotations(path: Path | str) -> list[CriterionAnnotation]:
-    path = Path(path)
-    annotations: list[CriterionAnnotation] = []
-    for lineno, payload in _load_jsonl(path):
-        try:
-            annotations.append(
-                CriterionAnnotation(
-                    product_id=str(payload["product_id"]),
-                    mode=str(payload["mode"]),
-                    criterion=str(payload["criterion"]),
-                    note=str(payload.get("note", "")),
-                )
-            )
-        except KeyError as exc:
-            raise DataFormatError(f"{path.name}:{lineno}: missing field {exc}") from exc
-        except (ValueError, DataFormatError) as exc:
-            raise DataFormatError(f"{path.name}:{lineno}: {exc}") from exc
-    return annotations
+    return read_jsonl(path, _read_criterion_annotation)
+
+
+def _read_criterion_annotation(record: Any) -> CriterionAnnotation:
+    return CriterionAnnotation(
+        product_id=required(record, "product_id", "", check_string),
+        mode=required(record, "mode", "", check_string),
+        criterion=required(record, "criterion", "", check_string),
+        note=optional(record, "note", "", check_string, default=""),
+    )
 
 
 def load_gold_sets(path: Path | str) -> dict[tuple[str, str], GoldAttributeSet]:
     """Gold file: {"products": [{"product_id", "reviews": [{"review_id",
     "gold": [{"attribute", "value"}, ...]}]}]} keyed here by
     (product_id, review_id)."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path.name}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or not isinstance(payload.get("products"), list):
-        raise DataFormatError(f"{path.name}: expected an object with a 'products' array")
+    return read_json(path, _read_gold_sets)
 
+
+def _read_gold_sets(payload: Any) -> dict[tuple[str, str], GoldAttributeSet]:
+    products = required(payload, "products", "", check_list, _read_gold_product)
     sets: dict[tuple[str, str], GoldAttributeSet] = {}
-    for p_index, product in enumerate(payload["products"]):
-        where = f"{path.name}: products[{p_index}]"
-        if not isinstance(product, dict):
-            raise DataFormatError(f"{where}: expected an object")
-        product_id = product.get("product_id")
-        reviews = product.get("reviews")
-        if not isinstance(product_id, str) or not product_id:
-            raise DataFormatError(f"{where}: missing product_id")
-        if not isinstance(reviews, list):
-            raise DataFormatError(f"{where}: missing reviews array")
-        for r_index, review in enumerate(reviews):
-            where_r = f"{where}.reviews[{r_index}]"
-            if not isinstance(review, dict):
-                raise DataFormatError(f"{where_r}: expected an object")
-            review_id = review.get("review_id")
-            rows = review.get("gold")
-            if not isinstance(review_id, str) or not review_id:
-                raise DataFormatError(f"{where_r}: missing review_id")
-            if not isinstance(rows, list):
-                raise DataFormatError(f"{where_r}: missing gold array")
-            pairs = set()
-            for a_index, row in enumerate(rows):
-                if (
-                    not isinstance(row, dict)
-                    or not isinstance(row.get("attribute"), str)
-                    or not isinstance(row.get("value"), str)
-                ):
-                    raise DataFormatError(
-                        f"{where_r}.gold[{a_index}]: expected "
-                        '{"attribute": str, "value": str}'
-                    )
-                pairs.add((row["attribute"], row["value"]))
-            key = (product_id, review_id)
-            if key in sets:
-                raise DataFormatError(f"{where_r}: duplicate review_id {review_id!r}")
-            sets[key] = GoldAttributeSet(
-                product_id=product_id, review_id=review_id, gold=frozenset(pairs)
-            )
+    for p_index, reviews in enumerate(products):
+        for r_index, gold in enumerate(reviews):
+            if sets.setdefault((gold.product_id, gold.review_id), gold) is not gold:
+                where = f"products[{p_index}].reviews[{r_index}]"
+                raise DataFormatError(f"{where}: duplicate review_id {gold.review_id!r}")
     return sets
+
+
+def _read_gold_product(record: Any, name: str) -> list[GoldAttributeSet]:
+    product_id = required(record, "product_id", name, check_string)
+    return required(record, "reviews", name, check_list, _read_gold_review, product_id)
+
+
+def _read_gold_review(record: Any, name: str, product_id: str) -> GoldAttributeSet:
+    return GoldAttributeSet(
+        product_id=product_id,
+        review_id=required(record, "review_id", name, check_string),
+        gold=frozenset(required(record, "gold", name, check_list, _read_gold_pair)),
+    )
+
+
+def _read_gold_pair(record: Any, name: str) -> tuple[str, str]:
+    attribute, value = _read_pair(record, name)
+    return build(f"{name}.attribute", normalize_key, attribute), value
+
+
+@dataclass(frozen=True, slots=True)
+class ProductRun:
+    """A product directory of a run: its manifest's mode, its report, and
+    its (attribute, value) pairs by review; None for an absent file."""
+
+    mode: str
+    report: StructuredReport | None
+    predictions: Mapping[str, frozenset[tuple[str, str]]] | None
+
+
+def load_run_dir(run_dir: Path) -> dict[str, ProductRun]:
+    """Each product directory of ``run_dir`` that holds a manifest, by its
+    name, which is the product id."""
+    if not run_dir.is_dir():
+        raise DataFormatError(f"run directory {run_dir} does not exist")
+    runs: dict[str, ProductRun] = {}
+    for manifest in sorted(run_dir.glob("*/manifest.json")):
+        product_dir = manifest.parent
+        report, extractions = product_dir / "report.json", product_dir / "extractions.json"
+        runs[product_dir.name] = ProductRun(
+            read_json(manifest, required, "mode", "", check_choice, COMPARED_MODES),
+            read_json(report, StructuredReport.from_dict) if report.is_file() else None,
+            read_json(extractions, _read_predictions) if extractions.is_file() else None,
+        )
+    if not runs:
+        raise DataFormatError(f"run directory {run_dir} holds no product manifests")
+    return runs
+
+
+def _read_predictions(payload: Any) -> dict[str, frozenset[tuple[str, str]]]:
+    extractions = optional(payload, "extractions", "", check_object, default={})
+    return {
+        review_id: frozenset(check_list(rows, f"extractions.{review_id}", _read_pair))
+        for review_id, rows in extractions.items()
+    }
+
+
+def _read_pair(record: Any, name: str) -> tuple[str, str]:
+    attribute = required(record, "attribute", name, check_string)
+    return attribute, required(record, "value", name, check_string)
+
+
+def category_metrics_rows(
+    runs: Mapping[str, ProductRun], gold_path: Path, dataset: Path | None
+) -> list[tuple[str, CategoryMetrics]]:
+    """Attribute-selection metrics of one run against the gold file, pooled
+    per dataset category (per product id without a dataset)."""
+    gold = load_gold_sets(gold_path)
+    products = load_product_records(dataset) if dataset is not None else []
+    categories = {product.product_id: product.category for product in products}
+    pooled: dict[str, list[int]] = {}
+    for product_id, run in runs.items():
+        if run.predictions is None:
+            continue
+        category = categories.get(product_id, product_id)
+        review_ids = set(run.predictions)
+        review_ids.update(rid for pid, rid in gold if pid == product_id)
+        for review_id in review_ids:
+            gold_set = gold.get((product_id, review_id))
+            gold_pairs = gold_set.gold if gold_set else frozenset()
+            counts = selection_counts(run.predictions.get(review_id, ()), gold_pairs)
+            pooled[category] = [a + b for a, b in zip(pooled.get(category, (0, 0, 0)), counts)]
+    return [(category, metrics_from_counts(*pooled[category])) for category in sorted(pooled)]
+
+
+def scores_table(path: Path) -> str:
+    """The metrics table of a scores file: a JSON array of {"category",
+    "precision", "recall"} rows, or an object holding it as "rows". F1 is
+    computed from each row's precision and recall."""
+    return render_metrics_table(read_json(path, _read_score_rows))
+
+
+def _read_score_rows(payload: Any) -> list[tuple[str, CategoryMetrics]]:
+    if isinstance(payload, dict):
+        return required(payload, "rows", "", check_list, _read_score_row)
+    return check_list(payload, "rows", _read_score_row)
+
+
+def _read_score_row(record: Any, name: str) -> tuple[str, CategoryMetrics]:
+    category = required(record, "category", name, check_string)
+    precision = required(record, "precision", name, check_number, 0.0, 1.0)
+    recall = required(record, "recall", name, check_number, 0.0, 1.0)
+    return category, CategoryMetrics(precision, recall, f1(precision, recall))
+
+
+def mode_comparison(
+    run_payloads: Sequence[Mapping[str, ProductRun]], criteria_path: Path, product_id: str | None
+) -> str:
+    """The criterion table for one product shared by a full, a baseline
+    and an ablated run."""
+    by_mode = {next(iter(runs.values())).mode: runs for runs in run_payloads}
+    if missing := sorted(set(COMPARED_MODES) - set(by_mode)):
+        raise DataFormatError(f"mode comparison needs one run dir per mode; missing {missing}")
+    shared = set.intersection(*(set(runs) for runs in run_payloads))
+    if product_id is None:
+        if len(shared) != 1:
+            raise DataFormatError(
+                f"pass --product to choose among shared products {sorted(shared)}"
+            )
+        product_id = next(iter(shared))
+    elif product_id not in shared:
+        raise DataFormatError(f"product {product_id!r} is not present in every run dir")
+
+    reports = {mode: by_mode[mode][product_id].report for mode in COMPARED_MODES}
+    if lacking := [mode for mode, report in reports.items() if report is None]:
+        raise DataFormatError(f"{lacking[0]} run for {product_id} lacks report.json")
+    annotations = load_criterion_annotations(criteria_path)
+    annotations = [annotation for annotation in annotations if annotation.product_id == product_id]
+    # A report.json whose product_id is not its directory's is refused here.
+    table = build("mode comparison", compare_modes, *reports.values(), annotations)
+    return f"Mode comparison for {product_id}:\n" + render_mode_table(table)
 
 
 def _format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -2,8 +2,7 @@
 
 Responsibilities:
   * a provider-agnostic request/response pair for single-turn chat calls
-  * the declarative retry policy, and the type and range checks it
-    shares with ``PipelineConfig``
+  * the declarative retry policy
   * a stable content fingerprint identifying a request (the credential is
     deliberately outside the identity)
   * interchangeable backends, each answering ``complete(request)``: live
@@ -38,7 +37,6 @@ import enum
 import hashlib
 import http.client
 import json
-import math
 import re
 import select
 import socket
@@ -46,9 +44,9 @@ import ssl
 import threading
 import time
 import urllib.request
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Protocol, TypeVar, runtime_checkable
+from typing import Any, Callable, Optional, Protocol, TypeVar, runtime_checkable
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from . import __version__
@@ -63,6 +61,7 @@ from .errors import (
     RateLimitedError,
     TransportError,
 )
+from .inputs import check_int, check_number, config_kwargs
 
 T = TypeVar("T")
 
@@ -92,35 +91,6 @@ class ChatRequest:
             raise ValueError("temperature must be within [0.0, 1.0]")
 
 
-def config_kwargs(cls: type, payload: Any, label: str) -> dict[str, Any]:
-    """``payload`` as keyword arguments for the config dataclass ``cls``: a
-    JSON object whose keys are all field names of ``cls``. Absent fields
-    keep the class defaults."""
-    if not isinstance(payload, Mapping):
-        raise TypeError(f"{label} must be an object, got {payload!r}")
-    unknown = set(payload) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {label} key(s): {', '.join(sorted(map(repr, unknown)))}")
-    return dict(payload)
-
-
-def check_int(name: str, value: Any, minimum: int) -> None:
-    """Reject anything but an integer (a bool or a float included) below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
-def check_number(name: str, value: Any, low: float, high: float = math.inf) -> float:
-    """``value`` as a float, if it is a finite number (not a bool) within [low, high]."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(value) and low <= value <= high):
-        raise ValueError(f"{name} must be a finite number within [{low}, {high}], got {value}")
-    return float(value)
-
-
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
     """Declarative retry behaviour shared by all stages: how many attempts a
@@ -132,9 +102,9 @@ class RetryPolicy:
     backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        check_int("max_attempts", self.max_attempts, 1)
-        check_int("base_delay_ms", self.base_delay_ms, 0)
-        backoff_factor = check_number("backoff_factor", self.backoff_factor, 1.0)
+        check_int(self.max_attempts, "max_attempts", 1)
+        check_int(self.base_delay_ms, "base_delay_ms", 0)
+        backoff_factor = check_number(self.backoff_factor, "backoff_factor", 1.0)
         object.__setattr__(self, "backoff_factor", backoff_factor)
 
     def delay_ms(self, retry_index: int) -> float:
@@ -154,7 +124,7 @@ class RetryPolicy:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RetryPolicy":
+    def from_dict(cls, payload: Any) -> "RetryPolicy":
         return cls(**config_kwargs(cls, payload, "retry"))
 
 

@@ -93,16 +93,9 @@ from .errors import (
     MalformedOutputError,
 )
 from .extraction import build_extraction_prompt, parse_extraction_response
-from .gateway import (
-    ChatBackend,
-    ChatRequest,
-    ChatResponse,
-    RetryPolicy,
-    check_int,
-    complete_parsed,
-    config_kwargs,
-)
+from .gateway import ChatBackend, ChatRequest, ChatResponse, RetryPolicy, complete_parsed
 from .grouping import build_grouping_prompt, collect_unique_keys, parse_grouping_response
+from .inputs import check_choice, check_int, check_string, config_kwargs
 from .prompt_library import render_prompt
 from .structuring import build_report, merge_insights, parse_report_sections
 
@@ -147,23 +140,17 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for name in ("extraction_model", "comparison_model", "grouping_model"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise TypeError(f"{name} must be a non-empty string, got {value!r}")
-        check_int("workers", self.workers, 1)
+            check_string(getattr(self, name), name)
+        check_int(self.workers, "workers", 1)
         if not isinstance(self.retry, RetryPolicy):
             raise TypeError(f"retry must be a RetryPolicy, got {self.retry!r}")
         if not isinstance(self.cache_dir, (str, Path, type(None))):
-            raise TypeError(f"cache_dir must be a path string or null, got {self.cache_dir!r}")
+            raise ValueError(f"cache_dir must be a path string or null, got {self.cache_dir!r}")
         # An empty path means no cache, not the working directory.
         cache_dir = None if self.cache_dir in (None, "") else Path(self.cache_dir)
         object.__setattr__(self, "cache_dir", cache_dir)
-        try:
-            mode = PipelineMode(self.mode)
-        except ValueError:
-            choices = ", ".join(repr(m.value) for m in PipelineMode)
-            raise ValueError(f"mode must be one of {choices}, got {self.mode!r}") from None
-        object.__setattr__(self, "mode", mode)
+        mode = check_choice(self.mode, "mode", [m.value for m in PipelineMode])
+        object.__setattr__(self, "mode", PipelineMode(mode))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -173,7 +160,7 @@ class PipelineConfig:
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "PipelineConfig":
+    def from_dict(cls, payload: Any) -> "PipelineConfig":
         """Build a config from a JSON object holding only field names;
         ``retry``, if present, is such an object for ``RetryPolicy``."""
         kwargs = config_kwargs(cls, payload, "config")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import _thread
 import itertools
 import json
+import math
 import random
 import shutil
 import signal
@@ -29,6 +30,7 @@ from conftest import TESTDATA, golden
 
 DATASET = str(TESTDATA / "dataset.json")
 FIXTURES = str(TESTDATA / "fixtures")
+TESTS = Path(__file__).resolve().parent
 PRODUCT_IDS = ("app-mixer-001", "bty-serum-002", "ele-buds-003")
 
 
@@ -879,7 +881,166 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    def test_report_of_another_product_refused(self, run_dirs, capsys):
+        path = run_dirs["baseline"] / "app-mixer-001" / "report.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "product_id": "bty-serum-002"}))
+        capsys.readouterr()
+        code = run_cli(
+            "eval",
+            "--runs", str(run_dirs["full"]), str(run_dirs["baseline"]), str(run_dirs["ablated"]),
+            "--criteria", str(TESTDATA / "criteria.jsonl"),
+            "--product", "app-mixer-001",
+        )
+        assert code == 1
+        _refused(capsys, "mode comparison: baseline report covers 'bty-serum-002'")
+
     def test_nothing_requested(self, capsys):
         code = run_cli("eval")
         assert code == 1
         assert "nothing to evaluate" in capsys.readouterr().err
+
+    def test_transcript_is_pinned(self, tmp_path, monkeypatch, capsys):
+        # Relative run directories keep temporary paths out of the output.
+        monkeypatch.chdir(tmp_path)
+        for mode in ("full", "baseline", "ablated"):
+            assert run_cli("run", "--dataset", DATASET, "--fixtures", FIXTURES, "--mode", mode, "--out", mode) == 0
+        capsys.readouterr()
+        code = run_cli(
+            "eval",
+            "--runs", "full", "baseline", "ablated",
+            "--gold", str(TESTDATA / "gold.json"),
+            "--dataset", DATASET,
+            "--annotations", str(TESTDATA / "annotations.jsonl"),
+            "--criteria", str(TESTDATA / "criteria.jsonl"),
+            "--product", "app-mixer-001",
+            "--scores", str(TESTS / "eval_scores.json"),
+        )
+        assert code == 0
+        assert capsys.readouterr().out == (TESTS / "eval_transcript.txt").read_text(encoding="utf-8")
+
+
+def _refused(capsys, where: str) -> None:
+    """The CLI exited 1 with one error line naming ``where``: a file and a
+    JSON path in it."""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _dataset_with(tmp_path: Path, mutate) -> Path:
+    """The bundled dataset, mutated, in ``tmp_path``; "{tmp}" in it becomes
+    ``tmp_path``."""
+    dataset = json.loads((TESTDATA / "dataset.json").read_text(encoding="utf-8"))
+    mutate(dataset)
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(dataset).replace("{tmp}", str(tmp_path)), encoding="utf-8")
+    return path
+
+
+def _set(*steps):
+    """A mutation setting the value at ``steps[:-1]`` to ``steps[-1]``."""
+
+    def mutate(document):
+        *path, key, value = steps
+        for step in path:
+            document = document[step]
+        document[key] = value
+
+    return mutate
+
+
+class TestRefusedInputs:
+    """Each hostile input exits 1 naming its file and JSON path. It writes
+    nothing, under --out or anywhere else, and no request reaches the
+    provider."""
+
+    @pytest.mark.parametrize(
+        "mutate, where",
+        [
+            (_set(0, "product_id", "../evil"), "products[0]: product_id '../evil'"),
+            (_set(0, "product_id", "{tmp}/evil"), "products[0]: product_id '/"),
+            (lambda d: d.append(dict(d[0])), "products[3]: duplicate product_id 'app-mixer-001'"),
+            (_set(0, "reviews", 2, "text", None), "products[0].reviews[2].text must"),
+            (_set(1, "seller_description", ["a", "b"]), "products[1].seller_description must"),
+            (_set(0, "reviews", 1, "rating", True), "products[0].reviews[1].rating must"),
+            (_set(2, "reviews", 0, "review_id", 7), "products[2].reviews[0].review_id must"),
+            (_set(0, "reviews", "abc"), "products[0].reviews must be a list"),
+            (_set(1, "not a product"), "products[1] must be an object"),
+        ],
+        ids=[
+            "id-leaves-out", "id-absolute", "listed-twice", "text-null", "description-list",
+            "rating-bool", "review-id-int", "reviews-string", "product-not-object",
+        ],
+    )
+    def test_dataset_refused_before_any_effect(self, tmp_path, serve, canned_model, capsys, mutate, where):
+        server = serve(backend=canned_model, key="test-key-123")
+        work = tmp_path / "work"
+        work.mkdir()
+        dataset = _dataset_with(tmp_path, mutate)
+        code = run_cli(
+            "run",
+            "--dataset", str(dataset),
+            "--backend", "live",
+            "--base-url", server.url,
+            "--api-key", "test-key-123",
+            "--cache-dir", str(work / "cache"),
+            "--out", str(work / "out"),
+        )
+        assert code == 1
+        _refused(capsys, f"{dataset}: {where}")
+        assert server.arrivals == [] and server.connections == 0
+        assert sorted(tmp_path.rglob("*")) == [dataset, work]
+
+    def test_record_fixtures_refuses_before_creating_its_directory(self, tmp_path, serve, canned_model, capsys):
+        server = serve(backend=canned_model, key="test-key-123")
+        dataset = _dataset_with(tmp_path, _set(0, "product_id", "../evil"))
+        code = run_cli(
+            "record-fixtures",
+            "--dataset", str(dataset),
+            "--fixtures", str(tmp_path / "fixtures"),
+            "--api-key", "test-key-123",
+            "--base-url", server.url,
+        )
+        assert code == 1
+        _refused(capsys, f"{dataset}: products[0]: ")
+        assert server.arrivals == []
+        assert sorted(tmp_path.iterdir()) == [dataset]
+
+    @pytest.mark.parametrize(
+        "row, where",
+        [
+            ({"precision": "0.5"}, "rows[4].precision must be a number"),
+            ({"category": True}, "rows[4].category must be a non-empty string"),
+            ({"precision": 2}, "rows[4].precision must be a finite number within [0.0, 1.0]"),
+            ({"recall": -0.1}, "rows[4].recall must be a finite number within [0.0, 1.0]"),
+            ({"precision": math.nan}, "rows[4].precision must be a finite number within [0.0, 1.0]"),
+        ],
+        ids=["precision-string", "category-bool", "precision-2", "recall-negative", "precision-nan"],
+    )
+    def test_scores_refused(self, tmp_path, capsys, row, where):
+        rows = json.loads((TESTS / "eval_scores.json").read_text(encoding="utf-8"))
+        rows[4].update(row)
+        scores = tmp_path / "scores.json"
+        scores.write_text(json.dumps(rows), encoding="utf-8")
+        assert run_cli("eval", "--scores", str(scores)) == 1
+        _refused(capsys, f"{scores}: {where}")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("attribute", ["  ", "-_-"], ids=["blank", "normalizes-to-empty"])
+    def test_gold_attribute_without_a_key_refused(self, tmp_path, run_dirs, capsys, attribute):
+        gold = json.loads((TESTDATA / "gold.json").read_text(encoding="utf-8"))
+        gold["products"][1]["reviews"][2]["gold"][0]["attribute"] = attribute
+        path = tmp_path / "gold.json"
+        path.write_text(json.dumps(gold), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("eval", "--runs", str(run_dirs["full"]), "--gold", str(path)) == 1
+        _refused(capsys, f"{path}: products[1].reviews[2].gold[0].attribute")
+
+    def test_annotation_without_product_refused(self, tmp_path, capsys):
+        lines = (TESTDATA / "annotations.jsonl").read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        lines[2] = json.dumps({**row, "product_id": None})
+        path = tmp_path / "annotations.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("eval", "--annotations", str(path)) == 1
+        _refused(capsys, f"{path}:3: product_id must be a non-empty string, got None")

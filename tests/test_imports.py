@@ -1,4 +1,5 @@
-"""Every import in ``src/``, ``scripts/`` and ``tests/`` is used.
+"""Every import in ``src/``, ``scripts/`` and ``tests/`` is used, and the
+CLI imports at start only what every subcommand needs.
 
 Deleting a parameter or a field often leaves the import of its type behind.
 This check needs only the stdlib ``ast``: a name bound by an import counts
@@ -9,6 +10,9 @@ annotation, or in ``__all__``.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,3 +89,18 @@ def test_check_finds_an_unused_import(tmp_path, monkeypatch):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["module.py:2: os", "module.py:3: Optional"]
+
+
+def test_cli_imports_the_evaluation_harness_only_for_eval():
+    # A child process, since this one has imported every module already.
+    probe = "import sys, reviewlens.cli; print('reviewlens.evaluation' in sys.modules)"
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout == "False\n"
