@@ -278,8 +278,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.gold is not None:
         if not run_payloads:
             return _fatal("--gold needs at least one --runs directory")
+        gold = evaluation.load_gold_sets(args.gold)
+        products = load_product_records(args.dataset) if args.dataset is not None else []
+        categories = {product.product_id: product.category for product in products}
         for run_dir, runs in zip(args.runs, run_payloads):
-            rows = evaluation.category_metrics_rows(runs, args.gold, args.dataset)
+            rows = evaluation.category_metrics_rows(runs, gold, categories)
             if not rows:
                 continue
             mode = next(iter(runs.values())).mode

@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .domain import ExtractedAttribute, StructuredReport, load_product_records, normalize_key
+from .domain import ExtractedAttribute, StructuredReport, normalize_key
 from .errors import DataFormatError, OutOfRangeError, ProductMismatchError
 from .inputs import (
     build,
@@ -362,13 +362,13 @@ def _read_pair(record: Any, name: str) -> tuple[str, str]:
 
 
 def category_metrics_rows(
-    runs: Mapping[str, ProductRun], gold_path: Path, dataset: Path | None
+    runs: Mapping[str, ProductRun],
+    gold: Mapping[tuple[str, str], GoldAttributeSet],
+    categories: Mapping[str, str],
 ) -> list[tuple[str, CategoryMetrics]]:
-    """Attribute-selection metrics of one run against the gold file, pooled
-    per dataset category (per product id without a dataset)."""
-    gold = load_gold_sets(gold_path)
-    products = load_product_records(dataset) if dataset is not None else []
-    categories = {product.product_id: product.category for product in products}
+    """Attribute-selection metrics of one run against the gold sets, pooled
+    per category (``categories`` maps a product id to its dataset category;
+    a product missing from it is pooled under its own id)."""
     pooled: dict[str, list[int]] = {}
     for product_id, run in runs.items():
         if run.predictions is None:

@@ -586,20 +586,17 @@ def complete_with_retry(
     non-retryable errors propagate immediately. Each re-attempt is recorded
     on ``stats`` when one is provided.
 
-    ``idle(seconds)``, when given, spends a backoff in place of
+    ``idle(seconds)``, when given, spends every backoff in place of
     ``time.sleep`` (the pipeline runs other queued work in it) and must not
-    return before ``seconds`` have passed. A backoff after throttling always
-    sleeps, so a throttled provider sees the load drop.
+    return before ``seconds`` have passed. Throttling is no exception: the
+    caller lowers its load through its own limit, not through this loop.
     """
     last_error: BaseException | None = None
     for retry in range(policy.max_attempts):
         if retry:
             delay = policy.delay_ms(retry) / 1000.0
             if delay > 0:
-                if idle is None or getattr(last_error, "kind", None) == RateLimitedError.kind:
-                    time.sleep(delay)
-                else:
-                    idle(delay)
+                (time.sleep if idle is None else idle)(delay)
             if stats is not None:
                 stats.record("retries")
         try:

@@ -26,24 +26,25 @@ runs its product's work (the per-review drain loop, or the closing call).
 A product's per-review tasks wait in one queue, drained by ``workers``
 threads at most, the product's own included. The last drain thread to run
 out of tasks keeps its permit for the closing call, so that call never
-queues behind a later product. A task whose request backs off after a
-transport error or malformed output runs the queue's next tasks on its own
-thread until the backoff has passed. Helping is one level deep: a task run
-inside a backoff only waits out its own.
+queues behind a later product. A task whose request backs off runs the
+queue's next tasks on its own thread until the backoff has passed. Helping
+is one level deep: a task run inside a backoff only waits out its own.
 
 ``run_products`` runs each product on a thread of its own, two at most at
 once, and a free permit goes to the earliest product waiting for one, so a
 later product only fills the permits the earlier one cannot use: the first
 product starts at once, and the next one whenever a permit goes back with
 nobody waiting for it or a product finishes. A permit goes back at the end
-of a drain or of a closing call, and for the wait of a backoff after a
-transport error or malformed output, nested or not, which takes one again
-after it. Only a backoff after throttling sleeps holding its permit, so the
-provider sees the load drop. A later product hands its permit to an
-earlier one waiting for it before each backend call. A run that is
+of a drain or of a closing call, and for the wait of every backoff, nested
+or not, which takes one again after it. A later product hands its permit
+to an earlier one waiting for it before each backend call. A run that is
 stopping (an exception, or the caller closing it) starts no product, no
 queued review and no backend call. A direct call of ``run_product`` gets a
 private pool of ``workers`` permits.
+
+A throttled provider sees the load drop through the pool's limit on
+permits out at once, which a 429 halves and each response grows back
+(AIMD), never through a permit held for a backoff.
 
 With a cache, a request identical to one that another thread of the same
 product is resolving waits for it without a permit, and then reads the
@@ -91,6 +92,7 @@ from .errors import (
     ExhaustedRetriesError,
     GatewayError,
     MalformedOutputError,
+    RateLimitedError,
 )
 from .extraction import build_extraction_prompt, parse_extraction_response
 from .gateway import ChatBackend, ChatRequest, ChatResponse, RetryPolicy, complete_parsed
@@ -219,12 +221,19 @@ class _PermitPool:
     back with nobody waiting for it calls ``on_release``. The pool also
     holds the run's stop: once ``stop(rank)`` is called, the products from
     ``rank`` on start nothing new.
+
+    At most ``int(limit)`` permits are out at once. The limit starts at
+    ``count``, its ceiling; a throttled call halves it, to a floor of 1, and
+    each successful call while it is below ``count`` adds ``1 / limit``
+    (AIMD), so a throttled provider sees the load drop.
     """
 
     def __init__(self, count: int, on_release: Callable[[], None] | None = None) -> None:
         self._cond = threading.Condition()
         self._on_release = on_release
-        self._free = count
+        self._count = count
+        self._limit = float(count)
+        self._in_use = 0
         self._waiting: list[tuple[int, int]] = []  # heap of (rank, ticket)
         self._tickets = itertools.count()
         self._stop_rank: int | None = None
@@ -251,23 +260,39 @@ class _PermitPool:
             self._on_release()
 
     def hand_over(self, rank: int) -> None:
-        """Give this thread's permit to an earlier product waiting for one,
-        if there is such a product, and wait for a permit again."""
+        """Give this thread's permit back and wait for one again if an
+        earlier product is waiting for one, or if more permits are out than
+        the limit allows, so no call starts above it."""
         with self._cond:
-            if self._waiting and self._waiting[0][0] < rank:
+            if (self._waiting and self._waiting[0][0] < rank) or self._in_use > int(self._limit):
                 self._put_back()
                 self._take(rank)
 
+    def throttled(self) -> None:
+        """A call was throttled: halve the limit, to a floor of 1."""
+        with self._cond:
+            self._limit = max(1.0, self._limit / 2)
+
+    def succeeded(self) -> None:
+        """A call returned a response: grow the limit by ``1 / limit``, up
+        to ``count``. A run never throttled takes no lock here."""
+        if self._limit < self._count:
+            with self._cond:
+                allowed = int(self._limit)
+                self._limit = min(float(self._count), self._limit + 1 / self._limit)
+                if int(self._limit) > allowed:
+                    self._cond.notify_all()
+
     def _put_back(self) -> None:
-        self._free += 1
+        self._in_use -= 1
         self._cond.notify_all()
 
     def _take(self, rank: int) -> None:
         ticket = (rank, next(self._tickets))
         heapq.heappush(self._waiting, ticket)
-        self._cond.wait_for(lambda: self._free > 0 and self._waiting[0] == ticket)
+        self._cond.wait_for(lambda: self._in_use < int(self._limit) and self._waiting[0] == ticket)
         heapq.heappop(self._waiting)
-        self._free -= 1
+        self._in_use += 1
         # The next waiter may be due a permit too.
         self._cond.notify_all()
 
@@ -372,12 +397,20 @@ class _Runtime:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         """One backend call, made once an earlier product that waits for a
-        permit has been handed this thread's, and never once the run has
-        stopped at this product."""
+        permit has been handed this thread's and the permits out are within
+        the limit, and never once the run has stopped at this product. A
+        throttled call lowers the limit and a response raises it; any other
+        error leaves it as it is."""
         self.permits.hand_over(self.rank)
         if self.permits.stopped(self.rank):
             raise _Stopped(f"run stopped before a backend call of product rank {self.rank}")
-        return self.gateway.complete(request)
+        try:
+            response = self.gateway.complete(request)
+        except RateLimitedError:
+            self.permits.throttled()
+            raise
+        self.permits.succeeded()
+        return response
 
     def call(
         self,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import _thread
+import collections
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from reviewlens import pipeline
+from reviewlens import inputs, pipeline
 from reviewlens.cache import DiskResponseCache
 from reviewlens.cli import CREDENTIAL_ENV_VAR, main
 from reviewlens.errors import RateLimitedError, TransportError
@@ -451,9 +452,24 @@ def max_in_flight(calls) -> int:
     return max(itertools.accumulate(step for _, step in edges), default=0)
 
 
-def run_probed(monkeypatch, tmp_path, probe, mode: str, workers: int, base_delay_ms: int) -> int:
+class StormProbe(ProbeBackend):
+    """A ``ProbeBackend`` whose first ``storm`` calls are throttled."""
+
+    def __init__(self, owners, storm: int, service_s):
+        super().__init__(owners, service_s=service_s)
+        self._storm = storm
+
+    def complete(self, request):
+        with self._lock:
+            if self._storm:
+                self._storm -= 1
+                self._faults[request.user_prompt] = RateLimitedError("storm")
+        return super().complete(request)
+
+
+def run_probed(monkeypatch, tmp_path, probe, mode: str, workers: int, base_delay_ms: int, **retry) -> int:
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"retry": {"base_delay_ms": base_delay_ms, "backoff_factor": 1.0}}))
+    config.write_text(json.dumps({"retry": {"base_delay_ms": base_delay_ms, "backoff_factor": 1.0, **retry}}))
     monkeypatch.setattr("reviewlens.cli.ReplayBackend", lambda root: probe)
     return run_cli(
         "run", "--dataset", DATASET, "--fixtures", FIXTURES, "--mode", mode,
@@ -542,7 +558,7 @@ class TestRunWideCap:
                 written = (tmp_path / f"out-{workers}" / product_id / name).read_bytes()
                 assert written == golden("full", product_id, name)
 
-    def test_throttled_backoff_keeps_its_permit(self, tmp_path, monkeypatch, products):
+    def test_throttled_backoff_lowers_the_limit(self, tmp_path, monkeypatch, products):
         owners, tails = prompt_owners(products, "full")
         mixer, serum = PRODUCT_IDS[:2]
         workers = 2
@@ -555,13 +571,75 @@ class TestRunWideCap:
         assert len(probe.of(mixer)) == 18
         throttled, retry = [call for call in probe.of(mixer) if call.prompt == tails[mixer]]
         assert throttled.failed and not retry.failed
-        # While the grouping call sleeps after the 429, it holds its permit:
-        # the other calls in flight use the rest, and none is mixer's.
-        overlapping = [
-            call for call in probe.calls if call.start < retry.start and call.end > throttled.end
-        ]
-        assert overlapping and all(call.product != mixer for call in overlapping)
-        assert max_in_flight(overlapping) <= workers - 1
+        # The grouping call gave its permit back for the backoff, and only
+        # serum made calls in it.
+        during = [call for call in probe.calls if throttled.end < call.start < retry.start]
+        assert during and all(call.product == serum for call in during)
+        # The 429 halved the limit: until a call succeeded, no call started
+        # while max(1, workers // 2) or more were in flight.
+        recovered = min(call.end for call in probe.calls if call.end > throttled.end and not call.failed)
+        for call in probe.calls:
+            if throttled.end < call.start < recovered:
+                in_flight = [other for other in probe.calls if other.start < call.start < other.end]
+                assert len(in_flight) < max(1, workers // 2)
+        assert probe.peak_in_flight <= workers
+
+    def test_429_storm_runs_one_call_at_a_time_then_recovers(self, tmp_path, monkeypatch, products):
+        owners, _ = prompt_owners(products, "full")
+        workers, storm = 2, 6
+        probe = StormProbe(owners, storm, lambda product: 0.02)
+        # More attempts than throttled calls, so no request runs out.
+        assert run_probed(monkeypatch, tmp_path, probe, "full", workers, 20, max_attempts=storm + 2) == 0
+        throttled = [call for call in probe.calls if call.failed]
+        assert len(throttled) == storm
+        first_429 = min(call.end for call in throttled)
+        recovered = min(call.end for call in probe.calls if not call.failed)
+        assert recovered > max(call.end for call in throttled)
+        # From the first 429 until a call succeeds, calls run one at a time.
+        for call in probe.calls:
+            if first_429 < call.start < recovered:
+                assert not [other for other in probe.calls if other.start < call.start < other.end]
+        # Then the limit grows back to ``workers``, and no further.
+        assert max_in_flight([call for call in probe.calls if call.start > recovered]) == workers
+        assert probe.peak_in_flight <= workers
+        for product_id in PRODUCT_IDS:
+            for name in ("report.json", "report.md"):
+                written = (tmp_path / f"out-{workers}" / product_id / name).read_bytes()
+                assert written == golden("full", product_id, name)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_every_request_throttled_still_ends(self, tmp_path, monkeypatch, products, workers):
+        """Each request's first attempt is a 429: the limit sits at one or
+        two permits all run long, and the run still ends with the golden
+        bytes."""
+        owners, _ = prompt_owners(products, "full")
+        probe = ProbeBackend(owners, {prompt: RateLimitedError("slow down") for prompt in owners})
+        pools: list = []
+        permit_pool = pipeline._PermitPool
+
+        def traced_pool(*args, **kwargs):
+            pools.append(permit_pool(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(pipeline, "_PermitPool", traced_pool)
+        codes: list[int] = []
+        runner = threading.Thread(
+            target=lambda: codes.append(run_probed(monkeypatch, tmp_path, probe, "full", workers, 5)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(30)
+        deadlocked = runner.is_alive()
+        while runner.is_alive():
+            pools[0].release()  # a spare permit frees the run, so the suite goes on
+            runner.join(0.5)
+        assert not deadlocked and codes == [0]
+        assert len([call for call in probe.calls if call.failed]) == len(owners)
+        assert probe.peak_in_flight <= workers
+        for product_id in PRODUCT_IDS:
+            for name in ("report.json", "report.md"):
+                written = (tmp_path / f"out-{workers}" / product_id / name).read_bytes()
+                assert written == golden("full", product_id, name)
 
     def test_rank_priority_and_the_kept_permit(self, tmp_path, monkeypatch, products):
         owners, tails = prompt_owners(products, "full")
@@ -813,6 +891,26 @@ class TestEval:
         assert rows["Appliances"][-1] == "0.86"
         assert rows["Beauty"][-1] == "0.94"
         assert rows["Electronics"][-1] == "0.90"
+
+    def test_gold_and_dataset_read_once_for_every_run(self, run_dirs, monkeypatch, capsys):
+        reads: collections.Counter = collections.Counter()
+        text = inputs._text
+
+        def counted_text(path):
+            reads[Path(path).name] += 1
+            return text(path)
+
+        monkeypatch.setattr(inputs, "_text", counted_text)
+        code = run_cli(
+            "eval",
+            "--runs", *(str(run_dirs[mode]) for mode in ("full", "baseline", "ablated")),
+            "--gold", str(TESTDATA / "gold.json"),
+            "--dataset", DATASET,
+        )
+        assert code == 0
+        # The baseline run has no extractions, so it has no table.
+        assert capsys.readouterr().out.count("Attribute selection") == 2
+        assert (reads["gold.json"], reads["dataset.json"]) == (1, 1)
 
     def test_gold_requires_runs(self, capsys):
         code = run_cli("eval", "--gold", str(TESTDATA / "gold.json"))

@@ -505,16 +505,20 @@ class TestBackoffScheduling:
         assert stats.retries == 1
         self.assert_as_without_backoff(product, faults, result)
 
-    def test_throttled_backoff_sleeps(self, products_by_id):
+    def test_throttled_backoff_runs_the_other_reviews(self, products_by_id):
+        """The limit cannot drop below one permit, so with one worker a
+        throttled backoff schedules like a transport error's."""
         product = products_by_id["app-mixer-001"]
         faults = [(MIX_R1_TEXT, RateLimitedError("slow down"))]
         result, calls = self.run(product, faults)
         assert calls == (
-            ["mix-r1/extraction", "mix-r1/extraction", "mix-r1/comparison"]
+            ["mix-r1/extraction"]
             + self.others(product, "mix-r1")
-            + ["grouping"]
+            + ["mix-r1/extraction", "mix-r1/comparison", "grouping"]
         )
-        assert result.call_stats.retries == 1
+        stats = result.call_stats
+        assert (stats.extraction_calls, stats.comparison_calls, stats.grouping_calls) == (8, 8, 1)
+        assert stats.retries == 1
         self.assert_as_without_backoff(product, faults, result)
 
     def test_helped_review_sleeps_through_its_own_backoff(self, products_by_id):
@@ -617,6 +621,56 @@ class TestPermitPool:
             assert not thread.is_alive()
         assert order == [1, 2]
         assert unwanted == [2]
+
+    def test_limit_halves_to_one_and_grows_back_to_count(self):
+        pool = _PermitPool(8)
+        limits = []
+        for _ in range(4):
+            pool.throttled()
+            limits.append(pool._limit)
+        assert limits == [4.0, 2.0, 1.0, 1.0]
+        for _ in range(3):
+            pool.succeeded()
+            limits.append(pool._limit)
+        assert limits[4:] == [2.0, 2.5, 2.9]
+        for _ in range(100):
+            pool.succeeded()
+        assert pool._limit == 8.0
+
+    def test_success_at_the_ceiling_takes_no_lock(self):
+        pool = _PermitPool(2)
+        pool._cond = None  # any use of the lock would raise
+        pool.succeeded()
+        assert pool._limit == 2.0
+
+    def test_permits_out_stay_within_the_limit(self):
+        pool = _PermitPool(2)
+
+        def waiting_soon():
+            deadline = time.monotonic() + 5
+            while not pool._waiting and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return bool(pool._waiting)
+
+        pool.acquire(0)
+        pool.acquire(0)
+        pool.throttled()
+        # Two permits out over a limit of one: before its next call, a holder
+        # gives its permit back and waits until the other one is back too.
+        handed = threading.Thread(target=pool.hand_over, args=(0,), daemon=True)
+        handed.start()
+        assert waiting_soon() and pool._in_use == 1
+        pool.release()
+        handed.join(timeout=5)
+        assert not handed.is_alive() and pool._in_use == 1
+        # At the limit, a new take waits until a success raises it.
+        taker = threading.Thread(target=pool.acquire, args=(0,), daemon=True)
+        taker.start()
+        assert waiting_soon() and pool._in_use == 1
+        pool.succeeded()
+        taker.join(timeout=5)
+        assert not taker.is_alive()
+        assert (pool._in_use, pool._limit) == (2, 2.0)
 
 
 class FaultyBackend:
