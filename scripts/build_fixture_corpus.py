@@ -23,6 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from reviewlens.cache import DiskResponseCache
 from reviewlens.domain import ProductRecord, Review, canonical_json, dump_product_records
 from reviewlens.gateway import RecordingBackend, ReplayBackend
 from reviewlens.pipeline import PipelineConfig, PipelineMode, run_product
@@ -337,7 +338,9 @@ def build(root: Path) -> None:
             base = root / "golden" / mode.value / product.product_id
             _write(base / "report.json", render_report(result.report, ReportFormat.JSON))
             _write(base / "report.md", render_report(result.report, ReportFormat.MARKDOWN))
-    print(f"fixtures: {recorder.calls} recorded, {replay.calls} replayed, root {root}")
+    with DiskResponseCache(fixtures_dir) as store:
+        held = len(list(store))
+    print(f"fixtures: {held} responses in {fixtures_dir}")
 
 
 def main() -> None:

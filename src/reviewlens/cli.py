@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
 
+from .cache import DiskResponseCache
 from .domain import ProductRecord, canonical_json, load_product_records
 from .errors import DataFormatError
 from .gateway import ApiCredential, HttpBackend, RecordingBackend, ReplayBackend
@@ -263,7 +264,9 @@ def cmd_record_fixtures(args: argparse.Namespace) -> int:
     finally:
         live.close()
         gateway.close()  # compacts the fixture directory into one segment
-    print(f"recorded {gateway.calls} fixture responses into {args.fixtures}")
+    with DiskResponseCache(args.fixtures) as store:
+        held = len(list(store))
+    print(f"recorded into {args.fixtures}, which holds {held} fixture responses")
     return code
 
 

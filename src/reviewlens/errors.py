@@ -1,10 +1,9 @@
 """Failure domain for the review-insight pipeline.
 
-Every exception that callers are expected to branch on lives here.
-
-Retry classification works through the ``kind`` attribute: policies hold a
-set of retryable kind strings and test errors against it without needing
-``isinstance`` ladders.
+Every exception that callers are expected to branch on lives here. The
+request path retries ``TransportError``, ``RateLimitedError`` and
+``MalformedOutputError`` (``gateway.complete_with_retry``); every other
+error ends a request at once.
 """
 
 from __future__ import annotations
@@ -17,11 +16,8 @@ class EmptyKeyError(ValueError):
 class MalformedOutputError(Exception):
     """Model output that cannot be parsed into the expected structure.
 
-    Classified retryable by default: re-sampling frequently repairs
-    malformed generations.
+    Retried: re-sampling frequently repairs malformed generations.
     """
-
-    kind = "malformed_output"
 
 
 class UnknownStatusError(MalformedOutputError):
@@ -43,37 +39,25 @@ class DataFormatError(ValueError):
 class GatewayError(Exception):
     """Base class for chat-backend failures."""
 
-    kind = "gateway"
-
 
 class TransportError(GatewayError):
     """Network-level failure or a provider response we cannot use."""
-
-    kind = "transport"
 
 
 class RateLimitedError(GatewayError):
     """Provider signalled throttling (HTTP 429)."""
 
-    kind = "rate_limited"
-
 
 class AuthFailedError(GatewayError):
-    """Credential missing or rejected. Never retryable."""
-
-    kind = "auth_failed"
+    """Credential missing or rejected. Never retried."""
 
 
 class NoFixtureError(GatewayError):
     """Replay backend had no recorded response; signals test misconfiguration."""
 
-    kind = "no_fixture"
-
 
 class ExhaustedRetriesError(Exception):
     """All retry attempts failed; wraps the last underlying error."""
-
-    kind = "exhausted_retries"
 
     def __init__(self, attempts: int, last_error: BaseException):
         super().__init__(f"gave up after {attempts} attempt(s): {last_error}")

@@ -5,7 +5,8 @@ Responsibilities:
   * the declarative retry policy
   * a stable content fingerprint identifying a request (the credential is
     deliberately outside the identity)
-  * interchangeable backends, each answering ``complete(request)``: live
+  * interchangeable backends that only answer ``complete(request)``, with
+    no count of their own (a run counts its calls in ``CallStats``): live
     HTTP, replay-from-fixtures, and a recording wrapper that captures live
     traffic for later replay. The live backend is built with the API
     credential and is the only object that holds it. Both fixture backends
@@ -55,7 +56,6 @@ from .errors import (
     AuthFailedError,
     DataFormatError,
     ExhaustedRetriesError,
-    GatewayError,
     MalformedOutputError,
     NoFixtureError,
     RateLimitedError,
@@ -64,9 +64,6 @@ from .errors import (
 from .inputs import check_int, check_number, config_kwargs
 
 T = TypeVar("T")
-
-# The error kinds a request is retried on; every other error ends it at once.
-RETRYABLE_ERROR_KINDS = frozenset({"transport", "rate_limited", "malformed_output"})
 
 
 class ResponseFormat(str, enum.Enum):
@@ -95,7 +92,7 @@ class ChatRequest:
 class RetryPolicy:
     """Declarative retry behaviour shared by all stages: how many attempts a
     request gets and how long to wait between them. Which errors are retried
-    is fixed by ``RETRYABLE_ERROR_KINDS``."""
+    is fixed by ``complete_with_retry``."""
 
     max_attempts: int = 3
     base_delay_ms: int = 250
@@ -116,9 +113,6 @@ class RetryPolicy:
         if retry_index < 1:
             raise ValueError("retry_index is 1-based")
         return self.base_delay_ms * self.backoff_factor ** (retry_index - 1)
-
-    def is_retryable(self, error: BaseException) -> bool:
-        return getattr(error, "kind", None) in RETRYABLE_ERROR_KINDS
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -180,23 +174,6 @@ class ChatBackend(Protocol):
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         ...
-
-
-class CallCounter:
-    """Thread-safe count of completed backend invocations."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._calls = 0
-
-    def bump(self) -> None:
-        with self._lock:
-            self._calls += 1
-
-    @property
-    def calls(self) -> int:
-        with self._lock:
-            return self._calls
 
 
 # http.client's limits on a response head: bytes per line, header lines.
@@ -473,18 +450,12 @@ class HttpBackend:
             f"Authorization: Bearer {credential.key}\r\nContent-Type: application/json\r\n",
         )
         self.timeout_s = timeout_s
-        self._counter = CallCounter()
-
-    @property
-    def calls(self) -> int:
-        return self._counter.calls
 
     def close(self) -> None:
         """Close the pooled connections. The backend stays usable."""
         self._origin.close()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        self._counter.bump()
         payload: dict[str, Any] = {
             "model": request.model,
             "messages": [
@@ -523,7 +494,6 @@ class ReplayBackend:
 
     def __init__(self, fixtures_dir: Path | str):
         self._store = DiskResponseCache(fixtures_dir)
-        self._counter = CallCounter()
         if not self._store.segments and any(Path(fixtures_dir).glob("*.json")):
             self._store.close()
             raise DataFormatError(
@@ -532,12 +502,7 @@ class ReplayBackend:
                 "bundled corpus with scripts/build_fixture_corpus.py"
             )
 
-    @property
-    def calls(self) -> int:
-        return self._counter.calls
-
     def complete(self, request: ChatRequest) -> ChatResponse:
-        self._counter.bump()
         digest = fingerprint(request)
         response, problem = self._store.load(digest)
         if response is None:
@@ -555,17 +520,11 @@ class RecordingBackend:
     def __init__(self, inner: ChatBackend, fixtures_dir: Path | str):
         self.inner = inner
         self._store = DiskResponseCache(fixtures_dir)
-        self._counter = CallCounter()
-
-    @property
-    def calls(self) -> int:
-        return self._counter.calls
 
     def close(self) -> None:
         self._store.compact()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        self._counter.bump()
         response = self.inner.complete(request)
         self._store.put(fingerprint(request), response)
         return response
@@ -580,11 +539,11 @@ def complete_with_retry(
 ) -> T:
     """Run ``attempt`` until it returns, with exponential backoff between tries.
 
-    The request path's only retry loop: transport errors, throttling and
-    malformed output share one budget of ``policy.max_attempts``. Raises
-    ExhaustedRetriesError wrapping the last error once the budget is spent;
-    non-retryable errors propagate immediately. Each re-attempt is recorded
-    on ``stats`` when one is provided.
+    The request path's only retry loop: ``TransportError``,
+    ``RateLimitedError`` and ``MalformedOutputError`` share one budget of
+    ``policy.max_attempts``. Raises ExhaustedRetriesError wrapping the last
+    error once the budget is spent; any other error propagates at once. Each
+    re-attempt is recorded on ``stats`` when one is provided.
 
     ``idle(seconds)``, when given, spends every backoff in place of
     ``time.sleep`` (the pipeline runs other queued work in it) and must not
@@ -601,9 +560,7 @@ def complete_with_retry(
                 stats.record("retries")
         try:
             return attempt()
-        except (GatewayError, MalformedOutputError) as exc:
-            if not policy.is_retryable(exc):
-                raise
+        except (TransportError, RateLimitedError, MalformedOutputError) as exc:
             last_error = exc
     raise ExhaustedRetriesError(policy.max_attempts, last_error)
 

@@ -1,23 +1,19 @@
-"""Deterministic chat backends for tests and fixture recording.
+"""A deterministic chat backend for the benchmark and fixture recording.
 
 CannedReviewModel plays a cooperative but imperfect model: it answers every
 pipeline prompt from lookup tables and can be configured to omit comparison
 rows, invent rows that were never asked about, or drop keys from the
-grouping answer, exercising the parsers' repair paths. The other backends
-script answers and failures, or inject scheduling jitter. The live
-backend's tests serve these over loopback sockets (``tests/wire.py``).
-
-Everything here is deterministic given its configuration; nothing sleeps
-except JitterBackend, and that only by a seeded RNG.
+grouping answer, exercising the parsers' repair paths. It is deterministic
+given its configuration and never sleeps. ``perfbench/`` serves it over
+HTTP, and ``scripts/build_fixture_corpus.py`` records the bundled corpus
+from it. The doubles that only tests use (scripted answers and failures,
+jitter, a call count) live in ``tests/doubles.py``.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import re
-import threading
-import time
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .domain import (
@@ -28,15 +24,10 @@ from .domain import (
     normalize_key,
     parse_status,
 )
-from .gateway import CallCounter, ChatBackend, ChatRequest, ChatResponse
+from .gateway import ChatRequest, ChatResponse
 from .structuring import build_report, merge_insights
 
-__all__ = [
-    "CannedReviewModel",
-    "ScriptedBackend",
-    "SelectiveFailureBackend",
-    "JitterBackend",
-]
+__all__ = ["CannedReviewModel"]
 
 # Marker lines copied from the prompt templates; they identify the step a
 # request belongs to without any out-of-band signalling.
@@ -94,7 +85,6 @@ class CannedReviewModel:
         self._invented = tuple((tuple(t), dict(row)) for t, row in invented_comparison_rows)
         self._omit_grouping = frozenset(omit_grouping_keys)
         self._default_category = default_category
-        self._counter = CallCounter()
 
     @classmethod
     def from_config(
@@ -121,12 +111,7 @@ class CannedReviewModel:
             default_category=payload.get("default_category", "General"),
         )
 
-    @property
-    def calls(self) -> int:
-        return self._counter.calls
-
     def complete(self, request: ChatRequest) -> ChatResponse:
-        self._counter.bump()
         prompt = request.user_prompt
         if _COMPARISON_MARKER in prompt:
             text = self._comparison_answer(prompt)
@@ -275,67 +260,3 @@ class CannedReviewModel:
                     for row in group["insights"]:
                         row["justifications"] = []
         return body["sections"]
-
-
-class ScriptedBackend:
-    """Plays back a fixed sequence: a string is returned as the response
-    text, an exception instance is raised. Exhausting the script is a test
-    authoring error."""
-
-    def __init__(self, script: Sequence[str | Exception]):
-        self._script = list(script)
-        self._lock = threading.Lock()
-        self.requests: list[ChatRequest] = []
-
-    @property
-    def calls(self) -> int:
-        with self._lock:
-            return len(self.requests)
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        with self._lock:
-            self.requests.append(request)
-            if not self._script:
-                raise AssertionError("scripted backend exhausted")
-            step = self._script.pop(0)
-        if isinstance(step, Exception):
-            raise step
-        return ChatResponse(text=step, model=request.model)
-
-
-class SelectiveFailureBackend:
-    """Delegates to an inner backend except where the predicate supplies an
-    error to raise; simulates one unit failing while the rest succeed."""
-
-    def __init__(self, inner: ChatBackend, fail_with: Callable[[ChatRequest], Exception | None]):
-        self.inner = inner
-        self._fail_with = fail_with
-        self._counter = CallCounter()
-
-    @property
-    def calls(self) -> int:
-        return self._counter.calls
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        self._counter.bump()
-        error = self._fail_with(request)
-        if error is not None:
-            raise error
-        return self.inner.complete(request)
-
-
-class JitterBackend:
-    """Adds seeded random latency before delegating, shuffling task
-    completion order without touching results."""
-
-    def __init__(self, inner: ChatBackend, *, seed: int, max_delay_ms: int = 10):
-        self.inner = inner
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        self._max_delay_ms = max_delay_ms
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        with self._lock:
-            delay = self._rng.uniform(0, self._max_delay_ms)
-        time.sleep(delay / 1000.0)
-        return self.inner.complete(request)

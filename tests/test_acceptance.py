@@ -37,9 +37,9 @@ from reviewlens.pipeline import (
     run_product,
 )
 from reviewlens.structuring import ReportFormat, build_report, merge_insights, render_report
-from reviewlens.testing import JitterBackend
 
 from conftest import TESTDATA
+from doubles import CountingBackend, JitterBackend
 from test_evaluation import attr, oracle_metrics
 from test_structuring import brute_force_body, random_compared_set, random_mapping
 
@@ -47,8 +47,8 @@ DATASET = str(TESTDATA / "dataset.json")
 FIXTURES = str(TESTDATA / "fixtures")
 
 
-def fresh_replay() -> ReplayBackend:
-    return ReplayBackend(TESTDATA / "fixtures")
+def fresh_replay() -> CountingBackend:
+    return CountingBackend(ReplayBackend(TESTDATA / "fixtures"))
 
 
 def config_for(mode: PipelineMode, **overrides) -> PipelineConfig:

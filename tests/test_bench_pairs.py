@@ -1,11 +1,17 @@
-"""The pair driver's summary: quartiles, and wins by each metric's direction."""
+"""The pair driver's summary: quartiles, and wins by each metric's
+direction; and the shape of every committed ``BENCH_*.json``."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -37,3 +43,25 @@ def test_wins_follow_each_metric_direction_and_skip_incorrect_runs():
     assert (pair["before"], pair["after"]) == ("a", "b")
     assert pair["wins"]["rate"] == {"better": "higher", "pairs": 2, "after_wins": 1, "before_wins": 0}
     assert pair["wins"]["ms"] == {"better": "lower", "pairs": 2, "after_wins": 1, "before_wins": 1}
+
+
+def _committed_bench_files() -> list[str]:
+    listed = subprocess.run(["git", "ls-files", "BENCH_*.json"], cwd=ROOT, capture_output=True, text=True)
+    return listed.stdout.split()
+
+
+@pytest.mark.parametrize("name", _committed_bench_files())
+def test_committed_bench_file_has_the_driver_schema(name):
+    """A truncated or hand-edited evidence file fails here."""
+    report = json.loads((ROOT / name).read_text(encoding="utf-8"))
+    end_to_end = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert report["command"] and report["seeds"] and report["seconds"] > 0 and report["python"]
+    assert report["nproc"] >= 1
+    assert report["revs"] and all("commit" in rev for rev in report["revs"])
+    assert report["workloads"]
+    for workload in report["workloads"].values():
+        assert {"runs", "summary", "pairs"} <= set(workload)
+        assert workload["runs"]
+        for run in workload["runs"]:
+            assert run["correct"] is True, run
+            assert end_to_end <= set(run["metrics"]), run

@@ -17,6 +17,7 @@ from reviewlens.gateway import RecordingBackend, ReplayBackend
 from reviewlens.pipeline import PipelineConfig, run_product
 
 from conftest import TESTDATA
+from doubles import CountingBackend
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -205,10 +206,11 @@ class TestResponseLog:
     def test_identical_requests_of_one_product_keep_one_entry(self, tmp_path, products_by_id):
         # bud-r1 and bud-r8 send byte-identical comparison requests; with no
         # cache both reach the backend and are recorded.
-        recorder = RecordingBackend(ReplayBackend(TESTDATA / "fixtures"), tmp_path)
+        replay = CountingBackend(ReplayBackend(TESTDATA / "fixtures"))
+        recorder = RecordingBackend(replay, tmp_path)
         run_product(products_by_id["ele-buds-003"], PipelineConfig(workers=1), recorder)
         recorded = [line.split()[0] for line in only_segment(tmp_path).read_bytes().splitlines()]
-        assert len(recorded) == recorder.calls == len(set(recorded)) + 1
+        assert len(recorded) == replay.calls == len(set(recorded)) + 1
         assert len(list(DiskResponseCache(tmp_path))) == len(set(recorded))
         recorder.close()
         compacted = (tmp_path / COMPACTED_SEGMENT).read_bytes().splitlines()

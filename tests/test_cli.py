@@ -25,9 +25,9 @@ from reviewlens.evaluation import REFERENCE_CATEGORY_SCORES
 from reviewlens.gateway import ReplayBackend, fingerprint
 from reviewlens.extraction import build_extraction_prompt
 from reviewlens.pipeline import PipelineConfig, PipelineMode, run_product
-from reviewlens.testing import SelectiveFailureBackend
 
 from conftest import TESTDATA, golden
+from doubles import SelectiveFailureBackend
 
 DATASET = str(TESTDATA / "dataset.json")
 FIXTURES = str(TESTDATA / "fixtures")
@@ -823,6 +823,27 @@ class TestRecordFixtures:
         assert code == 0
         assert (out / "app-mixer-001" / "report.json").read_bytes() == golden(
             "full", "app-mixer-001", "report.json"
+        )
+
+    def test_record_reports_the_responses_the_directory_holds(self, tmp_path, serve, canned_model, capsys):
+        # bud-r1 and bud-r8 send one byte-identical comparison request; with
+        # no cache both reach the provider, and the directory keeps one answer.
+        server = serve(backend=canned_model, key="test-key-123")
+        fixtures = tmp_path / "recorded"
+        code = run_cli(
+            "record-fixtures",
+            "--dataset", DATASET,
+            "--fixtures", str(fixtures),
+            "--api-key", "test-key-123",
+            "--base-url", server.url,
+            "--mode", "full",
+            "--product", "ele-buds-003",
+        )
+        assert code == 0
+        assert len(server.arrivals) == 19
+        assert len(list(DiskResponseCache(fixtures))) == 18
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"recorded into {fixtures}, which holds 18 fixture responses"
         )
 
     def test_record_requires_credential(self, monkeypatch, tmp_path, capsys):

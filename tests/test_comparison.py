@@ -17,7 +17,8 @@ from reviewlens.domain import ComparisonStatus, ExtractedAttribute, ProductRecor
 from reviewlens.errors import MalformedOutputError, TransportError
 from reviewlens.gateway import ResponseFormat
 from reviewlens.pipeline import PipelineConfig, run_product
-from reviewlens.testing import ScriptedBackend
+
+from doubles import ScriptedBackend
 
 DESCRIPTION = "A 300 watt mixer with a 5-quart bowl."
 

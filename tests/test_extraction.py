@@ -15,7 +15,8 @@ from reviewlens.extraction import (
 )
 from reviewlens.gateway import ResponseFormat
 from reviewlens.pipeline import PipelineConfig, PipelineMode, run_product
-from reviewlens.testing import ScriptedBackend
+
+from doubles import ScriptedBackend
 
 REVIEW = Review("r9", "The tray is bamboo and holds 2 liters.")
 

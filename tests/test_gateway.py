@@ -18,6 +18,7 @@ from reviewlens.errors import (
     NoFixtureError,
     RateLimitedError,
     TransportError,
+    UnknownStatusError,
 )
 from reviewlens.gateway import (
     ApiCredential,
@@ -35,7 +36,9 @@ from reviewlens.gateway import (
     lookup_or_call,
 )
 from reviewlens.pipeline import run_product, run_products
-from reviewlens.testing import ScriptedBackend
+from reviewlens.testing import CannedReviewModel
+
+from doubles import CountingBackend, ScriptedBackend
 
 REQ = ChatRequest(
     model="test-model",
@@ -85,15 +88,6 @@ class TestRetryPolicy:
             RetryPolicy(base_delay_ms=-1)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_factor=0.5)
-
-    def test_retryable_kinds(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable(TransportError("boom"))
-        assert policy.is_retryable(RateLimitedError("slow down"))
-        assert policy.is_retryable(MalformedOutputError("bad json"))
-        assert not policy.is_retryable(AuthFailedError("nope"))
-        assert not policy.is_retryable(NoFixtureError("missing"))
-        assert not policy.is_retryable(ValueError("misc"))
 
     def test_round_trip(self):
         policy = RetryPolicy(max_attempts=5, base_delay_ms=10, backoff_factor=3.0)
@@ -195,7 +189,7 @@ class TestHttpBackend:
         assert http_backend(server.url, ApiCredential(key="right-key")).complete(REQ).text == "pong"
 
     def test_only_the_live_backend_holds_a_credential(self):
-        for backend in (ChatBackend, HttpBackend, ReplayBackend, RecordingBackend, ScriptedBackend):
+        for backend in (ChatBackend, HttpBackend, ReplayBackend, RecordingBackend, CannedReviewModel):
             assert list(inspect.signature(backend.complete).parameters) == ["self", "request"]
         for runner in (lookup_or_call, complete_parsed, run_product, run_products):
             assert "credential" not in inspect.signature(runner).parameters
@@ -203,10 +197,10 @@ class TestHttpBackend:
 
 class TestRecordReplay:
     def test_round_trip(self, tmp_path):
-        recorder = RecordingBackend(ScriptedBackend(["first answer"]), tmp_path)
-        recorded = recorder.complete(REQ)
-        assert recorder.calls == 1
-        replay = ReplayBackend(tmp_path)
+        live = ScriptedBackend(["first answer"])
+        recorded = RecordingBackend(live, tmp_path).complete(REQ)
+        assert live.calls == 1
+        replay = CountingBackend(ReplayBackend(tmp_path))
         served = replay.complete(REQ)
         assert served.text == recorded.text == "first answer"
         assert served.model == "test-model"
@@ -243,6 +237,16 @@ def _calling(backend):
     return lambda: backend.complete(REQ)
 
 
+# The errors the retry loop retries, and a sample of those it does not.
+RETRIED = [
+    TransportError("down"),
+    RateLimitedError("slow down"),
+    MalformedOutputError("bad json"),
+    UnknownStatusError("maybe"),
+]
+ENDS_AT_ONCE = [AuthFailedError("denied"), NoFixtureError("missing"), RuntimeError("bug")]
+
+
 class TestCompleteWithRetry:
     def test_recovers_after_transient_failures(self, fast_retry):
         backend = ScriptedBackend([TransportError("a"), RateLimitedError("b"), "ok"])
@@ -259,11 +263,16 @@ class TestCompleteWithRetry:
         assert info.value.attempts == 3
         assert isinstance(info.value.last_error, TransportError)
 
-    def test_non_retryable_raises_immediately(self, fast_retry):
-        backend = ScriptedBackend([AuthFailedError("denied"), "never"])
-        with pytest.raises(AuthFailedError):
+    @pytest.mark.parametrize("error", RETRIED + ENDS_AT_ONCE, ids=lambda error: type(error).__name__)
+    def test_retry_classification(self, fast_retry, error):
+        """A retried error runs the whole budget, then is wrapped; any other
+        error propagates as it is after one attempt."""
+        retried = error in RETRIED
+        backend = ScriptedBackend([error] * fast_retry.max_attempts)
+        with pytest.raises(ExhaustedRetriesError if retried else type(error)) as info:
             complete_with_retry(_calling(backend), fast_retry)
-        assert backend.calls == 1
+        assert (info.value.last_error if retried else info.value) is error
+        assert backend.calls == (fast_retry.max_attempts if retried else 1)
 
     def test_backoff_delays(self, monkeypatch):
         slept = []

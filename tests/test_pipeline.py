@@ -29,14 +29,10 @@ from reviewlens.pipeline import (
     run_products,
 )
 from reviewlens.structuring import ReportFormat, render_report
-from reviewlens.testing import (
-    CannedReviewModel,
-    JitterBackend,
-    ScriptedBackend,
-    SelectiveFailureBackend,
-)
+from reviewlens.testing import CannedReviewModel
 
 from conftest import TESTDATA, golden
+from doubles import CountingBackend, JitterBackend, ScriptedBackend, SelectiveFailureBackend
 
 MIX_R3_TEXT = "Heavier than I expected at about 12 pounds"
 GROUPING_MARKER = "Attribute names (JSON):"
@@ -53,8 +49,8 @@ def config_for(mode: PipelineMode, **overrides) -> PipelineConfig:
     return PipelineConfig(**base)
 
 
-def fresh_replay() -> ReplayBackend:
-    return ReplayBackend(TESTDATA / "fixtures")
+def fresh_replay() -> CountingBackend:
+    return CountingBackend(ReplayBackend(TESTDATA / "fixtures"))
 
 
 def fail_mix_r3(request):
@@ -610,7 +606,7 @@ class TestPermitPool:
         pool.acquire(0)
         threads = []
         for rank in (2, 1):
-            threads.append(threading.Thread(target=take, args=(rank,)))
+            threads.append(threading.Thread(target=take, args=(rank,), daemon=True))
             threads[-1].start()
             deadline = time.monotonic() + 5
             while len(pool._waiting) < len(threads) and time.monotonic() < deadline:
