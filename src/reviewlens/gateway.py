@@ -16,7 +16,9 @@ Responsibilities:
     ``complete_parsed`` fingerprints the request once and builds one
     attempt; ``lookup_or_call`` is that attempt's cache-or-call;
     ``complete_with_retry`` is the only retry loop, with exponential
-    backoff driven by a declarative policy. Transport errors, throttling
+    backoff driven by a declarative policy. The two are generators that
+    yield each backoff to their caller instead of sleeping, and return the
+    parsed output. Transport errors, throttling
     and malformed output share one budget of ``max_attempts`` per request,
     and a malformed answer is evicted from the cache before the retry.
 
@@ -43,11 +45,10 @@ import select
 import socket
 import ssl
 import threading
-import time
 import urllib.request
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Protocol, TypeVar, runtime_checkable
+from typing import Any, Callable, Generator, Optional, Protocol, TypeVar, runtime_checkable
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from . import __version__
@@ -535,9 +536,9 @@ def complete_with_retry(
     policy: RetryPolicy,
     *,
     stats: Any | None = None,
-    idle: Callable[[float], None] | None = None,
-) -> T:
-    """Run ``attempt`` until it returns, with exponential backoff between tries.
+) -> Generator[float, None, T]:
+    """Run ``attempt`` until it returns, with exponential backoff between
+    tries, and return what it returned.
 
     The request path's only retry loop: ``TransportError``,
     ``RateLimitedError`` and ``MalformedOutputError`` share one budget of
@@ -545,17 +546,15 @@ def complete_with_retry(
     error once the budget is spent; any other error propagates at once. Each
     re-attempt is recorded on ``stats`` when one is provided.
 
-    ``idle(seconds)``, when given, spends every backoff in place of
-    ``time.sleep`` (the pipeline runs other queued work in it) and must not
-    return before ``seconds`` have passed. Throttling is no exception: the
-    caller lowers its load through its own limit, not through this loop.
+    A generator: each backoff is yielded in seconds, and the caller resumes
+    it once that long has passed, doing other work meanwhile rather than
+    sleeping. Throttling is no exception: the caller lowers its load through
+    its own limit, not through this loop.
     """
     last_error: BaseException | None = None
     for retry in range(policy.max_attempts):
         if retry:
-            delay = policy.delay_ms(retry) / 1000.0
-            if delay > 0:
-                (time.sleep if idle is None else idle)(delay)
+            yield policy.delay_ms(retry) / 1000.0
             if stats is not None:
                 stats.record("retries")
         try:
@@ -601,11 +600,11 @@ def complete_parsed(
     cache: Any | None = None,
     stats: Any | None = None,
     diagnostics: list[str] | None = None,
-    idle: Callable[[float], None] | None = None,
-) -> T:
+) -> Generator[float, None, T]:
     """Resolve a request into parsed output: fingerprint once, then retry
-    one attempt of cache-or-call plus parse under ``complete_with_retry``,
-    which spends its backoffs in ``idle`` when one is given.
+    one attempt of cache-or-call plus parse under ``complete_with_retry``.
+    A generator like that loop: it yields each backoff, in seconds, and
+    returns the parsed output.
 
     ``parser`` receives the response text plus a scratch diagnostics list
     that is merged into ``diagnostics`` only when parsing succeeds, so notes
@@ -628,4 +627,4 @@ def complete_parsed(
             diagnostics.extend(scratch)
         return parsed
 
-    return complete_with_retry(attempt, policy or RetryPolicy(), stats=stats, idle=idle)
+    return (yield from complete_with_retry(attempt, policy or RetryPolicy(), stats=stats))

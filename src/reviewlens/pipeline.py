@@ -1,7 +1,7 @@
-"""Orchestration: full, baseline, and ablated runs over one product.
+"""Orchestration: full, baseline, and ablated runs over products.
 
-``run_product`` is the one runner. A table gives each mode a per-review
-task and one closing call:
+``run_product`` runs one product and ``run_products`` a dataset. A table
+gives each mode a per-review task and one closing call:
 
 - full: extract then compare each review, then one grouping call over the
   compared keys (2R + 1 calls for R productive reviews on a cold cache);
@@ -10,48 +10,30 @@ task and one closing call:
 - baseline: no per-review task, one direct report call over the reviews'
   text (1).
 
-The runner opens the runtime (the run's permit pool and cache, or private
-ones), runs the task over the reviews, makes the closing call holding a
-permit, and builds the report once. The closing call is counted under
-``grouping_calls`` in every mode, and none is made when there is nothing to
-ask. Every request goes through ``_Runtime.call``, which counts it once,
-when it is issued, and resolves it through the gateway's single retry loop.
-The runtime also counts cache hits and retries; the counts come back as
-``PipelineResult.call_stats``, never inside the report. The runner never
-sees a credential: a backend that needs one was built with it.
+The closing call is counted under ``grouping_calls`` in every mode, and
+none is made when there is nothing to ask. Every stage is sans-I/O: a
+generator that yields each request it needs and is sent the parsed output,
+or has the step failure thrown in; it never calls a backend itself.
+``_Runtime.drive`` resolves those requests through ``complete_parsed``,
+counting each once, when it is issued, and passes on what resolving waits
+for: a backoff, which the retry loop yields rather than sleeps, or in a
+cached run an identical request of the same product still in flight. The
+counts come back as ``PipelineResult.call_stats``, never inside the report.
+The runner never sees a credential: a backend that needs one was built
+with it.
 
-``workers`` caps the LLM calls in flight for a whole run: it is the number
-of permits in one ``_PermitPool``, and a thread holds a permit while it
-runs its product's work (the per-review drain loop, or the closing call).
-A product's per-review tasks wait in one queue, drained by ``workers``
-threads at most, the product's own included. The last drain thread to run
-out of tasks keeps its permit for the closing call, so that call never
-queues behind a later product. A task whose request backs off runs the
-queue's next tasks on its own thread until the backoff has passed. Helping
-is one level deep: a task run inside a backoff only waits out its own.
-
-``run_products`` runs each product on a thread of its own, two at most at
-once, and a free permit goes to the earliest product waiting for one, so a
-later product only fills the permits the earlier one cannot use: the first
-product starts at once, and the next one whenever a permit goes back with
-nobody waiting for it or a product finishes. A permit goes back at the end
-of a drain or of a closing call, and for the wait of every backoff, nested
-or not, which takes one again after it. A later product hands its permit
-to an earlier one waiting for it before each backend call. A run that is
-stopping (an exception, or the caller closing it) starts no product, no
-queued review and no backend call. A direct call of ``run_product`` gets a
-private pool of ``workers`` permits.
-
-A throttled provider sees the load drop through the pool's limit on
-permits out at once, which a 429 halves and each response grows back
-(AIMD), never through a permit held for a backoff.
-
-With a cache, a request identical to one that another thread of the same
-product is resolving waits for it without a permit, and then reads the
-answer from the cache, so a cold cached run sends each request once. No
-thread waits for another holding a permit, so the thread it waits for can
-always take one back after a backoff. Requests of other products are
-never waited for.
+One ``_Scheduler`` serves a run on at most ``workers`` threads, the caller's
+included in a direct ``run_product``. Each thread holds a permit while it
+advances a stage to its next yield, so ``workers`` caps the LLM calls in
+flight. Ready stages are taken by ``(product rank, review index)``, and a
+stage backing off waits on a heap of deadlines holding no thread and no
+permit. A thread goes on with the stage it advanced while that stage is
+still the first ready one, so a call makes no thread hand-off, and a later
+product's first request is built only when no earlier request is ready. A
+throttled provider sees the load drop through the permits' limit, which a
+429 halves and each response grows back (AIMD). A run that is stopping (an
+exception, or the caller closing it) advances no stage of the products it
+stopped, so it starts no backend call for them.
 
 Scheduling never leaks into results: per-review outcomes are collected in
 dataset order regardless of completion order, so report bytes are identical
@@ -61,19 +43,16 @@ unit; the rest of the product still reports.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import enum
-import functools
 import heapq
 import itertools
 import json
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Generator, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .cache import DiskResponseCache
 from .comparison import build_comparison_prompt, parse_comparison_response
@@ -195,78 +174,36 @@ class PipelineResult:
 
 _STEP_FAILURES = (ExhaustedRetriesError, GatewayError, MalformedOutputError)
 
-# Products in progress at once in ``run_products``.
-_PRODUCTS_IN_PROGRESS = 2
-
-# How often the caller of ``run_products`` wakes while it waits for a
-# product, so that a KeyboardInterrupt that reaches the main thread without
-# waking it (``_thread.interrupt_main``, or a signal delivered to another
-# thread) surfaces within this many seconds. Each wake costs about 0.1 ms
-# of CPU on a 2-vCPU VM.
+# How often the caller of a run wakes while it waits, so that a
+# KeyboardInterrupt that reaches the main thread without waking it
+# (``_thread.interrupt_main``, or a signal delivered to another thread)
+# surfaces within this many seconds. Each wake costs about 0.1 ms of CPU on
+# a 2-vCPU VM.
 _WAKE_S = 0.05
 
 
-class _Stopped(Exception):
-    """Raised in place of a backend call, and by a product, once the run
-    has stopped at or before the product's rank."""
-
-
 class _PermitPool:
-    """The permits of one run, one per LLM call in flight, shared by the
-    products in progress. A product is known by its rank, its position in
-    the dataset.
+    """The permits of one run, one per thread advancing a unit, so one per
+    LLM call in flight at most. At most ``int(limit)`` are out at once. The
+    limit starts at ``count``, its ceiling; a throttled call halves it, to a
+    floor of 1, and each successful call while it is below ``count`` adds
+    ``1 / limit`` (AIMD). ``free``, ``take`` and ``put_back`` are called
+    holding ``cond``'s lock; ``throttled`` and ``succeeded`` take it."""
 
-    A free permit goes to the earliest waiting rank, whatever the earlier
-    ranks are doing, first come first served within a rank. A permit given
-    back with nobody waiting for it calls ``on_release``. The pool also
-    holds the run's stop: once ``stop(rank)`` is called, the products from
-    ``rank`` on start nothing new.
-
-    At most ``int(limit)`` permits are out at once. The limit starts at
-    ``count``, its ceiling; a throttled call halves it, to a floor of 1, and
-    each successful call while it is below ``count`` adds ``1 / limit``
-    (AIMD), so a throttled provider sees the load drop.
-    """
-
-    def __init__(self, count: int, on_release: Callable[[], None] | None = None) -> None:
-        self._cond = threading.Condition()
-        self._on_release = on_release
+    def __init__(self, count: int, cond: threading.Condition) -> None:
+        self._cond = cond
         self._count = count
         self._limit = float(count)
         self._in_use = 0
-        self._waiting: list[tuple[int, int]] = []  # heap of (rank, ticket)
-        self._tickets = itertools.count()
-        self._stop_rank: int | None = None
 
-    def stop(self, rank: int) -> None:
-        with self._cond:
-            if self._stop_rank is None or rank < self._stop_rank:
-                self._stop_rank = rank
+    def free(self) -> bool:
+        return self._in_use < int(self._limit)
 
-    def stopped(self, rank: int) -> bool:
-        return self._stop_rank is not None and rank >= self._stop_rank
+    def take(self) -> None:
+        self._in_use += 1
 
-    def acquire(self, rank: int) -> None:
-        with self._cond:
-            self._take(rank)
-
-    def release(self) -> None:
-        """Give a permit back. With nobody waiting for it, call
-        ``on_release``: the products in progress cannot use it now."""
-        with self._cond:
-            self._put_back()
-            unwanted = not self._waiting
-        if unwanted and self._on_release is not None:
-            self._on_release()
-
-    def hand_over(self, rank: int) -> None:
-        """Give this thread's permit back and wait for one again if an
-        earlier product is waiting for one, or if more permits are out than
-        the limit allows, so no call starts above it."""
-        with self._cond:
-            if (self._waiting and self._waiting[0][0] < rank) or self._in_use > int(self._limit):
-                self._put_back()
-                self._take(rank)
+    def put_back(self) -> None:
+        self._in_use -= 1
 
     def throttled(self) -> None:
         """A call was throttled: halve the limit, to a floor of 1."""
@@ -283,112 +220,62 @@ class _PermitPool:
                 if int(self._limit) > allowed:
                     self._cond.notify_all()
 
-    def _put_back(self) -> None:
-        self._in_use -= 1
-        self._cond.notify_all()
 
-    def _take(self, rank: int) -> None:
-        ticket = (rank, next(self._tickets))
-        heapq.heappush(self._waiting, ticket)
-        self._cond.wait_for(lambda: self._in_use < int(self._limit) and self._waiting[0] == ticket)
-        heapq.heappop(self._waiting)
-        self._in_use += 1
-        # The next waiter may be due a permit too.
-        self._cond.notify_all()
+class _Ask(NamedTuple):
+    """A stage's request: the ``CallStats`` field it is counted under, the
+    request, its parser and the notes a successful parse adds to."""
+
+    counter: str
+    request: ChatRequest
+    parser: Callable[[str, list[str]], Any]
+    notes: list[str]
+
+
+@dataclass(slots=True, eq=False)
+class _Unit:
+    """A stage of one product as the scheduler runs it: a per-review task,
+    or the product's closing stage, whose ``index`` is the number of
+    reviews. Each ``advance`` runs it to its next yield, the request it is
+    about to resolve or a backoff in seconds, or to its end, when ``value``
+    is what it returned or raised. ``flight`` is the request it resolves in
+    a cached run, for as long as it does."""
+
+    rank: int
+    index: int
+    steps: Generator[Any, None, Any]
+    wait: Any = None
+    done: bool = False
+    value: Any = None
+    flight: ChatRequest | None = None
+
+    def advance(self) -> None:
+        try:
+            self.wait = next(self.steps)
+        except StopIteration as stop:
+            self.done, self.value = True, stop.value
+        except BaseException as exc:
+            self.done, self.value = True, exc
 
 
 @dataclass(slots=True)
 class _Runtime:
+    """A product admitted to a run: its request path, which counts its
+    calls, and what each of its units returned or raised, by index (the
+    reviews', then the closing unit's). In a cached run, ``flights`` holds
+    the requests its units are resolving, each with the units waiting for
+    it; the scheduler keeps it, under its lock."""
+
     config: PipelineConfig
     gateway: ChatBackend
     cache: DiskResponseCache | None
     permits: _PermitPool
-    rank: int
+    outcomes: list[Any]
+    pending: int  # review units not done yet
+    result: PipelineResult | None = None
+    flights: dict[ChatRequest, list[_Unit]] = field(default_factory=dict)
     # The product's call stats so far, by ``CallStats`` field name.
     _counts: dict[str, int] = field(default_factory=dict)
-    # The product's queued per-review tasks, and which threads are running
-    # one inside a backoff.
-    _queue: collections.deque[Callable[[], None]] = field(default_factory=collections.deque)
-    # Drain threads created and not yet done, and whether the product holds
-    # a permit for its closing call.
-    _drains: int = 0
-    _holding: bool = False
-    # With a cache, the requests this product's threads are resolving.
-    _resolving: set[ChatRequest] = field(default_factory=set)
-    _resolved: threading.Condition = field(default_factory=threading.Condition)
     _lock: threading.Lock = field(default_factory=threading.Lock)
-    _local: threading.local = field(default_factory=threading.local)
-
-    def run_queued(self, tasks: list[Callable[[], None]]) -> None:
-        """Run ``tasks`` on ``min(workers, len(tasks))`` threads, the caller's
-        included, each holding a permit while it runs them, and return once
-        every task has finished or the run has stopped. A task must not
-        raise."""
-        with self._lock:
-            self._queue.extend(tasks)
-            self._drains = min(self.config.workers, len(tasks))
-        helpers = [threading.Thread(target=self._drain) for _ in range(self._drains - 1)]
-        for helper in helpers:
-            helper.start()
-        try:
-            self._drain()
-        finally:
-            with self._lock:
-                self._queue.clear()
-            for helper in helpers:
-                helper.join()
-
-    def _next_task(self) -> Callable[[], None] | None:
-        with self._lock:
-            if self._queue and not self.permits.stopped(self.rank):
-                return self._queue.popleft()
-            return None
-
-    def _drain(self) -> None:
-        """Run queued tasks holding a permit. The product's last drain
-        thread to end keeps its permit for the closing call, so that call
-        never queues behind a later product."""
-        self.permits.acquire(self.rank)
-        try:
-            while (task := self._next_task()) is not None:
-                task()
-        finally:
-            with self._lock:
-                self._drains -= 1
-                keep = self._holding = self._drains == 0
-            if not keep:
-                self.permits.release()
-
-    def hold(self) -> None:
-        """Hold a permit for the closing call: the one the last drain
-        thread kept, else a new one. ``let_go`` gives it back."""
-        if not self._holding:
-            self.permits.acquire(self.rank)
-            self._holding = True
-
-    def let_go(self) -> None:
-        if self._holding:
-            self._holding = False
-            self.permits.release()
-
-    def idle(self, seconds: float) -> None:
-        """Spend a backoff of ``seconds``: run queued tasks until it has
-        passed, unless this thread is already inside one. For what is left,
-        give the permit back and take one again after it. A task started
-        here may end after the backoff has passed."""
-        deadline = time.monotonic() + seconds
-        if not getattr(self._local, "helping", False):
-            self._local.helping = True
-            try:
-                while time.monotonic() < deadline and (task := self._next_task()) is not None:
-                    task()
-            finally:
-                self._local.helping = False
-        remaining = deadline - time.monotonic()
-        if remaining > 0:
-            self.permits.release()
-            time.sleep(remaining)
-            self.permits.acquire(self.rank)
 
     def record(self, name: str) -> None:
         """Count one of the product's calls, cache hits or retries."""
@@ -396,14 +283,8 @@ class _Runtime:
             self._counts[name] = self._counts.get(name, 0) + 1
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        """One backend call, made once an earlier product that waits for a
-        permit has been handed this thread's and the permits out are within
-        the limit, and never once the run has stopped at this product. A
-        throttled call lowers the limit and a response raises it; any other
-        error leaves it as it is."""
-        self.permits.hand_over(self.rank)
-        if self.permits.stopped(self.rank):
-            raise _Stopped(f"run stopped before a backend call of product rank {self.rank}")
+        """One backend call. A throttled call lowers the run's limit on
+        permits and a response raises it; any other error leaves it."""
         try:
             response = self.gateway.complete(request)
         except RateLimitedError:
@@ -412,53 +293,49 @@ class _Runtime:
         self.permits.succeeded()
         return response
 
-    def call(
-        self,
-        counter: str,
-        request: ChatRequest,
-        parser: Callable[[str, list[str]], T],
-        notes: list[str],
-    ) -> T:
-        """Resolve one stage request into parsed output. The logical request
-        is counted under ``counter`` when it is issued, whatever its outcome,
-        so backend calls = requests - cache hits + retries on every path.
-
-        With a cache, a request identical to one another thread of this
-        product is resolving waits, without its permit, until that one is
-        done, and then reads the answer from the cache as a hit; if that one
-        failed, this one is resolved afresh. A task run inside a backoff does
-        not wait, as its thread is itself resolving a request."""
-        self.record(counter)
-        if self.cache is None or getattr(self._local, "helping", False):
-            return self._resolve(request, parser, notes)
+    def drive(self, stage: Generator[_Ask, Any, T]) -> Generator[Any, None, T]:
+        """Run ``stage``: resolve each request it yields through
+        ``complete_parsed``, sending it the parsed output or throwing in the
+        step failure. Each request is yielded before it is resolved, so the
+        scheduler can check its priority, the limit, the stop and
+        single-flight, and then each backoff of its retry loop. A request is
+        counted when it is issued, whatever its outcome, so backend calls =
+        requests - cache hits + retries on every path."""
+        value: Any = None
+        error: BaseException | None = None
         while True:
-            with self._resolved:
-                if request not in self._resolving:
-                    self._resolving.add(request)
-                    break
-            self.permits.release()
-            with self._resolved:
-                self._resolved.wait_for(lambda: request not in self._resolving)
-            self.permits.acquire(self.rank)
-        try:
-            return self._resolve(request, parser, notes)
-        finally:
-            with self._resolved:
-                self._resolving.remove(request)
-                self._resolved.notify_all()
+            try:
+                ask = stage.send(value) if error is None else stage.throw(error)
+            except StopIteration as stop:
+                return stop.value
+            yield ask
+            self.record(ask.counter)
+            value = error = None
+            try:
+                value = yield from complete_parsed(
+                    ask.request, ask.parser, gateway=self, policy=self.config.retry,
+                    cache=self.cache, stats=self, diagnostics=ask.notes,
+                )
+            except _STEP_FAILURES as exc:
+                error = exc
 
-    def _resolve(
-        self, request: ChatRequest, parser: Callable[[str, list[str]], T], notes: list[str]
-    ) -> T:
-        return complete_parsed(
-            request,
-            parser,
-            gateway=self,
-            policy=self.config.retry,
-            cache=self.cache,
-            stats=self,
-            diagnostics=notes,
-            idle=self.idle,
+    def finish(self, product: ProductRecord) -> Generator[Any, None, PipelineResult]:
+        """The product's closing stage, run once every review is done: an
+        exception kept with a review is raised here, the first in dataset
+        order; otherwise the mode's closing call, then the result."""
+        outcomes = self.outcomes[:-1]
+        raised = [o for o in outcomes if isinstance(o, BaseException)]
+        if raised:
+            raise raised[0]
+        reviews = _collect(outcomes)
+        close = _MODES[self.config.mode][1]
+        insights, assignment = yield from self.drive(close(product, reviews, self.config))
+        return PipelineResult(
+            report=build_report(insights, assignment, product_id=product.product_id),
+            failed_units=tuple(reviews.failed),
+            diagnostics=tuple(reviews.diagnostics),
+            extractions=reviews.extractions,
+            call_stats=CallStats(**self._counts),
         )
 
 
@@ -484,12 +361,14 @@ class _ReviewOutcome:
     failed_stage: str | None = None
 
 
-def _extract(review: Review, product: ProductRecord, runtime: _Runtime) -> _ReviewOutcome:
+def _extract(
+    review: Review, product: ProductRecord, config: PipelineConfig
+) -> Generator[_Ask, Any, _ReviewOutcome]:
     """The per-review extraction task, shared by the full and ablated modes."""
     outcome = _ReviewOutcome(review.review_id, diagnostics=[])
-    request = build_extraction_prompt(review, product.title, model=runtime.config.extraction_model)
+    request = build_extraction_prompt(review, product.title, model=config.extraction_model)
     try:
-        outcome.attributes = runtime.call(
+        outcome.attributes = yield _Ask(
             "extraction_calls",
             request,
             lambda text, _scratch: parse_extraction_response(text, review.review_id),
@@ -501,17 +380,17 @@ def _extract(review: Review, product: ProductRecord, runtime: _Runtime) -> _Revi
     return outcome
 
 
-def _extract_and_compare(review: Review, product: ProductRecord, runtime: _Runtime) -> _ReviewOutcome:
+def _extract_and_compare(
+    review: Review, product: ProductRecord, config: PipelineConfig
+) -> Generator[_Ask, Any, _ReviewOutcome]:
     """The chained per-review task: extraction feeds comparison directly."""
-    outcome = _extract(review, product, runtime)
+    outcome = yield from _extract(review, product, config)
     attributes = outcome.attributes
     if outcome.failed_stage is not None or not attributes:
         return outcome
-    request = build_comparison_prompt(
-        attributes, product.seller_description, model=runtime.config.comparison_model
-    )
+    request = build_comparison_prompt(attributes, product.seller_description, model=config.comparison_model)
     try:
-        outcome.compared = runtime.call(
+        outcome.compared = yield _Ask(
             "comparison_calls",
             request,
             lambda text, scratch: parse_comparison_response(text, attributes, diagnostics=scratch),
@@ -533,43 +412,7 @@ class _Collected:
     extractions: dict[str, list[ExtractedAttribute]]
 
 
-def _run_reviews(
-    product: ProductRecord,
-    runtime: _Runtime,
-    task: Callable[[Review, ProductRecord, _Runtime], _ReviewOutcome] | None,
-) -> _Collected:
-    """Run the per-review task through the runtime's queue and collect the
-    outcomes in dataset order whatever the completion order. An exception
-    that is not a step failure, a ``KeyboardInterrupt`` or ``SystemExit``
-    on a helper thread included, is kept with its review, never raised
-    inside the request whose backoff ran it, and re-raised here, in dataset
-    order, once the queue has drained. One that is not an ``Exception``
-    stops the run from this product on at once, which drops the reviews not
-    yet started. A product stopped by another raises ``_Stopped``. With no
-    task (the baseline) there is nothing to collect and no permit is
-    taken."""
-    if task is None:
-        return _Collected([], [], [], {})
-    reviews = product.reviews
-    results: list[_ReviewOutcome | BaseException | None] = [None] * len(reviews)
-
-    def run(index: int) -> None:
-        try:
-            results[index] = task(reviews[index], product, runtime)
-        except BaseException as exc:
-            results[index] = exc
-            if not isinstance(exc, Exception):
-                runtime.permits.stop(runtime.rank)
-
-    runtime.run_queued([functools.partial(run, index) for index in range(len(reviews))])
-    raised = [r for r in results if isinstance(r, BaseException) and not isinstance(r, _Stopped)]
-    if raised:
-        # The queue runs in dataset order, so a dropped review comes after
-        # the one that raised.
-        raise raised[0]
-    if runtime.permits.stopped(runtime.rank):
-        raise _Stopped(f"run stopped before product rank {runtime.rank} finished its reviews")
-    outcomes = [r for r in results if isinstance(r, _ReviewOutcome)]
+def _collect(outcomes: Sequence[_ReviewOutcome]) -> _Collected:
     return _Collected(
         succeeded=[o for o in outcomes if o.failed_stage is None],
         failed=[o.review_id for o in outcomes if o.failed_stage is not None],
@@ -578,34 +421,21 @@ def _run_reviews(
     )
 
 
-def _closing_call(
-    runtime: _Runtime,
-    request: ChatRequest,
-    parser: Callable[[str, list[str]], T],
-    notes: list[str],
-) -> T:
-    """A mode's one closing call, made holding a permit that
-    ``run_product`` gives back. It is the product's "+1", counted as
-    grouping in every mode."""
-    runtime.hold()
-    return runtime.call("grouping_calls", request, parser, notes)
+_Closing = Generator[_Ask, Any, tuple[list[Insight], CategoryAssignment]]
 
 
-def _group(
-    product: ProductRecord, reviews: _Collected, runtime: _Runtime
-) -> tuple[list[Insight], CategoryAssignment]:
+def _group(product: ProductRecord, reviews: _Collected, config: PipelineConfig) -> _Closing:
     """The full mode's closing call: one grouping call over the compared
     attributes' keys. If it fails permanently, every key goes to "Other"."""
     compared = [item for outcome in reviews.succeeded for item in outcome.compared]
-    # Merged first, so the permit goes back as soon as the call returns.
     insights = merge_insights(compared)
     keys = collect_unique_keys(compared)
     assignment = CategoryAssignment()
     if keys:
-        request = build_grouping_prompt(keys, model=runtime.config.grouping_model)
+        request = build_grouping_prompt(keys, model=config.grouping_model)
         try:
-            assignment = _closing_call(
-                runtime,
+            assignment = yield _Ask(
+                "grouping_calls",
                 request,
                 lambda text, scratch: parse_grouping_response(text, keys, diagnostics=scratch),
                 reviews.diagnostics,
@@ -657,9 +487,7 @@ def build_ablated_prompt(
     )
 
 
-def _direct_report(
-    product: ProductRecord, reviews: _Collected, runtime: _Runtime
-) -> tuple[list[Insight], CategoryAssignment]:
+def _direct_report(product: ProductRecord, reviews: _Collected, config: PipelineConfig) -> _Closing:
     """The baseline and ablated closing call: ask for the whole report, over
     the reviews' text (baseline) or the extracted attributes (ablated).
 
@@ -667,7 +495,6 @@ def _direct_report(
     diagnostic; transport-level exhaustion fails every review, as the call
     covered them all.
     """
-    config = runtime.config
     model = config.comparison_model
     if config.mode is PipelineMode.BASELINE:
         request = build_baseline_prompt(product, model=model) if product.reviews else None
@@ -677,12 +504,12 @@ def _direct_report(
     if request is None:
         return [], CategoryAssignment()
     try:
-        return _closing_call(
-            runtime,
+        return (yield _Ask(
+            "grouping_calls",
             request,
             lambda text, scratch: parse_report_sections(text, product.review_ids, diagnostics=scratch),
             reviews.diagnostics,
-        )
+        ))
     except _STEP_FAILURES as exc:
         malformed = isinstance(exc, MalformedOutputError) or (
             isinstance(exc, ExhaustedRetriesError)
@@ -699,13 +526,235 @@ def _direct_report(
 
 
 # Each mode's per-review task (the baseline has none) and its closing call,
-# which returns the report's insights and categories. A closing call adds its
-# notes to the collected diagnostics, and may fail every review.
+# which returns the report's insights and categories. A closing call is the
+# product's "+1", counted as grouping in every mode; it adds its notes to
+# the collected diagnostics, and may fail every review.
 _MODES = {
     PipelineMode.FULL: (_extract_and_compare, _group),
     PipelineMode.ABLATED: (_extract, _direct_report),
     PipelineMode.BASELINE: (None, _direct_report),
 }
+
+
+class _Scheduler:
+    """One run's work, served by at most ``workers`` threads.
+
+    Ready units wait in a heap keyed by ``(product rank, index)``, and units
+    backing off in a heap of deadlines. A thread takes a permit and the
+    first ready unit, and advances it with the lock released; then, under
+    one hold of the lock, it puts the unit back and takes the first ready
+    one again, usually the same. A product is admitted, its units built,
+    only when no unit is ready, and gets its closing unit once its reviews
+    are done. Helper threads start lazily, while more work is ready than
+    threads are busy, up to ``helpers``: ``workers - 1`` when the caller
+    serves too (a direct ``run_product``), ``workers`` when it only waits.
+
+    A stop at a rank stops the products from it on: none of their units is
+    advanced again. A review that raises a non-``Exception`` stops its
+    product at once; any other exception is kept with its review and raised
+    by the closing unit; the closing unit's exception stops its product.
+    ``close`` stops every product.
+    """
+
+    def __init__(
+        self, products: Sequence[ProductRecord], config: PipelineConfig, gateway: ChatBackend,
+        cache: DiskResponseCache | None, helpers: int,
+    ) -> None:
+        lock = threading.Lock()
+        self._work = threading.Condition(lock)  # idle threads wait for work here
+        self._results = threading.Condition(lock)  # the caller of run_products waits here
+        self._permits = _PermitPool(config.workers, self._work)
+        self._products = products
+        self._config = config
+        self._gateway = gateway
+        self._cache = cache
+        self._admitted: list[_Runtime] = []
+        self._unfinished = 0  # the first product without a result
+        self._stop = len(products)  # products from this rank on start nothing
+        self._ready: list[tuple[int, int, _Unit]] = []
+        self._timers: list[tuple[float, int, _Unit]] = []
+        self._tickets = itertools.count()
+        self._helpers: list[threading.Thread] = []
+        self._max_helpers = helpers
+        self._idle = 0
+
+    def result(self, rank: int, *, serve: bool) -> PipelineResult:
+        """Product ``rank``'s result, once it has one, serving units on this
+        thread meanwhile if ``serve``. A product that stopped raises the
+        first exception kept with it in dataset order, once the run is
+        closed and the calls in flight have returned."""
+        if serve:
+            self._serve(rank)
+        else:
+            with self._results:
+                if not self._helpers:
+                    self._start_helper()
+                while not self._done(rank):
+                    self._results.wait(_WAKE_S)
+        product = self._admitted[rank]
+        if product.result is None:
+            self.close()
+            raise next(o for o in product.outcomes if isinstance(o, BaseException))
+        return product.result
+
+    def close(self) -> None:
+        """Stop every product and wait for the helper threads to return."""
+        with self._work:
+            self._stop_from(0)
+            helpers = list(self._helpers)
+        for helper in helpers:
+            helper.join()
+
+    def _stop_from(self, rank: int) -> None:
+        self._stop = min(self._stop, rank)
+        self._work.notify_all()
+        self._results.notify_all()
+
+    def _done(self, rank: int) -> bool:
+        return rank >= self._stop or (rank < len(self._admitted) and self._admitted[rank].result is not None)
+
+    def _start_helper(self) -> None:
+        helper = threading.Thread(target=self._serve)
+        self._helpers.append(helper)
+        helper.start()
+
+    def _serve(self, rank: int | None = None) -> None:
+        """Advance units until ``_next`` has none for this thread."""
+        unit = None
+        while True:
+            with self._work:
+                if unit is not None:
+                    self._permits.put_back()
+                    self._settle(unit)
+                unit = self._next(rank)
+                if unit is None:
+                    return
+            unit.advance()
+
+    def _next(self, rank: int | None) -> _Unit | None:
+        """The first ready unit, with a permit taken for it, waiting until
+        there is one. None once this thread is done: the caller of a direct
+        run when product ``rank`` is done, a helper when every product
+        before the stop is. Called holding the lock."""
+        while True:
+            finished = self._done(rank) if rank is not None else self._unfinished >= self._stop
+            if finished:
+                return None
+            now = time.monotonic()
+            timers = self._timers
+            while timers and timers[0][0] <= now:
+                self._push(heapq.heappop(timers)[2])
+            if self._permits.free() and (unit := self._first_ready()) is not None:
+                self._permits.take()
+                # More work for another thread: a ready unit, or a product to admit.
+                if (self._ready or len(self._admitted) < self._stop) and self._permits.free():
+                    if self._idle:
+                        self._work.notify()
+                    elif len(self._helpers) < self._max_helpers:
+                        self._start_helper()
+                return unit
+            timeout = timers[0][0] - now if timers else None
+            if rank is not None:
+                timeout = _WAKE_S if timeout is None else min(timeout, _WAKE_S)
+            self._idle += 1
+            self._work.wait(timeout)
+            self._idle -= 1
+
+    def _first_ready(self) -> _Unit | None:
+        """Pop the first ready unit of a product not stopped, admitting the
+        next product while there is none."""
+        while True:
+            while self._ready:
+                unit = heapq.heappop(self._ready)[2]
+                if unit.rank < self._stop:
+                    return unit
+            rank = len(self._admitted)
+            if rank >= self._stop:
+                return None
+            self._admit(rank)
+
+    def _admit(self, rank: int) -> None:
+        product = self._products[rank]
+        task = _MODES[self._config.mode][0]
+        reviews = product.reviews if task is not None else ()
+        runtime = _Runtime(
+            self._config, self._gateway, self._cache, self._permits, [None] * (len(reviews) + 1), len(reviews)
+        )
+        self._admitted.append(runtime)
+        for index, review in enumerate(reviews):
+            self._push(_Unit(rank, index, runtime.drive(task(review, product, self._config))))
+        if not reviews:
+            self._push_closing(rank)
+
+    def _push_closing(self, rank: int) -> None:
+        runtime = self._admitted[rank]
+        self._push(_Unit(rank, len(runtime.outcomes) - 1, runtime.finish(self._products[rank])))
+
+    def _push(self, unit: _Unit) -> None:
+        heapq.heappush(self._ready, (unit.rank, unit.index, unit))
+
+    def _settle(self, unit: _Unit) -> None:
+        """Put a unit back after an advance: ready, on a timer, behind an
+        identical request in flight, or done. Called holding the lock."""
+        wait = unit.wait
+        if unit.flight is not None and (unit.done or isinstance(wait, _Ask)):
+            self._land(unit)
+        if unit.done:
+            self._record(unit)
+        elif unit.rank >= self._stop:
+            pass  # dropped with its product
+        elif isinstance(wait, _Ask) and self._cache is not None and self._park(unit):
+            pass
+        elif isinstance(wait, float) and wait > 0:
+            entry = (time.monotonic() + wait, next(self._tickets), unit)
+            heapq.heappush(self._timers, entry)
+            if self._idle and self._timers[0] is entry:
+                self._work.notify()  # its wait may end later than this deadline
+        else:
+            self._push(unit)
+
+    def _park(self, unit: _Unit) -> bool:
+        """Single-flight, for cached runs: park ``unit`` behind the request
+        of its product identical to the one it is about to resolve, if one
+        is in flight, holding no permit. Else it becomes that request's
+        flight."""
+        flights = self._admitted[unit.rank].flights
+        request = unit.wait.request
+        if request in flights:
+            flights[request].append(unit)
+            return True
+        flights[request], unit.flight = [], request
+        return False
+
+    def _land(self, unit: _Unit) -> None:
+        """``unit``'s request is resolved: the first unit waiting for it
+        becomes its flight and reads the answer from the cache, or resolves
+        it afresh if it failed; the others wait for that one."""
+        waiters = self._admitted[unit.rank].flights.pop(unit.flight)
+        unit.flight = None
+        for waiter in waiters:
+            if not self._park(waiter):
+                self._push(waiter)
+
+    def _record(self, unit: _Unit) -> None:
+        runtime = self._admitted[unit.rank]
+        runtime.outcomes[unit.index] = value = unit.value
+        if unit.index < len(runtime.outcomes) - 1:  # a review
+            runtime.pending -= 1
+            if isinstance(value, BaseException) and not isinstance(value, Exception):
+                self._stop_from(unit.rank)
+            elif not runtime.pending and unit.rank < self._stop:
+                self._push_closing(unit.rank)
+        elif isinstance(value, BaseException):
+            self._stop_from(unit.rank)
+        else:
+            runtime.result = value
+            admitted = self._admitted
+            while self._unfinished < len(admitted) and admitted[self._unfinished].result is not None:
+                self._unfinished += 1
+            self._results.notify_all()
+            if self._unfinished >= self._stop:
+                self._work.notify_all()  # the run is over: idle helpers return
 
 
 def run_product(
@@ -714,35 +763,25 @@ def run_product(
     gateway: ChatBackend,
     *,
     cache: DiskResponseCache | None = None,
-    permits: _PermitPool | None = None,
+    scheduler: _Scheduler | None = None,
     rank: int = 0,
 ) -> PipelineResult:
     """Run one product in the configured mode: the mode's per-review task
-    over the reviews, then its one closing call. ``permits`` and ``rank``
-    place the product in a run of ``run_products``; without them it has a
-    private pool of ``config.workers`` permits. Without a ``cache`` it opens
-    the store at ``config.cache_dir``, if any."""
-    task, close = _MODES[config.mode]
-    if permits is None:
-        permits = _PermitPool(config.workers)
+    over the reviews, then its one closing call. Without a ``cache`` it
+    opens the store at ``config.cache_dir``, if any.
+
+    The run has ``config.workers`` permits, and this thread serves it with
+    at most ``workers - 1`` helpers. In a run of ``run_products``,
+    ``scheduler`` holds the product already at ``rank``, and this only
+    waits for its result."""
+    if scheduler is not None:
+        return scheduler.result(rank, serve=False)
     with _cache_for(config, cache) as cache:
-        runtime = _Runtime(config, gateway, cache, permits, rank)
+        scheduler = _Scheduler([product], config, gateway, cache, config.workers - 1)
         try:
-            reviews = _run_reviews(product, runtime, task)
-            insights, assignment = close(product, reviews, runtime)
-        except BaseException:
-            # Stop first, so the permit given back below starts nothing.
-            permits.stop(rank)
-            raise
+            return scheduler.result(0, serve=True)
         finally:
-            runtime.let_go()
-    return PipelineResult(
-        report=build_report(insights, assignment, product_id=product.product_id),
-        failed_units=tuple(reviews.failed),
-        diagnostics=tuple(reviews.diagnostics),
-        extractions=reviews.extractions,
-        call_stats=CallStats(**runtime._counts),
-    )
+            scheduler.close()
 
 
 def run_products(
@@ -752,73 +791,32 @@ def run_products(
     *,
     cache: DiskResponseCache | None = None,
 ) -> Iterator[PipelineResult]:
-    """Run each product once through ``run_product`` and yield the results
-    in dataset order, each once it and every earlier product have finished.
+    """Run each product once and yield the results in dataset order, each
+    through ``run_product`` once it and every earlier product have
+    finished.
 
-    All products share ``config.workers`` permits, so that is the cap on
-    LLM calls in flight for the run, and a free permit goes to the earliest
-    product waiting for one. Products run on threads of their own, at most
-    ``_PRODUCTS_IN_PROGRESS`` at once, while the caller waits for the next
-    result. The first starts at once. The next one starts whenever a permit
-    goes back with nobody waiting for it (at the end of a drain or of a
-    closing call, or for the wait of a backoff) and whenever a product
-    finishes. Without a ``cache``, the run opens the store at
-    ``config.cache_dir`` once, for all its products.
+    One scheduler serves the whole run on at most ``config.workers``
+    threads of its own, which share ``config.workers`` permits, so that is
+    the cap on LLM calls in flight; the caller only waits. A free permit
+    goes to the first ready stage by ``(product rank, review index)``, and
+    the next product starts only when no stage of an earlier one is ready.
+    Without a ``cache``, the run opens the store at ``config.cache_dir``
+    once, for all its products.
 
-    A run that is stopping starts nothing new: no product, no queued review
-    and no backend call. An exception from a product stops the products
-    from it on; the earlier ones finish and are yielded, and then it is
-    raised. An exception in the caller's thread, or closing the generator,
-    stops every product. Either way the exception surfaces once the calls
-    in flight have returned.
+    A run that is stopping starts nothing new: no product, no stage and no
+    backend call. An exception from a product stops the products from it
+    on; the earlier ones finish and are yielded, and then it is raised. An
+    exception in the caller's thread, or closing the generator, stops every
+    product. Either way the exception surfaces once the calls in flight
+    have returned.
     """
-    lock = threading.Lock()
-    started: dict[int, Future[PipelineResult]] = {}
-    in_progress = 0
-    unstarted = 0  # the earliest product not started yet
-
-    def run(rank: int) -> PipelineResult:
-        nonlocal in_progress
+    with _cache_for(config, cache) as cache:
+        scheduler = _Scheduler(products, config, gateway, cache, config.workers)
         try:
-            return run_product(products[rank], config, gateway, cache=cache, permits=permits, rank=rank)
+            for rank, product in enumerate(products):
+                yield run_product(product, config, gateway, cache=cache, scheduler=scheduler, rank=rank)
         finally:
-            with lock:
-                in_progress -= 1
-            start_next()
-
-    def start_next() -> None:
-        nonlocal in_progress, unstarted
-        with lock:
-            if (
-                unstarted < len(products)
-                and in_progress < _PRODUCTS_IN_PROGRESS
-                and not permits.stopped(unstarted)
-            ):
-                started[unstarted] = executor.submit(run, unstarted)
-                in_progress += 1
-                unstarted += 1
-
-    permits = _PermitPool(config.workers, on_release=start_next)
-    with _cache_for(config, cache) as cache, ThreadPoolExecutor(_PRODUCTS_IN_PROGRESS) as executor:
-        try:
-            start_next()
-            for rank in range(len(products)):
-                with lock:
-                    future = started.pop(rank)
-                yield _result(future)
-        finally:
-            with lock:
-                permits.stop(0)
-
-
-def _result(future: Future[T]) -> T:
-    """``future.result()``, waiting in steps of ``_WAKE_S``."""
-    done = threading.Lock()
-    done.acquire()
-    future.add_done_callback(lambda _: done.release())
-    while not done.acquire(timeout=_WAKE_S):
-        pass
-    return future.result()
+            scheduler.close()
 
 
 def build_run_manifest(

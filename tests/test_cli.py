@@ -499,7 +499,7 @@ class TestRunWideCap:
             threads_before = threading.active_count()
             assert run_probed(monkeypatch, tmp_path, probe, mode, workers, base_delay_ms=30) == 0
             assert probe.peak_in_flight <= workers
-            assert probe.peak_threads <= threads_before + 2 * workers
+            assert probe.peak_threads <= threads_before + workers
             for product_id in PRODUCT_IDS:
                 for name in ("report.json", "report.md"):
                     written = (tmp_path / f"out-{workers}" / product_id / name).read_bytes()
@@ -547,12 +547,13 @@ class TestRunWideCap:
         outer_failed, outer_retry = [call for call in probe.of(mixer) if call.prompt == first]
         failed, retry = [call for call in probe.of(mixer) if call.prompt == second]
         assert failed.failed and not retry.failed
-        # mix-r2 ran inside mix-r1's backoff and backed off in turn.
-        assert outer_failed.end < failed.start < retry.start < outer_retry.start
+        # mix-r2 failed while mix-r1 backed off; each retried at its own
+        # deadline, and neither backoff held the one thread.
+        assert outer_failed.end < failed.start < outer_retry.start < retry.start
         # Its permit went to serum for the wait.
         assert any(failed.end < call.start < retry.start for call in probe.of(serum))
         assert probe.peak_in_flight <= workers
-        assert probe.peak_threads <= threads_before + 2 * workers
+        assert probe.peak_threads <= threads_before + workers
         for product_id in PRODUCT_IDS:
             for name in ("report.json", "report.md"):
                 written = (tmp_path / f"out-{workers}" / product_id / name).read_bytes()
@@ -614,14 +615,6 @@ class TestRunWideCap:
         bytes."""
         owners, _ = prompt_owners(products, "full")
         probe = ProbeBackend(owners, {prompt: RateLimitedError("slow down") for prompt in owners})
-        pools: list = []
-        permit_pool = pipeline._PermitPool
-
-        def traced_pool(*args, **kwargs):
-            pools.append(permit_pool(*args, **kwargs))
-            return pools[-1]
-
-        monkeypatch.setattr(pipeline, "_PermitPool", traced_pool)
         codes: list[int] = []
         runner = threading.Thread(
             target=lambda: codes.append(run_probed(monkeypatch, tmp_path, probe, "full", workers, 5)),
@@ -630,9 +623,6 @@ class TestRunWideCap:
         runner.start()
         runner.join(30)
         deadlocked = runner.is_alive()
-        while runner.is_alive():
-            pools[0].release()  # a spare permit frees the run, so the suite goes on
-            runner.join(0.5)
         assert not deadlocked and codes == [0]
         assert len([call for call in probe.calls if call.failed]) == len(owners)
         assert probe.peak_in_flight <= workers
@@ -641,7 +631,7 @@ class TestRunWideCap:
                 written = (tmp_path / f"out-{workers}" / product_id / name).read_bytes()
                 assert written == golden("full", product_id, name)
 
-    def test_rank_priority_and_the_kept_permit(self, tmp_path, monkeypatch, products):
+    def test_rank_priority_in_the_first_products_tail(self, tmp_path, monkeypatch, products):
         owners, tails = prompt_owners(products, "full")
         mixer, serum = PRODUCT_IDS[:2]
         service_s = {mixer: 0.03, serum: 0.05}
@@ -655,30 +645,47 @@ class TestRunWideCap:
             finally:
                 finished.append(product.product_id)
 
-        acquired = []
-        acquire = pipeline._PermitPool.acquire
-
-        def traced_acquire(pool, rank):
-            acquired.append(rank)
-            return acquire(pool, rank)
-
         monkeypatch.setattr(pipeline, "run_product", traced_run_product)
-        monkeypatch.setattr(pipeline._PermitPool, "acquire", traced_acquire)
         assert run_probed(monkeypatch, tmp_path, probe, "full", 2, base_delay_ms=200) == 0
-        # Mixer took a permit for each of its two drain threads and none for
-        # its grouping call: the last drain thread kept its own.
-        assert acquired.count(0) == 2
         mixer_calls, serum_calls = probe.of(mixer), probe.of(serum)
         (grouping,) = [call for call in mixer_calls if call.prompt == tails[mixer]]
         assert grouping is mixer_calls[-1]
-        # Serum starts in mixer's tail, in the permit mixer's first drain
-        # thread to run out of reviews gave back.
+        # Mixer's reviews ran on both permits.
+        assert max_in_flight(mixer_calls[:-1]) == 2
+        # Serum starts in mixer's tail, in the permit mixer had no ready
+        # request for.
         assert serum_calls[0].start < grouping.end
-        # Mixer's last drain thread kept its permit for the grouping call,
-        # so serum never had both permits before that call was done.
+        # Mixer's grouping call went before serum's ready requests, so serum
+        # never had both permits before that call was done.
         before = [call for call in serum_calls if call.start < grouping.end]
         assert max_in_flight(before) == 1
         assert finished == list(PRODUCT_IDS)
+
+    def test_second_product_fills_the_permit_the_first_cannot_use(self, tmp_path, monkeypatch, products):
+        """A baseline product makes one call, so at ``--workers 2`` the
+        second product's call starts while the first's is in flight."""
+        owners, _ = prompt_owners(products, "baseline")
+        probe = ProbeBackend(owners, {}, lambda product: 0.05)
+        assert run_probed(monkeypatch, tmp_path, probe, "baseline", 2, base_delay_ms=0) == 0
+        (first,), (second,) = probe.of(PRODUCT_IDS[0]), probe.of(PRODUCT_IDS[1])
+        assert second.start < first.end
+        assert probe.peak_in_flight == 2
+
+    def test_backoff_holds_no_thread(self, tmp_path, monkeypatch, products):
+        """At ``--workers 1`` a review backing off for 200 ms leaves the one
+        thread to the reviews ready meanwhile, and the run never has more
+        than that thread besides the caller's."""
+        owners, _ = prompt_owners(products, "full")
+        model = PipelineConfig().extraction_model
+        first = build_extraction_prompt(products[0].reviews[0], products[0].title, model=model).user_prompt
+        probe = ProbeBackend(owners, {first: TransportError("blip")}, lambda product: 0.002)
+        threads_before = threading.active_count()
+        assert run_probed(monkeypatch, tmp_path, probe, "full", 1, base_delay_ms=200) == 0
+        failed, retry = [call for call in probe.calls if call.prompt == first]
+        during = [call for call in probe.calls if failed.end < call.start < retry.start]
+        assert len([call for call in during if call.product == PRODUCT_IDS[0]]) == 2 * len(products[0].reviews) - 2
+        assert probe.peak_in_flight == 1
+        assert probe.peak_threads <= threads_before + 1
 
 
 class TestStopping:
@@ -766,7 +773,11 @@ class TestStopping:
         for name in ("report.json", "report.md"):
             assert (tmp_path / "out" / mixer / name).read_bytes() == golden("full", mixer, name)
         assert not (tmp_path / "out" / serum).exists()
-        assert not (tmp_path / "out" / buds).exists() and not probe.of(buds)
+        # Buds may start in the permit serum's last reviews leave free, but
+        # starts at most the one call a permit may have been taken for
+        # after serum crashed.
+        assert not (tmp_path / "out" / buds).exists()
+        assert len([call for call in probe.of(buds) if call.start > crash.end]) <= self.WORKERS - 1
         self.resume(tmp_path, monkeypatch)
 
     def test_error_in_the_earlier_product_stops_the_later_one(self, tmp_path, monkeypatch, products):

@@ -232,6 +232,18 @@ class _Stats:
         setattr(self, name, getattr(self, name) + 1)
 
 
+def resolve(steps, waited=None):
+    """Run a request-path generator to its end without sleeping, and return
+    what it returned; each backoff it yields goes into ``waited``."""
+    while True:
+        try:
+            delay = next(steps)
+        except StopIteration as done:
+            return done.value
+        if waited is not None:
+            waited.append(delay)
+
+
 def _calling(backend):
     """One attempt of the retry loop: a single backend call for REQ."""
     return lambda: backend.complete(REQ)
@@ -251,7 +263,7 @@ class TestCompleteWithRetry:
     def test_recovers_after_transient_failures(self, fast_retry):
         backend = ScriptedBackend([TransportError("a"), RateLimitedError("b"), "ok"])
         stats = _Stats()
-        response = complete_with_retry(_calling(backend), fast_retry, stats=stats)
+        response = resolve(complete_with_retry(_calling(backend), fast_retry, stats=stats))
         assert response.text == "ok"
         assert backend.calls == 3
         assert stats.retries == 2
@@ -259,7 +271,7 @@ class TestCompleteWithRetry:
     def test_exhaustion_wraps_last_error(self, fast_retry):
         backend = ScriptedBackend([TransportError("x")] * 3)
         with pytest.raises(ExhaustedRetriesError) as info:
-            complete_with_retry(_calling(backend), fast_retry)
+            resolve(complete_with_retry(_calling(backend), fast_retry))
         assert info.value.attempts == 3
         assert isinstance(info.value.last_error, TransportError)
 
@@ -270,17 +282,17 @@ class TestCompleteWithRetry:
         retried = error in RETRIED
         backend = ScriptedBackend([error] * fast_retry.max_attempts)
         with pytest.raises(ExhaustedRetriesError if retried else type(error)) as info:
-            complete_with_retry(_calling(backend), fast_retry)
+            resolve(complete_with_retry(_calling(backend), fast_retry))
         assert (info.value.last_error if retried else info.value) is error
         assert backend.calls == (fast_retry.max_attempts if retried else 1)
 
-    def test_backoff_delays(self, monkeypatch):
-        slept = []
-        monkeypatch.setattr("reviewlens.gateway.time.sleep", slept.append)
+    def test_backoff_delays(self):
+        """Each backoff is yielded to the caller, never slept in the loop."""
+        waited = []
         policy = RetryPolicy(max_attempts=3, base_delay_ms=100, backoff_factor=3.0)
         backend = ScriptedBackend([TransportError("1"), TransportError("2"), "ok"])
-        complete_with_retry(_calling(backend), policy)
-        assert slept == [0.1, 0.3]
+        assert resolve(complete_with_retry(_calling(backend), policy), waited).text == "ok"
+        assert waited == [0.1, 0.3]
 
 
 class TestLookupOrCall:
@@ -324,9 +336,9 @@ class TestCompleteParsed:
         backend = ScriptedBackend(['{"nope": 1}', '{"value": 7}'])
         notes: list[str] = []
         stats = _Stats()
-        value = complete_parsed(
+        value = resolve(complete_parsed(
             REQ, self._parser, gateway=backend, policy=fast_retry, stats=stats, diagnostics=notes
-        )
+        ))
         assert value == 7
         assert backend.calls == 2
         assert stats.retries == 1
@@ -338,7 +350,7 @@ class TestCompleteParsed:
         # Seed the cache with a bad response; the backend holds the good one.
         cache.put(fingerprint(REQ), ChatResponse(text='{"bad": true}', model="m"))
         backend = ScriptedBackend(['{"value": 3}'])
-        value = complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry, cache=cache)
+        value = resolve(complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry, cache=cache))
         assert value == 3
         assert backend.calls == 1
         cached = cache.get(fingerprint(REQ))
@@ -347,7 +359,7 @@ class TestCompleteParsed:
     def test_exhaustion_after_persistent_malformed(self, fast_retry):
         backend = ScriptedBackend(['{"no": 1}'] * 3)
         with pytest.raises(ExhaustedRetriesError) as info:
-            complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry)
+            resolve(complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry))
         assert isinstance(info.value.last_error, MalformedOutputError)
         assert backend.calls == 3
 
@@ -361,7 +373,7 @@ class TestCompleteParsed:
         monkeypatch.setattr("reviewlens.gateway.fingerprint", counting)
         cache = DiskResponseCache(tmp_path)
         backend = ScriptedBackend(['{"nope": 1}', '{"value": 7}'])
-        value = complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry, cache=cache)
+        value = resolve(complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry, cache=cache))
         assert value == 7
         assert backend.calls == 2
         assert len(digests) == 1
@@ -369,12 +381,12 @@ class TestCompleteParsed:
     def test_one_budget_for_malformed_and_transport(self, fast_retry):
         backend = ScriptedBackend(['{"no": 1}', '{"no": 2}'] + [TransportError("down")] * 3)
         with pytest.raises(ExhaustedRetriesError):
-            complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry)
+            resolve(complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry))
         assert backend.calls == fast_retry.max_attempts
 
     def test_exhaustion_reports_the_backend_calls_made(self, fast_retry):
         backend = ScriptedBackend(['{"no": 1}'] + [TransportError("down")] * 5)
         with pytest.raises(ExhaustedRetriesError) as info:
-            complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry)
+            resolve(complete_parsed(REQ, self._parser, gateway=backend, policy=fast_retry))
         assert info.value.attempts == backend.calls
         assert isinstance(info.value.last_error, TransportError)

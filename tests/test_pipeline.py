@@ -194,13 +194,12 @@ class TestCaching:
         assert backend.calls == (18 if cached else 19)
         assert_attempt_identity(backend, stats)
 
-    def test_identical_request_waits_without_its_permit(self, products, tmp_path, monkeypatch):
+    def test_identical_request_waits_without_its_permit(self, products, tmp_path):
         """Mixer and serum each repeat their first review. That review's
-        extraction fails once, and in its backoff its thread runs the next
-        queued review, which fails once too. In that nested backoff the
-        thread gives its permit back, and a drain thread of the same product
-        then waits for the repeated request. The waiting thread holds no
-        permit, so the resolving one takes one back and the run finishes."""
+        extraction fails once, and while it backs off the run goes on with
+        the next reviews, one of which fails once too. The repeated request
+        then waits for the one backing off, holding no permit and no thread,
+        and the run finishes: each repeat is read from the cache."""
         mixer, serum, buds = products
 
         def repeat_first_review(product, at):
@@ -219,13 +218,6 @@ class TestCaching:
             time.sleep(0.01)
             return fail(request)
 
-        pools: list[_PermitPool] = []
-
-        def traced_pool(*args, **kwargs):
-            pools.append(_PermitPool(*args, **kwargs))
-            return pools[-1]
-
-        monkeypatch.setattr("reviewlens.pipeline._PermitPool", traced_pool)
         config = config_for(
             PipelineMode.FULL,
             workers=2,
@@ -237,15 +229,13 @@ class TestCaching:
         runner = threading.Thread(target=lambda: results.extend(run_products(run, config, backend)), daemon=True)
         runner.start()
         runner.join(10)
-        deadlocked = runner.is_alive()
-        while runner.is_alive():
-            pools[0].release()  # a spare permit frees the run, so the suite goes on
-            runner.join(0.5)
-        assert not deadlocked
+        assert not runner.is_alive()
         assert [r.failed_units for r in results] == [(), (), ()]
         for got, want in zip(results, clean, strict=True):
             assert render_report(got.report, ReportFormat.JSON) == render_report(want.report, ReportFormat.JSON)
         assert sum(r.call_stats.retries for r in results) == 4
+        # A repeated review reads both its requests from the cache.
+        assert [r.call_stats.cache_hits for r in results] == [2, 2, 1]
 
     def test_cold_cached_runs_send_each_request_once_under_stress(self, products_by_id, tmp_path):
         product = products_by_id["ele-buds-003"]
@@ -467,8 +457,9 @@ class TestBackoffScheduling:
             return exc, backend.calls
 
     def assert_as_without_backoff(self, product, faults, result):
-        """A zero backoff never runs queued reviews, so it keeps the
-        sequential schedule; the results must not depend on the schedule."""
+        """A zero backoff puts the request straight back as the first ready
+        one, so it keeps the sequential schedule; the results must not
+        depend on the schedule."""
         reference, _ = self.run(product, faults, base_delay_ms=0)
         expected = golden("full", product.product_id, "report.json")
         for run in (result, reference):
@@ -517,27 +508,31 @@ class TestBackoffScheduling:
         assert stats.retries == 1
         self.assert_as_without_backoff(product, faults, result)
 
-    def test_helped_review_sleeps_through_its_own_backoff(self, products_by_id):
+    def test_two_backoffs_hold_no_thread(self, products_by_id):
+        """mix-r2 fails while mix-r1 backs off: the one worker runs every
+        other review in the two backoffs, then each retry in deadline
+        order."""
         product = products_by_id["app-mixer-001"]
         faults = [(MIX_R1_TEXT, TransportError("blip")), (MIX_R2_TEXT, TransportError("blip"))]
         result, calls = self.run(product, faults)
         assert calls == (
-            ["mix-r1/extraction", "mix-r2/extraction", "mix-r2/extraction", "mix-r2/comparison"]
-            + ["mix-r1/extraction", "mix-r1/comparison"]
+            ["mix-r1/extraction", "mix-r2/extraction"]
             + self.others(product, "mix-r1", "mix-r2")
+            + ["mix-r1/extraction", "mix-r1/comparison", "mix-r2/extraction", "mix-r2/comparison"]
             + ["grouping"]
         )
         assert result.call_stats.retries == 2
         self.assert_as_without_backoff(product, faults, result)
 
-    def test_bug_in_helped_review_surfaces_after_the_run(self, products_by_id):
+    def test_bug_in_a_review_surfaces_after_the_others(self, products_by_id):
         product = products_by_id["app-mixer-001"]
         error, calls = self.run(
             product, [(MIX_R1_TEXT, TransportError("blip")), (MIX_R2_TEXT, RuntimeError("bug"))]
         )
         assert isinstance(error, RuntimeError) and str(error) == "bug"
-        # mix-r1's backoff ran mix-r2, yet mix-r1 retried and went on to its
-        # comparison: the error never reached the request it interrupted.
+        # mix-r2 raised while mix-r1 backed off, yet mix-r1 retried and went
+        # on to its comparison: the error is kept with its review and raised
+        # once every other review is done, before the grouping call.
         assert calls == (
             ["mix-r1/extraction", "mix-r2/extraction"]
             + self.others(product, "mix-r1", "mix-r2")
@@ -574,11 +569,17 @@ class TestInterrupts:
         no queued review starts."""
         product = products_by_id["app-mixer-001"]
         interrupt = KeyboardInterrupt()
+        r1_sent = threading.Event()
 
         def slow_r1_and_interrupt_r2(request):
             if MIX_R1_TEXT in request.user_prompt:
+                r1_sent.set()
                 time.sleep(0.2)
-            return interrupt if MIX_R2_TEXT in request.user_prompt else None
+            if MIX_R2_TEXT not in request.user_prompt:
+                return None
+            # The interrupt comes while mix-r1's request is in flight.
+            assert r1_sent.wait(5)
+            return interrupt
 
         backend = RecordingBackend(
             SelectiveFailureBackend(fresh_replay(), fail_with=slow_r1_and_interrupt_r2),
@@ -591,35 +592,48 @@ class TestInterrupts:
 
 
 class TestPermitPool:
-    def test_a_free_permit_goes_to_the_earliest_waiting_rank(self):
-        """Whatever order the ranks started waiting in; and only a permit
-        given back with nobody waiting for it calls ``on_release``."""
-        unwanted = []
-        pool = _PermitPool(1, on_release=lambda: unwanted.append(len(order)))
-        order: list[int] = []
+    def test_a_free_permit_goes_to_the_earliest_waiting_rank(self, products):
+        """One permit over three products goes to the first ready request by
+        (product rank, review index): serum starts only once every mixer
+        request still to go backs off, mixer takes the permit back at its
+        deadline, and buds starts only once serum has nothing left."""
+        mixer, serum, buds = (product.product_id for product in products)
+        owners = {}
+        for product in products:
+            clean = RecordingBackend(fresh_replay(), lambda r: r.user_prompt)
+            run_product(product, config_for(PipelineMode.FULL, workers=1), clean)
+            owners.update(dict.fromkeys(clean.calls, product.product_id))
+        fail = fail_once((products[0].reviews[0].text, TransportError("blip")))
+        calls: list[tuple[str, str, float, float]] = []
 
-        def take(rank):
-            pool.acquire(rank)
-            order.append(rank)
-            pool.release()
+        def timed(request):
+            start = time.monotonic()
+            if owners[request.user_prompt] != mixer:
+                time.sleep(0.02)
+            calls.append((owners[request.user_prompt], request.user_prompt, start, time.monotonic()))
+            return fail(request)
 
-        pool.acquire(0)
-        threads = []
-        for rank in (2, 1):
-            threads.append(threading.Thread(target=take, args=(rank,), daemon=True))
-            threads[-1].start()
-            deadline = time.monotonic() + 5
-            while len(pool._waiting) < len(threads) and time.monotonic() < deadline:
-                time.sleep(0.001)
-        pool.release()
-        for thread in threads:
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-        assert order == [1, 2]
-        assert unwanted == [2]
+        config = config_for(
+            PipelineMode.FULL,
+            workers=1,
+            retry=RetryPolicy(max_attempts=3, base_delay_ms=200, backoff_factor=1.0),
+        )
+        results = list(run_products(products, config, SelectiveFailureBackend(fresh_replay(), fail_with=timed)))
+        for product, result in zip(products, results):
+            assert render_report(result.report, ReportFormat.JSON) == golden(
+                "full", product.product_id, "report.json"
+            )
+        names = [owner for owner, *_ in calls]
+        others = 2 * len(products[0].reviews) - 2  # mixer's other reviews, two calls each
+        assert names[: others + 2] == [mixer] * (others + 1) + [serum]
+        retry = next(i for i, call in enumerate(calls) if i and call[1] == calls[0][1])
+        deadline = calls[0][3] + 0.2
+        assert len([call for call in calls[:retry] if call[2] >= deadline]) <= 1
+        assert names[retry : retry + 3] == [mixer] * 3 and mixer not in names[retry + 3 :]
+        assert names.index(buds) == len(names) - names[::-1].index(serum)
 
     def test_limit_halves_to_one_and_grows_back_to_count(self):
-        pool = _PermitPool(8)
+        pool = _PermitPool(8, threading.Condition())
         limits = []
         for _ in range(4):
             pool.throttled()
@@ -634,38 +648,27 @@ class TestPermitPool:
         assert pool._limit == 8.0
 
     def test_success_at_the_ceiling_takes_no_lock(self):
-        pool = _PermitPool(2)
+        pool = _PermitPool(2, threading.Condition())
         pool._cond = None  # any use of the lock would raise
         pool.succeeded()
         assert pool._limit == 2.0
 
     def test_permits_out_stay_within_the_limit(self):
-        pool = _PermitPool(2)
-
-        def waiting_soon():
-            deadline = time.monotonic() + 5
-            while not pool._waiting and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return bool(pool._waiting)
-
-        pool.acquire(0)
-        pool.acquire(0)
+        pool = _PermitPool(2, threading.Condition())
+        pool.take()
+        pool.take()
+        assert not pool.free()
+        # Two permits out over a limit of one: one going back frees none.
         pool.throttled()
-        # Two permits out over a limit of one: before its next call, a holder
-        # gives its permit back and waits until the other one is back too.
-        handed = threading.Thread(target=pool.hand_over, args=(0,), daemon=True)
-        handed.start()
-        assert waiting_soon() and pool._in_use == 1
-        pool.release()
-        handed.join(timeout=5)
-        assert not handed.is_alive() and pool._in_use == 1
-        # At the limit, a new take waits until a success raises it.
-        taker = threading.Thread(target=pool.acquire, args=(0,), daemon=True)
-        taker.start()
-        assert waiting_soon() and pool._in_use == 1
+        pool.put_back()
+        assert not pool.free()
+        pool.put_back()
+        assert pool.free()
+        pool.take()
+        # At the limit, a success raises it and frees one.
         pool.succeeded()
-        taker.join(timeout=5)
-        assert not taker.is_alive()
+        assert pool.free()
+        pool.take()
         assert (pool._in_use, pool._limit) == (2, 2.0)
 
 
@@ -805,7 +808,7 @@ class TestTransientFaultProperty:
                 assert sum(s.retries for s in stats) == len(faults)
                 assert backend.calls == sum(s.total_calls - s.cache_hits + s.retries for s in stats)
                 assert backend.peak_in_flight <= workers
-                assert backend.peak_threads <= threads_before + 2 * workers
+                assert backend.peak_threads <= threads_before + workers
         finally:
             sys.setswitchinterval(previous)
 

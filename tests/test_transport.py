@@ -164,6 +164,8 @@ class TestResponseFraming:
             pytest.param(_head(b"HTTP/1.1 200 OK", b"Content-Length: 100") + b'{"choices": [', id="body-short-of-length"),
             pytest.param(_head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: gzip") + b"x", id="unknown-transfer-coding"),
             pytest.param(_head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked") + b"zz\r\n", id="bad-chunk-size"),
+            pytest.param(_head(b"HTTP/1.1 200 OK", b"X-Long: " + b"a" * 200000, b"Content-Length: 0"), id="no-newline-within-line-limit"),
+            pytest.param(_head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked") + b"2\r\n{}}}\r\n0\r\n\r\n", id="chunk-longer-than-its-size"),
         ],
     )
     def test_malformed_response_is_a_transport_error_sent_once(self, serve, http_backend, reply):
