@@ -101,7 +101,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, recording: bool = Fal
     parser.add_argument(
         "--workers",
         type=_positive_int,
-        help="max LLM calls in flight for the whole run; at most two products are in progress",
+        help="max LLM calls in flight for the whole run, served by that many threads besides the caller",
     )
     parser.add_argument("--cache-dir", help="response cache directory; empty for none")
     parser.add_argument(

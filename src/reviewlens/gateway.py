@@ -18,9 +18,11 @@ Responsibilities:
     ``complete_with_retry`` is the only retry loop, with exponential
     backoff driven by a declarative policy. The two are generators that
     yield each backoff to their caller instead of sleeping, and return the
-    parsed output. Transport errors, throttling
-    and malformed output share one budget of ``max_attempts`` per request,
-    and a malformed answer is evicted from the cache before the retry.
+    parsed output. Transport errors, throttling and malformed output share
+    one budget of ``max_attempts`` per request, and a malformed answer is
+    evicted from the cache before the retry. None of them counts anything:
+    a caller sees each retry as a yielded backoff, and each backend call
+    through the ``gateway`` it passes in.
 
 The live backend speaks the common chat-completions JSON dialect: a single
 POST with system/user messages and bearer auth, which both OpenAI-style and
@@ -360,7 +362,7 @@ class _Origin:
             f"User-Agent: {_USER_AGENT}\r\n{proxy_lines}Content-Length: "
         ).encode("ascii")
         self._tail = f"\r\n{headers}\r\n".encode("latin-1")
-        self._idle: list[socket.socket] = []
+        self._pooled: list[socket.socket] = []
         self._lock = threading.Lock()
 
     def _connect(self, timeout: float) -> socket.socket:
@@ -384,9 +386,9 @@ class _Origin:
         """An idle socket still open at the server, or None."""
         while True:
             with self._lock:
-                if not self._idle:
+                if not self._pooled:
                     return None
-                sock = self._idle.pop()
+                sock = self._pooled.pop()
             if not _is_dropped(sock):
                 return sock
             sock.close()
@@ -418,14 +420,14 @@ class _Origin:
             raise
         if reusable:
             with self._lock:
-                self._idle.append(sock)
+                self._pooled.append(sock)
         else:
             sock.close()
         return status, content
 
     def close(self) -> None:
         with self._lock:
-            idle, self._idle = self._idle, []
+            idle, self._pooled = self._pooled, []
         for sock in idle:
             sock.close()
 
@@ -534,8 +536,6 @@ class RecordingBackend:
 def complete_with_retry(
     attempt: Callable[[], T],
     policy: RetryPolicy,
-    *,
-    stats: Any | None = None,
 ) -> Generator[float, None, T]:
     """Run ``attempt`` until it returns, with exponential backoff between
     tries, and return what it returned.
@@ -543,8 +543,7 @@ def complete_with_retry(
     The request path's only retry loop: ``TransportError``,
     ``RateLimitedError`` and ``MalformedOutputError`` share one budget of
     ``policy.max_attempts``. Raises ExhaustedRetriesError wrapping the last
-    error once the budget is spent; any other error propagates at once. Each
-    re-attempt is recorded on ``stats`` when one is provided.
+    error once the budget is spent; any other error propagates at once.
 
     A generator: each backoff is yielded in seconds, and the caller resumes
     it once that long has passed, doing other work meanwhile rather than
@@ -555,8 +554,6 @@ def complete_with_retry(
     for retry in range(policy.max_attempts):
         if retry:
             yield policy.delay_ms(retry) / 1000.0
-            if stats is not None:
-                stats.record("retries")
         try:
             return attempt()
         except (TransportError, RateLimitedError, MalformedOutputError) as exc:
@@ -570,20 +567,17 @@ def lookup_or_call(
     gateway: ChatBackend,
     cache: Any | None = None,
     *,
-    stats: Any | None = None,
     diagnostics: list[str] | None = None,
 ) -> ChatResponse:
     """One attempt: serve ``request`` (fingerprinted as ``digest``) from the
     cache when possible, else call the backend once and store the answer.
 
-    A cache hit performs zero gateway calls and records a cache hit. A
-    corrupt cache entry degrades to a miss with a diagnostic note.
+    A cache hit makes no backend call. A corrupt cache entry degrades to a
+    miss with a diagnostic note.
     """
     if cache is not None:
         cached = cache.get(digest, diagnostics=diagnostics)
         if cached is not None:
-            if stats is not None:
-                stats.record("cache_hits")
             return cached
     response = gateway.complete(request)
     if cache is not None:
@@ -598,7 +592,6 @@ def complete_parsed(
     gateway: ChatBackend,
     policy: RetryPolicy | None = None,
     cache: Any | None = None,
-    stats: Any | None = None,
     diagnostics: list[str] | None = None,
 ) -> Generator[float, None, T]:
     """Resolve a request into parsed output: fingerprint once, then retry
@@ -615,7 +608,7 @@ def complete_parsed(
     digest = fingerprint(request)
 
     def attempt() -> T:
-        response = lookup_or_call(request, digest, gateway, cache, stats=stats, diagnostics=diagnostics)
+        response = lookup_or_call(request, digest, gateway, cache, diagnostics=diagnostics)
         scratch: list[str] = []
         try:
             parsed = parser(response.text, scratch)
@@ -627,4 +620,4 @@ def complete_parsed(
             diagnostics.extend(scratch)
         return parsed
 
-    return (yield from complete_with_retry(attempt, policy or RetryPolicy(), stats=stats))
+    return (yield from complete_with_retry(attempt, policy or RetryPolicy()))

@@ -13,14 +13,10 @@ gives each mode a per-review task and one closing call:
 The closing call is counted under ``grouping_calls`` in every mode, and
 none is made when there is nothing to ask. Every stage is sans-I/O: a
 generator that yields each request it needs and is sent the parsed output,
-or has the step failure thrown in; it never calls a backend itself.
-``_Runtime.drive`` resolves those requests through ``complete_parsed``,
-counting each once, when it is issued, and passes on what resolving waits
-for: a backoff, which the retry loop yields rather than sleeps, or in a
-cached run an identical request of the same product still in flight. The
-counts come back as ``PipelineResult.call_stats``, never inside the report.
-The runner never sees a credential: a backend that needs one was built
-with it.
+or has the step failure thrown in; it never calls a backend itself. The
+scheduler resolves those requests through ``complete_parsed``, whose retry
+loop yields each backoff rather than sleeping, with the stage's unit as the
+backend: the unit notes how each call it passes on ended.
 
 One ``_Scheduler`` serves a run on at most ``workers`` threads, the caller's
 included in a direct ``run_product``. Each thread holds a permit while it
@@ -29,11 +25,21 @@ flight. Ready stages are taken by ``(product rank, review index)``, and a
 stage backing off waits on a heap of deadlines holding no thread and no
 permit. A thread goes on with the stage it advanced while that stage is
 still the first ready one, so a call makes no thread hand-off, and a later
-product's first request is built only when no earlier request is ready. A
-throttled provider sees the load drop through the permits' limit, which a
-429 halves and each response grows back (AIMD). A run that is stopping (an
+product's first request is built only when no earlier request is ready. In
+a cached run, a request identical to one of the same product still in
+flight waits for it, holding no permit. A run that is stopping (an
 exception, or the caller closing it) advances no stage of the products it
 stopped, so it starts no backend call for them.
+
+Run state changes in one place, ``_Scheduler._settle``, under the run's one
+lock, after each advance. An advance makes at most one attempt, so settling
+counts what it yielded (a request, or a backoff, which is a retry) and the
+backend call the unit noted. That gives each product's
+``PipelineResult.call_stats``, never inside the report: every request and
+retry is one attempt, a cache hit or a backend call. The call's end also
+sets the run's limit on permits (AIMD): a 429 halves it, so a throttled
+provider sees the load drop, and each answer grows it back. The runner
+never sees a credential: a backend that needs one was built with it.
 
 Scheduling never leaks into results: per-review outcomes are collected in
 dataset order regardless of completion order, so report bytes are identical
@@ -50,7 +56,8 @@ import itertools
 import json
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Generator, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -182,45 +189,6 @@ _STEP_FAILURES = (ExhaustedRetriesError, GatewayError, MalformedOutputError)
 _WAKE_S = 0.05
 
 
-class _PermitPool:
-    """The permits of one run, one per thread advancing a unit, so one per
-    LLM call in flight at most. At most ``int(limit)`` are out at once. The
-    limit starts at ``count``, its ceiling; a throttled call halves it, to a
-    floor of 1, and each successful call while it is below ``count`` adds
-    ``1 / limit`` (AIMD). ``free``, ``take`` and ``put_back`` are called
-    holding ``cond``'s lock; ``throttled`` and ``succeeded`` take it."""
-
-    def __init__(self, count: int, cond: threading.Condition) -> None:
-        self._cond = cond
-        self._count = count
-        self._limit = float(count)
-        self._in_use = 0
-
-    def free(self) -> bool:
-        return self._in_use < int(self._limit)
-
-    def take(self) -> None:
-        self._in_use += 1
-
-    def put_back(self) -> None:
-        self._in_use -= 1
-
-    def throttled(self) -> None:
-        """A call was throttled: halve the limit, to a floor of 1."""
-        with self._cond:
-            self._limit = max(1.0, self._limit / 2)
-
-    def succeeded(self) -> None:
-        """A call returned a response: grow the limit by ``1 / limit``, up
-        to ``count``. A run never throttled takes no lock here."""
-        if self._limit < self._count:
-            with self._cond:
-                allowed = int(self._limit)
-                self._limit = min(float(self._count), self._limit + 1 / self._limit)
-                if int(self._limit) > allowed:
-                    self._cond.notify_all()
-
-
 class _Ask(NamedTuple):
     """A stage's request: the ``CallStats`` field it is counted under, the
     request, its parser and the notes a successful parse adds to."""
@@ -238,17 +206,25 @@ class _Unit:
     reviews. Each ``advance`` runs it to its next yield, the request it is
     about to resolve or a backoff in seconds, or to its end, when ``value``
     is what it returned or raised. ``flight`` is the request it resolves in
-    a cached run, for as long as it does."""
+    a cached run, for as long as it does.
+
+    The unit is its requests' door to the backend: ``complete`` notes in
+    ``call`` how the advance's backend call ended, if it made one. One
+    thread at a time advances a unit, and the scheduler reads the note when
+    it settles the unit, so the note takes no lock."""
 
     rank: int
     index: int
-    steps: Generator[Any, None, Any]
+    backend: ChatBackend
+    steps: Generator[Any, None, Any] | None = None
     wait: Any = None
     done: bool = False
     value: Any = None
     flight: ChatRequest | None = None
+    call: str | None = None  # "answered", "throttled" or "failed"
 
     def advance(self) -> None:
+        self.call = None
         try:
             self.wait = next(self.steps)
         except StopIteration as stop:
@@ -256,87 +232,32 @@ class _Unit:
         except BaseException as exc:
             self.done, self.value = True, exc
 
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        self.call = "failed"
+        try:
+            response = self.backend.complete(request)
+        except RateLimitedError:
+            self.call = "throttled"
+            raise
+        self.call = "answered"
+        return response
+
 
 @dataclass(slots=True)
-class _Runtime:
-    """A product admitted to a run: its request path, which counts its
-    calls, and what each of its units returned or raised, by index (the
-    reviews', then the closing unit's). In a cached run, ``flights`` holds
-    the requests its units are resolving, each with the units waiting for
-    it; the scheduler keeps it, under its lock."""
+class _Admitted:
+    """A product admitted to a run: what each of its units returned or
+    raised, by index (the reviews', then the closing unit's); in a cached
+    run, the requests its units are resolving, each with the units waiting
+    for it; and its call counts so far: requests by ``CallStats`` field and
+    retries in ``counts``, backend calls in ``calls``. The scheduler keeps
+    it, under its lock."""
 
-    config: PipelineConfig
-    gateway: ChatBackend
-    cache: DiskResponseCache | None
-    permits: _PermitPool
     outcomes: list[Any]
     pending: int  # review units not done yet
     result: PipelineResult | None = None
     flights: dict[ChatRequest, list[_Unit]] = field(default_factory=dict)
-    # The product's call stats so far, by ``CallStats`` field name.
-    _counts: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-
-    def record(self, name: str) -> None:
-        """Count one of the product's calls, cache hits or retries."""
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + 1
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        """One backend call. A throttled call lowers the run's limit on
-        permits and a response raises it; any other error leaves it."""
-        try:
-            response = self.gateway.complete(request)
-        except RateLimitedError:
-            self.permits.throttled()
-            raise
-        self.permits.succeeded()
-        return response
-
-    def drive(self, stage: Generator[_Ask, Any, T]) -> Generator[Any, None, T]:
-        """Run ``stage``: resolve each request it yields through
-        ``complete_parsed``, sending it the parsed output or throwing in the
-        step failure. Each request is yielded before it is resolved, so the
-        scheduler can check its priority, the limit, the stop and
-        single-flight, and then each backoff of its retry loop. A request is
-        counted when it is issued, whatever its outcome, so backend calls =
-        requests - cache hits + retries on every path."""
-        value: Any = None
-        error: BaseException | None = None
-        while True:
-            try:
-                ask = stage.send(value) if error is None else stage.throw(error)
-            except StopIteration as stop:
-                return stop.value
-            yield ask
-            self.record(ask.counter)
-            value = error = None
-            try:
-                value = yield from complete_parsed(
-                    ask.request, ask.parser, gateway=self, policy=self.config.retry,
-                    cache=self.cache, stats=self, diagnostics=ask.notes,
-                )
-            except _STEP_FAILURES as exc:
-                error = exc
-
-    def finish(self, product: ProductRecord) -> Generator[Any, None, PipelineResult]:
-        """The product's closing stage, run once every review is done: an
-        exception kept with a review is raised here, the first in dataset
-        order; otherwise the mode's closing call, then the result."""
-        outcomes = self.outcomes[:-1]
-        raised = [o for o in outcomes if isinstance(o, BaseException)]
-        if raised:
-            raise raised[0]
-        reviews = _collect(outcomes)
-        close = _MODES[self.config.mode][1]
-        insights, assignment = yield from self.drive(close(product, reviews, self.config))
-        return PipelineResult(
-            report=build_report(insights, assignment, product_id=product.product_id),
-            failed_units=tuple(reviews.failed),
-            diagnostics=tuple(reviews.diagnostics),
-            extractions=reviews.extractions,
-            call_stats=CallStats(**self._counts),
-        )
+    counts: Counter[str] = field(default_factory=Counter)
+    calls: int = 0
 
 
 @contextlib.contextmanager
@@ -536,18 +457,42 @@ _MODES = {
 }
 
 
+def _close(
+    product: ProductRecord, outcomes: list[Any], config: PipelineConfig
+) -> Generator[_Ask, Any, PipelineResult]:
+    """The product's closing stage, run once every review is done: an
+    exception kept with a review is raised here, the first in dataset
+    order; otherwise the mode's closing call, then the result, to which the
+    scheduler adds the call stats."""
+    raised = [o for o in outcomes if isinstance(o, BaseException)]
+    if raised:
+        raise raised[0]
+    reviews = _collect(outcomes)
+    insights, assignment = yield from _MODES[config.mode][1](product, reviews, config)
+    return PipelineResult(
+        report=build_report(insights, assignment, product_id=product.product_id),
+        failed_units=tuple(reviews.failed),
+        diagnostics=tuple(reviews.diagnostics),
+        extractions=reviews.extractions,
+    )
+
+
 class _Scheduler:
     """One run's work, served by at most ``workers`` threads.
 
     Ready units wait in a heap keyed by ``(product rank, index)``, and units
     backing off in a heap of deadlines. A thread takes a permit and the
     first ready unit, and advances it with the lock released; then, under
-    one hold of the lock, it puts the unit back and takes the first ready
-    one again, usually the same. A product is admitted, its units built,
-    only when no unit is ready, and gets its closing unit once its reviews
-    are done. Helper threads start lazily, while more work is ready than
-    threads are busy, up to ``helpers``: ``workers - 1`` when the caller
-    serves too (a direct ``run_product``), ``workers`` when it only waits.
+    one hold of the lock, it settles the unit and takes the first ready one
+    again, usually the same. A product is admitted, its units built, only
+    when no unit is ready, and gets its closing unit once its reviews are
+    done. The ``helpers`` threads start with the scheduler: ``workers - 1``
+    when the caller serves too (a direct ``run_product``), ``workers`` when
+    it only waits.
+
+    At most ``int(limit)`` permits are out at once. The limit starts at
+    ``workers``, its ceiling; a throttled call halves it, to a floor of 1,
+    and each answered call adds ``1 / limit`` (AIMD).
 
     A stop at a rank stops the products from it on: none of their units is
     advanced again. A review that raises a non-``Exception`` stops its
@@ -563,20 +508,27 @@ class _Scheduler:
         lock = threading.Lock()
         self._work = threading.Condition(lock)  # idle threads wait for work here
         self._results = threading.Condition(lock)  # the caller of run_products waits here
-        self._permits = _PermitPool(config.workers, self._work)
         self._products = products
         self._config = config
         self._gateway = gateway
         self._cache = cache
-        self._admitted: list[_Runtime] = []
+        self._limit = float(config.workers)
+        self._in_flight = 0  # permits out: units being advanced
+        self._admitted: list[_Admitted] = []
         self._unfinished = 0  # the first product without a result
         self._stop = len(products)  # products from this rank on start nothing
         self._ready: list[tuple[int, int, _Unit]] = []
         self._timers: list[tuple[float, int, _Unit]] = []
         self._tickets = itertools.count()
         self._helpers: list[threading.Thread] = []
-        self._max_helpers = helpers
-        self._idle = 0
+        try:
+            for _ in range(helpers):
+                helper = threading.Thread(target=self._serve)
+                helper.start()
+                self._helpers.append(helper)
+        except BaseException:
+            self.close()
+            raise
 
     def result(self, rank: int, *, serve: bool) -> PipelineResult:
         """Product ``rank``'s result, once it has one, serving units on this
@@ -587,8 +539,6 @@ class _Scheduler:
             self._serve(rank)
         else:
             with self._results:
-                if not self._helpers:
-                    self._start_helper()
                 while not self._done(rank):
                     self._results.wait(_WAKE_S)
         product = self._admitted[rank]
@@ -601,8 +551,7 @@ class _Scheduler:
         """Stop every product and wait for the helper threads to return."""
         with self._work:
             self._stop_from(0)
-            helpers = list(self._helpers)
-        for helper in helpers:
+        for helper in self._helpers:
             helper.join()
 
     def _stop_from(self, rank: int) -> None:
@@ -613,18 +562,12 @@ class _Scheduler:
     def _done(self, rank: int) -> bool:
         return rank >= self._stop or (rank < len(self._admitted) and self._admitted[rank].result is not None)
 
-    def _start_helper(self) -> None:
-        helper = threading.Thread(target=self._serve)
-        self._helpers.append(helper)
-        helper.start()
-
     def _serve(self, rank: int | None = None) -> None:
         """Advance units until ``_next`` has none for this thread."""
         unit = None
         while True:
             with self._work:
                 if unit is not None:
-                    self._permits.put_back()
                     self._settle(unit)
                 unit = self._next(rank)
                 if unit is None:
@@ -644,21 +587,16 @@ class _Scheduler:
             timers = self._timers
             while timers and timers[0][0] <= now:
                 self._push(heapq.heappop(timers)[2])
-            if self._permits.free() and (unit := self._first_ready()) is not None:
-                self._permits.take()
+            if self._in_flight < int(self._limit) and (unit := self._first_ready()) is not None:
+                self._in_flight += 1
                 # More work for another thread: a ready unit, or a product to admit.
-                if (self._ready or len(self._admitted) < self._stop) and self._permits.free():
-                    if self._idle:
-                        self._work.notify()
-                    elif len(self._helpers) < self._max_helpers:
-                        self._start_helper()
+                if (self._ready or len(self._admitted) < self._stop) and self._in_flight < int(self._limit):
+                    self._work.notify()
                 return unit
             timeout = timers[0][0] - now if timers else None
             if rank is not None:
                 timeout = _WAKE_S if timeout is None else min(timeout, _WAKE_S)
-            self._idle += 1
             self._work.wait(timeout)
-            self._idle -= 1
 
     def _first_ready(self) -> _Unit | None:
         """Pop the first ready unit of a product not stopped, admitting the
@@ -677,26 +615,70 @@ class _Scheduler:
         product = self._products[rank]
         task = _MODES[self._config.mode][0]
         reviews = product.reviews if task is not None else ()
-        runtime = _Runtime(
-            self._config, self._gateway, self._cache, self._permits, [None] * (len(reviews) + 1), len(reviews)
-        )
-        self._admitted.append(runtime)
+        self._admitted.append(_Admitted([None] * (len(reviews) + 1), len(reviews)))
         for index, review in enumerate(reviews):
-            self._push(_Unit(rank, index, runtime.drive(task(review, product, self._config))))
+            self._push_stage(rank, index, task(review, product, self._config))
         if not reviews:
             self._push_closing(rank)
 
     def _push_closing(self, rank: int) -> None:
-        runtime = self._admitted[rank]
-        self._push(_Unit(rank, len(runtime.outcomes) - 1, runtime.finish(self._products[rank])))
+        outcomes = self._admitted[rank].outcomes
+        self._push_stage(rank, len(outcomes) - 1, _close(self._products[rank], outcomes[:-1], self._config))
+
+    def _push_stage(self, rank: int, index: int, stage: Generator[_Ask, Any, Any]) -> None:
+        unit = _Unit(rank, index, self._gateway)
+        unit.steps = self._drive(stage, unit)
+        self._push(unit)
 
     def _push(self, unit: _Unit) -> None:
         heapq.heappush(self._ready, (unit.rank, unit.index, unit))
 
+    def _drive(self, stage: Generator[_Ask, Any, T], unit: _Unit) -> Generator[Any, None, T]:
+        """Run ``stage`` as ``unit``: resolve each request it yields through
+        ``complete_parsed``, with ``unit`` as the backend, sending it the
+        parsed output or throwing in the step failure. Each request is
+        yielded before it is resolved, so the scheduler can check its
+        priority, the limit, the stop and single-flight, and then each
+        backoff of its retry loop. So an advance makes at most one attempt,
+        a cache hit or one backend call."""
+        value: Any = None
+        error: BaseException | None = None
+        while True:
+            try:
+                ask = stage.send(value) if error is None else stage.throw(error)
+            except StopIteration as stop:
+                return stop.value
+            yield ask
+            value = error = None
+            try:
+                value = yield from complete_parsed(
+                    ask.request, ask.parser, gateway=unit, policy=self._config.retry,
+                    cache=self._cache, diagnostics=ask.notes,
+                )
+            except _STEP_FAILURES as exc:
+                error = exc
+
     def _settle(self, unit: _Unit) -> None:
-        """Put a unit back after an advance: ready, on a timer, behind an
-        identical request in flight, or done. Called holding the lock."""
+        """Fold in what an advance of ``unit`` left, then put the unit
+        back: ready, on a timer, behind an identical request in flight, or
+        done. Called holding the lock, so this is where run state changes.
+
+        The advance's permit comes back, and its backend call, if it made
+        one, is counted and takes the AIMD step. A request or a backoff it
+        yielded counts one request or one retry. Every request and retry is
+        one attempt, a cache hit or a backend call, so backend calls =
+        requests - cache hits + retries on every path."""
+        self._in_flight -= 1
+        product = self._admitted[unit.rank]
+        if unit.call is not None:
+            product.calls += 1
+            if unit.call == "throttled":
+                self._limit = max(1.0, self._limit / 2)
+            elif unit.call == "answered":
+                self._limit = min(float(self._config.workers), self._limit + 1 / self._limit)
         wait = unit.wait
+        if not unit.done:
+            product.counts[wait.counter if isinstance(wait, _Ask) else "retries"] += 1
         if unit.flight is not None and (unit.done or isinstance(wait, _Ask)):
             self._land(unit)
         if unit.done:
@@ -708,8 +690,8 @@ class _Scheduler:
         elif isinstance(wait, float) and wait > 0:
             entry = (time.monotonic() + wait, next(self._tickets), unit)
             heapq.heappush(self._timers, entry)
-            if self._idle and self._timers[0] is entry:
-                self._work.notify()  # its wait may end later than this deadline
+            if self._timers[0] is entry:
+                self._work.notify()  # a thread's wait may end later than this deadline
         else:
             self._push(unit)
 
@@ -737,18 +719,20 @@ class _Scheduler:
                 self._push(waiter)
 
     def _record(self, unit: _Unit) -> None:
-        runtime = self._admitted[unit.rank]
-        runtime.outcomes[unit.index] = value = unit.value
-        if unit.index < len(runtime.outcomes) - 1:  # a review
-            runtime.pending -= 1
+        product = self._admitted[unit.rank]
+        product.outcomes[unit.index] = value = unit.value
+        if unit.index < len(product.outcomes) - 1:  # a review
+            product.pending -= 1
             if isinstance(value, BaseException) and not isinstance(value, Exception):
                 self._stop_from(unit.rank)
-            elif not runtime.pending and unit.rank < self._stop:
+            elif not product.pending and unit.rank < self._stop:
                 self._push_closing(unit.rank)
         elif isinstance(value, BaseException):
             self._stop_from(unit.rank)
         else:
-            runtime.result = value
+            # The product's last advance is folded in: its counts are whole.
+            hits = sum(product.counts.values()) - product.calls
+            product.result = replace(value, call_stats=CallStats(**product.counts, cache_hits=hits))
             admitted = self._admitted
             while self._unfinished < len(admitted) and admitted[self._unfinished].result is not None:
                 self._unfinished += 1
@@ -771,7 +755,7 @@ def run_product(
     opens the store at ``config.cache_dir``, if any.
 
     The run has ``config.workers`` permits, and this thread serves it with
-    at most ``workers - 1`` helpers. In a run of ``run_products``,
+    ``workers - 1`` helper threads. In a run of ``run_products``,
     ``scheduler`` holds the product already at ``rank``, and this only
     waits for its result."""
     if scheduler is not None:
@@ -795,8 +779,8 @@ def run_products(
     through ``run_product`` once it and every earlier product have
     finished.
 
-    One scheduler serves the whole run on at most ``config.workers``
-    threads of its own, which share ``config.workers`` permits, so that is
+    One scheduler serves the whole run on ``config.workers`` threads of
+    its own, which share ``config.workers`` permits, so that is
     the cap on LLM calls in flight; the caller only waits. A free permit
     goes to the first ready stage by ``(product rank, review index)``, and
     the next product starts only when no stage of an earlier one is ready.

@@ -46,8 +46,10 @@ def test_wins_follow_each_metric_direction_and_skip_incorrect_runs():
 
 
 def _committed_bench_files() -> list[str]:
+    """The committed ``BENCH_*.json`` files; outside a git tree (a source
+    archive, say), every one in the root."""
     listed = subprocess.run(["git", "ls-files", "BENCH_*.json"], cwd=ROOT, capture_output=True, text=True)
-    return listed.stdout.split()
+    return listed.stdout.split() or sorted(path.name for path in ROOT.glob("BENCH_*.json"))
 
 
 @pytest.mark.parametrize("name", _committed_bench_files())

@@ -11,6 +11,9 @@ import threading
 import zlib
 from pathlib import Path
 
+import pytest
+
+from reviewlens import store
 from reviewlens.cache import COMPACTED_SEGMENT, ChatResponse, DiskResponseCache
 from reviewlens.cli import main
 from reviewlens.gateway import RecordingBackend, ReplayBackend
@@ -239,3 +242,20 @@ class TestResponseLog:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "scripts/build_fixture_corpus.py" in err
+
+
+def test_write_atomic_whose_rename_fails_leaves_no_temp_file(tmp_path, monkeypatch):
+    """The rename's error propagates, and the target keeps its old bytes
+    with no temp file beside it."""
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(store.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        store.write_atomic(target, b"new")
+    monkeypatch.undo()
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+    assert target.read_bytes() == b"old"

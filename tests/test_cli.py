@@ -980,6 +980,31 @@ class TestEval:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "modes, product, drop, message",
+        [
+            (("full", "full", "ablated"), "app-mixer-001", None,
+             "mode comparison needs one run dir per mode; missing ['baseline']"),
+            (("full", "baseline", "ablated"), None, None, "pass --product to choose among shared products"),
+            (("full", "baseline", "ablated"), "app-mixer-001", "full/app-mixer-001",
+             "product 'app-mixer-001' is not present in every run dir"),
+            (("full", "baseline", "ablated"), "app-mixer-001", "baseline/app-mixer-001/report.json",
+             "baseline run for app-mixer-001 lacks report.json"),
+        ],
+        ids=["a-mode-missing", "no-product-among-several", "product-not-in-every-run", "report-missing"],
+    )
+    def test_mode_comparison_refusals(self, run_dirs, capsys, modes, product, drop, message):
+        dropped = run_dirs["full"].parent / drop if drop else None
+        if dropped is not None and dropped.is_dir():
+            shutil.rmtree(dropped)
+        elif dropped is not None:
+            dropped.unlink()
+        argv = ["eval", "--runs", *(str(run_dirs[mode]) for mode in modes)]
+        argv += ["--criteria", str(TESTDATA / "criteria.jsonl")]
+        code = run_cli(*argv, *(["--product", product] if product else []))
+        assert code == 1
+        _refused(capsys, message)
+
+    @pytest.mark.parametrize(
         "name, corrupt",
         [
             ("report.json", lambda payload: "{not json"),

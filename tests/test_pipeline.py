@@ -22,7 +22,7 @@ from reviewlens.gateway import ChatResponse, ReplayBackend, RetryPolicy, fingerp
 from reviewlens.pipeline import (
     PipelineConfig,
     PipelineMode,
-    _PermitPool,
+    _Scheduler,
     build_baseline_prompt,
     build_run_manifest,
     run_product,
@@ -632,44 +632,74 @@ class TestPermitPool:
         assert names[retry : retry + 3] == [mixer] * 3 and mixer not in names[retry + 3 :]
         assert names.index(buds) == len(names) - names[::-1].index(serum)
 
-    def test_limit_halves_to_one_and_grows_back_to_count(self):
-        pool = _PermitPool(8, threading.Condition())
+    def test_limit_halves_to_one_and_grows_back_to_count(self, products):
+        """The limit each backend call finds, on one thread at workers=8:
+        each of four 429s halves it, to a floor of 1, and each answer adds
+        1/limit back, up to workers."""
+        calls = itertools.count()
         limits = []
-        for _ in range(4):
-            pool.throttled()
-            limits.append(pool._limit)
-        assert limits == [4.0, 2.0, 1.0, 1.0]
-        for _ in range(3):
-            pool.succeeded()
-            limits.append(pool._limit)
-        assert limits[4:] == [2.0, 2.5, 2.9]
-        for _ in range(100):
-            pool.succeeded()
-        assert pool._limit == 8.0
 
-    def test_success_at_the_ceiling_takes_no_lock(self):
-        pool = _PermitPool(2, threading.Condition())
-        pool._cond = None  # any use of the lock would raise
-        pool.succeeded()
-        assert pool._limit == 2.0
+        def throttle_four(request):
+            limits.append(scheduler._limit)
+            return RateLimitedError("slow down") if next(calls) < 4 else None
 
-    def test_permits_out_stay_within_the_limit(self):
-        pool = _PermitPool(2, threading.Condition())
-        pool.take()
-        pool.take()
-        assert not pool.free()
-        # Two permits out over a limit of one: one going back frees none.
-        pool.throttled()
-        pool.put_back()
-        assert not pool.free()
-        pool.put_back()
-        assert pool.free()
-        pool.take()
-        # At the limit, a success raises it and frees one.
-        pool.succeeded()
-        assert pool.free()
-        pool.take()
-        assert (pool._in_use, pool._limit) == (2, 2.0)
+        config = config_for(
+            PipelineMode.FULL, workers=8, retry=RetryPolicy(max_attempts=5, base_delay_ms=0, backoff_factor=1.0)
+        )
+        backend = SelectiveFailureBackend(fresh_replay(), fail_with=throttle_four)
+        scheduler = _Scheduler(products, config, backend, None, 0)
+        try:
+            results = [scheduler.result(rank, serve=True) for rank in range(len(products))]
+        finally:
+            scheduler.close()
+        assert limits[:5] == [8.0, 4.0, 2.0, 1.0, 1.0]
+        assert limits[5:8] == [2.0, 2.5, 2.9]
+        assert scheduler._limit == 8.0
+        assert results[0].call_stats.retries == 4
+        for product, result in zip(products, results):
+            assert render_report(result.report, ReportFormat.JSON) == golden(
+                "full", product.product_id, "report.json"
+            )
+
+    def test_permits_out_stay_within_the_limit(self, products_by_id):
+        """Two permits at workers=2. A 429 while both are out halves the
+        limit to 1, so the other call going back (a transport error, which
+        leaves the limit) frees one only then, and the next call runs alone.
+        Its answer raises the limit back to 2, and two calls overlap again."""
+        product = products_by_id["app-mixer-001"]
+        lock = threading.Lock()
+        spans: list[list[float]] = []  # [start, end] of each backend call, in order
+        both_out, overlap_again = threading.Barrier(2, timeout=5), threading.Barrier(2, timeout=5)
+
+        def scripted(request):
+            with lock:
+                n = len(spans)
+                spans.append([time.monotonic(), 0.0])
+            try:
+                if n < 2:
+                    both_out.wait()
+                    if n == 0:
+                        return RateLimitedError("slow down")
+                    time.sleep(0.1)
+                    return TransportError("blip")
+                if n == 2:
+                    time.sleep(0.05)
+                elif n in (3, 4):
+                    overlap_again.wait()
+                return None
+            finally:
+                spans[n][1] = time.monotonic()
+
+        backend = SelectiveFailureBackend(fresh_replay(), fail_with=scripted)
+        result = run_product(product, config_for(PipelineMode.FULL, workers=2), backend)
+        # Nothing starts while the transport error's call is out, nor while
+        # the lone call is.
+        assert spans[2][0] >= spans[1][1]
+        assert spans[3][0] >= spans[2][1]
+        assert render_report(result.report, ReportFormat.JSON) == golden(
+            "full", product.product_id, "report.json"
+        )
+        assert result.call_stats.retries == 2
 
 
 class FaultyBackend:

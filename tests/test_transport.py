@@ -70,7 +70,7 @@ class TestConnectionReuse:
         server = serve(["close_header"])
         live = http_backend(server.url, KEY)
         assert live.complete(_request("first")).text == _ok("first")
-        assert live._origin._idle == []
+        assert live._origin._pooled == []
         assert live.complete(_request("second")).text == _ok("second")
         assert server.connections == 2
         assert len(server.arrivals) == 2
@@ -123,7 +123,7 @@ class TestConnectionReuse:
         try:
             held += [os.dup(base) for _ in range(1100)]
             assert live.complete(_request("first")).text == _ok("first")
-            (sock,) = live._origin._idle
+            (sock,) = live._origin._pooled
             assert sock.fileno() >= 1024  # beyond what select() takes
             assert live.complete(_request("second")).text == _ok("second")
         finally:
@@ -166,6 +166,11 @@ class TestResponseFraming:
             pytest.param(_head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked") + b"zz\r\n", id="bad-chunk-size"),
             pytest.param(_head(b"HTTP/1.1 200 OK", b"X-Long: " + b"a" * 200000, b"Content-Length: 0"), id="no-newline-within-line-limit"),
             pytest.param(_head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked") + b"2\r\n{}}}\r\n0\r\n\r\n", id="chunk-longer-than-its-size"),
+            pytest.param(_head(b"HTTP/1.1 200 OK", b"No colon here", b"Content-Length: 0"), id="malformed-header-line"),
+            pytest.param(
+                _head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked") + b"2\r\n{}\r\n0\r\n" + b"X-T: 1\r\n" * 101 + b"\r\n",
+                id="too-many-trailer-lines",
+            ),
         ],
     )
     def test_malformed_response_is_a_transport_error_sent_once(self, serve, http_backend, reply):
@@ -174,7 +179,7 @@ class TestResponseFraming:
         with pytest.raises(TransportError):
             live.complete(_request())
         assert len(server.arrivals) == 1
-        assert live._origin._idle == []
+        assert live._origin._pooled == []
 
     def test_http_10_response_without_length_reads_to_close(self, serve, http_backend):
         server = serve([Raw(_head(b"HTTP/1.0 200 OK", b"Content-Type: application/json") + answer(_ok("first")))])
@@ -183,6 +188,16 @@ class TestResponseFraming:
         assert live.complete(_request("second")).text == _ok("second")
         assert server.connections == 2
         assert len(server.arrivals) == 2
+
+    def test_body_framed_by_close_longer_than_one_read(self, serve, http_backend):
+        """A body that ends with the connection and takes more than one
+        64 KiB ``recv`` to read arrives whole."""
+        content = _ok("first") + "x" * 70000
+        server = serve([Raw(_head(b"HTTP/1.1 200 OK", b"Connection: close") + answer(content))])
+        live = http_backend(server.url, KEY)
+        assert live.complete(_request("first")).text == content
+        assert live._origin._pooled == []
+        assert len(server.arrivals) == 1
 
     def test_bytes_past_the_response_are_never_read_as_the_next_one(self, serve, http_backend):
         def reply(content: str) -> bytes:
