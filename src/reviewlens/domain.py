@@ -4,7 +4,7 @@ Responsibilities:
   * immutable value types for products, reviews, extracted attributes,
     comparison outcomes, and the final structured report
   * the attribute-name normalization rule shared by every stage
-  * the closed four-variant comparison taxonomy with its parser/renderer
+  * the closed four-variant comparison taxonomy with its parser
   * canonical JSON serialization (UTF-8, lexicographically sorted keys) so
     equal values always produce identical bytes
   * the dataset and ``report.json`` readers: ``from_dict(payload, name)``
@@ -88,18 +88,6 @@ class ComparisonStatus(enum.Enum):
     PARTIALLY_MATCHING = "Partially-matching"
     MATCHING = "Matching"
 
-    @property
-    def label(self) -> str:
-        return self.value
-
-
-REPORT_STATUS_ORDER: tuple[ComparisonStatus, ...] = (
-    ComparisonStatus.MISSING,
-    ComparisonStatus.CONTRADICTORY,
-    ComparisonStatus.PARTIALLY_MATCHING,
-    ComparisonStatus.MATCHING,
-)
-
 _STATUS_ALIASES: dict[str, ComparisonStatus] = {
     "missing": ComparisonStatus.MISSING,
     "contradictory": ComparisonStatus.CONTRADICTORY,
@@ -124,18 +112,9 @@ def parse_status(label: str) -> ComparisonStatus:
     return status
 
 
-def render_status(status: ComparisonStatus) -> str:
-    """Canonical label; parse_status(render_status(s)) == s for all variants."""
-    return status.label
-
-
 def canonical_json(payload: Any) -> str:
     """Serialize to the canonical JSON text form (UTF-8, sorted keys)."""
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-
-
-def canonical_json_bytes(payload: Any) -> bytes:
-    return canonical_json(payload).encode("utf-8")
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,7 +286,7 @@ class Insight:
         return {
             "attribute": self.key,
             "values": list(self.values),
-            "status": render_status(self.status),
+            "status": self.status.value,
             "category": self.category,
             "evidence": list(self.evidence),
             "justifications": list(self.justifications),
@@ -354,15 +333,6 @@ class CallStats:
     def total_calls(self) -> int:
         return self.extraction_calls + self.comparison_calls + self.grouping_calls
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "extraction_calls": self.extraction_calls,
-            "comparison_calls": self.comparison_calls,
-            "grouping_calls": self.grouping_calls,
-            "cache_hits": self.cache_hits,
-            "retries": self.retries,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class CategoryGroup:
@@ -404,20 +374,15 @@ class StructuredReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sections", tuple(self.sections))
         statuses = tuple(section.status for section in self.sections)
-        if statuses != REPORT_STATUS_ORDER:
+        if statuses != tuple(ComparisonStatus):
             raise ValueError("report sections must cover all four statuses in fixed order")
-
-    def iter_insights(self) -> Iterable[Insight]:
-        for section in self.sections:
-            for group in section.groups:
-                yield from group.insights
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "product_id": self.product_id,
             "sections": [
                 {
-                    "status": render_status(section.status),
+                    "status": section.status.value,
                     "categories": [
                         {
                             "category": group.category,

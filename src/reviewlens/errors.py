@@ -2,8 +2,10 @@
 
 Every exception that callers are expected to branch on lives here. The
 request path retries ``TransportError``, ``RateLimitedError`` and
-``MalformedOutputError`` (``gateway.complete_with_retry``); every other
-error ends a request at once.
+``MalformedOutputError`` (``gateway.complete_with_retry``). A pipeline step
+fails on ``ExhaustedRetriesError``, once that budget is spent, or on a
+``GatewayError`` that is not retried; any other error reaches the run's
+caller.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ import socket
 import ssl
 import threading
 import urllib.request
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Generator, Optional, Protocol, TypeVar, runtime_checkable
 from urllib.parse import SplitResult, unquote, urlsplit
@@ -116,9 +116,6 @@ class RetryPolicy:
         if retry_index < 1:
             raise ValueError("retry_index is 1-based")
         return self.base_delay_ms * self.backoff_factor ** (retry_index - 1)
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Any) -> "RetryPolicy":

@@ -52,7 +52,6 @@ from __future__ import annotations
 import contextlib
 import enum
 import heapq
-import itertools
 import json
 import threading
 import time
@@ -169,17 +168,8 @@ class PipelineResult:
     extractions: Mapping[str, tuple[ExtractedAttribute, ...]] = field(default_factory=dict)
     call_stats: CallStats = field(default_factory=CallStats)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "failed_units", tuple(self.failed_units))
-        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
-        object.__setattr__(
-            self,
-            "extractions",
-            {rid: tuple(attrs) for rid, attrs in dict(self.extractions).items()},
-        )
 
-
-_STEP_FAILURES = (ExhaustedRetriesError, GatewayError, MalformedOutputError)
+_STEP_FAILURES = (ExhaustedRetriesError, GatewayError)
 
 # How often the caller of a run wakes while it waits, so that a
 # KeyboardInterrupt that reaches the main thread without waking it
@@ -330,7 +320,7 @@ class _Collected:
     succeeded: list[_ReviewOutcome]
     failed: list[str]
     diagnostics: list[str]
-    extractions: dict[str, list[ExtractedAttribute]]
+    extractions: dict[str, tuple[ExtractedAttribute, ...]]
 
 
 def _collect(outcomes: Sequence[_ReviewOutcome]) -> _Collected:
@@ -338,7 +328,7 @@ def _collect(outcomes: Sequence[_ReviewOutcome]) -> _Collected:
         succeeded=[o for o in outcomes if o.failed_stage is None],
         failed=[o.review_id for o in outcomes if o.failed_stage is not None],
         diagnostics=[note for o in outcomes for note in o.diagnostics],
-        extractions={o.review_id: o.attributes for o in outcomes if o.failed_stage != "extraction"},
+        extractions={o.review_id: tuple(o.attributes) for o in outcomes if o.failed_stage != "extraction"},
     )
 
 
@@ -432,11 +422,7 @@ def _direct_report(product: ProductRecord, reviews: _Collected, config: Pipeline
             reviews.diagnostics,
         ))
     except _STEP_FAILURES as exc:
-        malformed = isinstance(exc, MalformedOutputError) or (
-            isinstance(exc, ExhaustedRetriesError)
-            and isinstance(exc.last_error, MalformedOutputError)
-        )
-        if malformed:
+        if isinstance(getattr(exc, "last_error", None), MalformedOutputError):
             reviews.diagnostics.append(
                 f"report payload unusable after retries; emitting empty report: {exc}"
             )
@@ -518,8 +504,8 @@ class _Scheduler:
         self._unfinished = 0  # the first product without a result
         self._stop = len(products)  # products from this rank on start nothing
         self._ready: list[tuple[int, int, _Unit]] = []
-        self._timers: list[tuple[float, int, _Unit]] = []
-        self._tickets = itertools.count()
+        # (deadline, rank, index, unit): a unit is here at most once, so no tie reaches it.
+        self._timers: list[tuple[float, int, int, _Unit]] = []
         self._helpers: list[threading.Thread] = []
         try:
             for _ in range(helpers):
@@ -586,14 +572,15 @@ class _Scheduler:
             now = time.monotonic()
             timers = self._timers
             while timers and timers[0][0] <= now:
-                self._push(heapq.heappop(timers)[2])
+                self._push(heapq.heappop(timers)[3])
             if self._in_flight < int(self._limit) and (unit := self._first_ready()) is not None:
                 self._in_flight += 1
                 # More work for another thread: a ready unit, or a product to admit.
                 if (self._ready or len(self._admitted) < self._stop) and self._in_flight < int(self._limit):
                     self._work.notify()
                 return unit
-            timeout = timers[0][0] - now if timers else None
+            # Condition.wait raises OverflowError past TIMEOUT_MAX (about 292 years).
+            timeout = min(timers[0][0] - now, threading.TIMEOUT_MAX) if timers else None
             if rank is not None:
                 timeout = _WAKE_S if timeout is None else min(timeout, _WAKE_S)
             self._work.wait(timeout)
@@ -688,7 +675,7 @@ class _Scheduler:
         elif isinstance(wait, _Ask) and self._cache is not None and self._park(unit):
             pass
         elif isinstance(wait, float) and wait > 0:
-            entry = (time.monotonic() + wait, next(self._tickets), unit)
+            entry = (time.monotonic() + wait, unit.rank, unit.index, unit)
             heapq.heappush(self._timers, entry)
             if self._timers[0] is entry:
                 self._work.notify()  # a thread's wait may end later than this deadline
@@ -819,7 +806,7 @@ def build_run_manifest(
         "mode": config.mode.value,
         "backend": backend_label,
         "config": config.to_dict(),
-        "call_stats": result.call_stats.to_dict(),
+        "call_stats": asdict(result.call_stats),
         "failed_units": list(result.failed_units),
         "diagnostics": list(result.diagnostics),
     }

@@ -15,7 +15,6 @@ from dataclasses import replace
 from typing import Iterable, Sequence
 
 from .domain import (
-    REPORT_STATUS_ORDER,
     AttributeKey,
     CategoryAssignment,
     CategoryGroup,
@@ -24,10 +23,9 @@ from .domain import (
     Insight,
     ReportSection,
     StructuredReport,
-    canonical_json_bytes,
+    canonical_json,
     normalize_key,
     parse_status,
-    render_status,
 )
 from .errors import EmptyKeyError, UnknownStatusError
 from .llm_json import coerce_scalar, load_json_object, require_array
@@ -92,7 +90,7 @@ def build_report(
     and the assignment, never on input order.
     """
     by_status: dict[ComparisonStatus, dict[str, dict[AttributeKey, Insight]]] = {
-        status: {} for status in REPORT_STATUS_ORDER
+        status: {} for status in ComparisonStatus
     }
     for insight in insights:
         placed = replace(insight, category=insight.category or categories.category_for(insight.key))
@@ -111,7 +109,7 @@ def build_report(
                 for category in sorted(by_status[status])
             ),
         )
-        for status in REPORT_STATUS_ORDER
+        for status in ComparisonStatus
     )
     return StructuredReport(product_id=product_id, sections=sections)
 
@@ -119,7 +117,7 @@ def build_report(
 def render_report(report: StructuredReport, fmt: ReportFormat) -> bytes:
     """Render the report body to bytes; identical inputs give identical bytes."""
     if fmt is ReportFormat.JSON:
-        return canonical_json_bytes(report.to_dict())
+        return canonical_json(report.to_dict()).encode("utf-8")
     if fmt is ReportFormat.MARKDOWN:
         return _render_markdown(report).encode("utf-8")
     raise ValueError(f"unsupported report format: {fmt!r}")
@@ -128,7 +126,7 @@ def render_report(report: StructuredReport, fmt: ReportFormat) -> bytes:
 def _render_markdown(report: StructuredReport) -> str:
     lines: list[str] = [f"# Listing insight report: {report.product_id}", ""]
     for section in report.sections:
-        lines.append(f"## {render_status(section.status)}")
+        lines.append(f"## {section.status.value}")
         lines.append("")
         if not section.groups:
             lines.append("*(no entries)*")
@@ -181,7 +179,7 @@ def parse_report_sections(
             continue
         groups = section.get("categories")
         if not isinstance(groups, list):
-            notes.append(f"report section {render_status(status)} lacks categories; skipped")
+            notes.append(f"report section {status.value} lacks categories; skipped")
             continue
         for group in groups:
             if not isinstance(group, dict):

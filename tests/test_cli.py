@@ -121,6 +121,21 @@ class TestRunReplay:
         assert (out / "app-mixer-001" / "report.json").exists()
         assert not (out / "app-mixer-001" / "report.md").exists()
 
+    def test_markdown_format_writes_no_json_report(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli(
+            "run",
+            "--dataset", DATASET,
+            "--fixtures", FIXTURES,
+            "--mode", "full",
+            "--product", "app-mixer-001",
+            "--out", str(out),
+            "--format", "markdown",
+        )
+        assert code == 0
+        assert (out / "app-mixer-001" / "report.md").read_bytes() == golden("full", "app-mixer-001", "report.md")
+        assert not (out / "app-mixer-001" / "report.json").exists()
+
     def test_worker_counts_same_bytes(self, tmp_path):
         one = tmp_path / "one"
         three = tmp_path / "three"
@@ -160,7 +175,7 @@ class TestRunErrors:
         assert code == 1
 
     @pytest.mark.parametrize("flag", ["--workers"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
     def test_non_positive_count_flags_rejected(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exit_info:
             run_cli("run", "--dataset", DATASET, "--fixtures", FIXTURES, flag, value)
@@ -168,6 +183,18 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert f"error: argument {flag}: expected a positive integer, got '{value}'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    def test_unreadable_dataset_refused(self, tmp_path, capsys, kind):
+        dataset = tmp_path / "dataset.json"
+        if kind == "directory":
+            dataset.mkdir()
+        else:
+            dataset.write_bytes('[{"product_id": "caf\xe9"}]'.encode("latin-1"))
+        code = run_cli("run", "--dataset", str(dataset), "--fixtures", FIXTURES, "--out", str(tmp_path / "out"))
+        assert code == 1
+        _refused(capsys, f"{dataset}: cannot read: ")
+        assert sorted(tmp_path.iterdir()) == [dataset]
 
     def test_parallel_products_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -904,6 +931,16 @@ class TestEval:
         # Computed honestly from its own precision and recall columns.
         assert any("0.67" in line and "0.56" in line for line in lines)
 
+    def test_scores_rows_object_prints_the_same_table(self, tmp_path, capsys):
+        rows = json.loads((TESTS / "eval_scores.json").read_text(encoding="utf-8"))
+        tables = []
+        for name, payload in (("array.json", rows), ("object.json", {"rows": rows})):
+            path = tmp_path / name
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            assert run_cli("eval", "--scores", str(path)) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] and "Precision" in tables[0]
+
     def test_gold_pooled_metrics(self, run_dirs, capsys):
         code = run_cli(
             "eval",
@@ -971,6 +1008,18 @@ class TestEval:
         retention = next(line for line in out.splitlines() if "detail_retention" in line)
         assert retention.split()[-3:] == ["0", "2", "1"]
 
+    def test_mode_comparison_picks_the_one_shared_product(self, run_dirs, capsys):
+        """Without --product, the one product every run dir holds is compared."""
+        argv = ["eval", "--runs", *(str(run_dirs[mode]) for mode in ("full", "baseline", "ablated"))]
+        argv += ["--criteria", str(TESTDATA / "criteria.jsonl")]
+        assert run_cli(*argv, "--product", "app-mixer-001") == 0
+        chosen = capsys.readouterr().out
+        for product_id in ("bty-serum-002", "ele-buds-003"):
+            shutil.rmtree(run_dirs["full"] / product_id)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == chosen
+        assert "Mode comparison for app-mixer-001:" in chosen
+
     def test_mode_comparison_requires_three_runs(self, run_dirs, capsys):
         code = run_cli(
             "eval",
@@ -989,20 +1038,28 @@ class TestEval:
              "product 'app-mixer-001' is not present in every run dir"),
             (("full", "baseline", "ablated"), "app-mixer-001", "baseline/app-mixer-001/report.json",
              "baseline run for app-mixer-001 lacks report.json"),
+            (("full", "baseline", "ablated"), "app-mixer-001", "full",
+             "run directory {root}/full does not exist"),
+            (("full", "baseline", "ablated"), "app-mixer-001", "full/*",
+             "run directory {root}/full holds no product manifests"),
         ],
-        ids=["a-mode-missing", "no-product-among-several", "product-not-in-every-run", "report-missing"],
+        ids=[
+            "a-mode-missing", "no-product-among-several", "product-not-in-every-run", "report-missing",
+            "run-dir-missing", "run-dir-empty",
+        ],
     )
     def test_mode_comparison_refusals(self, run_dirs, capsys, modes, product, drop, message):
-        dropped = run_dirs["full"].parent / drop if drop else None
-        if dropped is not None and dropped.is_dir():
-            shutil.rmtree(dropped)
-        elif dropped is not None:
-            dropped.unlink()
+        root = run_dirs["full"].parent
+        for dropped in root.glob(drop) if drop else ():
+            if dropped.is_dir():
+                shutil.rmtree(dropped)
+            else:
+                dropped.unlink()
         argv = ["eval", "--runs", *(str(run_dirs[mode]) for mode in modes)]
         argv += ["--criteria", str(TESTDATA / "criteria.jsonl")]
         code = run_cli(*argv, *(["--product", product] if product else []))
         assert code == 1
-        _refused(capsys, message)
+        _refused(capsys, message.format(root=root))
 
     @pytest.mark.parametrize(
         "name, corrupt",

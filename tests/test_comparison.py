@@ -109,6 +109,16 @@ class TestRepairRules:
         assert [c.attribute.key for c in compared] == ["color"]
         assert any("finish" in n for n in notes)
 
+    def test_row_whose_key_normalizes_to_empty_is_dropped(self):
+        attrs = [attr("color", "red")]
+        notes: list[str] = []
+        text = payload(row("---", "red", "Matching", "Seen."))
+        compared = parse_comparison_response(text, attrs, diagnostics=notes)
+        assert [(c.attribute.key, c.status) for c in compared] == [("color", ComparisonStatus.MISSING)]
+        assert compared[0].justification == OMITTED_JUSTIFICATION
+        assert any("'---'" in n and "dropped" in n for n in notes)
+        assert any("'color'" in n and "defaulted to Missing" in n for n in notes)
+
     def test_output_order_follows_input_not_response(self):
         attrs = [attr("a_key", "1"), attr("b_key", "2")]
         text = payload(
@@ -206,5 +216,5 @@ class TestCompareReview:
         ])
         result = self._run(backend, fast_retry)
         assert result.failed_units == ()
-        assert len(list(result.report.iter_insights())) == 2
+        assert sum(len(g.insights) for s in result.report.sections for g in s.groups) == 2
         assert len(result.diagnostics) == 1

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from reviewlens.domain import (
     OTHER_CATEGORY,
-    REPORT_STATUS_ORDER,
     CallStats,
     CategoryAssignment,
     ComparisonStatus,
@@ -21,11 +20,9 @@ from reviewlens.domain import (
     Review,
     StructuredReport,
     canonical_json,
-    canonical_json_bytes,
     load_product_records,
     normalize_key,
     parse_status,
-    render_status,
 )
 from reviewlens.errors import DataFormatError, EmptyKeyError, UnknownStatusError
 from reviewlens.structuring import build_report
@@ -93,10 +90,10 @@ class TestStatusTaxonomy:
 
     def test_render_round_trip(self):
         for status in ComparisonStatus:
-            assert parse_status(render_status(status)) is status
+            assert parse_status(status.value) is status
 
     def test_report_order_actionable_first(self):
-        assert REPORT_STATUS_ORDER == (
+        assert tuple(ComparisonStatus) == (
             ComparisonStatus.MISSING,
             ComparisonStatus.CONTRADICTORY,
             ComparisonStatus.PARTIALLY_MATCHING,
@@ -122,7 +119,7 @@ class TestCanonicalJson:
     )
     def test_bytes_stable_under_key_order(self, payload):
         reordered = dict(reversed(list(payload.items())))
-        assert canonical_json_bytes(payload) == canonical_json_bytes(reordered)
+        assert canonical_json(payload) == canonical_json(reordered)
         assert json.loads(canonical_json(payload)) == payload
 
 
@@ -159,7 +156,7 @@ class TestDataclasses:
 
     def test_report_requires_all_sections(self):
         report = build_report([], CategoryAssignment(), product_id="p")
-        assert [s.status for s in report.sections] == list(REPORT_STATUS_ORDER)
+        assert [s.status for s in report.sections] == list(ComparisonStatus)
         with pytest.raises(ValueError):
             StructuredReport(product_id="p", sections=report.sections[:2])
 

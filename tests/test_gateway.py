@@ -91,7 +91,7 @@ class TestRetryPolicy:
 
     def test_round_trip(self):
         policy = RetryPolicy(max_attempts=5, base_delay_ms=10, backoff_factor=3.0)
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
+        assert RetryPolicy.from_dict(dataclasses.asdict(policy)) == policy
 
 
 class TestApiCredential:

@@ -539,6 +539,36 @@ class TestBackoffScheduling:
             + ["mix-r1/extraction", "mix-r1/comparison"]
         )
 
+    def test_backoff_past_timeout_max_keeps_the_helper(self, products):
+        """The first call fails and its retry is due in 1e10 s, past
+        threading.TIMEOUT_MAX: the one helper runs every other unit, then
+        waits on that deadline instead of dying of OverflowError, and
+        closing the run ends the wait at once."""
+        first = itertools.count()
+        backend = SelectiveFailureBackend(
+            fresh_replay(), fail_with=lambda request: TransportError("blip") if next(first) == 0 else None
+        )
+        config = config_for(PipelineMode.FULL, workers=1, retry=RetryPolicy(base_delay_ms=10**13))
+        scheduler = _Scheduler(products, config, backend, None, 1)
+        (helper,) = scheduler._helpers
+        try:
+            give_up = time.monotonic() + 30
+            while time.monotonic() < give_up:
+                # Holding the lock with no permit out and no unit ready, the
+                # helper is inside its wait for the deadline.
+                with scheduler._work:
+                    if scheduler._timers and not scheduler._ready and not scheduler._in_flight:
+                        break
+                time.sleep(0.01)
+            assert [product.result is not None for product in scheduler._admitted] == [False, True, True]
+            helper.join(0.5)
+            assert helper.is_alive()
+        finally:
+            closing = time.monotonic()
+            scheduler.close()
+        assert time.monotonic() - closing < 1
+        assert not helper.is_alive()
+
 
 class TestInterrupts:
     def test_interrupt_on_a_helper_thread_reaches_the_caller(self, products_by_id):

@@ -16,14 +16,12 @@ from hypothesis import strategies as st
 
 from reviewlens.domain import (
     OTHER_CATEGORY,
-    REPORT_STATUS_ORDER,
     CategoryAssignment,
     ComparedAttribute,
     ComparisonStatus,
     ExtractedAttribute,
     StructuredReport,
-    canonical_json_bytes,
-    render_status,
+    canonical_json,
 )
 from reviewlens.errors import MalformedOutputError
 from reviewlens.llm_json import load_json_object
@@ -97,7 +95,7 @@ class TestMergeInsights:
 class TestBuildReport:
     def test_all_sections_present_even_when_empty(self):
         report = build_report([], CategoryAssignment(), product_id="p1")
-        assert [s.status for s in report.sections] == list(REPORT_STATUS_ORDER)
+        assert [s.status for s in report.sections] == list(ComparisonStatus)
         assert all(s.groups == () for s in report.sections)
 
     def test_unassigned_key_lands_in_other(self):
@@ -135,7 +133,7 @@ class TestRenderReport:
     def test_json_is_canonical_body_bytes(self):
         insights = merge_insights([compared("color", "red", "r1")])
         report = build_report(insights, CategoryAssignment(), product_id="p1")
-        assert render_report(report, ReportFormat.JSON) == canonical_json_bytes(report.to_dict())
+        assert render_report(report, ReportFormat.JSON) == canonical_json(report.to_dict()).encode("utf-8")
 
     def test_markdown_layout(self):
         insights = merge_insights(
@@ -185,7 +183,7 @@ def brute_force_body(
             slot["justifications"].append(item.justification)
 
     sections = []
-    for status in REPORT_STATUS_ORDER:
+    for status in ComparisonStatus:
         categories_here: dict[str, list] = {}
         for (key, item_status), slot in merged.items():
             if item_status is not status:
@@ -195,7 +193,7 @@ def brute_force_body(
                 {
                     "attribute": key,
                     "values": list(slot["values"]),
-                    "status": render_status(status),
+                    "status": status.value,
                     "category": category,
                     "evidence": sorted(set(slot["evidence"])),
                     "justifications": list(slot["justifications"]),
@@ -203,7 +201,7 @@ def brute_force_body(
             )
         sections.append(
             {
-                "status": render_status(status),
+                "status": status.value,
                 "categories": [
                     {
                         "category": category,
@@ -454,7 +452,7 @@ def test_both_report_paths_merge_alike(items):
     payload = {
         "sections": [
             {
-                "status": render_status(item.status),
+                "status": item.status.value,
                 "categories": [
                     {
                         "category": "General",
