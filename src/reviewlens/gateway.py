@@ -42,6 +42,7 @@ import enum
 import hashlib
 import http.client
 import json
+import math
 import re
 import select
 import socket
@@ -111,11 +112,17 @@ class RetryPolicy:
         """Delay before re-attempt number ``retry_index`` (1-based).
 
         Grows as base * factor**(retry_index - 1); nondecreasing since the
-        factor is >= 1.
+        factor is >= 1. A zero base stays 0, and a power past the float
+        range saturates to infinity instead of raising.
         """
         if retry_index < 1:
             raise ValueError("retry_index is 1-based")
-        return self.base_delay_ms * self.backoff_factor ** (retry_index - 1)
+        if not self.base_delay_ms:
+            return 0.0
+        try:
+            return self.base_delay_ms * self.backoff_factor ** (retry_index - 1)
+        except OverflowError:
+            return math.inf
 
     @classmethod
     def from_dict(cls, payload: Any) -> "RetryPolicy":

@@ -18,8 +18,8 @@ scheduler resolves those requests through ``complete_parsed``, whose retry
 loop yields each backoff rather than sleeping, with the stage's unit as the
 backend: the unit notes how each call it passes on ended.
 
-One ``_Scheduler`` serves a run on at most ``workers`` threads, the caller's
-included in a direct ``run_product``. Each thread holds a permit while it
+One ``_Scheduler`` serves a run on ``workers`` threads of its own, while
+the caller only waits for results. Each thread holds a permit while it
 advances a stage to its next yield, so ``workers`` caps the LLM calls in
 flight. Ready stages are taken by ``(product rank, review index)``, and a
 stage backing off waits on a heap of deadlines holding no thread and no
@@ -250,19 +250,6 @@ class _Admitted:
     calls: int = 0
 
 
-@contextlib.contextmanager
-def _cache_for(
-    config: PipelineConfig, cache: DiskResponseCache | None
-) -> Iterator[DiskResponseCache | None]:
-    """``cache``, else the store at ``config.cache_dir`` (if any), opened
-    here and closed on exit."""
-    if cache is not None or config.cache_dir is None:
-        yield cache
-        return
-    with DiskResponseCache(config.cache_dir) as opened:
-        yield opened
-
-
 @dataclass(slots=True)
 class _ReviewOutcome:
     review_id: str
@@ -464,7 +451,7 @@ def _close(
 
 
 class _Scheduler:
-    """One run's work, served by at most ``workers`` threads.
+    """One run's work, served by ``helpers`` threads of its own.
 
     Ready units wait in a heap keyed by ``(product rank, index)``, and units
     backing off in a heap of deadlines. A thread takes a permit and the
@@ -472,9 +459,9 @@ class _Scheduler:
     one hold of the lock, it settles the unit and takes the first ready one
     again, usually the same. A product is admitted, its units built, only
     when no unit is ready, and gets its closing unit once its reviews are
-    done. The ``helpers`` threads start with the scheduler: ``workers - 1``
-    when the caller serves too (a direct ``run_product``), ``workers`` when
-    it only waits.
+    done. The helpers start with the scheduler (``run_products`` starts
+    ``workers``; a test may serve a run on its own thread with none), and
+    ``result`` only waits.
 
     At most ``int(limit)`` permits are out at once. The limit starts at
     ``workers``, its ceiling; a throttled call halves it, to a floor of 1,
@@ -516,17 +503,13 @@ class _Scheduler:
             self.close()
             raise
 
-    def result(self, rank: int, *, serve: bool) -> PipelineResult:
-        """Product ``rank``'s result, once it has one, serving units on this
-        thread meanwhile if ``serve``. A product that stopped raises the
-        first exception kept with it in dataset order, once the run is
-        closed and the calls in flight have returned."""
-        if serve:
-            self._serve(rank)
-        else:
-            with self._results:
-                while not self._done(rank):
-                    self._results.wait(_WAKE_S)
+    def result(self, rank: int) -> PipelineResult:
+        """Product ``rank``'s result, once it has one. A product that
+        stopped raises the first exception kept with it in dataset order,
+        once the run is closed and the calls in flight have returned."""
+        with self._results:
+            while not self._done(rank):
+                self._results.wait(_WAKE_S)
         product = self._admitted[rank]
         if product.result is None:
             self.close()
@@ -548,26 +531,24 @@ class _Scheduler:
     def _done(self, rank: int) -> bool:
         return rank >= self._stop or (rank < len(self._admitted) and self._admitted[rank].result is not None)
 
-    def _serve(self, rank: int | None = None) -> None:
-        """Advance units until ``_next`` has none for this thread."""
+    def _serve(self) -> None:
+        """Advance units until ``_next`` has none."""
         unit = None
         while True:
             with self._work:
                 if unit is not None:
                     self._settle(unit)
-                unit = self._next(rank)
+                unit = self._next()
                 if unit is None:
                     return
             unit.advance()
 
-    def _next(self, rank: int | None) -> _Unit | None:
+    def _next(self) -> _Unit | None:
         """The first ready unit, with a permit taken for it, waiting until
-        there is one. None once this thread is done: the caller of a direct
-        run when product ``rank`` is done, a helper when every product
-        before the stop is. Called holding the lock."""
+        there is one. None once every product before the stop is done.
+        Called holding the lock."""
         while True:
-            finished = self._done(rank) if rank is not None else self._unfinished >= self._stop
-            if finished:
+            if self._unfinished >= self._stop:
                 return None
             now = time.monotonic()
             timers = self._timers
@@ -580,10 +561,7 @@ class _Scheduler:
                     self._work.notify()
                 return unit
             # Condition.wait raises OverflowError past TIMEOUT_MAX (about 292 years).
-            timeout = min(timers[0][0] - now, threading.TIMEOUT_MAX) if timers else None
-            if rank is not None:
-                timeout = _WAKE_S if timeout is None else min(timeout, _WAKE_S)
-            self._work.wait(timeout)
+            self._work.wait(min(timers[0][0] - now, threading.TIMEOUT_MAX) if timers else None)
 
     def _first_ready(self) -> _Unit | None:
         """Pop the first ready unit of a product not stopped, admitting the
@@ -738,21 +716,15 @@ def run_product(
     rank: int = 0,
 ) -> PipelineResult:
     """Run one product in the configured mode: the mode's per-review task
-    over the reviews, then its one closing call. Without a ``cache`` it
-    opens the store at ``config.cache_dir``, if any.
+    over the reviews, then its one closing call.
 
-    The run has ``config.workers`` permits, and this thread serves it with
-    ``workers - 1`` helper threads. In a run of ``run_products``,
-    ``scheduler`` holds the product already at ``rank``, and this only
-    waits for its result."""
-    if scheduler is not None:
-        return scheduler.result(rank, serve=False)
-    with _cache_for(config, cache) as cache:
-        scheduler = _Scheduler([product], config, gateway, cache, config.workers - 1)
-        try:
-            return scheduler.result(0, serve=True)
-        finally:
-            scheduler.close()
+    Alone, this is a run of ``run_products`` over this one product. In such
+    a run, ``scheduler`` holds the product already at ``rank``, and this
+    only waits for its result."""
+    if scheduler is None:
+        with contextlib.closing(run_products([product], config, gateway, cache=cache)) as run:
+            return next(run)
+    return scheduler.result(rank)
 
 
 def run_products(
@@ -771,8 +743,8 @@ def run_products(
     the cap on LLM calls in flight; the caller only waits. A free permit
     goes to the first ready stage by ``(product rank, review index)``, and
     the next product starts only when no stage of an earlier one is ready.
-    Without a ``cache``, the run opens the store at ``config.cache_dir``
-    once, for all its products.
+    Without a ``cache``, the run opens the store at ``config.cache_dir``,
+    if any, once for all its products, and closes it at the end.
 
     A run that is stopping starts nothing new: no product, no stage and no
     backend call. An exception from a product stops the products from it
@@ -781,13 +753,13 @@ def run_products(
     product. Either way the exception surfaces once the calls in flight
     have returned.
     """
-    with _cache_for(config, cache) as cache:
+    with contextlib.ExitStack() as stack:
+        if cache is None and config.cache_dir is not None:
+            cache = stack.enter_context(DiskResponseCache(config.cache_dir))
         scheduler = _Scheduler(products, config, gateway, cache, config.workers)
-        try:
-            for rank, product in enumerate(products):
-                yield run_product(product, config, gateway, cache=cache, scheduler=scheduler, rank=rank)
-        finally:
-            scheduler.close()
+        stack.callback(scheduler.close)
+        for rank, product in enumerate(products):
+            yield run_product(product, config, gateway, cache=cache, scheduler=scheduler, rank=rank)
 
 
 def build_run_manifest(

@@ -9,6 +9,8 @@ import json
 import socket
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reviewlens.cache import DiskResponseCache
 from reviewlens.errors import (
@@ -80,6 +82,20 @@ class TestRetryPolicy:
     def test_delay_schedule(self):
         policy = RetryPolicy(max_attempts=4, base_delay_ms=100, backoff_factor=2.0)
         assert [policy.delay_ms(i) for i in (1, 2, 3)] == [100, 200, 400]
+
+    @given(
+        base_delay_ms=st.integers(0, 10**6),
+        backoff_factor=st.floats(1.0, 1e308),
+        retry_index=st.integers(1, 5000),
+    )
+    def test_delay_never_raises_and_never_shrinks(self, base_delay_ms, backoff_factor, retry_index):
+        """A delay past the float range saturates, so the retry loop never
+        raises OverflowError; a zero base stays zero."""
+        policy = RetryPolicy(max_attempts=2, base_delay_ms=base_delay_ms, backoff_factor=backoff_factor)
+        delay, later = policy.delay_ms(retry_index), policy.delay_ms(retry_index + 1)
+        assert 0 <= delay <= later
+        if base_delay_ms == 0:
+            assert later == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -330,6 +330,18 @@ class TestDegradedModes:
         assert result.failed_units == ()
         assert result.call_stats.retries == 1
 
+    def test_backoff_past_the_float_range_fails_the_reviews(self, products_by_id):
+        """``1e10 ** 31`` overflows a float at the 32nd retry; with a zero
+        base delay every retry is still immediate, and the exhausted
+        reviews fail as units instead of ending the run."""
+        product = products_by_id["app-mixer-001"]
+        backend = SelectiveFailureBackend(fresh_replay(), fail_with=lambda request: TransportError("down"))
+        retry = RetryPolicy(max_attempts=40, base_delay_ms=0, backoff_factor=1e10)
+        result = run_product(product, config_for(PipelineMode.FULL, retry=retry), backend)
+        assert result.failed_units == tuple(product.review_ids)
+        assert len(product.review_ids) == 8
+        assert backend.calls == 8 * 40
+
 
 class TestEdgeCases:
     def test_empty_product_full_mode(self):
@@ -578,15 +590,14 @@ class TestInterrupts:
         raised: list[BaseException] = []
         lock = threading.Lock()
 
-        def interrupt_off_main(request):
+        def interrupt_once(request):
             with lock:
-                if raised or threading.current_thread() is threading.main_thread():
+                if raised:
                     return None
                 raised.append(interrupt)
                 return interrupt
 
-        # The jitter keeps the caller's thread from draining every review alone.
-        backend = SelectiveFailureBackend(JitterBackend(fresh_replay(), seed=1), fail_with=interrupt_off_main)
+        backend = SelectiveFailureBackend(fresh_replay(), fail_with=interrupt_once)
         config = config_for(PipelineMode.FULL, workers=2)
         with pytest.raises(KeyboardInterrupt) as info:
             run_product(products_by_id["app-mixer-001"], config, backend)
@@ -677,9 +688,12 @@ class TestPermitPool:
             PipelineMode.FULL, workers=8, retry=RetryPolicy(max_attempts=5, base_delay_ms=0, backoff_factor=1.0)
         )
         backend = SelectiveFailureBackend(fresh_replay(), fail_with=throttle_four)
+        # No helper: the run is served on this thread, so the order of
+        # calls, and the limit each finds, is fixed.
         scheduler = _Scheduler(products, config, backend, None, 0)
         try:
-            results = [scheduler.result(rank, serve=True) for rank in range(len(products))]
+            scheduler._serve()
+            results = [scheduler.result(rank) for rank in range(len(products))]
         finally:
             scheduler.close()
         assert limits[:5] == [8.0, 4.0, 2.0, 1.0, 1.0]
@@ -770,6 +784,35 @@ class FaultyBackend:
                 self._in_flight -= 1
 
 
+class TestOneServingMode:
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("runner", ["run_product", "run_products"])
+    def test_the_caller_only_waits(self, products, runner, workers):
+        """A lone ``run_product`` is served as a run of ``run_products`` is:
+        by ``workers`` threads of its own, while the caller only waits."""
+        calling_threads: set[int] = set()
+
+        def note_thread(request):
+            calling_threads.add(threading.get_ident())
+            time.sleep(0.002)  # a call long enough for every thread to take one
+            return None
+
+        backend = FaultyBackend(SelectiveFailureBackend(fresh_replay(), fail_with=note_thread), {})
+        config = config_for(PipelineMode.FULL, workers=workers)
+        threads_before = threading.active_count()
+        if runner == "run_product":
+            results = [run_product(product, config, backend) for product in products]
+        else:
+            results = list(run_products(products, config, backend))
+        for product, result in zip(products, results):
+            assert render_report(result.report, ReportFormat.JSON) == golden(
+                "full", product.product_id, "report.json"
+            )
+        assert calling_threads and threading.get_ident() not in calling_threads
+        assert backend.peak_threads <= threads_before + workers
+        assert backend.peak_in_flight <= workers
+
+
 class TestTransientFaultProperty:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -803,7 +846,7 @@ class TestTransientFaultProperty:
             assert render_report(result.report, ReportFormat.JSON) == expected
             assert result.failed_units == ()
             assert backend.peak_in_flight <= workers
-            assert backend.peak_threads <= threads_before + workers - 1
+            assert backend.peak_threads <= threads_before + workers
             stats.add(result.call_stats)
         assert len(stats) == 1
         assert stats.pop().retries == len(plan)
