@@ -103,7 +103,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, recording: bool = Fal
         type=_positive_int,
         help="max LLM calls in flight for the whole run, served by that many threads besides the caller",
     )
-    parser.add_argument("--cache-dir", help="response cache directory; empty for none")
     parser.add_argument(
         "--format",
         choices=["json", "markdown", "both"],
@@ -117,6 +116,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, *, recording: bool = Fal
             "--fixtures", required=True, type=Path, help="directory to write fixtures into"
         )
     else:
+        parser.add_argument("--cache-dir", help="response cache directory; empty for none")
         parser.add_argument(
             "--backend", choices=["live", "replay"], default="replay", help="gateway backend"
         )
@@ -141,7 +141,8 @@ def _fatal(message: str) -> int:
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     # The config file's object, with the run flags that were given laid over it.
     payload = {} if args.config is None else dict(read_json(args.config, check_object, ""))
-    flags = {"mode": args.mode, "workers": args.workers, "cache_dir": args.cache_dir}
+    cache_dir = getattr(args, "cache_dir", None)  # record-fixtures has no --cache-dir
+    flags = {"mode": args.mode, "workers": args.workers, "cache_dir": cache_dir}
     payload.update((key, value) for key, value in flags.items() if value is not None)
     return build("invalid config", PipelineConfig.from_dict, payload)
 
@@ -251,6 +252,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_record_fixtures(args: argparse.Namespace) -> int:
     inputs = _load_inputs(args)
+    if inputs[0].cache_dir is not None:  # a cached answer would never reach the recorder
+        return _fatal("record-fixtures records every answer and takes no cache_dir; drop it from the config")
     credential = _resolve_credential(args)
     if credential is None:
         return _fatal(

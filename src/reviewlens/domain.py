@@ -13,8 +13,10 @@ Responsibilities:
     A product id names the product's output directory, so it must match
     ``[A-Za-z0-9][A-Za-z0-9._-]*``.
 
-The report sections are carried as arrays, not objects, so that semantic
-ordering (actionable statuses first) survives key-sorted serialization.
+A report holds its insights once, as one tuple in report order, and each
+insight carries its own status and category. Its JSON nests them by status,
+then category, in arrays, not objects, so that the report order
+(actionable statuses first) survives key-sorted serialization.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import enum
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -334,93 +336,89 @@ class CallStats:
         return self.extraction_calls + self.comparison_calls + self.grouping_calls
 
 
-@dataclass(frozen=True, slots=True)
-class CategoryGroup:
-    """Insights of one category inside one status section."""
-
-    category: str
-    insights: tuple[Insight, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "insights", tuple(self.insights))
-
-
-@dataclass(frozen=True, slots=True)
-class ReportSection:
-    """All insights sharing one comparison status."""
-
-    status: ComparisonStatus
-    groups: tuple[CategoryGroup, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", tuple(self.groups))
+_STATUS_RANK = {status: rank for rank, status in enumerate(ComparisonStatus)}
 
 
 @dataclass(frozen=True, slots=True)
 class StructuredReport:
-    """The final deterministic report for one product.
-
-    Sections appear in the fixed status order (Missing, Contradictory,
-    Partially-matching, Matching), categories lexicographically inside each
-    section, insights by key inside each category. All four sections are
-    always present, empty or not. It holds no call stats: those are run
-    telemetry (cache hits and retries vary between runs over identical
-    inputs) and belong to the run, so report bytes stay reproducible.
+    """The final deterministic report for one product: its categorized
+    insights, one per (key, status), in report order: the fixed status order
+    (Missing, Contradictory, Partially-matching, Matching), then category
+    lexicographically, then key. ``sections`` derives the nesting. It holds
+    no call stats: those are run telemetry (cache hits and retries vary
+    between runs over identical inputs), so report bytes stay reproducible.
     """
 
     product_id: str
-    sections: tuple[ReportSection, ...]
+    insights: tuple[Insight, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sections", tuple(self.sections))
-        statuses = tuple(section.status for section in self.sections)
-        if statuses != tuple(ComparisonStatus):
-            raise ValueError("report sections must cover all four statuses in fixed order")
+        insights = sorted(self.insights, key=lambda i: (_STATUS_RANK[i.status], i.category, i.key))
+        object.__setattr__(self, "insights", tuple(insights))
+        seen: set[tuple[AttributeKey, ComparisonStatus]] = set()
+        for insight in insights:
+            if (insight.key, insight.status) in seen:
+                raise ValueError(f"insight {insight.key} is reported twice as {insight.status.value}")
+            seen.add((insight.key, insight.status))
+
+    def sections(self) -> dict[ComparisonStatus, dict[str, list[Insight]]]:
+        """Every status in order, empty or not, each with its categories in
+        order, each with its insights by key."""
+        nested: dict[ComparisonStatus, dict[str, list[Insight]]] = {s: {} for s in ComparisonStatus}
+        for insight in self.insights:
+            nested[insight.status].setdefault(insight.category, []).append(insight)
+        return nested
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "product_id": self.product_id,
             "sections": [
                 {
-                    "status": section.status.value,
+                    "status": status.value,
                     "categories": [
-                        {
-                            "category": group.category,
-                            "insights": [insight.to_dict() for insight in group.insights],
-                        }
-                        for group in section.groups
+                        {"category": category, "insights": [i.to_dict() for i in insights]}
+                        for category, insights in groups.items()
                     ],
                 }
-                for section in self.sections
+                for status, groups in self.sections().items()
             ],
         }
 
     @classmethod
     def from_dict(cls, record: Any, name: str = "") -> "StructuredReport":
-        return build(
-            name,
-            cls,
-            product_id=required(record, "product_id", name, check_string),
-            sections=required(record, "sections", name, check_list, _read_section),
-        )
+        """Read the nested form ``to_dict`` writes: one section per status,
+        in order, whose rows agree with their section and group."""
+        product_id = required(record, "product_id", name, check_string)
+        sections = required(record, "sections", name, check_list, _read_section)
+        if [status for status, _ in sections] != list(ComparisonStatus):
+            message = "report sections must cover all four statuses in fixed order"
+            raise DataFormatError(f"{name}: {message}".removeprefix(": "))
+        insights = [insight for _, rows in sections for insight in rows]
+        return build(name, cls, product_id=product_id, insights=insights)
 
 
 def _read_status(value: Any, name: str) -> ComparisonStatus:
     return ComparisonStatus(check_choice(value, name, [s.value for s in ComparisonStatus]))
 
 
-def _read_section(record: Any, name: str) -> ReportSection:
-    return ReportSection(
-        status=required(record, "status", name, _read_status),
-        groups=required(record, "categories", name, check_list, _read_group),
-    )
+def _read_section(record: Any, name: str) -> tuple[ComparisonStatus, list[Insight]]:
+    status = required(record, "status", name, _read_status)
+    groups = required(record, "categories", name, check_list, _read_group, status)
+    return status, [insight for rows in groups for insight in rows]
 
 
-def _read_group(record: Any, name: str) -> CategoryGroup:
-    return CategoryGroup(
-        category=required(record, "category", name, check_string),
-        insights=required(record, "insights", name, check_list, Insight.from_dict),
-    )
+def _read_group(record: Any, name: str, status: ComparisonStatus) -> list[Insight]:
+    category = required(record, "category", name, check_string)
+    return required(record, "insights", name, check_list, _read_row, status, category)
+
+
+def _read_row(record: Any, name: str, status: ComparisonStatus, category: str) -> Insight:
+    insight = Insight.from_dict(record, name)
+    if insight.status is not status:
+        raise DataFormatError(f"{name}.status is {insight.status.value!r} in section {status.value!r}")
+    if insight.category not in ("", category):
+        raise DataFormatError(f"{name}.category is {insight.category!r} in group {category!r}")
+    return replace(insight, category=category)
 
 
 def load_product_records(path: Path | str) -> list[ProductRecord]:

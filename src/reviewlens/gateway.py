@@ -92,6 +92,10 @@ class ChatRequest:
             raise ValueError("temperature must be within [0.0, 1.0]")
 
 
+# The most a request may wait between its attempts, in all, under a config's policy.
+_MAX_TOTAL_BACKOFF_MS = 3_600_000
+
+
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
     """Declarative retry behaviour shared by all stages: how many attempts a
@@ -126,7 +130,18 @@ class RetryPolicy:
 
     @classmethod
     def from_dict(cls, payload: Any) -> "RetryPolicy":
-        return cls(**config_kwargs(cls, payload, "retry"))
+        """The policy of a config's ``retry`` object, refused if its backoffs
+        add up to more than an hour, so that no config makes a run that never ends."""
+        policy = cls(**config_kwargs(cls, payload, "retry"))
+        # delay_ms(1) + ... + delay_ms(max_attempts - 1), a geometric sum.
+        n, factor = policy.max_attempts - 1, policy.backoff_factor
+        try:
+            total = policy.delay_ms(1) * (n if factor == 1.0 else (factor**n - 1) / (factor - 1))
+        except OverflowError:
+            total = math.inf if policy.base_delay_ms else 0.0
+        if total > _MAX_TOTAL_BACKOFF_MS:
+            raise ValueError(f"retry: its backoffs add up to more than {_MAX_TOTAL_BACKOFF_MS} ms")
+        return policy
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,9 +3,9 @@
 Compared attributes merge into insights on the (key, status) identity:
 values deduplicate preserving first appearance, evidence review ids are
 sorted and unique, justifications concatenate in input (review) order.
-Reports order sections by the fixed status order with actionable
-discrepancies first, categories lexicographically, insights by key, and
-render to byte-reproducible JSON or Markdown.
+A report orders its insights by the fixed status order with actionable
+discrepancies first, then category lexicographically, then key, and
+renders to byte-reproducible JSON or Markdown.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from typing import Iterable, Sequence
 from .domain import (
     AttributeKey,
     CategoryAssignment,
-    CategoryGroup,
     ComparedAttribute,
     ComparisonStatus,
     Insight,
-    ReportSection,
     StructuredReport,
     canonical_json,
     normalize_key,
@@ -83,35 +81,15 @@ def _merge_rows(rows: Iterable[_Row]) -> list[Insight]:
 def build_report(
     insights: Iterable[Insight], categories: CategoryAssignment, *, product_id: str
 ) -> StructuredReport:
-    """Attach categories and impose the canonical ordering.
-
-    Every status section is always present. Keys absent from the assignment
-    land in the "Other" category. Output depends only on the set of insights
-    and the assignment, never on input order.
-    """
-    by_status: dict[ComparisonStatus, dict[str, dict[AttributeKey, Insight]]] = {
-        status: {} for status in ComparisonStatus
-    }
-    for insight in insights:
-        placed = replace(insight, category=insight.category or categories.category_for(insight.key))
-        by_status[insight.status].setdefault(placed.category, {})[insight.key] = placed
-    sections = tuple(
-        ReportSection(
-            status=status,
-            groups=tuple(
-                CategoryGroup(
-                    category=category,
-                    insights=tuple(
-                        by_status[status][category][key]
-                        for key in sorted(by_status[status][category])
-                    ),
-                )
-                for category in sorted(by_status[status])
-            ),
-        )
-        for status in ComparisonStatus
+    """Place each uncategorized insight in its category, "Other" for a key
+    the assignment lacks, and let the report impose its order."""
+    return StructuredReport(
+        product_id=product_id,
+        insights=[
+            replace(insight, category=insight.category or categories.category_for(insight.key))
+            for insight in insights
+        ],
     )
-    return StructuredReport(product_id=product_id, sections=sections)
 
 
 def render_report(report: StructuredReport, fmt: ReportFormat) -> bytes:
@@ -125,17 +103,17 @@ def render_report(report: StructuredReport, fmt: ReportFormat) -> bytes:
 
 def _render_markdown(report: StructuredReport) -> str:
     lines: list[str] = [f"# Listing insight report: {report.product_id}", ""]
-    for section in report.sections:
-        lines.append(f"## {section.status.value}")
+    for status, groups in report.sections().items():
+        lines.append(f"## {status.value}")
         lines.append("")
-        if not section.groups:
+        if not groups:
             lines.append("*(no entries)*")
             lines.append("")
             continue
-        for group in section.groups:
-            lines.append(f"### {group.category}")
+        for category, insights in groups.items():
+            lines.append(f"### {category}")
             lines.append("")
-            for insight in group.insights:
+            for insight in insights:
                 rendered_values = "; ".join(insight.values)
                 lines.append(f"- **{insight.key}** = {rendered_values}")
                 lines.append(f"  - evidence: {', '.join(insight.evidence)}")

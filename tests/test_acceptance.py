@@ -273,7 +273,6 @@ def test_09_canary_key_never_reaches_disk_or_streams(
             "--base-url", server.url,
             "--mode", "full",
             "--out", str(record_out),
-            "--cache-dir", str(tmp_path / "record-cache"),
         ]
     )
     assert code == 0

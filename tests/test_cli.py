@@ -1218,6 +1218,49 @@ class TestRefusedInputs:
         assert server.arrivals == []
         assert sorted(tmp_path.iterdir()) == [dataset]
 
+    def test_record_fixtures_refuses_a_cache(self, tmp_path, serve, canned_model, capsys):
+        # A cache in front of the recorder would keep every answer it holds
+        # out of the fixtures, and a replay of them would fail those reviews.
+        server = serve(backend=canned_model, key="test-key-123")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"cache_dir": str(tmp_path / "cache")}), encoding="utf-8")
+        argv = [
+            "record-fixtures",
+            "--dataset", DATASET,
+            "--fixtures", str(tmp_path / "fixtures"),
+            "--api-key", "test-key-123",
+            "--base-url", server.url,
+        ]
+        assert run_cli(*argv, "--config", str(config)) == 1
+        _refused(capsys, "record-fixtures records every answer and takes no cache_dir")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--cache-dir", str(tmp_path / "cache"))
+        assert exit_info.value.code == 1
+        assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+        assert server.arrivals == [] and server.connections == 0
+        assert sorted(tmp_path.iterdir()) == [config]
+
+    def test_retry_that_would_wait_past_an_hour_is_refused(self, tmp_path, serve, canned_model, capsys):
+        # The second retry would be due in 1e200 ms: the run would never end.
+        server = serve(backend=canned_model, key="test-key-123")
+        config = tmp_path / "config.json"
+        retry = {"backoff_factor": 1e200, "base_delay_ms": 1, "max_attempts": 4}
+        config.write_text(json.dumps({"retry": retry}), encoding="utf-8")
+        code = run_cli(
+            "run",
+            "--dataset", DATASET,
+            "--product", "app-mixer-001",
+            "--backend", "live",
+            "--base-url", server.url,
+            "--api-key", "test-key-123",
+            "--config", str(config),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        _refused(capsys, "invalid config: retry: its backoffs add up to more than 3600000 ms")
+        assert server.arrivals == [] and server.connections == 0
+        assert sorted(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize(
         "row, where",
         [

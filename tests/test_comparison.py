@@ -196,7 +196,7 @@ class TestCompareReview:
         backend = ScriptedBackend([self._extracted()])
         result = self._run(backend, fast_retry)
         assert result.failed_units == ()
-        assert all(section.groups == () for section in result.report.sections)
+        assert result.report.insights == ()
         assert backend.calls == 1
 
     def test_permanent_failure_becomes_failed_unit(self, fast_retry):
@@ -216,5 +216,5 @@ class TestCompareReview:
         ])
         result = self._run(backend, fast_retry)
         assert result.failed_units == ()
-        assert sum(len(g.insights) for s in result.report.sections for g in s.groups) == 2
+        assert len(result.report.insights) == 2
         assert len(result.diagnostics) == 1

@@ -156,9 +156,10 @@ class TestDataclasses:
 
     def test_report_requires_all_sections(self):
         report = build_report([], CategoryAssignment(), product_id="p")
-        assert [s.status for s in report.sections] == list(ComparisonStatus)
-        with pytest.raises(ValueError):
-            StructuredReport(product_id="p", sections=report.sections[:2])
+        assert list(report.sections()) == list(ComparisonStatus)
+        body = report.to_dict()
+        with pytest.raises(DataFormatError, match="must cover all four statuses"):
+            StructuredReport.from_dict({**body, "sections": body["sections"][:2]})
 
     def test_report_round_trip_without_stats(self):
         report = build_report([], CategoryAssignment(), product_id="p")

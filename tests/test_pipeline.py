@@ -259,13 +259,7 @@ class TestDegradedModes:
         assert result.failed_units == ("mix-r3",)
         assert any("mix-r3" in note for note in result.diagnostics)
 
-        cited = {
-            rid
-            for section in result.report.sections
-            for group in section.groups
-            for insight in group.insights
-            for rid in insight.evidence
-        }
+        cited = {rid for insight in result.report.insights for rid in insight.evidence}
         assert "mix-r3" not in cited
         assert len(cited) == 7
 
@@ -281,11 +275,7 @@ class TestDegradedModes:
         result = run_product(product, config_for(PipelineMode.FULL), backend)
         assert result.failed_units == ()
         assert any("grouping" in note.lower() for note in result.diagnostics)
-        categories = {
-            group.category
-            for section in result.report.sections
-            for group in section.groups
-        }
+        categories = {insight.category for insight in result.report.insights}
         assert categories == {"Other"}
 
     def test_baseline_malformed_yields_empty_report(self, products_by_id):
@@ -293,7 +283,7 @@ class TestDegradedModes:
         backend = ScriptedBackend(["certainly! here is prose, not JSON"] * 3)
         result = run_product(product, config_for(PipelineMode.BASELINE), backend)
         assert result.failed_units == ()
-        assert all(section.groups == () for section in result.report.sections)
+        assert result.report.insights == ()
         assert result.diagnostics != ()
 
     def test_baseline_transport_outage_fails_every_review(self, products_by_id):
@@ -352,7 +342,7 @@ class TestEdgeCases:
         result = run_product(product, config_for(PipelineMode.FULL), backend)
         assert backend.calls == 0
         assert result.call_stats.total_calls == 0
-        assert all(section.groups == () for section in result.report.sections)
+        assert result.report.insights == ()
 
     def test_empty_product_baseline_mode(self):
         product = ProductRecord(
@@ -812,6 +802,30 @@ class TestOneServingMode:
         assert backend.peak_threads <= threads_before + workers
         assert backend.peak_in_flight <= workers
 
+    @pytest.mark.parametrize("started", [0, 1, 3])
+    def test_a_helper_that_fails_to_start_ends_the_run(self, products, monkeypatch, started):
+        """``Thread.start`` raises for the helper after ``started`` of them,
+        as it does in a process that can start no more threads: the helpers
+        already serving the run have returned by the time the error reaches
+        the caller."""
+        helpers: list[threading.Thread] = []
+
+        class FailingThread(threading.Thread):
+            def start(self):
+                if len(helpers) == started:
+                    raise RuntimeError("can't start new thread")
+                helpers.append(self)
+                super().start()
+
+        # Calls long enough that a helper left serving would still be busy.
+        backend = SelectiveFailureBackend(fresh_replay(), fail_with=lambda request: time.sleep(0.02))
+        monkeypatch.setattr(threading, "Thread", FailingThread)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            list(run_products(products, config_for(PipelineMode.FULL, workers=4), backend))
+        monkeypatch.undo()
+        assert len(helpers) == started
+        assert not any(helper.is_alive() for helper in helpers)
+
 
 class TestTransientFaultProperty:
     @settings(max_examples=30, deadline=None)
@@ -972,7 +986,7 @@ class TestPermanentFaultProperty:
             if grouping_hit:
                 grouping = [prompt for prompt in reference.calls if GROUPING_MARKER in prompt]
                 plan.update(dict.fromkeys(grouping, hits[(product.product_id, "grouping")]))
-                categories = {group.category for section in report.sections for group in section.groups}
+                categories = {insight.category for insight in report.insights}
                 assert categories <= {"Other"}
             expected.append((failed, render_report(report, ReportFormat.JSON)))
         policy = RetryPolicy(

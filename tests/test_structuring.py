@@ -7,6 +7,7 @@ dicts and sorts, checked against build_report on random inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -23,7 +24,7 @@ from reviewlens.domain import (
     StructuredReport,
     canonical_json,
 )
-from reviewlens.errors import MalformedOutputError
+from reviewlens.errors import DataFormatError, MalformedOutputError
 from reviewlens.llm_json import load_json_object
 from reviewlens.structuring import (
     ReportFormat,
@@ -32,6 +33,8 @@ from reviewlens.structuring import (
     parse_report_sections,
     render_report,
 )
+
+from conftest import golden
 
 
 def compared(
@@ -95,14 +98,14 @@ class TestMergeInsights:
 class TestBuildReport:
     def test_all_sections_present_even_when_empty(self):
         report = build_report([], CategoryAssignment(), product_id="p1")
-        assert [s.status for s in report.sections] == list(ComparisonStatus)
-        assert all(s.groups == () for s in report.sections)
+        assert list(report.sections()) == list(ComparisonStatus)
+        assert all(groups == {} for groups in report.sections().values())
 
     def test_unassigned_key_lands_in_other(self):
         insights = merge_insights([compared("scent", "citrus", "r1")])
         report = build_report(insights, CategoryAssignment(), product_id="p1")
-        section = next(s for s in report.sections if s.status is ComparisonStatus.MISSING)
-        assert [g.category for g in section.groups] == [OTHER_CATEGORY]
+        section = report.sections()[ComparisonStatus.MISSING]
+        assert list(section) == [OTHER_CATEGORY]
 
     def test_orderings(self):
         assignment = CategoryAssignment(
@@ -116,10 +119,10 @@ class TestBuildReport:
             ]
         )
         report = build_report(insights, assignment, product_id="p1")
-        section = next(s for s in report.sections if s.status is ComparisonStatus.MISSING)
-        assert [g.category for g in section.groups] == ["Alpha", "Bravo"]
-        bravo = section.groups[1]
-        assert [i.key for i in bravo.insights] == ["alpha", "zeta"]
+        section = report.sections()[ComparisonStatus.MISSING]
+        assert list(section) == ["Alpha", "Bravo"]
+        bravo = section["Bravo"]
+        assert [i.key for i in bravo] == ["alpha", "zeta"]
 
     def test_input_order_does_not_matter(self):
         assignment = CategoryAssignment(mapping={"a": "X", "b": "Y"})
@@ -488,3 +491,41 @@ def test_structured_report_round_trips_via_dict():
     payload = report.to_dict()
     assert "call_stats" not in payload
     assert StructuredReport.from_dict(payload) == report
+
+
+@pytest.mark.parametrize("mode", ["full", "baseline", "ablated"])
+@pytest.mark.parametrize("product_id", ["app-mixer-001", "bty-serum-002", "ele-buds-003"])
+def test_golden_report_read_back_renders_its_golden_bytes(mode, product_id):
+    body = golden(mode, product_id, "report.json")
+    report = StructuredReport.from_dict(json.loads(body))
+    assert render_report(report, ReportFormat.JSON) == body
+    assert render_report(report, ReportFormat.MARKDOWN) == golden(mode, product_id, "report.md")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("status", "Matching", ".status is 'Matching' in section 'Missing'"),
+        ("category", "Scent", ".category is 'Scent' in group 'Other'"),
+    ],
+    ids=["status", "category"],
+)
+def test_row_that_disagrees_with_its_section_is_refused(field, value, message):
+    report = build_report(
+        merge_insights([compared("scent", "citrus", "r1")]), CategoryAssignment(), product_id="p1"
+    )
+    body = report.to_dict()
+    body["sections"][0]["categories"][0]["insights"][0][field] = value
+    with pytest.raises(DataFormatError) as refused:
+        StructuredReport.from_dict(body)
+    assert str(refused.value) == "sections[0].categories[0].insights[0]" + message
+
+
+def test_report_refuses_a_repeated_key_and_status():
+    (insight,) = merge_insights([compared("scent", "citrus", "r1")])
+    with pytest.raises(ValueError, match="scent is reported twice as Missing"):
+        build_report(
+            [insight, dataclasses.replace(insight, values=("lemon",))],
+            CategoryAssignment(),
+            product_id="p1",
+        )
