@@ -9,13 +9,13 @@ table after Bitcask (Sheehy & Smith, 2010). Each line is one entry::
 where the checksum is the CRC-32 of the JSON as eight hex digits. An
 eviction appends a tombstone: the same line with ``null`` for the JSON.
 
-Opening a store reads every segment once, oldest first, into an in-memory
-keydir that maps a fingerprint to where its value lies (file, offset,
-length), never to the text; ``get`` reads the value with ``os.pread``. A
-later line wins and a tombstone deletes. A last line with no newline, torn
-by a crash, is skipped, so its request is a miss. A line whose fingerprint
-parses but whose checksum fails makes that fingerprint a miss with a
-diagnostic: corruption is a miss, never a crash.
+Opening a store reads every segment once, oldest first, and closes it: the
+in-memory keydir maps a fingerprint to its value's JSON bytes, so a store
+holds no file open until it writes. A later line wins and a tombstone
+deletes. A last line with no newline, torn by a crash, is skipped, so its
+request is a miss. A line whose fingerprint parses but whose checksum
+fails makes that fingerprint a miss with a diagnostic: corruption is a
+miss, never a crash.
 
 Each store instance appends to a segment of its own, created on its first
 ``put`` and named ``<creation time in ns>-<pid>-<random>.log``, so names
@@ -79,44 +79,29 @@ def _segments(root: Path) -> list[Path]:
     return [root / name for name in names]
 
 
-def _close_all(fds: list[int]) -> None:
-    for fd in fds:
-        os.close(fd)
-    fds.clear()
-
-
 class DiskResponseCache:
     """An append-only response log, tolerant of torn and corrupt lines."""
 
     def __init__(self, path: Path | str):
         self.root = Path(path)
-        # Fingerprint -> (fd, offset, length) of its value, or the problem
-        # that makes it a miss.
-        self._keydir: dict[str, tuple[int, int, int] | str] = {}
-        self._fds: list[int] = []
-        self._closer = weakref.finalize(self, _close_all, self._fds)
+        # Fingerprint -> the JSON bytes of its value, or the problem that
+        # makes it a miss.
+        self._keydir: dict[str, bytes | str] = {}
         self._lock = threading.Lock()
         self._segment: int | None = None  # this instance's own, once created
-        self._size = 0
+        self._closer: weakref.finalize | None = None
         self.segments: list[Path] = []
         for segment in _segments(self.root):
             try:
-                fd = os.open(segment, os.O_RDONLY)
+                with open(segment, "rb") as handle:
+                    for line in handle:
+                        if line.endswith(b"\n"):  # else torn by a crash
+                            self._index(line, segment.name)
             except FileNotFoundError:
                 continue  # compacted away since the listing
-            self._fds.append(fd)
             self.segments.append(segment)
-            self._scan(fd, segment.name)
 
-    def _scan(self, fd: int, name: str) -> None:
-        offset = 0
-        with open(fd, "rb", closefd=False) as handle:
-            for line in handle:
-                if line.endswith(b"\n"):
-                    self._index(line, fd, offset, name)
-                offset += len(line)
-
-    def _index(self, line: bytes, fd: int, offset: int, name: str) -> None:
+    def _index(self, line: bytes, name: str) -> None:
         if line[64:65] != b" " or not _FINGERPRINT.fullmatch(line, 0, 64):
             return  # no fingerprint to charge the damage to
         digest = line[:64].decode("ascii")
@@ -126,11 +111,11 @@ class DiskResponseCache:
         elif value == _TOMBSTONE:
             self._keydir.pop(digest, None)
         else:
-            self._keydir[digest] = (fd, offset + _VALUE_AT, len(value))
+            self._keydir[digest] = value
 
     def __iter__(self) -> Iterator[str]:
         """The fingerprints of the live entries."""
-        return iter([digest for digest, entry in self._keydir.items() if not isinstance(entry, str)])
+        return iter([digest for digest, entry in self._keydir.items() if isinstance(entry, bytes)])
 
     def load(self, digest: str) -> tuple[ChatResponse | None, str | None]:
         """Return (response, problem). No entry: (None, None). A corrupt or
@@ -138,10 +123,9 @@ class DiskResponseCache:
         entry = self._keydir.get(digest)
         if entry is None or isinstance(entry, str):
             return None, entry
-        fd, offset, length = entry
         try:
-            payload = json.loads(os.pread(fd, length, offset))
-        except (OSError, ValueError) as exc:
+            payload = json.loads(entry)
+        except ValueError as exc:
             return None, f"unreadable entry {digest[:16]}...: {exc}"
         if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
             return None, f"corrupt entry {digest[:16]}...: expected an object with a 'text' string"
@@ -171,27 +155,22 @@ class DiskResponseCache:
             if self._segment is None:
                 self.root.mkdir(parents=True, exist_ok=True)
                 path = self.root / f"{time.time_ns():020d}-{os.getpid()}-{secrets.token_hex(4)}.log"
-                self._segment = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644)
-                self._fds.append(self._segment)
+                self._segment = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644)
+                self._closer = weakref.finalize(self, os.close, self._segment)
                 self.segments.append(path)
-            offset = self._size
             written = os.write(self._segment, line)
-            self._size += written
             if written != len(line):
                 raise OSError(f"short write to {self.segments[-1]}: {written} of {len(line)} bytes")
             if value == _TOMBSTONE:
                 self._keydir.pop(digest, None)
             else:
-                self._keydir[digest] = (self._segment, offset + _VALUE_AT, len(value))
+                self._keydir[digest] = value
 
     def compact(self) -> None:
         """Rewrite the live entries, sorted by fingerprint, as the one
         segment ``responses.log``, remove the other segments this store
         read or wrote, and close the store."""
-        lines = []
-        for digest in sorted(self):
-            fd, offset, length = self._keydir[digest]
-            lines.append(_line(digest, os.pread(fd, length, offset)))
+        lines = [_line(digest, self._keydir[digest]) for digest in sorted(self)]
         target = self.root / COMPACTED_SEGMENT
         self.root.mkdir(parents=True, exist_ok=True)
         write_atomic(target, b"".join(lines))
@@ -201,11 +180,12 @@ class DiskResponseCache:
         self.close()
 
     def close(self) -> None:
-        """Close the segment files; the store is empty from here on."""
+        """Close this store's own segment; the store is empty from here on."""
         with self._lock:
             self._keydir.clear()
             self._segment = None
-            self._closer()
+            if self._closer is not None:
+                self._closer()
 
     def __enter__(self) -> "DiskResponseCache":
         return self

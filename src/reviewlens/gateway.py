@@ -48,6 +48,7 @@ import select
 import socket
 import ssl
 import threading
+import time
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,7 +93,9 @@ class ChatRequest:
             raise ValueError("temperature must be within [0.0, 1.0]")
 
 
-# The most a request may wait between its attempts, in all, under a config's policy.
+# Under a config's policy: the most attempts a request may make, and the
+# most it may wait between them, in all.
+_MAX_ATTEMPTS = 100
 _MAX_TOTAL_BACKOFF_MS = 3_600_000
 
 
@@ -130,16 +133,13 @@ class RetryPolicy:
 
     @classmethod
     def from_dict(cls, payload: Any) -> "RetryPolicy":
-        """The policy of a config's ``retry`` object, refused if its backoffs
-        add up to more than an hour, so that no config makes a run that never ends."""
+        """The policy of a config's ``retry`` object, refused if it allows more
+        than ``_MAX_ATTEMPTS`` attempts or backoffs that add up to more than an
+        hour, so that no config makes a run that never ends."""
         policy = cls(**config_kwargs(cls, payload, "retry"))
-        # delay_ms(1) + ... + delay_ms(max_attempts - 1), a geometric sum.
-        n, factor = policy.max_attempts - 1, policy.backoff_factor
-        try:
-            total = policy.delay_ms(1) * (n if factor == 1.0 else (factor**n - 1) / (factor - 1))
-        except OverflowError:
-            total = math.inf if policy.base_delay_ms else 0.0
-        if total > _MAX_TOTAL_BACKOFF_MS:
+        if policy.max_attempts > _MAX_ATTEMPTS:
+            raise ValueError(f"retry: max_attempts must be at most {_MAX_ATTEMPTS}")
+        if sum(policy.delay_ms(r) for r in range(1, policy.max_attempts)) > _MAX_TOTAL_BACKOFF_MS:
             raise ValueError(f"retry: its backoffs add up to more than {_MAX_TOTAL_BACKOFF_MS} ms")
         return policy
 
@@ -216,14 +216,19 @@ class _ResponseReader:
     ``Transfer-Encoding: chunked``, or the server closing the connection;
     anything else raises an ``http.client.HTTPException``."""
 
-    __slots__ = ("_sock", "_buf")
+    __slots__ = ("_sock", "_buf", "_deadline")
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, deadline: float):
         self._sock = sock
         self._buf = bytearray()
+        self._deadline = deadline
+
+    def _recv(self) -> bytes:
+        self._sock.settimeout(_time_left(self._deadline))
+        return self._sock.recv(_RECV_BYTES)
 
     def _fill(self) -> None:
-        chunk = self._sock.recv(_RECV_BYTES)
+        chunk = self._recv()
         if not chunk:
             raise http.client.IncompleteRead(bytes(self._buf))
         self._buf += chunk
@@ -265,7 +270,7 @@ class _ResponseReader:
         raise http.client.HTTPException(f"got more than {_MAX_HEADERS} trailer lines")
 
     def _to_close(self) -> bytes:
-        while chunk := self._sock.recv(_RECV_BYTES):
+        while chunk := self._recv():
             self._buf += chunk
         return self._take(len(self._buf))
 
@@ -307,6 +312,15 @@ class _ResponseReader:
         else:
             body, close = self._to_close(), True
         return int(match[2]), body, not close and not self._buf
+
+
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline`` on the monotonic clock; TimeoutError once
+    none are left."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out: the call took longer than its timeout")
+    return left
 
 
 def _is_dropped(sock: socket.socket) -> bool:
@@ -423,16 +437,19 @@ class _Origin:
         never sent twice: a pooled socket the server closed while idle is
         discarded before use, and an ``OSError`` or
         ``http.client.HTTPException`` closes the socket and propagates.
-        ``timeout`` applies to a reused socket too.
+        ``timeout`` bounds the whole call, on a reused socket too: connect
+        may take all of it, each later socket operation gets what is left,
+        and past it TimeoutError is raised, so a trickled reply cannot hold
+        the call.
         """
+        deadline = time.monotonic() + timeout
         sock = self._checkout()
         try:
             if sock is None:
                 sock = self._connect(timeout)
-            else:
-                sock.settimeout(timeout)
+            sock.settimeout(_time_left(deadline))
             sock.sendall(b"%b%d%b%b" % (self._head, len(body), self._tail, body))
-            status, content, reusable = _ResponseReader(sock).read()
+            status, content, reusable = _ResponseReader(sock, deadline).read()
         except BaseException:
             if sock is not None:
                 sock.close()
@@ -461,7 +478,8 @@ class HttpBackend:
     proxy that cannot be used raises ValueError before any connection is
     made. ``HTTP(S)_PROXY`` and
     ``NO_PROXY`` are read here too; TLS verifies against OpenSSL's default
-    CA store (``SSL_CERT_FILE``, ``SSL_CERT_DIR``).
+    CA store (``SSL_CERT_FILE``, ``SSL_CERT_DIR``). ``timeout_s`` bounds
+    each call as a whole: connect, send and read.
     """
 
     def __init__(self, base_url: str, credential: ApiCredential | None, *, timeout_s: float = 60.0):

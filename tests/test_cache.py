@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from reviewlens import store
+from reviewlens import cache, store
 from reviewlens.cache import COMPACTED_SEGMENT, ChatResponse, DiskResponseCache
 from reviewlens.cli import main
 from reviewlens.gateway import RecordingBackend, ReplayBackend
@@ -229,6 +229,42 @@ class TestResponseLog:
         data = (tmp_path / "one" / COMPACTED_SEGMENT).read_bytes()
         assert data == (tmp_path / "two" / COMPACTED_SEGMENT).read_bytes()
         assert [line[:64].decode() for line in data.splitlines()] == sorted(keys)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the open descriptors in /proc")
+    def test_an_open_store_holds_no_file_until_it_writes(self, tmp_path):
+        for i in range(20):
+            with DiskResponseCache(tmp_path) as store:
+                store.put(digest(str(i)), answer(str(i)))
+        assert len(list(tmp_path.glob("*.log"))) == 20
+        before = len(os.listdir("/proc/self/fd"))
+        store = DiskResponseCache(tmp_path)
+        assert len(list(store)) == 20
+        assert len(os.listdir("/proc/self/fd")) == before
+        store.put(digest("new"), answer("new"))
+        assert len(os.listdir("/proc/self/fd")) == before + 1  # its own segment
+        store.close()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_segment_removed_after_the_listing_is_skipped(self, tmp_path, monkeypatch):
+        for name in ("gone", "kept"):
+            with DiskResponseCache(tmp_path) as store:
+                store.put(digest(name), answer(name))
+        listed = cache._segments(tmp_path)
+        listed[0].unlink()  # as a compaction in another process would
+        monkeypatch.setattr(cache, "_segments", lambda root: listed)
+        with DiskResponseCache(tmp_path) as store:
+            assert list(store) == [digest("kept")]
+            assert store.segments == listed[1:]
+
+    def test_short_write_raises_and_indexes_nothing(self, tmp_path, monkeypatch):
+        write = os.write
+        with DiskResponseCache(tmp_path) as store:
+            monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:10]))
+            with pytest.raises(OSError, match="short write"):
+                store.put(digest("short"), answer("cut"))
+            monkeypatch.undo()
+            assert store.get(digest("short")) is None
+        assert text_of(tmp_path, digest("short")) is None
 
     def test_cache_dir_in_the_old_layout_reads_as_empty(self, tmp_path):
         (tmp_path / f"{digest('old')}.json").write_text('{"model": "m", "text": "old"}', encoding="utf-8")

@@ -1261,6 +1261,26 @@ class TestRefusedInputs:
         assert server.arrivals == [] and server.connections == 0
         assert sorted(tmp_path.iterdir()) == [config]
 
+    def test_retry_with_more_attempts_than_the_bound_is_refused(self, tmp_path, serve, canned_model, capsys):
+        # Every delay is 0, so only the attempt count could keep the run going.
+        server = serve(backend=canned_model, key="test-key-123")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retry": {"max_attempts": 1000000000, "base_delay_ms": 0}}), encoding="utf-8")
+        code = run_cli(
+            "run",
+            "--dataset", DATASET,
+            "--product", "app-mixer-001",
+            "--backend", "live",
+            "--base-url", server.url,
+            "--api-key", "test-key-123",
+            "--config", str(config),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        _refused(capsys, "invalid config: retry: max_attempts must be at most 100")
+        assert server.arrivals == [] and server.connections == 0
+        assert sorted(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize(
         "row, where",
         [

@@ -109,6 +109,12 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=5, base_delay_ms=10, backoff_factor=3.0)
         assert RetryPolicy.from_dict(dataclasses.asdict(policy)) == policy
 
+    def test_config_attempts_are_bounded_at_100(self):
+        assert RetryPolicy.from_dict({"max_attempts": 100, "base_delay_ms": 0}).max_attempts == 100
+        with pytest.raises(ValueError, match="retry: max_attempts must be at most 100"):
+            RetryPolicy.from_dict({"max_attempts": 101, "base_delay_ms": 0})
+        assert RetryPolicy(max_attempts=101).max_attempts == 101  # a policy built in code
+
 
 class TestApiCredential:
     def test_from_env(self, monkeypatch):

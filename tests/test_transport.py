@@ -25,7 +25,8 @@ import pytest
 
 from reviewlens.cli import CREDENTIAL_ENV_VAR, main
 from reviewlens.errors import AuthFailedError, RateLimitedError, TransportError
-from reviewlens.gateway import ApiCredential, ChatRequest, HttpBackend, ResponseFormat
+from reviewlens.gateway import ApiCredential, ChatRequest, HttpBackend, ResponseFormat, RetryPolicy
+from reviewlens.pipeline import PipelineConfig, run_product
 from wire import Raw, answer
 
 KEY = ApiCredential(key="wire-key")
@@ -246,6 +247,37 @@ class TestWireErrors:
         assert isinstance(caught.value.__cause__, TimeoutError)
         assert time.monotonic() - started < 2
         assert server.connections == 1
+
+
+class TestCallDeadline:
+    """``timeout_s`` bounds a whole call: a server that sends a few bytes
+    every 0.3 s, inside the 0.5 s timeout, is cut off at the timeout."""
+
+    def test_trickling_reply_fails_at_the_timeout(self, serve, http_backend):
+        server = serve(["trickle"])
+        live = http_backend(server.url, KEY, timeout_s=0.5)
+        started = time.monotonic()
+        with pytest.raises(TransportError) as caught:
+            live.complete(_request())
+        assert 0.5 <= time.monotonic() - started < 1.5
+        assert isinstance(caught.value.__cause__, TimeoutError)
+        assert live._origin._pooled == []
+
+    def test_trickled_review_fails_after_its_attempts_and_the_run_ends(
+        self, serve, http_backend, products_by_id, canned_model
+    ):
+        # One worker serves the first review's extraction first, and its
+        # retry too, since the backoff is 0.
+        product = products_by_id["app-mixer-001"]
+        server = serve(["trickle", "trickle"], backend=canned_model)
+        live = http_backend(server.url, KEY, timeout_s=0.5)
+        config = PipelineConfig(workers=1, retry=RetryPolicy(max_attempts=2, base_delay_ms=0))
+        started = time.monotonic()
+        result = run_product(product, config, live)
+        assert time.monotonic() - started < 5
+        assert result.failed_units == (product.review_ids[0],)
+        assert result.call_stats.retries == 1
+        assert len(server.arrivals) == 2 + 7 + 7 + 1  # its two attempts, the others' calls
 
 
 class TestProxies:

@@ -95,6 +95,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if action == "stall":
             self.server.release.wait(5)
+        if action == "trickle":
+            self._trickle()
+            return
         if isinstance(action, Raw):
             self.wfile.write(action.data)
             self.close_connection = not action.keep_open
@@ -113,6 +116,20 @@ class _Handler(BaseHTTPRequestHandler):
         if action == "idle_close":
             self.close_connection = True
 
+    def _trickle(self) -> None:
+        """A whole 200 reply, 8 bytes every 0.3 s, until it is sent, the
+        client has gone or the server stops; then close."""
+        body = answer("trickled")
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%b" % (len(body), body)
+        self.close_connection = True
+        for start in range(0, len(reply), 8):
+            if self.server.release.wait(0.3):
+                return
+            try:
+                self.wfile.write(reply[start : start + 8])
+            except OSError:
+                return
+
     def do_CONNECT(self):
         self.server.arrive(self.path, self.headers, self.rfile.take())
         self._reply(403, b"")
@@ -130,6 +147,7 @@ class WireServer(ThreadingHTTPServer):
       the server closes the connection;
     * ``"drop"``: read the request, close without answering;
     * ``"stall"``: wait for ``release`` (at most 5 s), then answer;
+    * ``"trickle"``: a 200 reply, 8 bytes every 0.3 s (see ``_Handler._trickle``);
     * ``(status, body)``: that status and body;
     * ``Raw(data, keep_open)``: ``data`` as the whole reply.
     """
