@@ -160,6 +160,10 @@ class DiskResponseCache:
                 self.segments.append(path)
             written = os.write(self._segment, line)
             if written != len(line):
+                # Leave the torn prefix as the segment's unterminated last
+                # line, which readers skip: the next write starts a new one.
+                self._closer()
+                self._segment = None
                 raise OSError(f"short write to {self.segments[-1]}: {written} of {len(line)} bytes")
             if value == _TOMBSTONE:
                 self._keydir.pop(digest, None)

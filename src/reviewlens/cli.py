@@ -18,7 +18,7 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from .cache import DiskResponseCache
 from .domain import ProductRecord, canonical_json, load_product_records
@@ -182,17 +182,24 @@ def _write_outputs(
     product: ProductRecord,
     config: PipelineConfig,
     result: PipelineResult,
-    formats: Iterable[ReportFormat],
+    formats: Sequence[ReportFormat],
     backend_label: str,
 ) -> None:
+    """Write the product's files, and remove each output file an earlier
+    run left that this one does not write."""
     product_dir = out_dir / product.product_id
     product_dir.mkdir(parents=True, exist_ok=True)
-    for fmt in formats:
-        suffix = "json" if fmt is ReportFormat.JSON else "md"
-        write_atomic(product_dir / f"report.{suffix}", render_report(result.report, fmt))
+    for fmt in ReportFormat:
+        path = product_dir / f"report.{'json' if fmt is ReportFormat.JSON else 'md'}"
+        if fmt in formats:
+            write_atomic(path, render_report(result.report, fmt))
+        else:
+            path.unlink(missing_ok=True)
     manifest = build_run_manifest(product, config, result, backend_label=backend_label)
     write_atomic(product_dir / "manifest.json", canonical_json(manifest).encode("utf-8"))
-    if config.mode is not PipelineMode.BASELINE:
+    if config.mode is PipelineMode.BASELINE:
+        (product_dir / "extractions.json").unlink(missing_ok=True)
+    else:
         payload = {
             "product_id": product.product_id,
             "extractions": {

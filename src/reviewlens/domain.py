@@ -14,9 +14,11 @@ Responsibilities:
     ``[A-Za-z0-9][A-Za-z0-9._-]*``.
 
 A report holds its insights once, as one tuple in report order, and each
-insight carries its own status and category. Its JSON nests them by status,
-then category, in arrays, not objects, so that the report order
-(actionable statuses first) survives key-sorted serialization.
+insight carries its own status and a non-blank category, which the report
+checks. Its JSON nests them by status, then category, in arrays, not
+objects, so that the report order (actionable statuses first) survives
+key-sorted serialization. The stages hand categories over as a plain
+``dict`` from key to label; a key it lacks is in ``OTHER_CATEGORY``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import enum
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from .errors import DataFormatError, EmptyKeyError, UnknownStatusError
 from .inputs import (
@@ -246,22 +248,6 @@ class ComparedAttribute:
 
 
 @dataclass(frozen=True, slots=True)
-class CategoryAssignment:
-    """Total mapping from attribute keys to semantic category labels."""
-
-    mapping: Mapping[AttributeKey, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", dict(self.mapping))
-        for key, label in self.mapping.items():
-            if not label or not label.strip():
-                raise ValueError(f"category label for {key!r} must be non-empty")
-
-    def category_for(self, key: AttributeKey) -> str:
-        return self.mapping.get(key, OTHER_CATEGORY)
-
-
-@dataclass(frozen=True, slots=True)
 class Insight:
     """One reported finding: an attribute key, its observed values, verdict,
     category, and the reviews that back it."""
@@ -344,7 +330,8 @@ class StructuredReport:
     """The final deterministic report for one product: its categorized
     insights, one per (key, status), in report order: the fixed status order
     (Missing, Contradictory, Partially-matching, Matching), then category
-    lexicographically, then key. ``sections`` derives the nesting. It holds
+    lexicographically, then key. It refuses a blank category and a repeated
+    (key, status). ``sections`` derives the nesting. It holds
     no call stats: those are run telemetry (cache hits and retries vary
     between runs over identical inputs), so report bytes stay reproducible.
     """
@@ -357,6 +344,8 @@ class StructuredReport:
         object.__setattr__(self, "insights", tuple(insights))
         seen: set[tuple[AttributeKey, ComparisonStatus]] = set()
         for insight in insights:
+            if not insight.category.strip():
+                raise ValueError(f"insight {insight.key}: category must be non-empty")
             if (insight.key, insight.status) in seen:
                 raise ValueError(f"insight {insight.key} is reported twice as {insight.status.value}")
             seen.add((insight.key, insight.status))

@@ -1,10 +1,10 @@
 """Stage three: one call that buckets attribute keys into semantic categories.
 
 The prompt carries the deduplicated, lexicographically sorted key list and
-nothing else (never values), keeping it deterministic for caching. Parsing
-is total: unmapped keys fall back to the "Other" category, unknown keys in
-the response are dropped, duplicates resolve first-wins, and each anomaly
-leaves a diagnostic.
+nothing else (never values), keeping it deterministic for caching. The
+parse maps every requested key to a label: unmapped keys fall back to the
+"Other" category, unknown keys in the response are dropped, duplicates
+resolve first-wins, and each anomaly leaves a diagnostic.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .domain import OTHER_CATEGORY, AttributeKey, CategoryAssignment, ComparedAttribute
+from .domain import OTHER_CATEGORY, AttributeKey, ComparedAttribute
 from .gateway import ChatRequest
 from .llm_json import coerce_scalar, load_json_object, require_array
 from .prompt_library import render_prompt
@@ -41,8 +41,8 @@ def parse_grouping_response(
     keys: Sequence[AttributeKey],
     *,
     diagnostics: list[str] | None = None,
-) -> CategoryAssignment:
-    """Parse category rows into a total assignment over ``keys``."""
+) -> dict[AttributeKey, str]:
+    """Parse category rows into a label for each of ``keys``."""
     notes = diagnostics if diagnostics is not None else []
     payload = load_json_object(text)
     rows = require_array(payload, "groups")
@@ -69,4 +69,4 @@ def parse_grouping_response(
         if key not in mapping:
             notes.append(f"grouping omitted {key!r}; assigned {OTHER_CATEGORY!r}")
             mapping[key] = OTHER_CATEGORY
-    return CategoryAssignment(mapping=mapping)
+    return mapping

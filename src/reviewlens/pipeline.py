@@ -63,8 +63,8 @@ from typing import Any, Callable, Generator, Iterator, Mapping, NamedTuple, Sequ
 from .cache import DiskResponseCache
 from .comparison import build_comparison_prompt, parse_comparison_response
 from .domain import (
+    AttributeKey,
     CallStats,
-    CategoryAssignment,
     ComparedAttribute,
     ExtractedAttribute,
     Insight,
@@ -300,50 +300,32 @@ def _extract_and_compare(
     return outcome
 
 
-@dataclass(slots=True)
-class _Collected:
-    """Per-review outcomes folded in dataset order."""
-
-    succeeded: list[_ReviewOutcome]
-    failed: list[str]
-    diagnostics: list[str]
-    extractions: dict[str, tuple[ExtractedAttribute, ...]]
+# A closing call's result: the report's uncategorized insights, their
+# categories by key, and whether the call failed every review.
+_Closing = Generator[_Ask, Any, tuple[list[Insight], dict[AttributeKey, str], bool]]
 
 
-def _collect(outcomes: Sequence[_ReviewOutcome]) -> _Collected:
-    return _Collected(
-        succeeded=[o for o in outcomes if o.failed_stage is None],
-        failed=[o.review_id for o in outcomes if o.failed_stage is not None],
-        diagnostics=[note for o in outcomes for note in o.diagnostics],
-        extractions={o.review_id: tuple(o.attributes) for o in outcomes if o.failed_stage != "extraction"},
-    )
-
-
-_Closing = Generator[_Ask, Any, tuple[list[Insight], CategoryAssignment]]
-
-
-def _group(product: ProductRecord, reviews: _Collected, config: PipelineConfig) -> _Closing:
+def _group(
+    product: ProductRecord, succeeded: list[_ReviewOutcome], notes: list[str], config: PipelineConfig
+) -> _Closing:
     """The full mode's closing call: one grouping call over the compared
     attributes' keys. If it fails permanently, every key goes to "Other"."""
-    compared = [item for outcome in reviews.succeeded for item in outcome.compared]
+    compared = [item for outcome in succeeded for item in outcome.compared]
     insights = merge_insights(compared)
     keys = collect_unique_keys(compared)
-    assignment = CategoryAssignment()
+    categories: dict[AttributeKey, str] = {}
     if keys:
         request = build_grouping_prompt(keys, model=config.grouping_model)
         try:
-            assignment = yield _Ask(
+            categories = yield _Ask(
                 "grouping_calls",
                 request,
                 lambda text, scratch: parse_grouping_response(text, keys, diagnostics=scratch),
-                reviews.diagnostics,
+                notes,
             )
         except _STEP_FAILURES as exc:
-            reviews.diagnostics.append(
-                f"grouping failed permanently; every attribute assigned {OTHER_CATEGORY!r}: {exc}"
-            )
-            assignment = CategoryAssignment(mapping={key: OTHER_CATEGORY for key in keys})
-    return insights, assignment
+            notes.append(f"grouping failed permanently; every attribute assigned {OTHER_CATEGORY!r}: {exc}")
+    return insights, categories, False
 
 
 def build_baseline_prompt(product: ProductRecord, *, model: str) -> ChatRequest:
@@ -385,7 +367,9 @@ def build_ablated_prompt(
     )
 
 
-def _direct_report(product: ProductRecord, reviews: _Collected, config: PipelineConfig) -> _Closing:
+def _direct_report(
+    product: ProductRecord, succeeded: list[_ReviewOutcome], notes: list[str], config: PipelineConfig
+) -> _Closing:
     """The baseline and ablated closing call: ask for the whole report, over
     the reviews' text (baseline) or the extracted attributes (ablated).
 
@@ -397,32 +381,31 @@ def _direct_report(product: ProductRecord, reviews: _Collected, config: Pipeline
     if config.mode is PipelineMode.BASELINE:
         request = build_baseline_prompt(product, model=model) if product.reviews else None
     else:
-        attributes = [attr for outcome in reviews.succeeded for attr in outcome.attributes]
+        attributes = [attr for outcome in succeeded for attr in outcome.attributes]
         request = build_ablated_prompt(product, attributes, model=model) if attributes else None
     if request is None:
-        return [], CategoryAssignment()
+        return [], {}, False
     try:
-        return (yield _Ask(
+        insights, categories = yield _Ask(
             "grouping_calls",
             request,
             lambda text, scratch: parse_report_sections(text, product.review_ids, diagnostics=scratch),
-            reviews.diagnostics,
-        ))
+            notes,
+        )
     except _STEP_FAILURES as exc:
         if isinstance(getattr(exc, "last_error", None), MalformedOutputError):
-            reviews.diagnostics.append(
-                f"report payload unusable after retries; emitting empty report: {exc}"
-            )
-        else:
-            reviews.diagnostics.append(f"direct report call failed permanently: {exc}")
-            reviews.failed = list(product.review_ids)
-        return [], CategoryAssignment()
+            notes.append(f"report payload unusable after retries; emitting empty report: {exc}")
+            return [], {}, False
+        notes.append(f"direct report call failed permanently: {exc}")
+        return [], {}, True
+    return insights, categories, False
 
 
-# Each mode's per-review task (the baseline has none) and its closing call,
-# which returns the report's insights and categories. A closing call is the
-# product's "+1", counted as grouping in every mode; it adds its notes to
-# the collected diagnostics, and may fail every review.
+# Each mode's per-review task (the baseline has none) and its closing call.
+# A closing call is the product's "+1", counted as grouping in every mode.
+# It is given the succeeded review outcomes in dataset order and the
+# product's notes so far, adds its own notes to them, and returns a
+# ``_Closing`` result.
 _MODES = {
     PipelineMode.FULL: (_extract_and_compare, _group),
     PipelineMode.ABLATED: (_extract, _direct_report),
@@ -440,13 +423,15 @@ def _close(
     raised = [o for o in outcomes if isinstance(o, BaseException)]
     if raised:
         raise raised[0]
-    reviews = _collect(outcomes)
-    insights, assignment = yield from _MODES[config.mode][1](product, reviews, config)
+    succeeded = [o for o in outcomes if o.failed_stage is None]
+    notes = [note for o in outcomes for note in o.diagnostics]
+    insights, categories, failed_all = yield from _MODES[config.mode][1](product, succeeded, notes, config)
+    failed = [o.review_id for o in outcomes if o.failed_stage is not None]
     return PipelineResult(
-        report=build_report(insights, assignment, product_id=product.product_id),
-        failed_units=tuple(reviews.failed),
-        diagnostics=tuple(reviews.diagnostics),
-        extractions=reviews.extractions,
+        report=build_report(insights, categories, product_id=product.product_id),
+        failed_units=product.review_ids if failed_all else tuple(failed),
+        diagnostics=tuple(notes),
+        extractions={o.review_id: tuple(o.attributes) for o in outcomes if o.failed_stage != "extraction"},
     )
 
 

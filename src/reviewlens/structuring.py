@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .domain import (
+    OTHER_CATEGORY,
     AttributeKey,
-    CategoryAssignment,
     ComparedAttribute,
     ComparisonStatus,
     Insight,
@@ -79,16 +79,14 @@ def _merge_rows(rows: Iterable[_Row]) -> list[Insight]:
 
 
 def build_report(
-    insights: Iterable[Insight], categories: CategoryAssignment, *, product_id: str
+    insights: Iterable[Insight], categories: Mapping[AttributeKey, str], *, product_id: str
 ) -> StructuredReport:
-    """Place each uncategorized insight in its category, "Other" for a key
-    the assignment lacks, and let the report impose its order."""
+    """Place each uncategorized insight in its key's category, "Other" for a
+    key ``categories`` lacks, and let the report impose its order and refuse
+    a blank label."""
     return StructuredReport(
         product_id=product_id,
-        insights=[
-            replace(insight, category=insight.category or categories.category_for(insight.key))
-            for insight in insights
-        ],
+        insights=[replace(i, category=categories.get(i.key, OTHER_CATEGORY)) for i in insights],
     )
 
 
@@ -128,15 +126,16 @@ def parse_report_sections(
     valid_review_ids: Sequence[str],
     *,
     diagnostics: list[str] | None = None,
-) -> tuple[list[Insight], CategoryAssignment]:
+) -> tuple[list[Insight], dict[AttributeKey, str]]:
     """Best-effort parse of a model-produced whole-report payload.
 
     Used by the single-call pipeline modes. Raises MalformedOutputError only
     when there is no usable ``sections`` array at all; individual broken
     rows are skipped with diagnostics. Insights whose evidence cites no
     known review id are dropped: fabricated citations must not reach the
-    report. Rows merge on (key, status) and the first category seen for a
-    key wins.
+    report. Rows merge on (key, status) into uncategorized insights, and the
+    returned map gives each key the first non-blank category seen for it; a
+    key with none is left out, so it lands in "Other".
     """
     notes = diagnostics if diagnostics is not None else []
     payload = load_json_object(text)
@@ -177,7 +176,7 @@ def parse_report_sections(
                 if label:
                     category_by_key.setdefault(parsed[0], label)
 
-    return _merge_rows(report_rows), CategoryAssignment(mapping=category_by_key)
+    return _merge_rows(report_rows), category_by_key
 
 
 def _parse_insight_row(

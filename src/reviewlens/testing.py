@@ -17,7 +17,6 @@ import re
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .domain import (
-    CategoryAssignment,
     ComparedAttribute,
     ExtractedAttribute,
     ProductRecord,
@@ -188,7 +187,7 @@ class CannedReviewModel:
         sections = self._sections_payload(
             product,
             compared,
-            category_for=lambda key: "General",
+            label_of=lambda key: "General",
             keep_justifications=False,
         )
         return json.dumps({"sections": sections}, ensure_ascii=False)
@@ -204,7 +203,7 @@ class CannedReviewModel:
         sections = self._sections_payload(
             product,
             compared,
-            category_for=lambda key: self._categories.get(key, self._default_category),
+            label_of=lambda key: self._categories.get(key, self._default_category),
             keep_justifications=True,
         )
         return json.dumps({"sections": sections}, ensure_ascii=False)
@@ -246,14 +245,12 @@ class CannedReviewModel:
         product: ProductRecord,
         compared: list[ComparedAttribute],
         *,
-        category_for: Callable[[str], str],
+        label_of: Callable[[str], str],
         keep_justifications: bool,
     ) -> list[dict[str, Any]]:
         insights = merge_insights(compared)
-        assignment = CategoryAssignment(
-            mapping={insight.key: category_for(insight.key) for insight in insights}
-        )
-        body = build_report(insights, assignment, product_id=product.product_id).to_dict()
+        categories = {insight.key: label_of(insight.key) for insight in insights}
+        body = build_report(insights, categories, product_id=product.product_id).to_dict()
         if not keep_justifications:
             for section in body["sections"]:
                 for group in section["categories"]:

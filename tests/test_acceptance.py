@@ -16,7 +16,6 @@ import pytest
 from reviewlens.cache import DiskResponseCache
 from reviewlens.cli import CREDENTIAL_ENV_VAR, main
 from reviewlens.domain import (
-    CategoryAssignment,
     ComparisonStatus,
     load_product_records,
     parse_status,
@@ -179,7 +178,7 @@ def test_06_structuring_matches_brute_force_reference():
         mapping = random_mapping(rng, items)
         report = build_report(
             merge_insights(items),
-            CategoryAssignment(mapping=mapping),
+            mapping,
             product_id="acc-6",
         )
         assert report.to_dict() == brute_force_body(items, mapping, "acc-6"), (

@@ -266,6 +266,22 @@ class TestResponseLog:
             assert store.get(digest("short")) is None
         assert text_of(tmp_path, digest("short")) is None
 
+    def test_write_after_a_short_write_goes_to_a_new_segment(self, tmp_path, monkeypatch):
+        """The torn line stays the last line of its segment, so the next
+        entry is not glued to it and survives a reopen."""
+        write = os.write
+        with DiskResponseCache(tmp_path) as store:
+            monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:10]))
+            with pytest.raises(OSError, match="short write"):
+                store.put(digest("short"), answer("cut"))
+            monkeypatch.undo()
+            store.put(digest("next"), answer("kept"))
+            assert len(store.segments) == 2
+        with DiskResponseCache(tmp_path) as reopened:
+            assert list(reopened) == [digest("next")]
+            assert len(reopened.segments) == 2
+        assert text_of(tmp_path, digest("next")) == "kept"
+
     def test_cache_dir_in_the_old_layout_reads_as_empty(self, tmp_path):
         (tmp_path / f"{digest('old')}.json").write_text('{"model": "m", "text": "old"}', encoding="utf-8")
         with DiskResponseCache(tmp_path) as store:

@@ -136,6 +136,34 @@ class TestRunReplay:
         assert (out / "app-mixer-001" / "report.md").read_bytes() == golden("full", "app-mixer-001", "report.md")
         assert not (out / "app-mixer-001" / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "first, second, gone",
+        [
+            (("--mode", "full"), ("--mode", "baseline"), "extractions.json"),
+            (("--format", "both"), ("--format", "json"), "report.md"),
+        ],
+        ids=["mode", "format"],
+    )
+    def test_rerun_removes_the_files_it_does_not_write(self, tmp_path, capsys, first, second, gone):
+        out = tmp_path / "out"
+        for flags in (first, second):
+            code = run_cli(
+                "run", "--dataset", DATASET, "--fixtures", FIXTURES, "--product", "app-mixer-001",
+                "--out", str(out), *flags,
+            )
+            assert code == 0
+        product_dir = out / "app-mixer-001"
+        assert not (product_dir / gone).exists()
+        assert (product_dir / "manifest.json").exists() and (product_dir / "report.json").exists()
+        if gone == "extractions.json":
+            # The baseline run holds nothing for eval, as a clean one does.
+            capsys.readouterr()
+            code = run_cli(
+                "eval", "--runs", str(out), "--gold", str(TESTDATA / "gold.json"), "--dataset", DATASET
+            )
+            assert code == 1
+            assert "nothing to evaluate" in capsys.readouterr().err
+
     def test_worker_counts_same_bytes(self, tmp_path):
         one = tmp_path / "one"
         three = tmp_path / "three"

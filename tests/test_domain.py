@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from reviewlens.domain import (
     OTHER_CATEGORY,
     CallStats,
-    CategoryAssignment,
+    ComparedAttribute,
     ComparisonStatus,
     ExtractedAttribute,
     ProductRecord,
@@ -25,7 +25,7 @@ from reviewlens.domain import (
     parse_status,
 )
 from reviewlens.errors import DataFormatError, EmptyKeyError, UnknownStatusError
-from reviewlens.structuring import build_report
+from reviewlens.structuring import build_report, merge_insights
 
 
 class TestNormalizeKey:
@@ -144,9 +144,15 @@ class TestDataclasses:
             )
 
     def test_category_assignment_fallback(self):
-        assignment = CategoryAssignment(mapping={"color": "Appearance"})
-        assert assignment.category_for("color") == "Appearance"
-        assert assignment.category_for("unseen") == OTHER_CATEGORY
+        missing = ComparisonStatus.MISSING
+        insights = merge_insights(
+            [
+                ComparedAttribute(ExtractedAttribute(key=key, value="v", review_id="r1"), missing)
+                for key in ("color", "unseen")
+            ]
+        )
+        report = build_report(insights, {"color": "Appearance"}, product_id="p")
+        assert {i.key: i.category for i in report.insights} == {"color": "Appearance", "unseen": OTHER_CATEGORY}
 
     def test_call_stats_totals_and_round_trip(self):
         stats = CallStats(extraction_calls=8, comparison_calls=8, grouping_calls=1, cache_hits=3, retries=2)
@@ -155,14 +161,14 @@ class TestDataclasses:
             CallStats(extraction_calls=-1)
 
     def test_report_requires_all_sections(self):
-        report = build_report([], CategoryAssignment(), product_id="p")
+        report = build_report([], {}, product_id="p")
         assert list(report.sections()) == list(ComparisonStatus)
         body = report.to_dict()
         with pytest.raises(DataFormatError, match="must cover all four statuses"):
             StructuredReport.from_dict({**body, "sections": body["sections"][:2]})
 
     def test_report_round_trip_without_stats(self):
-        report = build_report([], CategoryAssignment(), product_id="p")
+        report = build_report([], {}, product_id="p")
         body = report.to_dict()
         assert "call_stats" not in body
         rebuilt = StructuredReport.from_dict(body)

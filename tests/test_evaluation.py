@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reviewlens.domain import CategoryAssignment, ExtractedAttribute, StructuredReport, normalize_key
+from reviewlens.domain import ExtractedAttribute, StructuredReport, normalize_key
 from reviewlens.errors import (
     DataFormatError,
     OutOfRangeError,
@@ -52,7 +52,7 @@ def attr(key: str, value: str, review_id: str = "r1") -> ExtractedAttribute:
 
 
 def result_for(product_id: str) -> StructuredReport:
-    return build_report([], CategoryAssignment(), product_id=product_id)
+    return build_report([], {}, product_id=product_id)
 
 
 class TestF1:

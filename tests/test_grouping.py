@@ -67,15 +67,15 @@ class TestParseTotality:
             groups(("color", "Appearance"), ("weight", "Physical Attributes")),
             ["color", "weight"],
         )
-        assert assignment.category_for("color") == "Appearance"
-        assert assignment.category_for("weight") == "Physical Attributes"
+        assert assignment.get("color", OTHER_CATEGORY) == "Appearance"
+        assert assignment.get("weight", OTHER_CATEGORY) == "Physical Attributes"
 
     def test_omitted_key_falls_back_to_other(self):
         notes: list[str] = []
         assignment = parse_grouping_response(
             groups(("color", "Appearance")), ["color", "scent"], diagnostics=notes
         )
-        assert assignment.category_for("scent") == OTHER_CATEGORY
+        assert assignment.get("scent", OTHER_CATEGORY) == OTHER_CATEGORY
         assert any("scent" in n for n in notes)
 
     def test_unknown_key_dropped(self):
@@ -85,7 +85,7 @@ class TestParseTotality:
             ["color"],
             diagnostics=notes,
         )
-        assert assignment.mapping == {"color": "Appearance"}
+        assert assignment == {"color": "Appearance"}
         assert any("finish" in n for n in notes)
 
     def test_duplicate_first_wins(self):
@@ -95,18 +95,18 @@ class TestParseTotality:
             ["color"],
             diagnostics=notes,
         )
-        assert assignment.category_for("color") == "Appearance"
+        assert assignment.get("color", OTHER_CATEGORY) == "Appearance"
         assert any("duplicate" in n for n in notes)
 
     def test_blank_category_becomes_other(self):
         assignment = parse_grouping_response(groups(("color", "   ")), ["color"])
-        assert assignment.category_for("color") == OTHER_CATEGORY
+        assert assignment.get("color", OTHER_CATEGORY) == OTHER_CATEGORY
 
     def test_non_object_rows_skipped(self):
         text = json.dumps({"groups": ["loose", {"attribute": "color", "category": "Appearance"}]})
         notes: list[str] = []
         assignment = parse_grouping_response(text, ["color"], diagnostics=notes)
-        assert assignment.category_for("color") == "Appearance"
+        assert assignment.get("color", OTHER_CATEGORY) == "Appearance"
         assert any("not an object" in n for n in notes)
 
     @pytest.mark.parametrize("text", ["not json", '{"groups": "nope"}', "[]"])
@@ -130,7 +130,7 @@ def test_assignment_always_total(keys, data):
     answered = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
     rows = [(k, "Bucket") for k, keep in zip(keys, answered) if keep]
     assignment = parse_grouping_response(groups(*rows), keys)
-    assert set(assignment.mapping) == set(keys)
+    assert set(assignment) == set(keys)
     for key, keep in zip(keys, answered):
         expected = "Bucket" if keep else OTHER_CATEGORY
-        assert assignment.category_for(key) == expected
+        assert assignment.get(key, OTHER_CATEGORY) == expected

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from reviewlens.domain import (
     OTHER_CATEGORY,
-    CategoryAssignment,
     ComparedAttribute,
     ComparisonStatus,
     ExtractedAttribute,
@@ -97,20 +96,25 @@ class TestMergeInsights:
 
 class TestBuildReport:
     def test_all_sections_present_even_when_empty(self):
-        report = build_report([], CategoryAssignment(), product_id="p1")
+        report = build_report([], {}, product_id="p1")
         assert list(report.sections()) == list(ComparisonStatus)
         assert all(groups == {} for groups in report.sections().values())
 
     def test_unassigned_key_lands_in_other(self):
-        insights = merge_insights([compared("scent", "citrus", "r1")])
-        report = build_report(insights, CategoryAssignment(), product_id="p1")
+        insights = merge_insights([compared("scent", "citrus", "r1"), compared("color", "red", "r1")])
+        report = build_report(insights, {"color": "Appearance"}, product_id="p1")
         section = report.sections()[ComparisonStatus.MISSING]
-        assert list(section) == [OTHER_CATEGORY]
+        assert list(section) == ["Appearance", OTHER_CATEGORY]
+        assert [i.key for i in section[OTHER_CATEGORY]] == ["scent"]
+
+    @pytest.mark.parametrize("label", ["", "  "], ids=["empty", "spaces"])
+    def test_blank_label_is_refused(self, label):
+        insights = merge_insights([compared("color", "red", "r1")])
+        with pytest.raises(ValueError, match="color: category must be non-empty"):
+            build_report(insights, {"color": label}, product_id="p1")
 
     def test_orderings(self):
-        assignment = CategoryAssignment(
-            mapping={"zeta": "Bravo", "alpha": "Bravo", "mid": "Alpha"}
-        )
+        assignment = {"zeta": "Bravo", "alpha": "Bravo", "mid": "Alpha"}
         insights = merge_insights(
             [
                 compared("zeta", "1", "r1"),
@@ -125,7 +129,7 @@ class TestBuildReport:
         assert [i.key for i in bravo] == ["alpha", "zeta"]
 
     def test_input_order_does_not_matter(self):
-        assignment = CategoryAssignment(mapping={"a": "X", "b": "Y"})
+        assignment = {"a": "X", "b": "Y"}
         insights = merge_insights([compared("a", "1", "r1"), compared("b", "2", "r2")])
         forward = build_report(insights, assignment, product_id="p1")
         backward = build_report(list(reversed(insights)), assignment, product_id="p1")
@@ -135,16 +139,14 @@ class TestBuildReport:
 class TestRenderReport:
     def test_json_is_canonical_body_bytes(self):
         insights = merge_insights([compared("color", "red", "r1")])
-        report = build_report(insights, CategoryAssignment(), product_id="p1")
+        report = build_report(insights, {}, product_id="p1")
         assert render_report(report, ReportFormat.JSON) == canonical_json(report.to_dict()).encode("utf-8")
 
     def test_markdown_layout(self):
         insights = merge_insights(
             [compared("color", "red", "r1", ComparisonStatus.CONTRADICTORY, "says silver")]
         )
-        report = build_report(
-            insights, CategoryAssignment(mapping={"color": "Appearance"}), product_id="p1"
-        )
+        report = build_report(insights, {"color": "Appearance"}, product_id="p1")
         text = render_report(report, ReportFormat.MARKDOWN).decode("utf-8")
         assert "# Listing insight report: p1" in text
         assert "## Contradictory" in text
@@ -156,8 +158,8 @@ class TestRenderReport:
 
     def test_byte_stability(self):
         insights = merge_insights([compared("color", "red", "r1")])
-        report = build_report(insights, CategoryAssignment(), product_id="p1")
-        again = build_report(insights, CategoryAssignment(), product_id="p1")
+        report = build_report(insights, {}, product_id="p1")
+        again = build_report(insights, {}, product_id="p1")
         for fmt in ReportFormat:
             assert render_report(report, fmt) == render_report(again, fmt)
 
@@ -251,7 +253,7 @@ class TestAgainstBruteForce:
             mapping = random_mapping(rng, items)
             report = build_report(
                 merge_insights(items),
-                CategoryAssignment(mapping=mapping),
+                mapping,
                 product_id="pX",
             )
             assert report.to_dict() == brute_force_body(items, mapping, "pX")
@@ -287,14 +289,14 @@ class TestParseReportSections:
         assert insight.values == ("red",)
         assert insight.evidence == ("r1",)
         assert insight.justifications == ("never mentioned",)
-        assert assignment.category_for("color") == "Appearance"
+        assert assignment.get("color", OTHER_CATEGORY) == "Appearance"
 
     def test_real_reports_round_trip(self):
         items = [
             compared("color", "red", "r1", ComparisonStatus.CONTRADICTORY, "says silver"),
             compared("weight", "2 kg", "r2"),
         ]
-        assignment = CategoryAssignment(mapping={"color": "Appearance", "weight": "Build"})
+        assignment = {"color": "Appearance", "weight": "Build"}
         original = build_report(merge_insights(items), assignment, product_id="p1")
         text = render_report(original, ReportFormat.JSON).decode("utf-8")
         insights, parsed_assignment = parse_report_sections(text, ["r1", "r2"])
@@ -343,7 +345,7 @@ class TestParseReportSections:
         (insight,) = insights
         assert insight.values == ("red", "crimson")
         assert insight.evidence == ("r1", "r2")
-        assert assignment.category_for("color") == "Appearance"
+        assert assignment.get("color", OTHER_CATEGORY) == "Appearance"
 
     @pytest.mark.parametrize("text", ["not json", "{}", '{"sections": "nope"}'])
     def test_unusable_payload_rejected(self, text):
@@ -485,7 +487,7 @@ def test_structured_report_round_trips_via_dict():
     items = [compared("color", "red", "r1", ComparisonStatus.MATCHING, "stated")]
     report = build_report(
         merge_insights(items),
-        CategoryAssignment(mapping={"color": "Appearance"}),
+        {"color": "Appearance"},
         product_id="p1",
     )
     payload = report.to_dict()
@@ -512,7 +514,7 @@ def test_golden_report_read_back_renders_its_golden_bytes(mode, product_id):
 )
 def test_row_that_disagrees_with_its_section_is_refused(field, value, message):
     report = build_report(
-        merge_insights([compared("scent", "citrus", "r1")]), CategoryAssignment(), product_id="p1"
+        merge_insights([compared("scent", "citrus", "r1")]), {}, product_id="p1"
     )
     body = report.to_dict()
     body["sections"][0]["categories"][0]["insights"][0][field] = value
@@ -526,6 +528,6 @@ def test_report_refuses_a_repeated_key_and_status():
     with pytest.raises(ValueError, match="scent is reported twice as Missing"):
         build_report(
             [insight, dataclasses.replace(insight, values=("lemon",))],
-            CategoryAssignment(),
+            {},
             product_id="p1",
         )
