@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from reviewlens.cache import DiskResponseCache
 from reviewlens.domain import ProductRecord, Review, canonical_json, dump_product_records
-from reviewlens.gateway import RecordingBackend, ReplayBackend
+from reviewlens.gateway import ReplayBackend
 from reviewlens.pipeline import PipelineConfig, PipelineMode, run_product
 from reviewlens.structuring import ReportFormat, render_report
 from reviewlens.testing import CannedReviewModel
@@ -303,7 +303,10 @@ def build(root: Path) -> None:
     model = CannedReviewModel.from_config(PRODUCTS, CANNED_MODEL_CONFIG)
     fixtures_dir = root / "fixtures"
     fixtures_dir.mkdir(parents=True, exist_ok=True)
-    recorder = RecordingBackend(model, fixtures_dir)
+    # Recording starts from an empty log, so no answer an earlier build
+    # recorded is served from the cache.
+    for segment in fixtures_dir.glob("*.log"):
+        segment.unlink()
 
     dump_product_records(PRODUCTS, root / "dataset.json")
     _write(root / "canned_model.json", canonical_json(CANNED_MODEL_CONFIG).encode("utf-8"))
@@ -321,13 +324,16 @@ def build(root: Path) -> None:
         canonical_json(PipelineConfig(workers=4).to_dict()).encode("utf-8"),
     )
 
-    # Record every mode, then render goldens from a replay pass so the
-    # checked-in bytes are the replay bytes by construction.
+    # Record every mode through the response cache, then render goldens from
+    # a replay pass so the checked-in bytes are the replay bytes by
+    # construction.
+    store = DiskResponseCache(fixtures_dir)
     for mode in PipelineMode:
         config = PipelineConfig(mode=mode, workers=4)
         for product in PRODUCTS:
-            run_product(product, config, recorder)
-    recorder.close()  # compacts the fixtures into one segment, sorted by fingerprint
+            run_product(product, config, model, cache=store)
+    held = len(list(store))
+    store.compact()  # into one segment, sorted by fingerprint
     replay = ReplayBackend(fixtures_dir)
     for mode in PipelineMode:
         config = PipelineConfig(mode=mode, workers=4)
@@ -338,8 +344,6 @@ def build(root: Path) -> None:
             base = root / "golden" / mode.value / product.product_id
             _write(base / "report.json", render_report(result.report, ReportFormat.JSON))
             _write(base / "report.md", render_report(result.report, ReportFormat.MARKDOWN))
-    with DiskResponseCache(fixtures_dir) as store:
-        held = len(list(store))
     print(f"fixtures: {held} responses in {fixtures_dir}")
 
 

@@ -2,9 +2,12 @@
 
 Subcommands: ``run`` executes a pipeline mode over a dataset and writes
 reports, ``eval`` aggregates metrics and annotation tallies, and
-``record-fixtures`` performs a live run while capturing every response for
-later replay. Exit codes: 0 success, 1 fatal configuration or input error,
-2 finished with failed review units.
+``record-fixtures`` performs a live run whose response cache is the fixture
+directory, then compacts it for replay. Recording thus writes through the
+cache: a rerun into a partly recorded directory asks only for the answers it
+lacks, identical requests of one product are sent once, and a request whose
+every answer failed to parse leaves no fixture. Exit codes: 0 success, 1
+fatal configuration or input error, 2 finished with failed review units.
 
 The API credential enters through --api-key or the REVIEWLENS_API_KEY
 environment variable, is read only for a live backend, and is handed to
@@ -23,7 +26,7 @@ from typing import NoReturn, Sequence
 from .cache import DiskResponseCache
 from .domain import ProductRecord, canonical_json, load_product_records
 from .errors import DataFormatError
-from .gateway import ApiCredential, HttpBackend, RecordingBackend, ReplayBackend
+from .gateway import ApiCredential, HttpBackend, ReplayBackend
 from .inputs import build, check_object, read_json
 from .pipeline import (
     PipelineConfig,
@@ -75,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     record = sub.add_parser(
         "record-fixtures",
-        help="run live while recording every response as a replay fixture",
+        help="run live with a fixture directory as the response cache, for replay",
     )
     _add_run_arguments(record, recording=True)
     record.set_defaults(func=cmd_record_fixtures)
@@ -210,13 +213,15 @@ def _write_outputs(
         write_atomic(product_dir / "extractions.json", canonical_json(payload).encode("utf-8"))
 
 
-def _execute_run(args: argparse.Namespace, inputs, gateway, backend_label: str) -> int:
+def _execute_run(
+    args: argparse.Namespace, inputs, gateway, backend_label: str, cache: DiskResponseCache | None = None
+) -> int:
     config, products = inputs
     formats = _report_formats(args.format)
     any_failures = False
-    # The run opens the store at config.cache_dir once; closing the
-    # generator, on success or on a crash, closes the store.
-    with contextlib.closing(run_products(products, config, gateway)) as results:
+    # Without a cache, the run opens the store at config.cache_dir once;
+    # closing the generator, on success or on a crash, closes that store.
+    with contextlib.closing(run_products(products, config, gateway, cache=cache)) as results:
         # Each product is written as soon as it and every earlier one are done.
         for product, result in zip(products, results):
             if args.out is not None:
@@ -259,7 +264,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_record_fixtures(args: argparse.Namespace) -> int:
     inputs = _load_inputs(args)
-    if inputs[0].cache_dir is not None:  # a cached answer would never reach the recorder
+    if inputs[0].cache_dir is not None:  # it would name a second store beside the fixtures
         return _fatal("record-fixtures records every answer and takes no cache_dir; drop it from the config")
     credential = _resolve_credential(args)
     if credential is None:
@@ -267,15 +272,13 @@ def cmd_record_fixtures(args: argparse.Namespace) -> int:
             f"recording runs live and needs an API key; set {CREDENTIAL_ENV_VAR} or pass --api-key"
         )
     live = _live_backend(args, credential)
-    Path(args.fixtures).mkdir(parents=True, exist_ok=True)
-    gateway = RecordingBackend(live, args.fixtures)
+    store = DiskResponseCache(args.fixtures)  # the run's cache; the manifests show no cache_dir
     try:
-        code = _execute_run(args, inputs, gateway, "record")
+        code = _execute_run(args, inputs, live, "record", store)
+        held = len(list(store))
     finally:
         live.close()
-        gateway.close()  # compacts the fixture directory into one segment
-    with DiskResponseCache(args.fixtures) as store:
-        held = len(list(store))
+        store.compact()  # into one segment, sorted by fingerprint
     print(f"recorded into {args.fixtures}, which holds {held} fixture responses")
     return code
 

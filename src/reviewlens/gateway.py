@@ -7,11 +7,10 @@ Responsibilities:
     deliberately outside the identity)
   * interchangeable backends that only answer ``complete(request)``, with
     no count of their own (a run counts its calls in ``CallStats``): live
-    HTTP, replay-from-fixtures, and a recording wrapper that captures live
-    traffic for later replay. The live backend is built with the API
-    credential and is the only object that holds it. Both fixture backends
-    keep their responses in the response log of ``cache.DiskResponseCache``,
-    the store the response cache uses too
+    HTTP and replay-from-fixtures. The live backend is built with the API
+    credential and is the only object that holds it. A fixture directory is
+    a response log of ``cache.DiskResponseCache``: recording is a live run
+    whose response cache is that directory, and replay reads it
   * the request path every pipeline stage uses, one function per job:
     ``complete_parsed`` fingerprints the request once and builds one
     attempt; ``lookup_or_call`` is that attempt's cache-or-call;
@@ -530,7 +529,8 @@ class HttpBackend:
 
 class ReplayBackend:
     """Serves recorded responses from a fixture directory; never touches the
-    network. A missing fixture is a test-setup error, not a retry case."""
+    network. A missing fixture raises NoFixtureError, which is not retried:
+    the request was never recorded, or every answer to it failed to parse."""
 
     def __init__(self, fixtures_dir: Path | str):
         self._store = DiskResponseCache(fixtures_dir)
@@ -550,23 +550,6 @@ class ReplayBackend:
             raise NoFixtureError(
                 f"{detail} for fingerprint {digest[:16]}... (model {request.model})"
             )
-        return response
-
-
-class RecordingBackend:
-    """Pass-through wrapper that captures every live response as a fixture.
-    ``close`` compacts the fixture directory into its one segment."""
-
-    def __init__(self, inner: ChatBackend, fixtures_dir: Path | str):
-        self.inner = inner
-        self._store = DiskResponseCache(fixtures_dir)
-
-    def close(self) -> None:
-        self._store.compact()
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        response = self.inner.complete(request)
-        self._store.put(fingerprint(request), response)
         return response
 
 

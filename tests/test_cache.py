@@ -16,7 +16,7 @@ import pytest
 from reviewlens import cache, store
 from reviewlens.cache import COMPACTED_SEGMENT, ChatResponse, DiskResponseCache
 from reviewlens.cli import main
-from reviewlens.gateway import RecordingBackend, ReplayBackend
+from reviewlens.gateway import ReplayBackend
 from reviewlens.pipeline import PipelineConfig, run_product
 
 from conftest import TESTDATA
@@ -207,17 +207,17 @@ class TestResponseLog:
         assert text_of(tmp_path, digest("twice")) == "second"
 
     def test_identical_requests_of_one_product_keep_one_entry(self, tmp_path, products_by_id):
-        # bud-r1 and bud-r8 send byte-identical comparison requests; with no
-        # cache both reach the backend and are recorded.
+        # bud-r1 and bud-r8 send byte-identical comparison requests; recorded
+        # through the cache, the second is a hit and writes nothing.
         replay = CountingBackend(ReplayBackend(TESTDATA / "fixtures"))
-        recorder = RecordingBackend(replay, tmp_path)
-        run_product(products_by_id["ele-buds-003"], PipelineConfig(workers=1), recorder)
+        store = DiskResponseCache(tmp_path)
+        result = run_product(products_by_id["ele-buds-003"], PipelineConfig(workers=1), replay, cache=store)
         recorded = [line.split()[0] for line in only_segment(tmp_path).read_bytes().splitlines()]
-        assert len(recorded) == replay.calls == len(set(recorded)) + 1
-        assert len(list(DiskResponseCache(tmp_path))) == len(set(recorded))
-        recorder.close()
+        assert len(recorded) == len(set(recorded)) == replay.calls == 18
+        assert result.call_stats.cache_hits == 1
+        store.compact()
         compacted = (tmp_path / COMPACTED_SEGMENT).read_bytes().splitlines()
-        assert [line.split()[0] for line in compacted] == sorted(set(recorded))
+        assert [line.split()[0] for line in compacted] == sorted(recorded)
 
     def test_compaction_is_sorted_and_byte_stable(self, tmp_path):
         keys = [digest(str(i)) for i in range(20)]

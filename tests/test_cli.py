@@ -22,7 +22,7 @@ from reviewlens.cache import DiskResponseCache
 from reviewlens.cli import CREDENTIAL_ENV_VAR, main
 from reviewlens.errors import RateLimitedError, TransportError
 from reviewlens.evaluation import REFERENCE_CATEGORY_SCORES
-from reviewlens.gateway import ReplayBackend, fingerprint
+from reviewlens.gateway import ChatResponse, ReplayBackend, fingerprint
 from reviewlens.extraction import build_extraction_prompt
 from reviewlens.pipeline import PipelineConfig, PipelineMode, run_product
 
@@ -892,8 +892,8 @@ class TestRecordFixtures:
         )
 
     def test_record_reports_the_responses_the_directory_holds(self, tmp_path, serve, canned_model, capsys):
-        # bud-r1 and bud-r8 send one byte-identical comparison request; with
-        # no cache both reach the provider, and the directory keeps one answer.
+        # bud-r1 and bud-r8 send one byte-identical comparison request. The
+        # fixtures are the run's cache, so it reaches the provider once.
         server = serve(backend=canned_model, key="test-key-123")
         fixtures = tmp_path / "recorded"
         code = run_cli(
@@ -906,11 +906,97 @@ class TestRecordFixtures:
             "--product", "ele-buds-003",
         )
         assert code == 0
-        assert len(server.arrivals) == 19
+        assert len(server.arrivals) == 18
+        assert len({fingerprint(arrival.request) for arrival in server.arrivals}) == 18
         assert len(list(DiskResponseCache(fixtures))) == 18
         assert capsys.readouterr().out.splitlines()[-1] == (
             f"recorded into {fixtures}, which holds 18 fixture responses"
         )
+
+    def test_a_rerun_asks_only_for_the_answers_the_fixtures_lack(
+        self, tmp_path, serve, canned_model, capsys
+    ):
+        # The first provider answers 5 requests, then HTTP 500 to every
+        # request and retry after them; with no backoff the run ends quickly.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retry": {"base_delay_ms": 0}}), encoding="utf-8")
+        fixtures = tmp_path / "recorded"
+        argv = [
+            "record-fixtures",
+            "--dataset", DATASET,
+            "--config", str(config),
+            "--fixtures", str(fixtures),
+            "--api-key", "test-key-123",
+            "--mode", "full",
+            "--product", "app-mixer-001",
+        ]
+        failing = serve(["ok"] * 5 + [(500, b"{}")] * 60, backend=canned_model, key="test-key-123")
+        assert run_cli(*argv, "--base-url", failing.url) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"recorded into {fixtures}, which holds 5 fixture responses"
+        )
+        with DiskResponseCache(fixtures) as store:
+            held = set(store)
+        assert len(held) == 5
+
+        healthy = serve(backend=canned_model, key="test-key-123")
+        assert run_cli(*argv, "--base-url", healthy.url) == 0
+        asked = [fingerprint(arrival.request) for arrival in healthy.arrivals]
+        with DiskResponseCache(fixtures) as store:
+            recorded = set(store)
+        assert len(recorded) == 17
+        assert sorted(asked) == sorted(recorded - held)
+
+        out = tmp_path / "out"
+        code = run_cli(
+            "run",
+            "--dataset", DATASET,
+            "--fixtures", str(fixtures),
+            "--mode", "full",
+            "--product", "app-mixer-001",
+            "--out", str(out),
+        )
+        assert code == 0
+        for name in ("report.json", "report.md"):
+            assert (out / "app-mixer-001" / name).read_bytes() == golden("full", "app-mixer-001", name)
+
+    def test_a_request_that_never_parsed_leaves_no_fixture(
+        self, tmp_path, serve, canned_model, products_by_id, capsys
+    ):
+        # Every answer to the ablated report call is malformed. The recording
+        # ends with an empty report, and the cache evicted each answer, so a
+        # replay finds no fixture for the call and fails every review.
+        class MalformedReports:
+            def complete(self, request):
+                if request.model == "report-model":
+                    return ChatResponse(text="not a report", model=request.model)
+                return canned_model.complete(request)
+
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"comparison_model": "report-model", "retry": {"base_delay_ms": 0}}),
+            encoding="utf-8",
+        )
+        server = serve(backend=MalformedReports(), key="test-key-123")
+        fixtures = tmp_path / "recorded"
+        argv = ["--dataset", DATASET, "--config", str(config), "--mode", "ablated", "--product", "app-mixer-001"]
+        code = run_cli(
+            "record-fixtures", *argv,
+            "--fixtures", str(fixtures),
+            "--api-key", "test-key-123",
+            "--base-url", server.url,
+        )
+        assert code == 0
+        assert len(server.arrivals) == 8 + 3  # the extractions, and the report call's 3 attempts
+        captured = capsys.readouterr()
+        assert "emitting empty report" in captured.err
+        assert captured.out.splitlines()[-1] == f"recorded into {fixtures}, which holds 8 fixture responses"
+
+        assert run_cli("run", *argv, "--fixtures", str(fixtures)) == 2
+        captured = capsys.readouterr()
+        review_ids = list(products_by_id["app-mixer-001"].review_ids)
+        assert f"failed_units={review_ids}" in captured.out
+        assert "direct report call failed permanently: no recorded response" in captured.err
 
     def test_record_requires_credential(self, monkeypatch, tmp_path, capsys):
         monkeypatch.delenv(CREDENTIAL_ENV_VAR, raising=False)
@@ -1247,8 +1333,8 @@ class TestRefusedInputs:
         assert sorted(tmp_path.iterdir()) == [dataset]
 
     def test_record_fixtures_refuses_a_cache(self, tmp_path, serve, canned_model, capsys):
-        # A cache in front of the recorder would keep every answer it holds
-        # out of the fixtures, and a replay of them would fail those reviews.
+        # The fixtures are the recording's one response store; a cache_dir
+        # would name a second.
         server = serve(backend=canned_model, key="test-key-123")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"cache_dir": str(tmp_path / "cache")}), encoding="utf-8")

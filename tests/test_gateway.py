@@ -28,7 +28,6 @@ from reviewlens.gateway import (
     ChatRequest,
     ChatResponse,
     HttpBackend,
-    RecordingBackend,
     ReplayBackend,
     ResponseFormat,
     RetryPolicy,
@@ -211,7 +210,7 @@ class TestHttpBackend:
         assert http_backend(server.url, ApiCredential(key="right-key")).complete(REQ).text == "pong"
 
     def test_only_the_live_backend_holds_a_credential(self):
-        for backend in (ChatBackend, HttpBackend, ReplayBackend, RecordingBackend, CannedReviewModel):
+        for backend in (ChatBackend, HttpBackend, ReplayBackend, CannedReviewModel):
             assert list(inspect.signature(backend.complete).parameters) == ["self", "request"]
         for runner in (lookup_or_call, complete_parsed, run_product, run_products):
             assert "credential" not in inspect.signature(runner).parameters
@@ -219,8 +218,10 @@ class TestHttpBackend:
 
 class TestRecordReplay:
     def test_round_trip(self, tmp_path):
+        # Recording is a live call whose cache is the fixture directory.
         live = ScriptedBackend(["first answer"])
-        recorded = RecordingBackend(live, tmp_path).complete(REQ)
+        with DiskResponseCache(tmp_path) as store:
+            recorded = lookup_or_call(REQ, fingerprint(REQ), live, store)
         assert live.calls == 1
         replay = CountingBackend(ReplayBackend(tmp_path))
         served = replay.complete(REQ)
@@ -234,9 +235,9 @@ class TestRecordReplay:
             replay.complete(REQ)
 
     def test_fixture_file_layout(self, tmp_path):
-        recorder = RecordingBackend(ScriptedBackend(["text body"]), tmp_path)
-        recorder.complete(REQ)
-        recorder.close()
+        store = DiskResponseCache(tmp_path)
+        lookup_or_call(REQ, fingerprint(REQ), ScriptedBackend(["text body"]), store)
+        store.compact()
         assert [path.name for path in tmp_path.iterdir()] == ["responses.log"]
         response = DiskResponseCache(tmp_path).get(fingerprint(REQ))
         payload = {"text": response.text, "model": response.model}

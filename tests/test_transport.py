@@ -20,9 +20,11 @@ import threading
 import time
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from reviewlens import gateway
 from reviewlens.cli import CREDENTIAL_ENV_VAR, main
 from reviewlens.errors import AuthFailedError, RateLimitedError, TransportError
 from reviewlens.gateway import ApiCredential, ChatRequest, HttpBackend, ResponseFormat, RetryPolicy
@@ -251,7 +253,33 @@ class TestWireErrors:
 
 class TestCallDeadline:
     """``timeout_s`` bounds a whole call: a server that sends a few bytes
-    every 0.3 s, inside the 0.5 s timeout, is cut off at the timeout."""
+    every 0.3 s, inside the 0.5 s timeout, is cut off at the timeout, and a
+    deadline that passes between two socket operations fails the next one."""
+
+    def test_deadline_passed_after_the_status_line_fails_the_next_read(
+        self, serve, http_backend, monkeypatch
+    ):
+        # A fake clock reaches the deadline once the status line is read.
+        # The server sends nothing more, so the reader must ask the socket
+        # again, and finds no time left.
+        now = [0.0]
+        monkeypatch.setattr(gateway, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        read_line = gateway._ResponseReader._line
+
+        def line(reader, what):
+            got = read_line(reader, what)
+            if what == "status line":
+                now[0] += 5.0
+            return got
+
+        monkeypatch.setattr(gateway._ResponseReader, "_line", line)
+        server = serve([Raw(b"HTTP/1.1 200 OK\r\n", keep_open=True)])
+        live = http_backend(server.url, KEY, timeout_s=5.0)
+        with pytest.raises(TransportError, match="took longer than its timeout") as caught:
+            live.complete(_request())
+        assert isinstance(caught.value.__cause__, TimeoutError)
+        assert live._origin._pooled == []
+        assert len(server.arrivals) == 1 and server.all_closed()
 
     def test_trickling_reply_fails_at_the_timeout(self, serve, http_backend):
         server = serve(["trickle"])

@@ -22,6 +22,19 @@ def answer(content: str, model: str = "served") -> bytes:
     return json.dumps({"model": model, "choices": [{"message": {"content": content}}]}).encode()
 
 
+def chat_request(payload: dict) -> ChatRequest:
+    """The request a chat-completions POST body, decoded, carries."""
+    messages = {message["role"]: message["content"] for message in payload["messages"]}
+    json_mode = payload.get("response_format") == {"type": "json_object"}
+    return ChatRequest(
+        model=payload["model"],
+        system_prompt=messages["system"],
+        user_prompt=messages["user"],
+        temperature=payload["temperature"],
+        response_format=ResponseFormat.JSON_OBJECT if json_mode else ResponseFormat.FREE_TEXT,
+    )
+
+
 @dataclass(frozen=True)
 class Raw:
     """A scripted reply written to the socket as it is; the server then
@@ -33,11 +46,15 @@ class Raw:
 
 class Arrival(NamedTuple):
     """One request as the server read it: target, headers, and the raw
-    bytes off the socket, head and body."""
+    bytes off the socket, head and body; ``request`` decodes the body."""
 
     target: str
     headers: dict[str, str]
     raw: bytes
+
+    @property
+    def request(self) -> ChatRequest:
+        return chat_request(json.loads(self.raw.partition(b"\r\n\r\n")[2]))
 
 
 class _Recorder:
@@ -193,16 +210,7 @@ class WireServer(ThreadingHTTPServer):
         """The status and body a provider would send for ``payload``."""
         if self.key is not None and authorization != f"Bearer {self.key}":
             return 401, b'{"error": "invalid credential"}'
-        messages = {message["role"]: message["content"] for message in payload["messages"]}
-        json_mode = payload.get("response_format") == {"type": "json_object"}
-        request = ChatRequest(
-            model=payload["model"],
-            system_prompt=messages["system"],
-            user_prompt=messages["user"],
-            temperature=payload["temperature"],
-            response_format=ResponseFormat.JSON_OBJECT if json_mode else ResponseFormat.FREE_TEXT,
-        )
-        response = self.backend.complete(request)
+        response = self.backend.complete(chat_request(payload))
         return 200, answer(response.text, response.model)
 
     def all_closed(self, timeout: float = 5) -> bool:
