@@ -26,10 +26,10 @@ Responsibilities:
 The live backend speaks the common chat-completions JSON dialect: a single
 POST with system/user messages and bearer auth, which both OpenAI-style and
 Gemini-style endpoints accept. It resolves its one endpoint when it is
-built (``_Origin``): the URL and proxy checks, the request target and every
-constant line of the request head. ``http.client`` only opens connections,
-which the backend pools and keeps alive; each request goes out in one
-``sendall`` and the response is read by a small parser, which takes the
+built (``_Origin``): the URL and proxy checks, the CONNECT head and every
+constant line of the request head. It opens, pools and keeps alive its own
+connections; each request goes out in one ``sendall`` and each response,
+a proxy's CONNECT reply too, is read by a small parser, which takes the
 framings of RFC 9112 §6 (``Content-Length``, chunked, or the connection
 closing) and refuses anything else.
 """
@@ -39,16 +39,13 @@ from __future__ import annotations
 import base64
 import enum
 import hashlib
-import http.client
 import json
 import math
 import re
 import select
 import socket
-import ssl
 import threading
 import time
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Generator, Optional, Protocol, TypeVar, runtime_checkable
@@ -208,12 +205,16 @@ _VISIBLE_ASCII = re.compile(r"[!-~]+")
 _USER_AGENT = f"reviewlens/{__version__}"
 
 
+class _ProtocolError(ConnectionError):
+    """A response ``_ResponseReader`` refuses, or a tunnel a proxy refused."""
+
+
 class _ResponseReader:
     """Reads one HTTP/1.1 response off a socket (RFC 9112), with
     http.client's limits of ``_MAX_LINE`` bytes per line and
     ``_MAX_HEADERS`` headers. The body is framed by ``Content-Length``,
     ``Transfer-Encoding: chunked``, or the server closing the connection;
-    anything else raises an ``http.client.HTTPException``."""
+    anything else raises ``_ProtocolError``."""
 
     __slots__ = ("_sock", "_buf", "_deadline")
 
@@ -229,17 +230,15 @@ class _ResponseReader:
     def _fill(self) -> None:
         chunk = self._recv()
         if not chunk:
-            raise http.client.IncompleteRead(bytes(self._buf))
+            raise _ProtocolError("the connection closed mid-response")
         self._buf += chunk
 
     def _line(self, what: str) -> bytes:
         buf = self._buf
-        while (end := buf.find(b"\n")) < 0:
-            if len(buf) > _MAX_LINE:
-                raise http.client.LineTooLong(what)
+        while (end := buf.find(b"\n")) < 0 and len(buf) <= _MAX_LINE:
             self._fill()
-        if end >= _MAX_LINE:
-            raise http.client.LineTooLong(what)
+        if not 0 <= end < _MAX_LINE:
+            raise _ProtocolError(f"{what} longer than {_MAX_LINE} bytes")
         line = bytes(buf[:end])
         del buf[: end + 1]
         return line[:-1] if line.endswith(b"\r") else line
@@ -256,30 +255,30 @@ class _ResponseReader:
         while True:
             field = self._line("chunk size").partition(b";")[0].strip()
             if not _CHUNK_SIZE.fullmatch(field):
-                raise http.client.HTTPException(f"invalid chunk size {field[:20]!r}")
+                raise _ProtocolError(f"invalid chunk size {field[:20]!r}")
             size = int(field, 16)
             if not size:
                 break
             parts.append(self._take(size))
             if self._line("chunk data"):
-                raise http.client.HTTPException("chunk data longer than its size")
+                raise _ProtocolError("chunk data longer than its size")
         for _ in range(_MAX_HEADERS + 1):
             if not self._line("trailer line"):
                 return b"".join(parts)
-        raise http.client.HTTPException(f"got more than {_MAX_HEADERS} trailer lines")
+        raise _ProtocolError(f"got more than {_MAX_HEADERS} trailer lines")
 
     def _to_close(self) -> bytes:
         while chunk := self._recv():
             self._buf += chunk
         return self._take(len(self._buf))
 
-    def read(self) -> tuple[int, bytes, bool]:
-        """The status, the body, and whether the connection can carry
-        another request: it stays open and no byte came past the body."""
+    def head(self) -> tuple[int, bool, int | None, bool]:
+        """The status, whether the connection closes after this response,
+        the Content-Length, and whether the body is chunked."""
         line = self._line("status line")
         match = _STATUS_LINE.fullmatch(line)
         if match is None:
-            raise http.client.BadStatusLine(repr(line[:100]))
+            raise _ProtocolError(f"malformed status line {line[:100]!r}")
         close = match[1] == b"0"  # an HTTP/1.0 connection is never reused
         length: int | None = None
         chunked = False
@@ -289,20 +288,26 @@ class _ResponseReader:
                 break
             name, colon, value = line.partition(b":")
             if not colon or not name or name != name.strip():
-                raise http.client.HTTPException(f"malformed header line {line[:100]!r}")
+                raise _ProtocolError(f"malformed header line {line[:100]!r}")
             name, value = name.lower(), value.strip()
             if name == b"content-length":
                 if not value.isdigit() or length not in (None, int(value)):
-                    raise http.client.HTTPException(f"invalid Content-Length {value[:20]!r}")
+                    raise _ProtocolError(f"invalid Content-Length {value[:20]!r}")
                 length = int(value)
             elif name == b"transfer-encoding":
                 if value.lower() != b"chunked":
-                    raise http.client.UnknownTransferEncoding(value[:100].decode("latin-1"))
+                    raise _ProtocolError(f"unknown transfer coding {value[:100]!r}")
                 chunked = True
             elif name == b"connection":
                 close = close or b"close" in {token.strip() for token in value.lower().split(b",")}
         else:
-            raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+            raise _ProtocolError(f"got more than {_MAX_HEADERS} headers")
+        return int(match[2]), close, length, chunked
+
+    def read(self) -> tuple[int, bytes, bool]:
+        """The status, the body, and whether the connection can carry
+        another request: it stays open and no byte came past the body."""
+        status, close, length, chunked = self.head()
         if chunked:
             body = self._chunked()
             close = close or length is not None  # both framings: do not trust the rest
@@ -310,7 +315,7 @@ class _ResponseReader:
             body = self._take(length)
         else:
             body, close = self._to_close(), True
-        return int(match[2]), body, not close and not self._buf
+        return status, body, not close and not self._buf
 
 
 def _time_left(deadline: float) -> float:
@@ -357,9 +362,10 @@ class _Origin:
     ``__init__`` checks the URL, reads the proxy environment and builds
     every line of the request head but Content-Length: the request line,
     Host, Accept-Encoding, User-Agent, Proxy-Authorization through an HTTP
-    proxy, then ``headers`` after Content-Length. A URL or proxy that
-    cannot be used raises ValueError (see ``_split_url``) before any
-    connection is made.
+    proxy, then ``headers`` after Content-Length. Through an HTTPS proxy,
+    the CONNECT head carries Host and Proxy-Authorization instead (RFC 9110
+    §9.3.6). A URL or proxy that cannot be used raises ValueError (see
+    ``_split_url``) before any connection is made.
 
     Idle sockets form a LIFO list under a lock shared by all threads, so
     the most recently used socket, the one least likely to have timed out
@@ -367,28 +373,34 @@ class _Origin:
     """
 
     def __init__(self, base_url: str, endpoint: str, headers: str):
+        import ssl  # imported here, so that a run without a live backend never loads them
+        import urllib.request
         parts = _split_url(base_url, "the URL", ("http", "https"))
-        self.scheme, self.netloc = parts.scheme, parts.netloc.rpartition("@")[2]
-        self._tls = ssl.create_default_context() if self.scheme == "https" else None
-        self._proxy: str | None = None
-        self._proxy_auth: dict[str, str] = {}
+        scheme, netloc = parts.scheme, parts.netloc.rpartition("@")[2]
+        port = parts.port if parts.port is not None else 443 if scheme == "https" else 80
+        self._hostname, self._address = parts.hostname, (parts.hostname, port)
+        self._tls = ssl.create_default_context() if scheme == "https" else None
+        self._connect_head: bytes | None = None
         target = parts.path.rstrip("/") + endpoint + (f"?{parts.query}" if parts.query else "")
         proxy_lines = ""
-        proxy = urllib.request.getproxies().get(self.scheme)
-        if proxy and not urllib.request.proxy_bypass(self.netloc):
+        proxy = urllib.request.getproxies().get(scheme)
+        if proxy and not urllib.request.proxy_bypass(netloc):
             proxy_parts = _split_url(
-                proxy if "://" in proxy else f"http://{proxy}", f"the {self.scheme} proxy", ("http",)
+                proxy if "://" in proxy else f"http://{proxy}", f"the {scheme} proxy", ("http",)
             )
-            self._proxy = proxy_parts.netloc.rpartition("@")[2]
+            self._address = (proxy_parts.hostname, 80 if proxy_parts.port is None else proxy_parts.port)
             if proxy_parts.username is not None:
                 token = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}".encode()
-                self._proxy_auth["Proxy-Authorization"] = "Basic " + base64.b64encode(token).decode()
+                proxy_lines = f"Proxy-Authorization: Basic {base64.b64encode(token).decode()}\r\n"
             # A plain-HTTP proxy takes the absolute-form target and the proxy
             # credentials with each request; HTTPS sends them once, in CONNECT.
-            if self.scheme == "http":
-                target = f"http://{self.netloc}{target}"
-                proxy_lines = "".join(f"{name}: {value}\r\n" for name, value in self._proxy_auth.items())
-        host = self.netloc.removesuffix(":443" if self.scheme == "https" else ":80")
+            if self._tls is None:
+                target = f"http://{netloc}{target}"
+            else:
+                name = f"[{self._hostname}]" if ":" in self._hostname else self._hostname
+                connect = f"CONNECT {name}:{port} HTTP/1.1\r\nHost: {name}:{port}\r\n{proxy_lines}\r\n"
+                self._connect_head, proxy_lines = connect.encode(), ""
+        host = netloc.removesuffix(":443" if scheme == "https" else ":80")
         self._head = (
             f"POST {target} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
             f"User-Agent: {_USER_AGENT}\r\n{proxy_lines}Content-Length: "
@@ -397,22 +409,25 @@ class _Origin:
         self._pooled: list[socket.socket] = []
         self._lock = threading.Lock()
 
-    def _connect(self, timeout: float) -> socket.socket:
-        """A new socket, opened by http.client: TCP_NODELAY, TLS with
-        certificate and host name checks, and the proxy's CONNECT tunnel."""
-        if self.scheme == "http":
-            conn = http.client.HTTPConnection(self._proxy or self.netloc, timeout=timeout)
-        elif self._proxy is None:
-            conn = http.client.HTTPSConnection(self.netloc, timeout=timeout, context=self._tls)
-        else:
-            conn = http.client.HTTPSConnection(self._proxy, timeout=timeout, context=self._tls)
-            conn.set_tunnel(self.netloc, headers=self._proxy_auth)
+    def _connect(self, deadline: float) -> socket.socket:
+        """A new TCP_NODELAY socket, through a proxy's tunnel and verified TLS
+        where the URL needs them; each step gets the time left to ``deadline``."""
+        sock = socket.create_connection(self._address, _time_left(deadline))
         try:
-            conn.connect()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._connect_head is not None:
+                sock.sendall(self._connect_head)  # a few bytes: never waits
+                reader = _ResponseReader(sock, deadline)
+                # The tunnel's first byte is the server's, for TLS to read.
+                if (status := reader.head()[0]) != 200 or reader._buf:
+                    raise _ProtocolError(f"no tunnel: HTTP {status} and {len(reader._buf)} more bytes")
+            if self._tls is not None:
+                sock.settimeout(_time_left(deadline))
+                sock = self._tls.wrap_socket(sock, server_hostname=self._hostname)
         except BaseException:
-            conn.close()
+            sock.close()
             raise
-        return conn.sock
+        return sock
 
     def _checkout(self) -> socket.socket | None:
         """An idle socket still open at the server, or None."""
@@ -434,18 +449,18 @@ class _Origin:
         one request and response at a time, and goes back to the pool only
         when the response left it open with no byte unread. A request is
         never sent twice: a pooled socket the server closed while idle is
-        discarded before use, and an ``OSError`` or
-        ``http.client.HTTPException`` closes the socket and propagates.
-        ``timeout`` bounds the whole call, on a reused socket too: connect
-        may take all of it, each later socket operation gets what is left,
-        and past it TimeoutError is raised, so a trickled reply cannot hold
-        the call.
+        discarded before use, and an ``OSError`` (``_ProtocolError`` among
+        them) closes the socket and propagates. ``timeout`` bounds the whole
+        call, on a reused socket too: each socket operation, from connect
+        through the tunnel and the TLS handshake to the last read, gets what
+        is left of it, and past it TimeoutError is raised, so a slow proxy
+        or a trickled reply cannot hold the call.
         """
         deadline = time.monotonic() + timeout
         sock = self._checkout()
         try:
             if sock is None:
-                sock = self._connect(timeout)
+                sock = self._connect(deadline)
             sock.settimeout(_time_left(deadline))
             sock.sendall(b"%b%d%b%b" % (self._head, len(body), self._tail, body))
             status, content, reusable = _ResponseReader(sock, deadline).read()
@@ -475,10 +490,10 @@ class HttpBackend:
     It holds the API credential, which only the Authorization line of its
     request head reads. The endpoint is resolved once, here: a base URL or
     proxy that cannot be used raises ValueError before any connection is
-    made. ``HTTP(S)_PROXY`` and
-    ``NO_PROXY`` are read here too; TLS verifies against OpenSSL's default
-    CA store (``SSL_CERT_FILE``, ``SSL_CERT_DIR``). ``timeout_s`` bounds
-    each call as a whole: connect, send and read.
+    made. ``HTTP(S)_PROXY`` and ``NO_PROXY`` are read here too; TLS
+    verifies against OpenSSL's default CA store (``SSL_CERT_FILE``,
+    ``SSL_CERT_DIR``). ``timeout_s`` bounds each call as a whole: connect,
+    the proxy's tunnel, the TLS handshake, send and read.
     """
 
     def __init__(self, base_url: str, credential: ApiCredential | None, *, timeout_s: float = 60.0):
@@ -509,7 +524,7 @@ class HttpBackend:
             status, content = self._origin.post(
                 json.dumps(payload, allow_nan=False).encode("utf-8"), self.timeout_s
             )
-        except (OSError, http.client.HTTPException) as exc:
+        except OSError as exc:
             raise TransportError(f"request failed: {exc}") from exc
         if status == 429:
             raise RateLimitedError("provider throttled the request (HTTP 429)")

@@ -1,5 +1,5 @@
-"""Shared fixtures: the bundled corpus, canned model, replay backend, and
-loopback chat servers."""
+"""Shared fixtures: the bundled corpus, canned model, replay backend,
+loopback chat servers and CONNECT proxies."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 from reviewlens.domain import ProductRecord, load_product_records
 from reviewlens.gateway import ApiCredential, HttpBackend, ReplayBackend, RetryPolicy
 from reviewlens.testing import CannedReviewModel
-from wire import WireServer
+from wire import TunnelProxy, WireServer
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
 
@@ -87,6 +87,21 @@ def serve():
     yield start
     for server in servers:
         server.stop()
+
+
+@pytest.fixture
+def tunnel():
+    """Start loopback CONNECT proxies, ``tunnel(upstream, reply=, delay=)``
+    (see ``wire.TunnelProxy``); each is stopped after the test."""
+    proxies = []
+
+    def start(upstream, **kwargs) -> TunnelProxy:
+        proxies.append(TunnelProxy(upstream, **kwargs))
+        return proxies[-1]
+
+    yield start
+    for proxy in proxies:
+        proxy.stop()
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@ servers (``wire.WireServer``) that count connections and record requests.
 Covers connection reuse across calls and threads, idle and mid-request
 closes (a request is never sent twice), the response framings the reader
 accepts and the malformed responses it refuses, status mapping, timeouts,
-proxies, the exact request bytes, base URLs refused before any connection,
-the credential header, and that importing the CLI loads no third-party HTTP
-stack.
+proxies, HTTPS direct and through a CONNECT tunnel (``wire.TunnelProxy``),
+the exact request bytes, base URLs refused before any connection, the
+credential header, and that importing the CLI loads no HTTP stack but its
+own.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import base64
 import os
 import resource
+import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -23,13 +26,15 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewlens import gateway
 from reviewlens.cli import CREDENTIAL_ENV_VAR, main
 from reviewlens.errors import AuthFailedError, RateLimitedError, TransportError
 from reviewlens.gateway import ApiCredential, ChatRequest, HttpBackend, ResponseFormat, RetryPolicy
 from reviewlens.pipeline import PipelineConfig, run_product
-from wire import Raw, answer
+from wire import TLS, Raw, answer, server_tls
 
 KEY = ApiCredential(key="wire-key")
 DATASET = str(Path(__file__).resolve().parents[1] / "testdata" / "dataset.json")
@@ -291,6 +296,23 @@ class TestCallDeadline:
         assert isinstance(caught.value.__cause__, TimeoutError)
         assert live._origin._pooled == []
 
+    def test_tunnel_and_handshake_share_the_call_deadline(self, tunnel, http_backend, monkeypatch):
+        # The proxy answers CONNECT after 0.3 s, in front of a server that
+        # accepts TCP but never answers the TLS handshake, which gets only
+        # the 0.2 s left of the call's 0.5.
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            port = silent.getsockname()[1]
+            proxy = tunnel(("127.0.0.1", port), delay=0.3)
+            monkeypatch.setenv("HTTPS_PROXY", f"http://{proxy.address}")
+            live = http_backend(f"https://localhost:{port}/v1", KEY, timeout_s=0.5)
+            started = time.monotonic()
+            with pytest.raises(TransportError) as caught:
+                live.complete(_request())
+            elapsed = time.monotonic() - started
+        assert isinstance(caught.value.__cause__, TimeoutError)
+        assert 0.45 <= elapsed < 0.75
+        assert live._origin._pooled == []
+
     def test_trickled_review_fails_after_its_attempts_and_the_run_ends(
         self, serve, http_backend, products_by_id, canned_model
     ):
@@ -341,6 +363,189 @@ class TestProxies:
         target, headers, _ = proxy.arrivals[0]
         assert target == "api.example.test:443"
         assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+
+@pytest.fixture
+def trust_test_ca(monkeypatch, tmp_path):
+    """Clients trust the CA of ``tests/tls`` alone."""
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS / "ca.pem"))
+    monkeypatch.setenv("SSL_CERT_DIR", str(tmp_path))
+
+
+@pytest.fixture
+def tunneled(serve, tunnel, monkeypatch, trust_test_ca):
+    """``start(reply=, delay=)``: a TLS server, a ``wire.TunnelProxy`` in
+    front of it named in ``HTTPS_PROXY`` with the credentials ``user:pw``,
+    and the base URL of the server as ``localhost``."""
+
+    def start(**kwargs):
+        server = serve(tls=server_tls())
+        proxy = tunnel(server.server_address, **kwargs)
+        monkeypatch.setenv("HTTPS_PROXY", f"http://user:pw@{proxy.address}")
+        return server, proxy, f"https://localhost:{server.server_address[1]}/v1"
+
+    return start
+
+
+@pytest.mark.usefixtures("trust_test_ca")
+class TestHttps:
+    """A loopback server presenting the leaf of ``tests/tls``, for
+    localhost and 127.0.0.1."""
+
+    def test_direct_call(self, serve, http_backend):
+        server = serve(tls=server_tls())
+        assert server.url.startswith("https://127.0.0.1:")
+        assert http_backend(server.url, KEY).complete(_request()).text == _ok()
+        (arrival,) = server.arrivals
+        assert arrival.target == "/v1/chat/completions"
+        assert arrival.headers["Host"] == server.address
+
+    def test_sequential_calls_share_one_tls_connection(self, serve, http_backend):
+        server = serve(tls=server_tls())
+        live = http_backend(server.url, KEY)
+        for i in range(3):
+            assert live.complete(_request(f"call {i}")).text == _ok(f"call {i}")
+        assert server.connections == 1
+        assert len(server.arrivals) == 3
+
+    def test_unknown_ca_is_a_transport_error(self, serve, http_backend, monkeypatch, tmp_path):
+        # A store holding neither test certificate: Python 3.13's default
+        # context would trust the leaf itself if the store held it.
+        empty = tmp_path / "empty.pem"
+        empty.write_text("", encoding="utf-8")
+        monkeypatch.setenv("SSL_CERT_FILE", str(empty))
+        server = serve(tls=server_tls())
+        with pytest.raises(TransportError) as caught:
+            http_backend(server.url, KEY).complete(_request())
+        assert isinstance(caught.value.__cause__, ssl.SSLCertVerificationError)
+        assert server.arrivals == []
+
+    def test_host_name_mismatch_is_a_transport_error(self, serve, tunnel, http_backend, monkeypatch):
+        # The proxy reaches the server whatever host CONNECT names.
+        server = serve(tls=server_tls())
+        proxy = tunnel(server.server_address)
+        monkeypatch.setenv("HTTPS_PROXY", f"http://{proxy.address}")
+        with pytest.raises(TransportError) as caught:
+            http_backend("https://api.example.test/v1", KEY).complete(_request())
+        assert isinstance(caught.value.__cause__, ssl.SSLCertVerificationError)
+        assert proxy.heads[0].startswith(b"CONNECT api.example.test:443 HTTP/1.")
+        assert server.arrivals == []
+
+
+class TestTunnel:
+    """HTTPS through the CONNECT tunnel of an HTTP proxy, HTTP/1.1 or 1.0."""
+
+    @pytest.mark.parametrize(
+        "reply", [b"HTTP/1.1 200 Connection established\r\n\r\n", b"HTTP/1.0 200 OK\r\n\r\n"], ids=["1.1", "1.0"]
+    )
+    def test_calls_share_one_tunnel_carrying_proxy_credentials(self, tunneled, http_backend, reply):
+        server, proxy, base_url = tunneled(reply=reply)
+        live = http_backend(base_url, KEY)
+        for i in range(3):
+            assert live.complete(_request(f"call {i}")).text == _ok(f"call {i}")
+        (head,) = proxy.heads
+        port = server.server_address[1]
+        assert head.startswith(b"CONNECT localhost:%d HTTP/1." % port)
+        assert b"\r\nProxy-Authorization: Basic %s\r\n" % base64.b64encode(b"user:pw") in head
+        assert server.connections == 1
+        assert [arrival.target for arrival in server.arrivals] == ["/v1/chat/completions"] * 3
+        assert server.arrivals[0].headers["Host"] == f"localhost:{port}"
+        assert "Proxy-Authorization" not in server.arrivals[0].headers
+
+
+class TestConnectReplies:
+    """The CONNECT head, and the replies that refuse a tunnel: any status
+    but 200, or a byte past the reply's head, which would be read as the
+    server's first TLS byte."""
+
+    def test_connect_head_on_the_wire(self, tunneled, http_backend):
+        server, proxy, base_url = tunneled()
+        assert http_backend(base_url, KEY).complete(_request()).text == _ok()
+        authority = b"localhost:%d" % server.server_address[1]
+        assert proxy.heads == [
+            b"CONNECT %s HTTP/1.1\r\nHost: %s\r\nProxy-Authorization: Basic dXNlcjpwdw==\r\n\r\n"
+            % (authority, authority)
+        ]
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            pytest.param(_head(b"HTTP/1.1 407 Proxy Authentication Required", b"Content-Length: 0"), id="407"),
+            pytest.param(_head(b"HTTP/1.1 204 No Content"), id="204"),
+            pytest.param(_head(b"HTTP/1.1 200 OK") + b"\x16\x03\x03", id="bytes-after-the-head"),
+        ],
+    )
+    def test_refused_tunnel_is_closed_before_tls(self, tunneled, http_backend, reply):
+        server, proxy, base_url = tunneled(reply=reply)
+        live = http_backend(base_url, KEY)
+        with pytest.raises(TransportError):
+            live.complete(_request())
+        assert proxy.closed.acquire(timeout=5)
+        assert proxy.sent == 0  # no byte past CONNECT: nothing went to TLS
+        assert live._origin._pooled == []
+        assert server.arrivals == []
+
+
+# Lines servers send, for the reader's fuzz.
+_STATUS_LINES = (b"HTTP/1.1 200 OK", b"HTTP/1.0 404 Not Found", b"HTTP/1.1 100 Continue")
+_HEADER_LINES = (
+    b"Content-Length: 0", b"Content-Length: 5", b"Content-Length: 99", b"Content-Length: -1",
+    b"Transfer-Encoding: chunked", b"Transfer-Encoding: gzip", b"Connection: close", b"bad header",
+)
+_BODY_LINES = (b"", b"0", b"5", b"5;x=y", b"zz", b"fffffffffffffffff", b"X-T: 1")
+
+
+@st.composite
+def _replies(draw) -> bytes:
+    """A status line, header lines and body lines drawn from those above,
+    maybe with a slice replaced by arbitrary bytes; or arbitrary bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    reply = b"\r\n".join(
+        [
+            draw(st.sampled_from(_STATUS_LINES)),
+            *draw(st.lists(st.sampled_from(_HEADER_LINES), max_size=6)),
+            b"",
+            *draw(st.lists(st.sampled_from(_BODY_LINES), max_size=6)),
+        ]
+    )
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(reply)))
+        reply = reply[:start] + draw(st.binary(max_size=20)) + reply[start + draw(st.integers(0, 20)) :]
+    return reply
+
+
+def _read_reply(reply: bytes) -> tuple[int, bytes, bool]:
+    """What ``_ResponseReader`` makes of ``reply``, sent whole and then the
+    end of the stream."""
+    reader_end, writer_end = socket.socketpair()
+    with reader_end, writer_end:
+        writer_end.sendall(reply)
+        writer_end.shutdown(socket.SHUT_WR)
+        return gateway._ResponseReader(reader_end, time.monotonic() + 5).read()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_replies())
+def test_reader_returns_a_response_or_raises_an_os_error(reply):
+    # The reader's own error and TimeoutError are OSErrors too, and OSError
+    # is all HttpBackend.complete catches.
+    try:
+        status, body, reusable = _read_reply(reply)
+    except OSError:
+        return
+    assert 200 <= status <= 999
+    assert isinstance(body, bytes) and isinstance(reusable, bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=300), st.binary(max_size=40), st.data())
+def test_body_framed_by_content_length_is_exactly_that_long(content, extra, data):
+    length = data.draw(st.integers(0, len(content)))
+    head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % length
+    status, body, reusable = _read_reply(head + content + extra)
+    assert (status, body) == (200, content[:length])
+    assert reusable or content[length:] or extra
 
 
 def test_netrc_entry_does_not_replace_bearer_credential(serve, http_backend, monkeypatch, tmp_path):
@@ -418,8 +623,11 @@ def test_base_url_with_a_line_break_or_non_ascii_is_refused_unsent(serve):
 
 
 def test_cli_import_loads_no_third_party_http_stack():
+    # Nor the stdlib's: the live backend imports ssl and urllib.request only
+    # when it is built, and speaks HTTP itself.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, reviewlens.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    stacks = "{'requests', 'urllib3', 'http.client', 'email', 'ssl', 'urllib.request'}"
+    probe = f"import sys, reviewlens.cli; print(sorted({stacks} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
 

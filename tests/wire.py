@@ -1,20 +1,37 @@
-"""A loopback HTTP/1.1 chat-completions server for the live backend's tests.
+"""A loopback HTTP/1.1 chat-completions server and CONNECT proxy for the
+live backend's tests.
 
 ``WireServer`` counts the connections it accepts and closes, and records
 every request it reads, byte for byte. It answers either from a script of
 actions or through a ``ChatBackend``, checking the bearer key as a provider
-would.
+would, over plain TCP or over TLS with the certificates in ``tests/tls``.
+``TunnelProxy`` answers CONNECT and splices bytes to one upstream address.
 """
 
 from __future__ import annotations
 
 import json
+import select
+import socket
+import ssl
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import NamedTuple
 
 from reviewlens.gateway import ChatBackend, ChatRequest, ResponseFormat
+
+# ca.pem signs leaf.pem, a certificate for localhost and 127.0.0.1 followed
+# by its key; generate.sh wrote both.
+TLS = Path(__file__).resolve().parent / "tls"
+
+
+def server_tls() -> ssl.SSLContext:
+    """A server-side TLS context presenting the test leaf."""
+    context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+    context.load_cert_chain(TLS / "leaf.pem")
+    return context
 
 
 def answer(content: str, model: str = "served") -> bytes:
@@ -167,15 +184,26 @@ class WireServer(ThreadingHTTPServer):
     * ``"trickle"``: a 200 reply, 8 bytes every 0.3 s (see ``_Handler._trickle``);
     * ``(status, body)``: that status and body;
     * ``Raw(data, keep_open)``: ``data`` as the whole reply.
+
+    With a ``tls`` context each connection is served over TLS; one whose
+    handshake fails is closed unserved.
     """
 
     daemon_threads = True
 
-    def __init__(self, script=(), *, backend: ChatBackend | None = None, key: str | None = None):
+    def __init__(
+        self,
+        script=(),
+        *,
+        backend: ChatBackend | None = None,
+        key: str | None = None,
+        tls: ssl.SSLContext | None = None,
+    ):
         super().__init__(("127.0.0.1", 0), _Handler)
         self.script = list(script)
         self.backend = backend
         self.key = key
+        self.tls = tls
         self.arrivals: list[Arrival] = []
         self.connections = 0
         self.closed = threading.Semaphore(0)
@@ -190,12 +218,24 @@ class WireServer(ThreadingHTTPServer):
 
     @property
     def url(self) -> str:
-        return f"http://{self.address}/v1"
+        return f"{'http' if self.tls is None else 'https'}://{self.address}/v1"
 
     def process_request(self, request, client_address):
         with self._lock:
             self.connections += 1
         super().process_request(request, client_address)
+
+    def finish_request(self, request, client_address):
+        if self.tls is None:
+            super().finish_request(request, client_address)
+            return
+        try:
+            # Takes over the socket's descriptor, and closes it on failure.
+            request = self.tls.wrap_socket(request, server_side=True)
+        except OSError:
+            return
+        with request:
+            super().finish_request(request, client_address)
 
     def shutdown_request(self, request):
         super().shutdown_request(request)
@@ -225,3 +265,102 @@ class WireServer(ThreadingHTTPServer):
         self.server_close()
         self._thread.join(timeout=5)
         assert not self._thread.is_alive()
+
+
+ESTABLISHED = b"HTTP/1.1 200 Connection established\r\n\r\n"
+
+
+class TunnelProxy:
+    """A loopback HTTPS proxy. For each connection it reads the CONNECT head
+    into ``heads``, waits ``delay`` seconds and sends ``reply``. After a 200
+    reply it splices bytes both ways between the client and ``upstream``,
+    whatever host the head named, until both sides close; after any other
+    reply it reads from the client until the client closes. ``sent`` counts
+    the bytes clients sent past their heads, and ``closed`` is released as
+    each client connection closes.
+    """
+
+    def __init__(self, upstream: tuple[str, int], *, reply: bytes = ESTABLISHED, delay: float = 0.0):
+        self.upstream = upstream
+        self.reply = reply
+        self.delay = delay
+        self.heads: list[bytes] = []
+        self.sent = 0
+        self.closed = threading.Semaphore(0)
+        self._stop = threading.Event()
+        self._lock = threading.Lock()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self._threads = [threading.Thread(target=self._accept)]
+        self._threads[0].start()
+
+    @property
+    def address(self) -> str:
+        return f"127.0.0.1:{self._listener.getsockname()[1]}"
+
+    def _accept(self) -> None:
+        while not self._stop.is_set():
+            try:
+                client, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            thread = threading.Thread(target=self._serve, args=(client,))
+            with self._lock:
+                self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, client: socket.socket) -> None:
+        try:
+            with client:
+                head = bytearray()
+                while b"\r\n\r\n" not in head:
+                    if not (data := self._recv(client)):
+                        return
+                    head += data
+                end = head.index(b"\r\n\r\n") + 4
+                with self._lock:
+                    self.heads.append(bytes(head[:end]))
+                    self.sent += len(head) - end
+                if self._stop.wait(self.delay):
+                    return
+                client.sendall(self.reply)
+                if not self.reply.startswith((b"HTTP/1.1 200 ", b"HTTP/1.0 200 ")):
+                    while data := self._recv(client):
+                        with self._lock:
+                            self.sent += len(data)
+                    return
+                with socket.create_connection(self.upstream) as upstream:
+                    upstream.sendall(head[end:])
+                    self._splice(client, upstream)
+        except OSError:
+            pass
+        finally:
+            self.closed.release()
+
+    def _recv(self, sock: socket.socket) -> bytes:
+        """The next bytes from ``sock``; empty once it closes or the proxy stops."""
+        while not self._stop.is_set():
+            if select.select([sock], [], [], 0.05)[0]:
+                return sock.recv(65536)
+        return b""
+
+    def _splice(self, client: socket.socket, upstream: socket.socket) -> None:
+        peer = {client: upstream, upstream: client}
+        while peer and not self._stop.is_set():
+            for source in select.select(list(peer), [], [], 0.05)[0]:
+                data = source.recv(65536)
+                if source is client:
+                    with self._lock:
+                        self.sent += len(data)
+                if data:
+                    peer[source].sendall(data)
+                else:
+                    peer.pop(source).shutdown(socket.SHUT_WR)
+
+    def stop(self) -> None:
+        self._stop.set()
+        self._threads[0].join(timeout=5)
+        for thread in self._threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        self._listener.close()
