@@ -125,7 +125,7 @@ class DiskResponseCache:
             return None, entry
         try:
             payload = json.loads(entry)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             return None, f"unreadable entry {digest[:16]}...: {exc}"
         if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
             return None, f"corrupt entry {digest[:16]}...: expected an object with a 'text' string"

@@ -2,7 +2,8 @@
 
 Responsibilities:
   * a provider-agnostic request/response pair for single-turn chat calls
-  * the declarative retry policy
+  * the declarative retry policy, whose caps (100 attempts, an hour of
+    backoff in all) hold however it is built
   * a stable content fingerprint identifying a request (the credential is
     deliberately outside the identity)
   * interchangeable backends that only answer ``complete(request)``, with
@@ -18,9 +19,9 @@ Responsibilities:
     backoff driven by a declarative policy. The two are generators that
     yield each backoff to their caller instead of sleeping, and return the
     parsed output. Transport errors, throttling and malformed output share
-    one budget of ``max_attempts`` per request, and a malformed answer is
-    evicted from the cache before the retry. None of them counts anything:
-    a caller sees each retry as a yielded backoff, and each backend call
+    one budget of ``max_attempts`` per request; a malformed answer is
+    evicted from the cache and re-asked at once. None of them counts
+    anything: a caller sees each retry as a yielded backoff, and each call
     through the ``gateway`` it passes in.
 
 The live backend speaks the common chat-completions JSON dialect: a single
@@ -40,7 +41,6 @@ import base64
 import enum
 import hashlib
 import json
-import math
 import re
 import select
 import socket
@@ -48,7 +48,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Generator, Optional, Protocol, TypeVar, runtime_checkable
+from typing import Any, Callable, Generator, Optional, Protocol, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from . import __version__
@@ -62,7 +62,7 @@ from .errors import (
     RateLimitedError,
     TransportError,
 )
-from .inputs import check_int, check_number, config_kwargs
+from .inputs import check_int, check_number
 
 T = TypeVar("T")
 
@@ -89,8 +89,8 @@ class ChatRequest:
             raise ValueError("temperature must be within [0.0, 1.0]")
 
 
-# Under a config's policy: the most attempts a request may make, and the
-# most it may wait between them, in all.
+# The most attempts a request may make, and the most it may wait between
+# them, in all: no policy makes a run that never ends.
 _MAX_ATTEMPTS = 100
 _MAX_TOTAL_BACKOFF_MS = 3_600_000
 
@@ -98,8 +98,9 @@ _MAX_TOTAL_BACKOFF_MS = 3_600_000
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
     """Declarative retry behaviour shared by all stages: how many attempts a
-    request gets and how long to wait between them. Which errors are retried
-    is fixed by ``complete_with_retry``."""
+    request gets, at most ``_MAX_ATTEMPTS``, and how long to wait between
+    them, at most ``_MAX_TOTAL_BACKOFF_MS`` in all, however it is built.
+    Which errors are retried is fixed by ``complete_with_retry``."""
 
     max_attempts: int = 3
     base_delay_ms: int = 250
@@ -110,34 +111,22 @@ class RetryPolicy:
         check_int(self.base_delay_ms, "base_delay_ms", 0)
         backoff_factor = check_number(self.backoff_factor, "backoff_factor", 1.0)
         object.__setattr__(self, "backoff_factor", backoff_factor)
-
-    def delay_ms(self, retry_index: int) -> float:
-        """Delay before re-attempt number ``retry_index`` (1-based).
-
-        Grows as base * factor**(retry_index - 1); nondecreasing since the
-        factor is >= 1. A zero base stays 0, and a power past the float
-        range saturates to infinity instead of raising.
-        """
-        if retry_index < 1:
-            raise ValueError("retry_index is 1-based")
-        if not self.base_delay_ms:
-            return 0.0
-        try:
-            return self.base_delay_ms * self.backoff_factor ** (retry_index - 1)
-        except OverflowError:
-            return math.inf
-
-    @classmethod
-    def from_dict(cls, payload: Any) -> "RetryPolicy":
-        """The policy of a config's ``retry`` object, refused if it allows more
-        than ``_MAX_ATTEMPTS`` attempts or backoffs that add up to more than an
-        hour, so that no config makes a run that never ends."""
-        policy = cls(**config_kwargs(cls, payload, "retry"))
-        if policy.max_attempts > _MAX_ATTEMPTS:
+        if self.max_attempts > _MAX_ATTEMPTS:
             raise ValueError(f"retry: max_attempts must be at most {_MAX_ATTEMPTS}")
-        if sum(policy.delay_ms(r) for r in range(1, policy.max_attempts)) > _MAX_TOTAL_BACKOFF_MS:
+        # Step by step: a float product past the range is inf, where ** raises.
+        delay, total = float(self.base_delay_ms), 0.0
+        for _ in range(1, self.max_attempts):
+            total, delay = total + delay, delay * backoff_factor
+        if total > _MAX_TOTAL_BACKOFF_MS:
             raise ValueError(f"retry: its backoffs add up to more than {_MAX_TOTAL_BACKOFF_MS} ms")
-        return policy
+
+    def delay_ms(self, retry: int) -> float:
+        """Delay before retry number ``retry``, from 1 to ``max_attempts - 1``:
+        base * factor**(retry - 1), nondecreasing since the factor is >= 1,
+        and 0 for a zero base."""
+        if not 1 <= retry < self.max_attempts:
+            raise ValueError(f"retry {retry} is outside 1 to {self.max_attempts - 1}")
+        return self.base_delay_ms * self.backoff_factor ** (retry - 1) if self.base_delay_ms else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +174,6 @@ def fingerprint(request: ChatRequest) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@runtime_checkable
 class ChatBackend(Protocol):
     """Answers one chat request. A backend that needs a credential is built
     with it, so a request never carries one."""
@@ -582,13 +570,15 @@ def complete_with_retry(
 
     A generator: each backoff is yielded in seconds, and the caller resumes
     it once that long has passed, doing other work meanwhile rather than
-    sleeping. Throttling is no exception: the caller lowers its load through
-    its own limit, not through this loop.
+    sleeping. Retry ``r`` waits ``policy.delay_ms(r)``, except after a
+    malformed answer, which is re-asked at once: waiting does not help a
+    re-sample. Throttling is no exception: the caller lowers its load
+    through its own limit, not through this loop.
     """
     last_error: BaseException | None = None
     for retry in range(policy.max_attempts):
         if retry:
-            yield policy.delay_ms(retry) / 1000.0
+            yield 0.0 if isinstance(last_error, MalformedOutputError) else policy.delay_ms(retry) / 1000.0
         try:
             return attempt()
         except (TransportError, RateLimitedError, MalformedOutputError) as exc:

@@ -32,7 +32,9 @@ def load_json_object(text: str) -> dict[str, Any]:
         candidate = candidate[start : end + 1]
     try:
         parsed = json.loads(candidate)
-    except json.JSONDecodeError as exc:
+    # Besides a syntax error: an integer past int's digit limit (ValueError)
+    # and nesting past the recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise MalformedOutputError(f"invalid JSON in model output: {exc}") from exc
     if not isinstance(parsed, dict):
         raise MalformedOutputError("model output is valid JSON but not an object")

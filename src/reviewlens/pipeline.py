@@ -152,7 +152,7 @@ class PipelineConfig:
         ``retry``, if present, is such an object for ``RetryPolicy``."""
         kwargs = config_kwargs(cls, payload, "config")
         if "retry" in kwargs:
-            kwargs["retry"] = RetryPolicy.from_dict(kwargs["retry"])
+            kwargs["retry"] = RetryPolicy(**config_kwargs(RetryPolicy, kwargs["retry"], "retry"))
         return cls(**kwargs)
 
 
@@ -545,8 +545,7 @@ class _Scheduler:
                 if (self._ready or len(self._admitted) < self._stop) and self._in_flight < int(self._limit):
                     self._work.notify()
                 return unit
-            # Condition.wait raises OverflowError past TIMEOUT_MAX (about 292 years).
-            self._work.wait(min(timers[0][0] - now, threading.TIMEOUT_MAX) if timers else None)
+            self._work.wait(timers[0][0] - now if timers else None)
 
     def _first_ready(self) -> _Unit | None:
         """Pop the first ready unit of a product not stopped, admitting the

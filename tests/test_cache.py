@@ -4,14 +4,18 @@ sharing a directory, compaction, and the layout it replaced."""
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewlens import cache, store
 from reviewlens.cache import COMPACTED_SEGMENT, ChatResponse, DiskResponseCache
@@ -311,3 +315,97 @@ def test_write_atomic_whose_rename_fails_leaves_no_temp_file(tmp_path, monkeypat
     monkeypatch.undo()
     assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
     assert target.read_bytes() == b"old"
+
+
+# The fingerprints a fuzzed segment holds lines for, so that lines collide.
+FUZZED = [digest(name) for name in "abc"]
+_SEGMENT_NAMES = [COMPACTED_SEGMENT, f"{1:020d}-1-00000000.log"]
+_values = st.one_of(
+    st.builds(lambda text: b'{"model":"m","text":%s}' % json.dumps(text).encode(), st.text(max_size=8)),
+    st.just(b"null"),
+    st.binary(max_size=24),
+    st.integers(0, 12).map(lambda log_depth: b"[" * 2**log_depth),
+    st.integers(1, 5000).map(lambda digits: b'{"text":' + b"9" * digits + b"}"),
+)
+
+
+@st.composite
+def _segment_bytes(draw) -> bytes:
+    """Lines for the fingerprints of ``FUZZED``, each with its checksum,
+    a wrong one, or in a broken frame; or arbitrary bytes. Then maybe a
+    slice replaced by arbitrary bytes, and maybe a torn end."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        key, value = draw(st.sampled_from(FUZZED)).encode(), draw(_values)
+        crc = zlib.crc32(value) ^ draw(st.sampled_from([0, 0, 0, 1, 1 << 31]))
+        frame = draw(st.sampled_from([b"%s %08x %s\n"] * 4 + [b"%s %08X %s\n", b"%s  %08x %s\n"]))
+        lines.append(frame % (key, crc, value) if draw(st.integers(0, 7)) else draw(st.binary(max_size=80)))
+    data = b"".join(lines)
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(data)))
+        data = data[:start] + draw(st.binary(max_size=20)) + data[start + draw(st.integers(0, 20)) :]
+    return data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+
+
+def _last_lines(segments: list[bytes]) -> dict[str, bytes]:
+    """Each fingerprint's last whole line, segment by segment, oldest first."""
+    last = {}
+    for data in segments:
+        for line in data.split(b"\n")[:-1]:  # the rest after the last newline is torn
+            key = line[:64].decode("latin-1")
+            if line[64:65] == b" " and key in FUZZED:
+                last[key] = line
+    return last
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_segment_bytes(), min_size=1, max_size=2))
+def test_opening_any_segment_bytes_never_serves_a_failed_checksum(segments):
+    """Opening raises nothing, and a fingerprint is served only from its last
+    whole line, when that line's checksum holds; a failed checksum is a miss
+    with its problem, never a response."""
+    with tempfile.TemporaryDirectory() as root:
+        for name, data in zip(_SEGMENT_NAMES, segments):
+            Path(root, name).write_bytes(data)
+        with DiskResponseCache(root) as store:
+            last = _last_lines(segments)
+            for key in FUZZED:
+                response, problem = store.load(key)
+                if key not in last:
+                    assert (response, problem) == (None, None)
+                    continue
+                line = last[key]
+                value = line[74:]
+                if line[73:74] != b" " or line[65:73] != b"%08x" % zlib.crc32(value):
+                    assert response is None and problem.endswith("checksum mismatch")
+                elif response is not None:
+                    assert json.loads(value)["text"] == response.text and problem is None
+                elif value == b"null":
+                    assert problem is None
+                else:
+                    assert problem is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(max_size=30), min_size=1, max_size=5), st.data())
+def test_a_torn_last_line_costs_exactly_its_record(texts, data):
+    keys = [digest(str(index)) for index in range(len(texts))]
+    with tempfile.TemporaryDirectory() as root:
+        with DiskResponseCache(root) as store:
+            for key, text in zip(keys, texts):
+                store.put(key, answer(text))
+        segment = only_segment(Path(root))
+        whole = segment.read_bytes()
+        last_line_at = whole.rindex(b"\n", 0, len(whole) - 1) + 1 if len(keys) > 1 else 0
+        segment.write_bytes(whole[: data.draw(st.integers(last_line_at, len(whole) - 1))])
+        with DiskResponseCache(root) as store:
+            assert [store.load(key) for key in keys] == [(answer(text), None) for text in texts[:-1]] + [(None, None)]
+            assert list(store) == keys[:-1]
+
+
+def test_a_value_nested_past_the_recursion_limit_is_a_miss(tmp_path):
+    value = b"[" * 100_000
+    (tmp_path / COMPACTED_SEGMENT).write_bytes(b"%s %08x %s\n" % (FUZZED[0].encode(), zlib.crc32(value), value))
+    with DiskResponseCache(tmp_path) as store:
+        response, problem = store.load(FUZZED[0])
+    assert response is None and problem.startswith("unreadable entry")

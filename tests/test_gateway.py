@@ -9,7 +9,7 @@ import json
 import socket
 
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from reviewlens.cache import DiskResponseCache
@@ -36,7 +36,7 @@ from reviewlens.gateway import (
     fingerprint,
     lookup_or_call,
 )
-from reviewlens.pipeline import run_product, run_products
+from reviewlens.pipeline import PipelineConfig, run_product, run_products
 from reviewlens.testing import CannedReviewModel
 
 from doubles import CountingBackend, ScriptedBackend
@@ -83,18 +83,26 @@ class TestRetryPolicy:
         assert [policy.delay_ms(i) for i in (1, 2, 3)] == [100, 200, 400]
 
     @given(
+        max_attempts=st.integers(1, 100),
         base_delay_ms=st.integers(0, 10**6),
         backoff_factor=st.floats(1.0, 1e308),
-        retry_index=st.integers(1, 5000),
     )
-    def test_delay_never_raises_and_never_shrinks(self, base_delay_ms, backoff_factor, retry_index):
-        """A delay past the float range saturates, so the retry loop never
-        raises OverflowError; a zero base stays zero."""
-        policy = RetryPolicy(max_attempts=2, base_delay_ms=base_delay_ms, backoff_factor=backoff_factor)
-        delay, later = policy.delay_ms(retry_index), policy.delay_ms(retry_index + 1)
-        assert 0 <= delay <= later
+    def test_delay_never_raises_and_never_shrinks(self, max_attempts, base_delay_ms, backoff_factor):
+        """Within the caps, every in-budget delay is nondecreasing and at
+        most an hour, a zero base stays zero, and an index outside the
+        budget raises."""
+        try:
+            policy = RetryPolicy(max_attempts, base_delay_ms, backoff_factor)
+        except ValueError:
+            reject()
+        delays = [policy.delay_ms(retry) for retry in range(1, max_attempts)]
+        assert delays == sorted(delays)
+        assert all(0 <= delay <= 3_600_000 for delay in delays)
         if base_delay_ms == 0:
-            assert later == 0
+            assert not any(delays)
+        for outside in (0, max_attempts):
+            with pytest.raises(ValueError):
+                policy.delay_ms(outside)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -106,13 +114,31 @@ class TestRetryPolicy:
 
     def test_round_trip(self):
         policy = RetryPolicy(max_attempts=5, base_delay_ms=10, backoff_factor=3.0)
-        assert RetryPolicy.from_dict(dataclasses.asdict(policy)) == policy
+        assert PipelineConfig.from_dict({"retry": dataclasses.asdict(policy)}).retry == policy
 
     def test_config_attempts_are_bounded_at_100(self):
-        assert RetryPolicy.from_dict({"max_attempts": 100, "base_delay_ms": 0}).max_attempts == 100
+        config = PipelineConfig.from_dict({"retry": {"max_attempts": 100, "base_delay_ms": 0}})
+        assert config.retry.max_attempts == 100
         with pytest.raises(ValueError, match="retry: max_attempts must be at most 100"):
-            RetryPolicy.from_dict({"max_attempts": 101, "base_delay_ms": 0})
-        assert RetryPolicy(max_attempts=101).max_attempts == 101  # a policy built in code
+            PipelineConfig.from_dict({"retry": {"max_attempts": 101, "base_delay_ms": 0}})
+        with pytest.raises(ValueError, match="retry: max_attempts must be at most 100"):
+            RetryPolicy(max_attempts=101)  # a policy built in code
+
+    def test_backoff_is_bounded_at_an_hour_in_all(self):
+        assert RetryPolicy(max_attempts=2, base_delay_ms=3_600_000).delay_ms(1) == 3_600_000
+        assert RetryPolicy(max_attempts=3, base_delay_ms=1_200_000, backoff_factor=2.0).delay_ms(2) == 2_400_000
+        refused = [
+            dict(max_attempts=2, base_delay_ms=3_600_001),
+            dict(max_attempts=3, base_delay_ms=1_200_001, backoff_factor=2.0),
+            # The third delay, 1e400 ms, is past the float range.
+            dict(max_attempts=4, base_delay_ms=1, backoff_factor=1e200),
+            dict(max_attempts=100, base_delay_ms=1, backoff_factor=1e308),
+        ]
+        for fields in refused:
+            with pytest.raises(ValueError, match="retry: its backoffs add up to more than 3600000 ms"):
+                RetryPolicy(**fields)
+            with pytest.raises(ValueError, match="retry: its backoffs add up to more than 3600000 ms"):
+                PipelineConfig.from_dict({"retry": fields})
 
 
 class TestApiCredential:
@@ -306,6 +332,16 @@ class TestCompleteWithRetry:
         backend = ScriptedBackend([TransportError("1"), TransportError("2"), "ok"])
         assert resolve(complete_with_retry(_calling(backend), policy), waited).text == "ok"
         assert waited == [0.1, 0.3]
+
+    def test_malformed_answer_is_reasked_at_once(self):
+        """Waiting does not help a re-sample; the next retry still takes its
+        own backoff."""
+        waited = []
+        policy = RetryPolicy(max_attempts=3, base_delay_ms=100, backoff_factor=3.0)
+        backend = ScriptedBackend([MalformedOutputError("bad json"), TransportError("down"), "ok"])
+        assert resolve(complete_with_retry(_calling(backend), policy), waited).text == "ok"
+        assert waited == [0.0, 0.3]
+        assert backend.calls == 3
 
 
 class TestLookupOrCall:

@@ -541,16 +541,16 @@ class TestBackoffScheduling:
             + ["mix-r1/extraction", "mix-r1/comparison"]
         )
 
-    def test_backoff_past_timeout_max_keeps_the_helper(self, products):
-        """The first call fails and its retry is due in 1e10 s, past
-        threading.TIMEOUT_MAX: the one helper runs every other unit, then
-        waits on that deadline instead of dying of OverflowError, and
-        closing the run ends the wait at once."""
+    def test_backoff_of_an_hour_keeps_the_helper(self, products):
+        """The first call fails and its retry is due in an hour, the longest
+        wait the caps allow: the one helper runs every other unit, then
+        waits on that deadline, and closing the run ends the wait at once."""
         first = itertools.count()
         backend = SelectiveFailureBackend(
             fresh_replay(), fail_with=lambda request: TransportError("blip") if next(first) == 0 else None
         )
-        config = config_for(PipelineMode.FULL, workers=1, retry=RetryPolicy(base_delay_ms=10**13))
+        retry = RetryPolicy(max_attempts=2, base_delay_ms=3_600_000)
+        config = config_for(PipelineMode.FULL, workers=1, retry=retry)
         scheduler = _Scheduler(products, config, backend, None, 1)
         (helper,) = scheduler._helpers
         try:
