@@ -16,9 +16,12 @@ The result goes to ``BENCH_<LABEL>.json``: the command line, the revisions,
 the seeds, the Python version and ``nproc``; every run's metrics; each
 revision's median and quartiles per metric; and, for each adjacent pair of
 revisions, how many seeds each side won per metric, by the direction
-``BENCHMARK.json`` gives. A revision that cannot be unpacked or has no
-benchmark is listed with the reason and not run. Uses only the standard
-library.
+``BENCHMARK.json`` gives, and whether the later revision's gain counts. It
+counts when at least 10 seeds pair the two, the later revision wins at
+least 9 of every 10 of them (a tie goes to neither side), and its median is
+better than the earlier one's by more than the earlier one's interquartile
+range. A revision that cannot be unpacked or has no benchmark is listed
+with the reason and not run. Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from pathlib import Path
 
 WORK_ROOT = Path(".perfbench_work")
 WORKING_TREE = "."
+MIN_PAIRS = 10  # fewer paired seeds show no gain, whatever they read
 
 
 def git(*args: str) -> bytes:
@@ -83,9 +87,20 @@ def quartiles(values: list[float]) -> dict:
     return {"n": len(values), "median": median, "q1": q1, "q3": q3}
 
 
+def gain_counts(after_wins: int, pairs: int, before: dict, after: dict, sign: int) -> bool:
+    """Whether a later revision's gain counts: it wins at least 9 of every
+    10 paired seeds, and its median is better by more than the earlier
+    revision's interquartile range (``before`` and ``after`` are
+    ``quartiles`` results; ``sign`` is 1 if higher is better, else -1)."""
+    return 10 * after_wins >= 9 * pairs and (
+        sign * (after["median"] - before["median"]) > before["q3"] - before["q1"]
+    )
+
+
 def summarize(runs: list[dict], revs: list[str], better: dict[str, str]) -> tuple[dict, list]:
     """Per revision, each metric's median and quartiles; per adjacent pair
-    of revisions, each metric's wins by seed. Only correct runs count."""
+    of revisions, each metric's wins by seed and whether the later
+    revision's gain counts. Only correct runs count."""
     values: dict[str, dict[str, dict[int, float]]] = {rev: {} for rev in revs}
     for run in runs:
         if not run.get("correct"):
@@ -103,11 +118,15 @@ def summarize(runs: list[dict], revs: list[str], better: dict[str, str]) -> tupl
             a, b = values[before].get(name, {}), values[after].get(name, {})
             seeds = sorted(set(a) & set(b))
             sign = 1 if direction == "higher" else -1
+            after_wins = sum(sign * (b[s] - a[s]) > 0 for s in seeds)
             wins[name] = {
                 "better": direction,
                 "pairs": len(seeds),
-                "after_wins": sum(sign * (b[s] - a[s]) > 0 for s in seeds),
+                "after_wins": after_wins,
                 "before_wins": sum(sign * (a[s] - b[s]) > 0 for s in seeds),
+                "gain_counts": len(seeds) >= MIN_PAIRS and gain_counts(
+                    after_wins, len(seeds), summary[before][name], summary[after][name], sign
+                ),
             }
         pairs.append({"before": before, "after": after, "wins": wins})
     return summary, pairs

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+from .errors import DataFormatError
 from .store import write_atomic
 
 COMPACTED_SEGMENT = "responses.log"
@@ -75,6 +76,8 @@ def _segments(root: Path) -> list[Path]:
         names = [name for name in os.listdir(root) if name.endswith(".log")]
     except FileNotFoundError:
         return []
+    except NotADirectoryError:
+        raise DataFormatError(f"response store {root} is not a directory") from None
     names.sort(key=lambda name: (name != COMPACTED_SEGMENT, name))
     return [root / name for name in names]
 

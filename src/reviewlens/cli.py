@@ -271,8 +271,8 @@ def cmd_record_fixtures(args: argparse.Namespace) -> int:
         return _fatal(
             f"recording runs live and needs an API key; set {CREDENTIAL_ENV_VAR} or pass --api-key"
         )
-    live = _live_backend(args, credential)
     store = DiskResponseCache(args.fixtures)  # the run's cache; the manifests show no cache_dir
+    live = _live_backend(args, credential)
     try:
         code = _execute_run(args, inputs, live, "record", store)
         held = len(list(store))

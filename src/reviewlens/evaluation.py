@@ -331,7 +331,7 @@ class ProductRun:
 
 def load_run_dir(run_dir: Path) -> dict[str, ProductRun]:
     """Each product directory of ``run_dir`` that holds a manifest, by its
-    name, which is the product id."""
+    name, which is the product id. Every manifest must name the same mode."""
     if not run_dir.is_dir():
         raise DataFormatError(f"run directory {run_dir} does not exist")
     runs: dict[str, ProductRun] = {}
@@ -345,6 +345,8 @@ def load_run_dir(run_dir: Path) -> dict[str, ProductRun]:
         )
     if not runs:
         raise DataFormatError(f"run directory {run_dir} holds no product manifests")
+    if len(modes := sorted({run.mode for run in runs.values()})) > 1:
+        raise DataFormatError(f"run directory {run_dir} mixes modes: {', '.join(modes)}")
     return runs
 
 

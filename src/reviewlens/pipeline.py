@@ -21,15 +21,17 @@ backend: the unit notes how each call it passes on ended.
 One ``_Scheduler`` serves a run on ``workers`` threads of its own, while
 the caller only waits for results. Each thread holds a permit while it
 advances a stage to its next yield, so ``workers`` caps the LLM calls in
-flight. Ready stages are taken by ``(product rank, review index)``, and a
-stage backing off waits on a heap of deadlines holding no thread and no
-permit. A thread goes on with the stage it advanced while that stage is
-still the first ready one, so a call makes no thread hand-off, and a later
-product's first request is built only when no earlier request is ready. In
-a cached run, a request identical to one of the same product still in
-flight waits for it, holding no permit. A run that is stopping (an
-exception, or the caller closing it) advances no stage of the products it
-stopped, so it starts no backend call for them.
+flight. Ready stages are taken by ``(product rank, level, review index)``,
+the level being the requests a stage has resolved: the longest remaining
+chain goes first, so a product's last comparisons run side by side and its
+grouping call starts sooner. A stage backing off keeps its level and waits
+on a heap of deadlines, holding no thread and no permit. A thread goes on
+with the stage it advanced while it is the first ready one, so a call makes
+no thread hand-off, and a later product's first request is built only when
+no earlier request is ready. In a cached run, a request identical to one of
+the same product in flight waits for it, holding no permit. A stopping run
+(an exception, or the caller closing it) advances no stage of the products
+it stopped, so it starts no backend call for them.
 
 Run state changes in one place, ``_Scheduler._settle``, under the run's one
 lock, after each advance. An advance makes at most one attempt, so settling
@@ -212,6 +214,7 @@ class _Unit:
     value: Any = None
     flight: ChatRequest | None = None
     call: str | None = None  # "answered", "throttled" or "failed"
+    level: int = 0  # requests resolved, which orders a product's ready units
 
     def advance(self) -> None:
         self.call = None
@@ -438,15 +441,17 @@ def _close(
 class _Scheduler:
     """One run's work, served by ``helpers`` threads of its own.
 
-    Ready units wait in a heap keyed by ``(product rank, index)``, and units
-    backing off in a heap of deadlines. A thread takes a permit and the
-    first ready unit, and advances it with the lock released; then, under
-    one hold of the lock, it settles the unit and takes the first ready one
-    again, usually the same. A product is admitted, its units built, only
-    when no unit is ready, and gets its closing unit once its reviews are
-    done. The helpers start with the scheduler (``run_products`` starts
-    ``workers``; a test may serve a run on its own thread with none), and
-    ``result`` only waits.
+    Ready units wait in a heap keyed by ``(product rank, level, index)``,
+    the level being the requests a unit has resolved, so the longest chain
+    left goes first (Hu, 1961): a product's last comparisons run side by
+    side and its grouping call starts sooner. Units backing off keep their
+    level in a heap of deadlines. A thread takes a permit and the first
+    ready unit, advances it with the lock released, then under one hold of
+    the lock settles it and takes the first ready one again, usually the
+    same. A product is admitted, its units built, only when no unit is
+    ready, and gets its closing unit once its reviews are done. The helpers
+    start with the scheduler (``run_products`` starts ``workers``; a test
+    may serve a run on its own thread with none), and ``result`` only waits.
 
     At most ``int(limit)`` permits are out at once. The limit starts at
     ``workers``, its ceiling; a throttled call halves it, to a floor of 1,
@@ -475,7 +480,7 @@ class _Scheduler:
         self._admitted: list[_Admitted] = []
         self._unfinished = 0  # the first product without a result
         self._stop = len(products)  # products from this rank on start nothing
-        self._ready: list[tuple[int, int, _Unit]] = []
+        self._ready: list[tuple[int, int, int, _Unit]] = []
         # (deadline, rank, index, unit): a unit is here at most once, so no tie reaches it.
         self._timers: list[tuple[float, int, int, _Unit]] = []
         self._helpers: list[threading.Thread] = []
@@ -552,7 +557,7 @@ class _Scheduler:
         next product while there is none."""
         while True:
             while self._ready:
-                unit = heapq.heappop(self._ready)[2]
+                unit = heapq.heappop(self._ready)[3]
                 if unit.rank < self._stop:
                     return unit
             rank = len(self._admitted)
@@ -580,7 +585,7 @@ class _Scheduler:
         self._push(unit)
 
     def _push(self, unit: _Unit) -> None:
-        heapq.heappush(self._ready, (unit.rank, unit.index, unit))
+        heapq.heappush(self._ready, (unit.rank, unit.level, unit.index, unit))
 
     def _drive(self, stage: Generator[_Ask, Any, T], unit: _Unit) -> Generator[Any, None, T]:
         """Run ``stage`` as ``unit``: resolve each request it yields through
@@ -606,6 +611,7 @@ class _Scheduler:
                 )
             except _STEP_FAILURES as exc:
                 error = exc
+            unit.level += 1
 
     def _settle(self, unit: _Unit) -> None:
         """Fold in what an advance of ``unit`` left, then put the unit
@@ -725,8 +731,10 @@ def run_products(
     One scheduler serves the whole run on ``config.workers`` threads of
     its own, which share ``config.workers`` permits, so that is
     the cap on LLM calls in flight; the caller only waits. A free permit
-    goes to the first ready stage by ``(product rank, review index)``, and
-    the next product starts only when no stage of an earlier one is ready.
+    goes to the first ready stage by ``(product rank, level, review
+    index)``, the longest remaining chain first, so a product's last
+    comparisons run side by side and its grouping call starts sooner. The
+    next product starts only when no stage of an earlier one is ready.
     Without a ``cache``, the run opens the store at ``config.cache_dir``,
     if any, once for all its products, and closes it at the end.
 

@@ -41,8 +41,66 @@ def test_wins_follow_each_metric_direction_and_skip_incorrect_runs():
     assert summary["a"]["ms"]["n"] == 3
     (pair,) = pairs
     assert (pair["before"], pair["after"]) == ("a", "b")
-    assert pair["wins"]["rate"] == {"better": "higher", "pairs": 2, "after_wins": 1, "before_wins": 0}
-    assert pair["wins"]["ms"] == {"better": "lower", "pairs": 2, "after_wins": 1, "before_wins": 1}
+    assert pair["wins"]["rate"] == {
+        "better": "higher", "pairs": 2, "after_wins": 1, "before_wins": 0, "gain_counts": False
+    }
+    assert pair["wins"]["ms"] == {
+        "better": "lower", "pairs": 2, "after_wins": 1, "before_wins": 1, "gain_counts": False
+    }
+
+
+def _pair(before, after, better="lower"):
+    """The "ms" entry of the one pair of revisions "a" then "b", whose runs
+    over seeds 1, 2, ... have the given values."""
+    runs = [_run("a", seed, ms=v) for seed, v in enumerate(before, 1)]
+    runs += [_run("b", seed, ms=v) for seed, v in enumerate(after, 1)]
+    (pair,) = bench_pairs.summarize(runs, ["a", "b"], {"ms": better})[1]
+    return pair["wins"]["ms"]
+
+
+# Ten seeds; the earlier revision's quartiles are 12.25 and 17.75 (IQR 5.5)
+# and its median 15.0.
+BEFORE = [10.0, 11.0, 12.0, 13.0, 14.0, 16.0, 17.0, 18.0, 19.0, 20.0]
+
+
+@pytest.mark.parametrize(
+    "after, counts",
+    [
+        # Nine wins of ten and a median 6 lower: counts.
+        ([v - 6 for v in BEFORE[:9]] + [BEFORE[9] + 1], True),
+        # Eight wins of ten, the same median shift: does not count.
+        ([v - 6 for v in BEFORE[:8]] + [v + 1 for v in BEFORE[8:]], False),
+        # Nine wins and a tie: the tie goes to neither side, nine of ten counts.
+        ([v - 6 for v in BEFORE[:9]] + [BEFORE[9]], True),
+        # Eight wins and two ties: does not count.
+        ([v - 6 for v in BEFORE[:8]] + BEFORE[8:], False),
+        # Ten wins, but the median moves by 5, within the IQR of 5.5: does not count.
+        ([v - 5 for v in BEFORE], False),
+        # Ten wins, the median moves by 5.6, past the IQR: counts.
+        ([v - 5.6 for v in BEFORE], True),
+    ],
+)
+def test_a_gain_counts_on_nine_of_ten_wins_and_a_median_shift_past_the_iqr(after, counts):
+    wins = _pair(BEFORE, after)
+    assert wins["gain_counts"] is counts
+
+
+def test_a_gain_counts_in_the_metric_direction():
+    higher = [v + 6 for v in BEFORE]
+    assert _pair(BEFORE, higher, better="higher")["gain_counts"] is True
+    assert _pair(BEFORE, higher, better="lower")["gain_counts"] is False
+    assert _pair(higher, BEFORE, better="lower")["gain_counts"] is True
+
+
+def test_no_paired_seed_is_no_gain():
+    runs = [_run("a", 1, ms=10.0), _run("b", 2, ms=1.0)]
+    (pair,) = bench_pairs.summarize(runs, ["a", "b"], {"ms": "lower"})[1]
+    assert pair["wins"]["ms"]["pairs"] == 0 and pair["wins"]["ms"]["gain_counts"] is False
+
+
+def test_fewer_than_ten_pairs_show_no_gain():
+    """Nine seeds, each won by far: too few pairs to count."""
+    assert _pair(BEFORE[:9], [v - 6 for v in BEFORE[:9]])["gain_counts"] is False
 
 
 def _committed_bench_files() -> list[str]:

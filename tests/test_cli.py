@@ -22,7 +22,7 @@ from reviewlens.cache import DiskResponseCache
 from reviewlens.cli import CREDENTIAL_ENV_VAR, main
 from reviewlens.errors import RateLimitedError, TransportError
 from reviewlens.evaluation import REFERENCE_CATEGORY_SCORES
-from reviewlens.gateway import ChatResponse, ReplayBackend, fingerprint
+from reviewlens.gateway import ChatResponse, HttpBackend, ReplayBackend, fingerprint
 from reviewlens.extraction import build_extraction_prompt
 from reviewlens.pipeline import PipelineConfig, PipelineMode, run_product
 
@@ -223,6 +223,29 @@ class TestRunErrors:
         assert code == 1
         _refused(capsys, f"{dataset}: cannot read: ")
         assert sorted(tmp_path.iterdir()) == [dataset]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--fixtures", FIXTURES, "--cache-dir", "{file}"],
+            ["run", "--backend", "live", "--api-key", "k", "--base-url", "http://127.0.0.1:9/v1", "--cache-dir", "{file}"],
+            ["record-fixtures", "--api-key", "k", "--base-url", "http://127.0.0.1:9/v1", "--fixtures", "{file}"],
+        ],
+        ids=["run-replay", "run-live", "record-fixtures"],
+    )
+    def test_a_store_that_is_a_file_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        """A cache or fixture directory naming a regular file fails with
+        one error line, before any request is sent or output written."""
+        sent = []
+        for backend in (ReplayBackend, HttpBackend):
+            monkeypatch.setattr(backend, "complete", lambda self, request: sent.append(request))
+        store = tmp_path / "store"
+        store.write_text("not a directory\n")
+        argv = [arg.replace("{file}", str(store)) for arg in command]
+        code = run_cli(*argv, "--dataset", DATASET, "--out", str(tmp_path / "out"))
+        assert code == 1
+        _refused(capsys, f"response store {store} is not a directory")
+        assert sent == [] and sorted(tmp_path.iterdir()) == [store]
 
     def test_parallel_products_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -1219,6 +1242,20 @@ class TestEval:
         )
         assert code == 1
         _refused(capsys, "mode comparison: baseline report covers 'bty-serum-002'")
+
+    def test_a_run_directory_of_two_modes_is_refused(self, tmp_path, capsys):
+        """A directory rerun in another mode for one product is not scored
+        under either mode."""
+        out = tmp_path / "run"
+        assert run_cli("run", "--dataset", DATASET, "--fixtures", FIXTURES, "--mode", "full", "--out", str(out)) == 0
+        assert run_cli(
+            "run", "--dataset", DATASET, "--fixtures", FIXTURES, "--mode", "ablated",
+            "--product", "app-mixer-001", "--out", str(out),
+        ) == 0
+        capsys.readouterr()
+        code = run_cli("eval", "--runs", str(out), "--gold", str(TESTDATA / "gold.json"), "--dataset", DATASET)
+        assert code == 1
+        _refused(capsys, f"run directory {out} mixes modes: ablated, full")
 
     def test_nothing_requested(self, capsys):
         code = run_cli("eval")

@@ -438,14 +438,36 @@ def fail_once(*faults):
     return fail_with
 
 
-class TestBackoffScheduling:
-    """One worker, so the order of calls is set by the 200 ms backoff alone."""
+def stall_once(fail_with, text, seconds):
+    """Wraps a failure predicate: the first request whose prompt holds
+    ``text`` takes ``seconds`` longer, then is answered or fails as
+    ``fail_with`` says."""
+    pending = [text]
 
-    def run(self, product, faults, *, base_delay_ms=200):
-        """Runs full mode with each (review text, error) fault raised once;
-        returns the result (or the exception raised) and the calls made."""
+    def stalled(request):
+        if pending and text in request.user_prompt:
+            pending.clear()
+            time.sleep(seconds)
+        return fail_with(request)
+
+    return stalled
+
+
+class TestBackoffScheduling:
+    """One worker, so the order of calls is set by the ready units' key,
+    (product rank, level, review index), and by the 200 ms backoff: a
+    product's extractions go before its comparisons."""
+
+    def run(self, product, faults, *, base_delay_ms=200, stall=None):
+        """Runs full mode with each (review text, error) fault raised once,
+        and the first request holding ``stall``'s text, if given, slowed by
+        its seconds; returns the result (or the exception raised) and the
+        calls made."""
+        fail_with = fail_once(*faults)
+        if stall is not None:
+            fail_with = stall_once(fail_with, *stall)
         backend = RecordingBackend(
-            SelectiveFailureBackend(fresh_replay(), fail_with=fail_once(*faults)),
+            SelectiveFailureBackend(fresh_replay(), fail_with=fail_with),
             request_labeller(product),
         )
         config = config_for(
@@ -473,12 +495,49 @@ class TestBackoffScheduling:
         assert (result.failed_units, result.diagnostics) == ((), reference.diagnostics)
 
     def others(self, product, *skip):
-        return [
-            f"{review.review_id}/{stage}"
+        """The calls of every review but ``skip``: the extractions, then the
+        comparisons, each in dataset order."""
+        kept = [review.review_id for review in product.reviews if review.review_id not in skip]
+        return [f"{review_id}/{stage}" for stage in ("extraction", "comparison") for review_id in kept]
+
+    @pytest.mark.parametrize("product_id", ["app-mixer-001", "bty-serum-002", "ele-buds-003"])
+    def test_a_clean_run_sends_the_extractions_then_the_comparisons(self, products_by_id, product_id):
+        """Each extraction heads the longest chain left (extract, compare,
+        group), so every one goes before any comparison."""
+        product = products_by_id[product_id]
+        # Two reviews may extract the same attributes and so send the same
+        # comparison prompt: the calls are compared by prompt.
+        backend = RecordingBackend(fresh_replay(), lambda request: request.user_prompt)
+        config = config_for(PipelineMode.FULL, workers=1)
+        result = run_product(product, config, backend)
+        extractions = [
+            build_extraction_prompt(review, product.title, model=config.extraction_model).user_prompt
             for review in product.reviews
-            if review.review_id not in skip
-            for stage in ("extraction", "comparison")
         ]
+        comparisons = [
+            build_comparison_prompt(
+                list(attrs), product.seller_description, model=config.comparison_model
+            ).user_prompt
+            for attrs in (result.extractions[rid] for rid in product.review_ids)
+            if attrs
+        ]
+        *calls, grouping = backend.calls
+        assert calls == extractions + comparisons
+        assert GROUPING_MARKER in grouping
+
+    def test_a_retried_extraction_goes_before_the_comparisons(self, products_by_id):
+        """mix-r1's extraction backs off and keeps its level: the last
+        other extraction takes 300 ms, so the retry falls due while every
+        other comparison is ready, and goes first."""
+        product = products_by_id["app-mixer-001"]
+        last = product.reviews[-1]
+        faults = [(MIX_R1_TEXT, TransportError("blip"))]
+        result, calls = self.run(product, faults, stall=(last.text, 0.3))
+        extractions = [f"{review.review_id}/extraction" for review in product.reviews]
+        comparisons = [f"{review.review_id}/comparison" for review in product.reviews]
+        assert calls == extractions + ["mix-r1/extraction"] + comparisons + ["grouping"]
+        assert result.call_stats.retries == 1
+        self.assert_as_without_backoff(product, faults, result)
 
     def test_transport_backoff_runs_the_other_reviews(self, products_by_id):
         product = products_by_id["app-mixer-001"]
@@ -513,10 +572,11 @@ class TestBackoffScheduling:
     def test_two_backoffs_hold_no_thread(self, products_by_id):
         """mix-r2 fails while mix-r1 backs off: the one worker runs every
         other review in the two backoffs, then each retry in deadline
-        order."""
+        order. mix-r2's failed call takes 100 ms, so its retry falls due
+        after mix-r1's retry and comparison."""
         product = products_by_id["app-mixer-001"]
         faults = [(MIX_R1_TEXT, TransportError("blip")), (MIX_R2_TEXT, TransportError("blip"))]
-        result, calls = self.run(product, faults)
+        result, calls = self.run(product, faults, stall=(MIX_R2_TEXT, 0.1))
         assert calls == (
             ["mix-r1/extraction", "mix-r2/extraction"]
             + self.others(product, "mix-r1", "mix-r2")
