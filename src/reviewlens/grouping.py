@@ -1,10 +1,15 @@
 """Stage three: one call that buckets attribute keys into semantic categories.
 
 The prompt carries the deduplicated, lexicographically sorted key list and
-nothing else (never values), keeping it deterministic for caching. The
-parse maps every requested key to a label: unmapped keys fall back to the
-"Other" category, unknown keys in the response are dropped, duplicates
-resolve first-wins, and each anomaly leaves a diagnostic.
+nothing else (never values), keeping it deterministic for caching. So it
+does not depend on what a comparison says: a comparison that succeeds
+returns one row per input attribute, confirming exactly its review's keys.
+The pipeline sends the call once no extraction is unresolved and every
+review still comparing holds only confirmed keys; the request is then the
+one the last comparison would have left. The parse maps every requested
+key to a label: unmapped keys fall back to the "Other" category, unknown
+keys in the response are dropped, duplicates resolve first-wins, and each
+anomaly leaves a diagnostic.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 ``run_product`` runs one product and ``run_products`` a dataset. A table
 gives each mode a per-review task and one closing call:
 
-- full: extract then compare each review, then one grouping call over the
-  compared keys (2R + 1 calls for R productive reviews on a cold cache);
+- full: extract then compare each review, and one grouping call over the
+  compared keys, sent once they are settled, beside the last comparisons
+  (2R + 1 calls for R productive reviews on a cold cache);
 - ablated: extract each review, then one direct report call over the
   extracted attributes (R + 1);
 - baseline: no per-review task, one direct report call over the reviews'
@@ -21,17 +22,22 @@ backend: the unit notes how each call it passes on ended.
 One ``_Scheduler`` serves a run on ``workers`` threads of its own, while
 the caller only waits for results. Each thread holds a permit while it
 advances a stage to its next yield, so ``workers`` caps the LLM calls in
-flight. Ready stages are taken by ``(product rank, level, review index)``,
-the level being the requests a stage has resolved: the longest remaining
-chain goes first, so a product's last comparisons run side by side and its
-grouping call starts sooner. A stage backing off keeps its level and waits
-on a heap of deadlines, holding no thread and no permit. A thread goes on
-with the stage it advanced while it is the first ready one, so a call makes
-no thread hand-off, and a later product's first request is built only when
-no earlier request is ready. In a cached run, a request identical to one of
-the same product in flight waits for it, holding no permit. A stopping run
-(an exception, or the caller closing it) advances no stage of the products
-it stopped, so it starts no backend call for them.
+flight. Ready stages are taken by ``(product rank, level, -attributes,
+review index)``, the level being the requests a stage has resolved: a
+product's extractions go before its comparisons, and its largest
+comparisons first. Its closing stage starts once the closing call's input
+is settled: in full mode, once no extraction is unresolved and every review
+still comparing holds only keys a successful comparison confirmed, so the
+grouping call goes beside the last comparisons. The stage assembles the
+report once every review is done. A stage backing off keeps its level and
+waits on a heap of deadlines, holding no thread and no permit. A thread
+goes on with the stage it advanced while it is the first ready one, so a
+call makes no thread hand-off, and a later product's first request is
+built only when no earlier request is ready. In a cached run, a request
+identical to one of the same product in flight waits for it, holding no
+permit. A stopping run (an exception, or the caller closing it) advances
+no stage of the products it stopped, so it starts no backend call for
+them.
 
 Run state changes in one place, ``_Scheduler._settle``, under the run's one
 lock, after each advance. An advance makes at most one attempt, so settling
@@ -183,12 +189,15 @@ _WAKE_S = 0.05
 
 class _Ask(NamedTuple):
     """A stage's request: the ``CallStats`` field it is counted under, the
-    request, its parser and the notes a successful parse adds to."""
+    request, its parser and the notes a successful parse adds to; for a
+    comparison, the keys its success confirms and its attribute count."""
 
     counter: str
     request: ChatRequest
     parser: Callable[[str, list[str]], Any]
     notes: list[str]
+    keys: frozenset[AttributeKey] = frozenset()
+    size: int = 0
 
 
 @dataclass(slots=True, eq=False)
@@ -215,6 +224,7 @@ class _Unit:
     flight: ChatRequest | None = None
     call: str | None = None  # "answered", "throttled" or "failed"
     level: int = 0  # requests resolved, which orders a product's ready units
+    size: int = 0  # a comparison's attributes: the larger goes first
 
     def advance(self) -> None:
         self.call = None
@@ -239,14 +249,20 @@ class _Unit:
 @dataclass(slots=True)
 class _Admitted:
     """A product admitted to a run: what each of its units returned or
-    raised, by index (the reviews', then the closing unit's); in a cached
-    run, the requests its units are resolving, each with the units waiting
-    for it; and its call counts so far: requests by ``CallStats`` field and
+    raised, by index (the reviews', then the closing unit's); until its
+    closing unit starts, what settles that unit's input; in a cached run,
+    the requests its units are resolving, each with the units waiting for
+    it; and its call counts so far: requests by ``CallStats`` field and
     retries in ``counts``, backend calls in ``calls``. The scheduler keeps
     it, under its lock."""
 
     outcomes: list[Any]
-    pending: int  # review units not done yet
+    pending: int  # review units not done yet: each extracting or comparing
+    # The keys of each review comparing, by index, and those a successful
+    # comparison confirmed; None once the closing unit has started.
+    comparing: dict[int, frozenset[AttributeKey]] | None = field(default_factory=dict)
+    confirmed: set[AttributeKey] | None = field(default_factory=set)
+    closing: _Unit | None = None  # the closing unit, while it waits for the reviews
     result: PipelineResult | None = None
     flights: dict[ChatRequest, list[_Unit]] = field(default_factory=dict)
     counts: Counter[str] = field(default_factory=Counter)
@@ -296,6 +312,8 @@ def _extract_and_compare(
             request,
             lambda text, scratch: parse_comparison_response(text, attributes, diagnostics=scratch),
             outcome.diagnostics,
+            frozenset(attr.key for attr in attributes),
+            len(attributes),
         )
     except _STEP_FAILURES as exc:
         outcome.diagnostics.append(f"review {review.review_id}: comparison failed permanently: {exc}")
@@ -312,10 +330,9 @@ def _group(
     product: ProductRecord, succeeded: list[_ReviewOutcome], notes: list[str], config: PipelineConfig
 ) -> _Closing:
     """The full mode's closing call: one grouping call over the compared
-    attributes' keys. If it fails permanently, every key goes to "Other"."""
-    compared = [item for outcome in succeeded for item in outcome.compared]
-    insights = merge_insights(compared)
-    keys = collect_unique_keys(compared)
+    attributes' keys. If it fails permanently, every key goes to "Other".
+    The insights are merged once every review is done."""
+    keys = collect_unique_keys(item for outcome in succeeded for item in outcome.compared)
     categories: dict[AttributeKey, str] = {}
     if keys:
         request = build_grouping_prompt(keys, model=config.grouping_model)
@@ -328,7 +345,7 @@ def _group(
             )
         except _STEP_FAILURES as exc:
             notes.append(f"grouping failed permanently; every attribute assigned {OTHER_CATEGORY!r}: {exc}")
-    return insights, categories, False
+    return [], categories, False
 
 
 def build_baseline_prompt(product: ProductRecord, *, model: str) -> ChatRequest:
@@ -406,8 +423,8 @@ def _direct_report(
 
 # Each mode's per-review task (the baseline has none) and its closing call.
 # A closing call is the product's "+1", counted as grouping in every mode.
-# It is given the succeeded review outcomes in dataset order and the
-# product's notes so far, adds its own notes to them, and returns a
+# It is given the succeeded review outcomes in dataset order, of the reviews
+# done once its input settled, and a list for its notes, and returns a
 # ``_Closing`` result.
 _MODES = {
     PipelineMode.FULL: (_extract_and_compare, _group),
@@ -417,41 +434,51 @@ _MODES = {
 
 
 def _close(
-    product: ProductRecord, outcomes: list[Any], config: PipelineConfig
-) -> Generator[_Ask, Any, PipelineResult]:
-    """The product's closing stage, run once every review is done: an
-    exception kept with a review is raised here, the first in dataset
-    order; otherwise the mode's closing call, then the result, to which the
-    scheduler adds the call stats."""
-    raised = [o for o in outcomes if isinstance(o, BaseException)]
+    product: ProductRecord, settled: list[Any], outcomes: list[Any], config: PipelineConfig
+) -> Generator[_Ask | None, Any, PipelineResult]:
+    """The product's closing stage, started once its call's input is
+    settled: that call over ``settled``, the reviews done by then, unless one
+    raised. It yields None until every review is done, then raises the
+    first exception kept with a review or returns the result, to which the
+    scheduler adds the call stats; the call's notes follow the reviews'."""
+    notes: list[str] = []
+    insights, categories, failed_all = [], {}, False
+    if not any(isinstance(o, BaseException) for o in settled):
+        succeeded = [o for o in settled if o.failed_stage is None]
+        insights, categories, failed_all = yield from _MODES[config.mode][1](product, succeeded, notes, config)
+    yield None
+    reviews = outcomes[:-1]
+    raised = [o for o in reviews if isinstance(o, BaseException)]
     if raised:
         raise raised[0]
-    succeeded = [o for o in outcomes if o.failed_stage is None]
-    notes = [note for o in outcomes for note in o.diagnostics]
-    insights, categories, failed_all = yield from _MODES[config.mode][1](product, succeeded, notes, config)
-    failed = [o.review_id for o in outcomes if o.failed_stage is not None]
+    if config.mode is PipelineMode.FULL:
+        insights = merge_insights([item for o in reviews if o.failed_stage is None for item in o.compared])
+    failed = [o.review_id for o in reviews if o.failed_stage is not None]
     return PipelineResult(
         report=build_report(insights, categories, product_id=product.product_id),
         failed_units=product.review_ids if failed_all else tuple(failed),
-        diagnostics=tuple(notes),
-        extractions={o.review_id: tuple(o.attributes) for o in outcomes if o.failed_stage != "extraction"},
+        diagnostics=tuple(note for o in reviews for note in o.diagnostics) + tuple(notes),
+        extractions={o.review_id: tuple(o.attributes) for o in reviews if o.failed_stage != "extraction"},
     )
 
 
 class _Scheduler:
     """One run's work, served by ``helpers`` threads of its own.
 
-    Ready units wait in a heap keyed by ``(product rank, level, index)``,
-    the level being the requests a unit has resolved, so the longest chain
-    left goes first (Hu, 1961): a product's last comparisons run side by
-    side and its grouping call starts sooner. Units backing off keep their
-    level in a heap of deadlines. A thread takes a permit and the first
-    ready unit, advances it with the lock released, then under one hold of
-    the lock settles it and takes the first ready one again, usually the
-    same. A product is admitted, its units built, only when no unit is
-    ready, and gets its closing unit once its reviews are done. The helpers
-    start with the scheduler (``run_products`` starts ``workers``; a test
-    may serve a run on its own thread with none), and ``result`` only waits.
+    Ready units wait in a heap keyed by ``(product rank, level,
+    -attributes, index)``, the level being the requests a unit has
+    resolved: the longest chain left goes first (Hu, 1961), then the
+    largest comparison (Graham, 1969). Units backing off keep their level
+    in a heap of deadlines. A thread takes a permit and the first ready
+    unit, advances it with the lock released, then under one hold of the
+    lock settles it and takes the first ready one again, usually the same.
+    A product is admitted, its units built, only when no unit is ready. Its
+    closing unit starts, at level 0, once its input is settled (dataflow
+    firing, Dennis & Misunas, 1975), so a grouping call goes before the
+    remaining comparisons; it then waits for the reviews, holding no
+    permit. The helpers start with the scheduler (``run_products`` starts
+    ``workers``; a test may serve a run on its own thread with none), and
+    ``result`` only waits.
 
     At most ``int(limit)`` permits are out at once. The limit starts at
     ``workers``, its ceiling; a throttled call halves it, to a floor of 1,
@@ -460,8 +487,9 @@ class _Scheduler:
     A stop at a rank stops the products from it on: none of their units is
     advanced again. A review that raises a non-``Exception`` stops its
     product at once; any other exception is kept with its review and raised
-    by the closing unit; the closing unit's exception stops its product.
-    ``close`` stops every product.
+    by the closing unit, which makes no call if it starts after the raise;
+    the closing unit's exception stops its product. ``close`` stops every
+    product.
     """
 
     def __init__(
@@ -480,7 +508,7 @@ class _Scheduler:
         self._admitted: list[_Admitted] = []
         self._unfinished = 0  # the first product without a result
         self._stop = len(products)  # products from this rank on start nothing
-        self._ready: list[tuple[int, int, int, _Unit]] = []
+        self._ready: list[tuple[int, int, int, int, _Unit]] = []
         # (deadline, rank, index, unit): a unit is here at most once, so no tie reaches it.
         self._timers: list[tuple[float, int, int, _Unit]] = []
         self._helpers: list[threading.Thread] = []
@@ -557,7 +585,7 @@ class _Scheduler:
         next product while there is none."""
         while True:
             while self._ready:
-                unit = heapq.heappop(self._ready)[3]
+                unit = heapq.heappop(self._ready)[-1]
                 if unit.rank < self._stop:
                     return unit
             rank = len(self._admitted)
@@ -572,12 +600,22 @@ class _Scheduler:
         self._admitted.append(_Admitted([None] * (len(reviews) + 1), len(reviews)))
         for index, review in enumerate(reviews):
             self._push_stage(rank, index, task(review, product, self._config))
-        if not reviews:
-            self._push_closing(rank)
+        self._start_closing(rank)
 
-    def _push_closing(self, rank: int) -> None:
-        outcomes = self._admitted[rank].outcomes
-        self._push_stage(rank, len(outcomes) - 1, _close(self._products[rank], outcomes[:-1], self._config))
+    def _start_closing(self, rank: int) -> None:
+        """Start a product's closing unit once its call's input is settled:
+        every review not done is comparing, holding only keys a successful
+        comparison confirmed. At the latest, that holds once all are done."""
+        product = self._admitted[rank]
+        comparing = product.comparing
+        if rank >= self._stop or comparing is None or len(comparing) < product.pending:
+            return
+        if all(keys <= product.confirmed for keys in comparing.values()):
+            product.comparing = product.confirmed = None
+            outcomes = product.outcomes
+            settled = [o for o in outcomes[:-1] if o is not None]
+            closing = _close(self._products[rank], settled, outcomes, self._config)
+            self._push_stage(rank, len(outcomes) - 1, closing)
 
     def _push_stage(self, rank: int, index: int, stage: Generator[_Ask, Any, Any]) -> None:
         unit = _Unit(rank, index, self._gateway)
@@ -585,7 +623,7 @@ class _Scheduler:
         self._push(unit)
 
     def _push(self, unit: _Unit) -> None:
-        heapq.heappush(self._ready, (unit.rank, unit.level, unit.index, unit))
+        heapq.heappush(self._ready, (unit.rank, unit.level, -unit.size, unit.index, unit))
 
     def _drive(self, stage: Generator[_Ask, Any, T], unit: _Unit) -> Generator[Any, None, T]:
         """Run ``stage`` as ``unit``: resolve each request it yields through
@@ -604,6 +642,8 @@ class _Scheduler:
                 return stop.value
             yield ask
             value = error = None
+            if ask is None:  # the closing stage waited for the reviews
+                continue
             try:
                 value = yield from complete_parsed(
                     ask.request, ask.parser, gateway=unit, policy=self._config.retry,
@@ -615,14 +655,16 @@ class _Scheduler:
 
     def _settle(self, unit: _Unit) -> None:
         """Fold in what an advance of ``unit`` left, then put the unit
-        back: ready, on a timer, behind an identical request in flight, or
-        done. Called holding the lock, so this is where run state changes.
+        back: ready, on a timer, behind an identical request in flight,
+        waiting for its product's reviews, or done. Called holding the
+        lock, so this is where run state changes.
 
         The advance's permit comes back, and its backend call, if it made
         one, is counted and takes the AIMD step. A request or a backoff it
         yielded counts one request or one retry. Every request and retry is
         one attempt, a cache hit or a backend call, so backend calls =
-        requests - cache hits + retries on every path."""
+        requests - cache hits + retries on every path. A comparison it
+        yielded may settle the closing unit's input."""
         self._in_flight -= 1
         product = self._admitted[unit.rank]
         if unit.call is not None:
@@ -631,15 +673,23 @@ class _Scheduler:
                 self._limit = max(1.0, self._limit / 2)
             elif unit.call == "answered":
                 self._limit = min(float(self._config.workers), self._limit + 1 / self._limit)
-        wait = unit.wait
-        if not unit.done:
-            product.counts[wait.counter if isinstance(wait, _Ask) else "retries"] += 1
-        if unit.flight is not None and (unit.done or isinstance(wait, _Ask)):
+        wait = None if unit.done else unit.wait
+        if isinstance(wait, _Ask):
+            product.counts[wait.counter] += 1
+            if wait.keys:
+                unit.size = wait.size
+                product.comparing[unit.index] = wait.keys
+                self._start_closing(unit.rank)
+        elif wait is not None:
+            product.counts["retries"] += 1
+        if unit.flight is not None and not isinstance(wait, float):
             self._land(unit)
         if unit.done:
             self._record(unit)
         elif unit.rank >= self._stop:
             pass  # dropped with its product
+        elif wait is None and product.pending:
+            product.closing = unit  # holding no permit
         elif isinstance(wait, _Ask) and self._cache is not None and self._park(unit):
             pass
         elif isinstance(wait, float) and wait > 0:
@@ -678,10 +728,15 @@ class _Scheduler:
         product.outcomes[unit.index] = value = unit.value
         if unit.index < len(product.outcomes) - 1:  # a review
             product.pending -= 1
+            if product.comparing is not None:
+                keys = product.comparing.pop(unit.index, frozenset())
+                if not isinstance(value, BaseException) and value.failed_stage is None:
+                    product.confirmed |= keys
             if isinstance(value, BaseException) and not isinstance(value, Exception):
                 self._stop_from(unit.rank)
-            elif not product.pending and unit.rank < self._stop:
-                self._push_closing(unit.rank)
+            self._start_closing(unit.rank)
+            if not product.pending and product.closing is not None:
+                self._push(product.closing)
         elif isinstance(value, BaseException):
             self._stop_from(unit.rank)
         else:
@@ -731,10 +786,11 @@ def run_products(
     One scheduler serves the whole run on ``config.workers`` threads of
     its own, which share ``config.workers`` permits, so that is
     the cap on LLM calls in flight; the caller only waits. A free permit
-    goes to the first ready stage by ``(product rank, level, review
-    index)``, the longest remaining chain first, so a product's last
-    comparisons run side by side and its grouping call starts sooner. The
-    next product starts only when no stage of an earlier one is ready.
+    goes to the first ready stage by ``(product rank, level, -attributes,
+    review index)``: the longest remaining chain first, then the largest
+    comparison. A full-mode product's grouping call starts once its key set
+    is settled, beside its last comparisons. The next product starts only
+    when no stage of an earlier one is ready.
     Without a ``cache``, the run opens the store at ``config.cache_dir``,
     if any, once for all its products, and closes it at the end.
 

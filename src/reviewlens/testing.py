@@ -77,6 +77,10 @@ class CannedReviewModel:
         default_category: str = "General",
     ):
         self._products = tuple(products)
+        self._review_ids: dict[str, str] = {}  # review text -> id, the first review with it
+        for product in self._products:
+            for review in product.reviews:
+                self._review_ids.setdefault(review.text, review.review_id)
         self._extractions = {rid: tuple(rows) for rid, rows in extractions.items()}
         self._comparisons = dict(comparisons)
         self._categories = dict(categories)
@@ -129,15 +133,15 @@ class CannedReviewModel:
     # -- per-step answers ---------------------------------------------------
 
     def _extraction_answer(self, prompt: str) -> str:
-        for product in self._products:
-            for review in product.reviews:
-                if review.text in prompt:
-                    rows = self._extractions.get(review.review_id, ())
-                    return json.dumps(
-                        {"attributes": [{"attribute": k, "value": v} for k, v in rows]},
-                        ensure_ascii=False,
-                    )
-        raise AssertionError("extraction prompt matches no configured review text")
+        # The review text sits between the template's two fences.
+        text = prompt.split(f'{_EXTRACTION_MARKER}\n"""\n', 1)[1].rsplit('\n"""', 1)[0]
+        if text not in self._review_ids:
+            raise AssertionError("extraction prompt matches no configured review text")
+        rows = self._extractions.get(self._review_ids[text], ())
+        return json.dumps(
+            {"attributes": [{"attribute": k, "value": v} for k, v in rows]},
+            ensure_ascii=False,
+        )
 
     def _comparison_answer(self, prompt: str) -> str:
         requested = _json_after(prompt, _COMPARISON_MARKER)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from reviewlens.cache import DiskResponseCache
 from reviewlens.comparison import build_comparison_prompt
-from reviewlens.domain import ProductRecord
+from reviewlens.domain import ProductRecord, Review
 from reviewlens.errors import RateLimitedError, TransportError
 from reviewlens.extraction import build_extraction_prompt
 from reviewlens.gateway import ChatResponse, ReplayBackend, RetryPolicy, fingerprint
@@ -384,10 +384,11 @@ MIX_R1_TEXT = "The stainless steel bowl holds a full 5"
 MIX_R2_TEXT = "Mine arrived in red, which looks great"
 
 
-def request_labeller(product: ProductRecord):
-    """Names each request of a full run over ``product`` as
-    "<review id>/<stage>" or "grouping"."""
-    clean = run_product(product, config_for(PipelineMode.FULL), fresh_replay())
+def request_labeller(product: ProductRecord, model=None):
+    """Names each request of a full run over ``product``, answered by
+    ``model`` (the bundled fixtures by default), as "<review id>/<stage>"
+    or "grouping"."""
+    clean = run_product(product, config_for(PipelineMode.FULL), model or fresh_replay())
     model = PipelineConfig().comparison_model
     comparisons = {
         build_comparison_prompt(list(attrs), product.seller_description, model=model).user_prompt: rid
@@ -453,10 +454,20 @@ def stall_once(fail_with, text, seconds):
     return stalled
 
 
+def by_batch(product: ProductRecord) -> list[str]:
+    """The ids of ``product``'s reviews in the order their comparisons take
+    permits: the most attributes first, then dataset order."""
+    clean = run_product(product, config_for(PipelineMode.FULL), fresh_replay())
+    return sorted(product.review_ids, key=lambda review_id: -len(clean.extractions[review_id]))
+
+
 class TestBackoffScheduling:
     """One worker, so the order of calls is set by the ready units' key,
-    (product rank, level, review index), and by the 200 ms backoff: a
-    product's extractions go before its comparisons."""
+    (product rank, level, -attributes, review index), and by the 200 ms
+    backoff: a product's extractions go before its comparisons, and its
+    comparisons go largest batch first. No bundled product settles its
+    grouping keys before its last comparison, since nearly every review
+    holds a key of its own."""
 
     def run(self, product, faults, *, base_delay_ms=200, stall=None):
         """Runs full mode with each (review text, error) fault raised once,
@@ -495,15 +506,16 @@ class TestBackoffScheduling:
         assert (result.failed_units, result.diagnostics) == ((), reference.diagnostics)
 
     def others(self, product, *skip):
-        """The calls of every review but ``skip``: the extractions, then the
-        comparisons, each in dataset order."""
-        kept = [review.review_id for review in product.reviews if review.review_id not in skip]
-        return [f"{review_id}/{stage}" for stage in ("extraction", "comparison") for review_id in kept]
+        """The calls of every review but ``skip``: the extractions in dataset
+        order, then the comparisons, largest batch first."""
+        extractions = [f"{rid}/extraction" for rid in product.review_ids if rid not in skip]
+        return extractions + [f"{rid}/comparison" for rid in by_batch(product) if rid not in skip]
 
     @pytest.mark.parametrize("product_id", ["app-mixer-001", "bty-serum-002", "ele-buds-003"])
     def test_a_clean_run_sends_the_extractions_then_the_comparisons(self, products_by_id, product_id):
         """Each extraction heads the longest chain left (extract, compare,
-        group), so every one goes before any comparison."""
+        group), so every one goes before any comparison; then the largest
+        comparisons go first (LPT)."""
         product = products_by_id[product_id]
         # Two reviews may extract the same attributes and so send the same
         # comparison prompt: the calls are compared by prompt.
@@ -518,7 +530,7 @@ class TestBackoffScheduling:
             build_comparison_prompt(
                 list(attrs), product.seller_description, model=config.comparison_model
             ).user_prompt
-            for attrs in (result.extractions[rid] for rid in product.review_ids)
+            for attrs in (result.extractions[rid] for rid in by_batch(product))
             if attrs
         ]
         *calls, grouping = backend.calls
@@ -534,7 +546,7 @@ class TestBackoffScheduling:
         faults = [(MIX_R1_TEXT, TransportError("blip"))]
         result, calls = self.run(product, faults, stall=(last.text, 0.3))
         extractions = [f"{review.review_id}/extraction" for review in product.reviews]
-        comparisons = [f"{review.review_id}/comparison" for review in product.reviews]
+        comparisons = [f"{review_id}/comparison" for review_id in by_batch(product)]
         assert calls == extractions + ["mix-r1/extraction"] + comparisons + ["grouping"]
         assert result.call_stats.retries == 1
         self.assert_as_without_backoff(product, faults, result)
@@ -630,6 +642,142 @@ class TestBackoffScheduling:
             scheduler.close()
         assert time.monotonic() - closing < 1
         assert not helper.is_alive()
+
+
+def settling_product(*batches):
+    """A product whose review r<i> states the (key, value) pairs of
+    ``batches[i - 1]``, and the canned model that answers for it."""
+    reviews = [
+        Review(f"r{i}", " ".join(f"The {key} is {value}." for key, value in pairs))
+        for i, pairs in enumerate(batches, 1)
+    ]
+    product = ProductRecord("tst-settle-001", "Test Gadget", "Electronics", "A gadget.", reviews)
+    model = CannedReviewModel(
+        [product],
+        extractions={review.review_id: pairs for review, pairs in zip(reviews, batches)},
+        comparisons={pair: ("Matching", "As listed.") for pairs in batches for pair in pairs},
+        categories={},
+    )
+    return product, model
+
+
+def test_the_canned_model_answers_an_extraction_for_its_own_review():
+    """r2's text holds all of r1's: r2's extraction still gets r2's rows."""
+    product, model = settling_product([("weight", "2 kg")], [("weight", "2 kg"), ("color", "red")])
+    assert product.reviews[0].text in product.reviews[1].text
+    for review, keys in zip(product.reviews, (["weight"], ["weight", "color"])):
+        request = build_extraction_prompt(review, product.title, model="m")
+        rows = json.loads(model.complete(request).text)["attributes"]
+        assert [row["attribute"] for row in rows] == keys
+
+
+def grouping_keys(request) -> list[str]:
+    return json.loads(request.user_prompt.split(GROUPING_MARKER, 1)[1].split("\n\n", 1)[0])
+
+
+class TestGroupingStart:
+    """A full-mode product's grouping call starts once its key set is
+    settled: no extraction is unresolved, and every review still comparing
+    holds only keys a successful comparison confirmed."""
+
+    def run(self, product, model, fail_with=lambda label, request: None, workers=1):
+        """The result (or the RuntimeError raised), the calls by label and
+        the grouping requests of a full run."""
+        label = request_labeller(product, model)
+        grouping = []
+
+        def note(request):
+            if GROUPING_MARKER in request.user_prompt:
+                grouping.append(request)
+            return fail_with(label(request), request)
+
+        backend = RecordingBackend(SelectiveFailureBackend(model, fail_with=note), label)
+        try:
+            result = run_product(product, config_for(PipelineMode.FULL, workers=workers), backend)
+        except RuntimeError as exc:
+            result = exc
+        return result, backend.calls, grouping
+
+    def test_grouping_goes_before_a_comparison_of_confirmed_keys(self):
+        """r1's comparison confirms weight, the only key r2 holds, so the
+        grouping request is settled and goes before r2's comparison."""
+        product, model = settling_product([("weight", "2 kg"), ("color", "red")], [("weight", "3 kg")])
+        result, calls, grouping = self.run(product, model)
+        assert calls == ["r1/extraction", "r2/extraction", "r1/comparison", "grouping", "r2/comparison"]
+        assert [grouping_keys(request) for request in grouping] == [["color", "weight"]]
+        assert result.failed_units == ()
+        assert {(i.key, i.values) for i in result.report.insights} == {
+            ("color", ("red",)),
+            ("weight", ("2 kg", "3 kg")),
+        }
+
+    def test_a_failed_comparison_of_the_only_copy_of_a_key_keeps_grouping_after_it(self):
+        """r2 holds the only copies of size and shape, and its comparison
+        fails on every attempt: the grouping call waits for that, then
+        goes before r3's comparison, which holds only a confirmed key. Its
+        request is the one the product makes without r2."""
+        batches = (
+            [("weight", "2 kg"), ("color", "red")],
+            [("size", "XL"), ("shape", "round")],
+            [("weight", "3 kg")],
+        )
+        product, model = settling_product(*batches)
+        result, calls, grouping = self.run(
+            product, model, lambda label, request: TransportError("down") if label == "r2/comparison" else None
+        )
+        extractions = ["r1/extraction", "r2/extraction", "r3/extraction"]
+        assert calls == extractions + ["r1/comparison"] + ["r2/comparison"] * 3 + ["grouping", "r3/comparison"]
+        assert result.failed_units == ("r2",)
+        without, model = settling_product(batches[0], batches[2])
+        _, _, reference = self.run(without, model)
+        assert grouping == reference
+        assert grouping_keys(grouping[0]) == ["color", "weight"]
+
+    def test_a_bug_after_the_keys_settled_raises_once_the_grouping_call_is_sent(self):
+        """r2's comparison raises after the grouping call was sent: the
+        product raises that error, and the grouping call is the one call
+        made that a product raising sooner would not have made."""
+        product, model = settling_product([("weight", "2 kg"), ("color", "red")], [("weight", "3 kg")])
+        result, calls, _ = self.run(
+            product, model, lambda label, request: RuntimeError("bug") if label == "r2/comparison" else None
+        )
+        assert isinstance(result, RuntimeError) and str(result) == "bug"
+        assert calls == ["r1/extraction", "r2/extraction", "r1/comparison", "grouping", "r2/comparison"]
+
+    def test_the_grouping_request_holds_the_closing_keys_under_stress(self):
+        """Eight workers, a one-microsecond switch interval and jittered
+        calls: whenever the grouping call starts, its request holds exactly
+        the keys of the report, which come from the reviews whose
+        comparison succeeded, with permanent and transient faults. One
+        extraction takes 20 ms longer, so the last to resolve holds the only
+        copy of a key, a comparison that fails, or a shared key."""
+        # r1 holds every shared key and r2-r13 one each; r3 and r14, the
+        # only holder of g, fail; r15 alone holds h.
+        shared = "abcdef"
+        batches = [[(key, f"{n} units") for n, key in enumerate(shared)]]
+        batches += [[(shared[i % 6], f"{i} parts")] for i in range(2, 14)]
+        batches += [[("g", "1 unit")], [("h", "1 unit")]]
+        product, model = settling_product(*batches)
+        failing = {"r3/comparison", "r14/comparison"}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                blips = fail_once(*((r.text, TransportError("blip")) for r in product.reviews[seed % 4 :: 4]))
+                blips = stall_once(blips, product.reviews[(-1, -2, 1)[seed % 3]].text, 0.02)
+                jittered = JitterBackend(model, seed=seed, max_delay_ms=1)
+                result, _, grouping = self.run(
+                    product,
+                    jittered,
+                    lambda label, request: TransportError("down") if label in failing else blips(request),
+                    workers=8,
+                )
+                keys = sorted({insight.key for insight in result.report.insights})
+                assert [grouping_keys(request) for request in grouping] == [keys]
+                assert keys == [*shared, "h"]
+                assert result.failed_units == ("r3", "r14")
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestInterrupts:
