@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn, Sequence
@@ -130,9 +131,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout is met here, not at exit
+        return code
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FATAL
+    except BrokenPipeError:
+        # The reader left (say, `| head -1`). Point stdout at devnull so the
+        # flush at exit does not fail again (Python's signal docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FATAL
 
 

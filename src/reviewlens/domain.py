@@ -7,11 +7,11 @@ Responsibilities:
   * the closed four-variant comparison taxonomy with its parser
   * canonical JSON serialization (UTF-8, lexicographically sorted keys) so
     equal values always produce identical bytes
-  * the dataset and ``report.json`` readers: ``from_dict(payload, name)``
-    parses the JSON object found at path ``name`` with the checks of
-    ``inputs``, and ``load_product_records`` refuses a repeated product id.
-    A product id names the product's output directory, so it must match
-    ``[A-Za-z0-9][A-Za-z0-9._-]*``.
+  * the dataset reader: ``from_dict(payload, name)`` parses the JSON
+    object found at path ``name`` with the checks of ``inputs``, and
+    ``load_product_records`` refuses a repeated product id. A product id
+    names the product's output directory, so it must match
+    ``[A-Za-z0-9][A-Za-z0-9._-]*``. A report is written, never read back.
 
 A report holds its insights once, as one tuple in report order, and each
 insight carries its own status and a non-blank category, which the report
@@ -27,14 +27,13 @@ import enum
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import DataFormatError, EmptyKeyError, UnknownStatusError
 from .inputs import (
     build,
-    check_choice,
     check_int,
     check_list,
     check_string,
@@ -280,21 +279,6 @@ class Insight:
             "justifications": list(self.justifications),
         }
 
-    @classmethod
-    def from_dict(cls, record: Any, name: str = "") -> "Insight":
-        return build(
-            name,
-            cls,
-            key=required(record, "attribute", name, check_string),
-            values=required(record, "values", name, check_list, check_string),
-            status=required(record, "status", name, _read_status),
-            category=optional(record, "category", name, check_string, default=""),
-            evidence=required(record, "evidence", name, check_list, check_string),
-            justifications=optional(
-                record, "justifications", name, check_list, check_string, default=()
-            ),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class CallStats:
@@ -372,42 +356,6 @@ class StructuredReport:
                 for status, groups in self.sections().items()
             ],
         }
-
-    @classmethod
-    def from_dict(cls, record: Any, name: str = "") -> "StructuredReport":
-        """Read the nested form ``to_dict`` writes: one section per status,
-        in order, whose rows agree with their section and group."""
-        product_id = required(record, "product_id", name, check_string)
-        sections = required(record, "sections", name, check_list, _read_section)
-        if [status for status, _ in sections] != list(ComparisonStatus):
-            message = "report sections must cover all four statuses in fixed order"
-            raise DataFormatError(f"{name}: {message}".removeprefix(": "))
-        insights = [insight for _, rows in sections for insight in rows]
-        return build(name, cls, product_id=product_id, insights=insights)
-
-
-def _read_status(value: Any, name: str) -> ComparisonStatus:
-    return ComparisonStatus(check_choice(value, name, [s.value for s in ComparisonStatus]))
-
-
-def _read_section(record: Any, name: str) -> tuple[ComparisonStatus, list[Insight]]:
-    status = required(record, "status", name, _read_status)
-    groups = required(record, "categories", name, check_list, _read_group, status)
-    return status, [insight for rows in groups for insight in rows]
-
-
-def _read_group(record: Any, name: str, status: ComparisonStatus) -> list[Insight]:
-    category = required(record, "category", name, check_string)
-    return required(record, "insights", name, check_list, _read_row, status, category)
-
-
-def _read_row(record: Any, name: str, status: ComparisonStatus, category: str) -> Insight:
-    insight = Insight.from_dict(record, name)
-    if insight.status is not status:
-        raise DataFormatError(f"{name}.status is {insight.status.value!r} in section {status.value!r}")
-    if insight.category not in ("", category):
-        raise DataFormatError(f"{name}.category is {insight.category!r} in group {category!r}")
-    return replace(insight, category=category)
 
 
 def load_product_records(path: Path | str) -> list[ProductRecord]:

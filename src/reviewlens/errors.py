@@ -31,7 +31,7 @@ class OutOfRangeError(ValueError):
 
 
 class ProductMismatchError(ValueError):
-    """Results passed to a cross-mode comparison describe different products."""
+    """An annotation passed to a cross-mode comparison covers another product."""
 
 
 class DataFormatError(ValueError):

@@ -5,8 +5,9 @@ Everything here is pure aggregation over annotation files and pipeline
 outputs. Annotators work against a closed rubric per step; anything outside
 it is rejected at load time with a line position. Every file ``eval`` reads
 is parsed here with the checks of ``inputs``: the gold, annotation and
-scores files, and each product directory of a run (``load_run_dir``), so an
-error names the file and the JSON path in it.
+scores files, and a run's manifests and extractions (``load_run_dir``; no
+score needs a report, so none is opened), so an error names the file and
+the JSON path in it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .domain import ExtractedAttribute, StructuredReport, normalize_key
+from .domain import ExtractedAttribute, normalize_key
 from .errors import DataFormatError, OutOfRangeError, ProductMismatchError
 from .inputs import (
     build,
@@ -226,23 +227,13 @@ def aggregate_errors(
 
 
 def compare_modes(
-    full: StructuredReport,
-    baseline: StructuredReport,
-    ablated: StructuredReport,
-    annotations: Iterable[CriterionAnnotation],
+    product_id: str, annotations: Iterable[CriterionAnnotation]
 ) -> dict[str, dict[str, int]]:
     """Per-criterion lapse counts for each mode, as criterion -> mode -> count.
 
-    All three reports and every annotation must cover one product. Every
-    criterion/mode cell is present even when zero, so tables stay rectangular.
+    Every annotation must cover ``product_id``. Every criterion/mode cell is
+    present even when zero, so tables stay rectangular.
     """
-    product_id = full.product_id
-    for label, report in (("baseline", baseline), ("ablated", ablated)):
-        if report.product_id != product_id:
-            raise ProductMismatchError(
-                f"{label} report covers {report.product_id!r}, "
-                f"expected {product_id!r}"
-            )
     table: dict[str, dict[str, int]] = {
         criterion: {mode: 0 for mode in COMPARED_MODES} for criterion in CRITERIA
     }
@@ -321,26 +312,28 @@ def _read_gold_pair(record: Any, name: str) -> tuple[str, str]:
 
 @dataclass(frozen=True, slots=True)
 class ProductRun:
-    """A product directory of a run: its manifest's mode, its report, and
-    its (attribute, value) pairs by review; None for an absent file."""
+    """A product directory of a run: its manifest's mode, whether it holds
+    a ``report.json`` (never opened), and its (attribute, value) pairs by
+    review, None when ``extractions.json`` is absent."""
 
     mode: str
-    report: StructuredReport | None
+    reported: bool
     predictions: Mapping[str, frozenset[tuple[str, str]]] | None
 
 
 def load_run_dir(run_dir: Path) -> dict[str, ProductRun]:
     """Each product directory of ``run_dir`` that holds a manifest, by its
-    name, which is the product id. Every manifest must name the same mode."""
+    name, which is the product id its manifest names. Every manifest must
+    name the same mode."""
     if not run_dir.is_dir():
         raise DataFormatError(f"run directory {run_dir} does not exist")
     runs: dict[str, ProductRun] = {}
     for manifest in sorted(run_dir.glob("*/manifest.json")):
         product_dir = manifest.parent
-        report, extractions = product_dir / "report.json", product_dir / "extractions.json"
+        extractions = product_dir / "extractions.json"
         runs[product_dir.name] = ProductRun(
-            read_json(manifest, required, "mode", "", check_choice, COMPARED_MODES),
-            read_json(report, StructuredReport.from_dict) if report.is_file() else None,
+            read_json(manifest, _read_manifest, product_dir.name),
+            (product_dir / "report.json").is_file(),
             read_json(extractions, _read_predictions) if extractions.is_file() else None,
         )
     if not runs:
@@ -348,6 +341,14 @@ def load_run_dir(run_dir: Path) -> dict[str, ProductRun]:
     if len(modes := sorted({run.mode for run in runs.values()})) > 1:
         raise DataFormatError(f"run directory {run_dir} mixes modes: {', '.join(modes)}")
     return runs
+
+
+def _read_manifest(payload: Any, product_dir: str) -> str:
+    """The mode of a manifest that names its own directory's product."""
+    product_id = required(payload, "product_id", "", check_string)
+    if product_id != product_dir:
+        raise DataFormatError(f"product_id: {product_id!r} is not its directory's name {product_dir!r}")
+    return required(payload, "mode", "", check_choice, COMPARED_MODES)
 
 
 def _read_predictions(payload: Any) -> dict[str, frozenset[tuple[str, str]]]:
@@ -424,13 +425,11 @@ def mode_comparison(
     elif product_id not in shared:
         raise DataFormatError(f"product {product_id!r} is not present in every run dir")
 
-    reports = {mode: by_mode[mode][product_id].report for mode in COMPARED_MODES}
-    if lacking := [mode for mode, report in reports.items() if report is None]:
+    if lacking := [mode for mode in COMPARED_MODES if not by_mode[mode][product_id].reported]:
         raise DataFormatError(f"{lacking[0]} run for {product_id} lacks report.json")
     annotations = load_criterion_annotations(criteria_path)
     annotations = [annotation for annotation in annotations if annotation.product_id == product_id]
-    # A report.json whose product_id is not its directory's is refused here.
-    table = build("mode comparison", compare_modes, *reports.values(), annotations)
+    table = compare_modes(product_id, annotations)
     return f"Mode comparison for {product_id}:\n" + render_mode_table(table)
 
 

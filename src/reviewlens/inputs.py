@@ -1,11 +1,11 @@
 """Typed readers for every file reviewlens takes in.
 
 The dataset, the config, the evaluation's gold, annotation and scores
-files, and a run directory's files are each parsed once, here at the
-boundary, into the typed values the rest of the code trusts. A reader
-takes a JSON value and its path in the file and returns the wanted type,
-or raises one ``DataFormatError`` naming the path; ``read_json`` and
-``read_jsonl`` put the file (and line) in front:
+files, and a run directory's manifests and extractions are each parsed
+once, here at the boundary, into the typed values the rest of the code
+trusts. A reader takes a JSON value and its path in the file and returns
+the wanted type, or raises one ``DataFormatError`` naming the path;
+``read_json`` and ``read_jsonl`` put the file (and line) in front:
 ``dataset.json: products[0].reviews[2].text must be a non-empty string,
 got None``. Readers check JSON types and presence only: strings are
 non-blank, integers never ``bool``, numbers finite, and an optional field

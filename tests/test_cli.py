@@ -7,9 +7,12 @@ import collections
 import itertools
 import json
 import math
+import os
 import random
 import shutil
 import signal
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -32,6 +35,7 @@ from doubles import SelectiveFailureBackend
 DATASET = str(TESTDATA / "dataset.json")
 FIXTURES = str(TESTDATA / "fixtures")
 TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 PRODUCT_IDS = ("app-mixer-001", "bty-serum-002", "ele-buds-003")
 
 
@@ -766,6 +770,71 @@ class TestRunWideCap:
         assert probe.peak_threads <= threads_before + 1
 
 
+# `reviewlens run` whose second product waits until stdin closes, which the
+# test does once it has closed its end of stdout: the closed pipe is met at
+# the second line every time, not by a race.
+GATED_RUN = """
+import sys
+from reviewlens import cli
+write, written = cli._write_outputs, []
+def gated(*args):
+    if written:
+        sys.stdin.read()
+    written.append(write(*args))
+cli._write_outputs = gated
+sys.exit(cli.main())
+"""
+
+
+class TestClosedStdout:
+    """A reader that leaves early (`reviewlens run ... | head -1`) ends the
+    run with exit 1 and no traceback, and every product directory written
+    holds its golden bytes."""
+
+    ARGV = ("run", "--dataset", DATASET, "--fixtures", FIXTURES, "--mode", "full")
+
+    @staticmethod
+    def assert_written(out: Path, product_ids) -> None:
+        assert sorted(path.name for path in out.iterdir()) == list(product_ids)
+        for product_id in product_ids:
+            for name in ("report.json", "report.md"):
+                assert (out / product_id / name).read_bytes() == golden("full", product_id, name)
+
+    def test_reader_gone_after_the_first_line(self, tmp_path):
+        out = tmp_path / "out"
+        child = subprocess.Popen(
+            [sys.executable, "-u", "-c", GATED_RUN, *self.ARGV, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline().startswith(b"app-mixer-001: mode=full calls=17")
+        child.stdout.close()
+        child.stdin.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        self.assert_written(out, PRODUCT_IDS[:2])
+
+    def test_reader_gone_before_a_buffered_run(self, tmp_path):
+        """Block-buffered, the lines meet the closed pipe when ``main``
+        flushes them after the last product, and the flush at exit is quiet."""
+        out, (read_end, write_end) = tmp_path / "out", os.pipe()
+        os.close(read_end)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "reviewlens.cli", *self.ARGV, "--out", str(out)],
+                env={**env, "PYTHONPATH": str(SRC)}, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        err = child.stderr.decode()
+        assert child.returncode == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        self.assert_written(out, PRODUCT_IDS)
+
+
 class TestStopping:
     """A run that is stopping starts no product, no queued review and no
     backend call, and the stop surfaces once the calls in flight have
@@ -1201,7 +1270,6 @@ class TestEval:
     @pytest.mark.parametrize(
         "name, corrupt",
         [
-            ("report.json", lambda payload: "{not json"),
             (
                 "extractions.json",
                 lambda payload: {
@@ -1212,9 +1280,8 @@ class TestEval:
                 },
             ),
             ("manifest.json", lambda payload: [payload]),
-            ("report.json", lambda payload: {**payload, "sections": payload["sections"][1:]}),
         ],
-        ids=["report-not-json", "row-without-attribute", "manifest-list", "report-three-sections"],
+        ids=["row-without-attribute", "manifest-list"],
     )
     def test_malformed_run_file_names_it(self, run_dirs, capsys, name, corrupt):
         path = run_dirs["full"] / "app-mixer-001" / name
@@ -1230,8 +1297,23 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    def test_reports_are_not_read(self, run_dirs, capsys):
+        """Scores come from the manifests, extractions and annotations: a
+        report.json must exist for --criteria, but it is never opened."""
+        argv = ["eval", "--runs", *(str(run_dirs[mode]) for mode in ("full", "baseline", "ablated"))]
+        argv += ["--gold", str(TESTDATA / "gold.json"), "--criteria", str(TESTDATA / "criteria.jsonl")]
+        argv += ["--product", "app-mixer-001"]
+        assert run_cli(*argv) == 0
+        scored = capsys.readouterr().out
+        reports = list(run_dirs["full"].parent.glob("*/*/report.json"))
+        assert len(reports) == 9
+        for report in reports:
+            report.write_text("{not json")
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == scored
+
     def test_report_of_another_product_refused(self, run_dirs, capsys):
-        path = run_dirs["baseline"] / "app-mixer-001" / "report.json"
+        path = run_dirs["baseline"] / "app-mixer-001" / "manifest.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), "product_id": "bty-serum-002"}))
         capsys.readouterr()
         code = run_cli(
@@ -1241,7 +1323,7 @@ class TestEval:
             "--product", "app-mixer-001",
         )
         assert code == 1
-        _refused(capsys, "mode comparison: baseline report covers 'bty-serum-002'")
+        _refused(capsys, f"{path}: product_id: 'bty-serum-002' is not its directory's name 'app-mixer-001'")
 
     def test_a_run_directory_of_two_modes_is_refused(self, tmp_path, capsys):
         """A directory rerun in another mode for one product is not scored

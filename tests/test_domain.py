@@ -16,9 +16,9 @@ from reviewlens.domain import (
     ComparedAttribute,
     ComparisonStatus,
     ExtractedAttribute,
+    Insight,
     ProductRecord,
     Review,
-    StructuredReport,
     canonical_json,
     load_product_records,
     normalize_key,
@@ -143,6 +143,29 @@ class TestDataclasses:
                 reviews=[Review("r1", "a"), Review("r1", "b")],
             )
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Review("", "text"), "review_id must be non-empty"),
+            (lambda: Review("r1", " "), "review r1: text must be non-empty"),
+            (lambda: ProductRecord("p", "t", "c", " "), "product p: seller_description must be non-empty"),
+            (lambda: ExtractedAttribute(key="color", value=" ", review_id="r1"), "attribute color: value must"),
+            (lambda: ExtractedAttribute(key="color", value="red", review_id=""), "attribute color: review_id must"),
+            (
+                lambda: Insight("color", ("red",), ComparisonStatus.MISSING, "Looks", ("r1", "r1")),
+                "insight color: evidence entries must be unique",
+            ),
+        ],
+        ids=[
+            "review-id", "review-text", "seller-description", "attribute-value", "attribute-review-id",
+            "insight-evidence",
+        ],
+    )
+    def test_value_check_refuses(self, make, message):
+        """Each value check, met through the type's own constructor."""
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_category_assignment_fallback(self):
         missing = ComparisonStatus.MISSING
         insights = merge_insights(
@@ -164,15 +187,12 @@ class TestDataclasses:
         report = build_report([], {}, product_id="p")
         assert list(report.sections()) == list(ComparisonStatus)
         body = report.to_dict()
-        with pytest.raises(DataFormatError, match="must cover all four statuses"):
-            StructuredReport.from_dict({**body, "sections": body["sections"][:2]})
+        assert [section["status"] for section in body["sections"]] == [s.value for s in ComparisonStatus]
 
     def test_report_round_trip_without_stats(self):
         report = build_report([], {}, product_id="p")
         body = report.to_dict()
         assert "call_stats" not in body
-        rebuilt = StructuredReport.from_dict(body)
-        assert rebuilt == report
 
 
 class TestDatasetIO:

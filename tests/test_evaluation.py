@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reviewlens.domain import ExtractedAttribute, StructuredReport, normalize_key
+from reviewlens.domain import ExtractedAttribute, normalize_key
 from reviewlens.errors import (
     DataFormatError,
     OutOfRangeError,
@@ -29,6 +29,7 @@ from reviewlens.evaluation import (
     CriterionAnnotation,
     ErrorAnnotation,
     GoldAttributeSet,
+    ProductRun,
     Step,
     aggregate_errors,
     compare_modes,
@@ -36,6 +37,7 @@ from reviewlens.evaluation import (
     load_criterion_annotations,
     load_error_annotations,
     load_gold_sets,
+    load_run_dir,
     metrics_from_counts,
     render_error_table,
     render_metrics_table,
@@ -44,15 +46,10 @@ from reviewlens.evaluation import (
     selection_counts,
     selection_metrics,
 )
-from reviewlens.structuring import build_report
 
 
 def attr(key: str, value: str, review_id: str = "r1") -> ExtractedAttribute:
     return ExtractedAttribute(key=key, value=value, review_id=review_id)
-
-
-def result_for(product_id: str) -> StructuredReport:
-    return build_report([], {}, product_id=product_id)
 
 
 class TestF1:
@@ -229,12 +226,7 @@ class TestCompareModes:
     def test_corpus_hand_count(self, testdata_dir):
         annotations = load_criterion_annotations(testdata_dir / "criteria.jsonl")
         mixer_annotations = [a for a in annotations if a.product_id == "app-mixer-001"]
-        table = compare_modes(
-            result_for("app-mixer-001"),
-            result_for("app-mixer-001"),
-            result_for("app-mixer-001"),
-            mixer_annotations,
-        )
+        table = compare_modes("app-mixer-001", mixer_annotations)
         assert set(table) == set(CRITERIA)
         for row in table.values():
             assert set(row) == set(COMPARED_MODES)
@@ -247,14 +239,10 @@ class TestCompareModes:
         total = sum(count for row in table.values() for count in row.values())
         assert total == len(mixer_annotations)
 
-    def test_mismatched_result_rejected(self):
-        with pytest.raises(ProductMismatchError):
-            compare_modes(result_for("p1"), result_for("p2"), result_for("p1"), [])
-
     def test_mismatched_annotation_rejected(self):
         annotation = CriterionAnnotation("other-product", "full", "detail_retention", "x")
         with pytest.raises(ProductMismatchError):
-            compare_modes(result_for("p1"), result_for("p1"), result_for("p1"), [annotation])
+            compare_modes("p1", [annotation])
 
 
 class TestLoaders:
@@ -290,6 +278,18 @@ class TestLoaders:
         assert ("app-mixer-001", "mix-r1") in gold
         assert gold[("app-mixer-001", "mix-r3")].gold == frozenset({("weight", "12 pounds")})
         assert gold[("bty-serum-002", "ser-r5")].gold == frozenset()
+
+    def test_run_dir_manifest_of_another_product_rejected(self, tmp_path):
+        """A manifest vouches for the product its directory names; nothing
+        else in the directory is read to check it."""
+        manifest = tmp_path / "p1" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text(json.dumps({"product_id": "p1", "mode": "full"}))
+        assert load_run_dir(tmp_path) == {"p1": ProductRun("full", False, None)}
+        manifest.write_text(json.dumps({"product_id": "p2", "mode": "full"}))
+        with pytest.raises(DataFormatError) as refused:
+            load_run_dir(tmp_path)
+        assert str(refused.value) == f"{manifest}: product_id: 'p2' is not its directory's name 'p1'"
 
     def test_gold_loader_rejects_duplicate_review(self, tmp_path):
         path = tmp_path / "gold.json"

@@ -161,7 +161,6 @@ def documents(tmp_path_factory) -> dict[str, tuple[Document, Path]]:
         Document("criteria.jsonl", _read_lines("criteria.jsonl"), load_criterion_annotations, lines=True),
         Document("scores.json", scores, scores_table, root="rows"),
         Document(f"{PRODUCT}/manifest.json", run_file("manifest.json"), from_run),
-        Document(f"{PRODUCT}/report.json", run_file("report.json"), from_run),
         Document(f"{PRODUCT}/extractions.json", run_file("extractions.json"), from_run),
     ]
     placed = {}
@@ -178,7 +177,7 @@ def documents(tmp_path_factory) -> dict[str, tuple[Document, Path]]:
 
 DOCUMENTS = [
     "dataset.json", "config.json", "gold.json", "annotations.jsonl", "criteria.jsonl",
-    "scores.json", f"{PRODUCT}/manifest.json", f"{PRODUCT}/report.json", f"{PRODUCT}/extractions.json",
+    "scores.json", f"{PRODUCT}/manifest.json", f"{PRODUCT}/extractions.json",
 ]
 
 

@@ -387,14 +387,15 @@ MIX_R2_TEXT = "Mine arrived in red, which looks great"
 def request_labeller(product: ProductRecord, model=None):
     """Names each request of a full run over ``product``, answered by
     ``model`` (the bundled fixtures by default), as "<review id>/<stage>"
-    or "grouping"."""
+    or "grouping". A comparison prompt that several reviews send is named
+    by all of them, in review order: "<id>+<id>/comparison"."""
     clean = run_product(product, config_for(PipelineMode.FULL), model or fresh_replay())
     model = PipelineConfig().comparison_model
-    comparisons = {
-        build_comparison_prompt(list(attrs), product.seller_description, model=model).user_prompt: rid
-        for rid, attrs in clean.extractions.items()
-        if attrs
-    }
+    comparisons: dict[str, str] = {}
+    for rid in product.review_ids:
+        if attrs := clean.extractions.get(rid):
+            prompt = build_comparison_prompt(list(attrs), product.seller_description, model=model).user_prompt
+            comparisons[prompt] = f"{comparisons[prompt]}+{rid}" if prompt in comparisons else rid
 
     def label(request) -> str:
         prompt = request.user_prompt
@@ -490,6 +491,16 @@ class TestBackoffScheduling:
             return run_product(product, config, backend), backend.calls
         except RuntimeError as exc:
             return exc, backend.calls
+
+    def test_a_comparison_two_reviews_send_is_named_by_both(self, products_by_id):
+        """bud-r1 and bud-r8 extract the same attributes, so they send one
+        comparison prompt. With no cache it reaches the backend once in
+        each review's place: bud-r1's batch ties bud-r3 to bud-r7 and goes
+        first, bud-r8's goes last of them."""
+        _, calls = self.run(products_by_id["ele-buds-003"], ())
+        compared = [call.removesuffix("/comparison") for call in calls if call.endswith("/comparison")]
+        shared = "bud-r1+bud-r8"
+        assert compared == ["bud-r2", shared, "bud-r3", "bud-r4", "bud-r5", "bud-r6", "bud-r7", shared, "bud-r9"]
 
     def assert_as_without_backoff(self, product, faults, result):
         """A zero backoff puts the request straight back as the first ready

@@ -20,10 +20,9 @@ from reviewlens.domain import (
     ComparedAttribute,
     ComparisonStatus,
     ExtractedAttribute,
-    StructuredReport,
     canonical_json,
 )
-from reviewlens.errors import DataFormatError, MalformedOutputError
+from reviewlens.errors import MalformedOutputError
 from reviewlens.llm_json import load_json_object
 from reviewlens.structuring import (
     ReportFormat,
@@ -32,8 +31,6 @@ from reviewlens.structuring import (
     parse_report_sections,
     render_report,
 )
-
-from conftest import golden
 
 
 def compared(
@@ -492,35 +489,7 @@ def test_structured_report_round_trips_via_dict():
     )
     payload = report.to_dict()
     assert "call_stats" not in payload
-    assert StructuredReport.from_dict(payload) == report
-
-
-@pytest.mark.parametrize("mode", ["full", "baseline", "ablated"])
-@pytest.mark.parametrize("product_id", ["app-mixer-001", "bty-serum-002", "ele-buds-003"])
-def test_golden_report_read_back_renders_its_golden_bytes(mode, product_id):
-    body = golden(mode, product_id, "report.json")
-    report = StructuredReport.from_dict(json.loads(body))
-    assert render_report(report, ReportFormat.JSON) == body
-    assert render_report(report, ReportFormat.MARKDOWN) == golden(mode, product_id, "report.md")
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("status", "Matching", ".status is 'Matching' in section 'Missing'"),
-        ("category", "Scent", ".category is 'Scent' in group 'Other'"),
-    ],
-    ids=["status", "category"],
-)
-def test_row_that_disagrees_with_its_section_is_refused(field, value, message):
-    report = build_report(
-        merge_insights([compared("scent", "citrus", "r1")]), {}, product_id="p1"
-    )
-    body = report.to_dict()
-    body["sections"][0]["categories"][0]["insights"][0][field] = value
-    with pytest.raises(DataFormatError) as refused:
-        StructuredReport.from_dict(body)
-    assert str(refused.value) == "sections[0].categories[0].insights[0]" + message
+    assert [section["status"] for section in payload["sections"]] == [s.value for s in ComparisonStatus]
 
 
 def test_report_refuses_a_repeated_key_and_status():
