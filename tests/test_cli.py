@@ -1279,9 +1279,17 @@ class TestEval:
                     }
                 },
             ),
+            ("extractions.json", lambda payload: "{not json"),
             ("manifest.json", lambda payload: [payload]),
+            ("manifest.json", lambda payload: "{not json"),
+            ("manifest.json", lambda payload: {k: v for k, v in payload.items() if k != "product_id"}),
+            ("manifest.json", lambda payload: {**payload, "product_id": 7}),
+            ("manifest.json", lambda payload: {**payload, "mode": "turbo"}),
         ],
-        ids=["row-without-attribute", "manifest-list"],
+        ids=[
+            "row-without-attribute", "extractions-not-json", "manifest-list", "manifest-not-json",
+            "manifest-without-product", "manifest-product-not-string", "manifest-unknown-mode",
+        ],
     )
     def test_malformed_run_file_names_it(self, run_dirs, capsys, name, corrupt):
         path = run_dirs["full"] / "app-mixer-001" / name
